@@ -28,7 +28,6 @@ from .evalsel import (
     SelectionStrategy,
     evaluate,
     pareto_front,
-    select_checkpoint,
     spur_core_log_ratio,
 )
 from .experiments import (

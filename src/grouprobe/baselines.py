@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .evalsel import GroupMetrics, SelectionStrategy, evaluate, select_checkpoint
+from .evalsel import GroupMetrics, SelectionStrategy, evaluate
 from .linmodel import ModelParams, classify, init_params
 from .objectives import LossWeights, end_loss
 from .optim import OptimConfig, TrainTrace, train
@@ -126,19 +126,21 @@ def _package(
     data: TaskData,
     trace: TrainTrace,
     best: ModelParams,
-    selector: SelectionStrategy,
     extras: dict | None = None,
     diagnostics: dict | None = None,
 ) -> FitResult:
-    sel = select_checkpoint(trace, selector)
-    rec = trace.records[sel]
+    # the checkpoint is the one train() selected; records are one per epoch
+    rec = trace.records[trace.selected_epoch]
+    val_metrics = {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
+    if rec.val_recon_loss is not None:
+        val_metrics["recon_loss"] = rec.val_recon_loss
     return FitResult(
         method=method,
         config=config,
-        selected_epoch=rec.epoch,
-        val_metrics={"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc},
+        selected_epoch=trace.selected_epoch,
+        val_metrics=val_metrics,
         test_metrics=evaluate(best, data.test),
-        final_metrics=evaluate(trace.records[-1].params, data.test),
+        final_metrics=evaluate(trace.final_params, data.test),
         params=best,
         trace=trace,
         extras=extras or {},
@@ -159,7 +161,7 @@ def train_erm(
     weights = LossWeights(alpha_aux=0.0, alpha_reg=0.0, lambda_l2=lambda_l2)
     trace, best = train(params, data.train, None, weights, cfg, data.val, selector)
     echo = _config_echo("erm", cfg, selector, tau=tau, lambda_l2=lambda_l2)
-    return _package("erm", echo, data, trace, best, selector)
+    return _package("erm", echo, data, trace, best)
 
 
 def train_jtt(
@@ -182,7 +184,7 @@ def train_jtt(
     p1 = init_params(data.train.d, tau, _init_seed(cfg), l1_boundary=l1_boundary)
     w0 = LossWeights(lambda_l2=lambda_l2)
     trace1, _ = train(p1, data.train, None, w0, stage1_cfg, data.val, selector)
-    stage1_final = trace1.records[-1].params
+    stage1_final = trace1.final_params
 
     wrong = classify(stage1_final, data.train.features) != data.train.labels
     err_counts = np.bincount(data.train.group_ids[wrong], minlength=N_GROUPS)
@@ -200,17 +202,14 @@ def train_jtt(
     )
     p2 = init_params(data.train.d, tau, _init_seed(cfg, _SECOND_STAGE_SEED_TAG),
                      l1_boundary=l1_boundary)
-    if wrong.sum() == 0:
-        # nothing to upweight: stage 2 is exactly ERM
-        trace2, best = train(p2, data.train, None, w0, cfg, data.val, selector)
-        return _package("jtt", echo, data, trace2, best, selector, extras)
-
-    sw = np.where(wrong, jtt.upweight, 1.0)
-    sw = sw / sw.mean()
+    sw = None  # nothing to upweight: stage 2 is exactly ERM
+    if wrong.any():
+        sw = np.where(wrong, jtt.upweight, 1.0)
+        sw = sw / sw.mean()
     trace2, best = train(
         p2, data.train, None, w0, cfg, data.val, selector, end_sample_weights=sw
     )
-    return _package("jtt", echo, data, trace2, best, selector, extras)
+    return _package("jtt", echo, data, trace2, best, extras)
 
 
 def train_group_dro(
@@ -264,7 +263,7 @@ def train_group_dro(
     )
     extras = {"group_dro": {"final_q": [float(v) for v in q]}}
     diagnostics = {"q_steps": q_steps, "group_loss_steps": loss_steps}
-    return _package("group_dro", echo, data, trace, best, selector, extras, diagnostics)
+    return _package("group_dro", echo, data, trace, best, extras, diagnostics)
 
 
 def train_reg_mtl(
@@ -283,7 +282,7 @@ def train_reg_mtl(
         "reg_mtl", cfg, selector, tau=tau, lambda_l2=weights.lambda_l2,
         alpha_aux=weights.alpha_aux, alpha_reg=weights.alpha_reg,
     )
-    return _package("reg_mtl", echo, end_data, trace, best, selector)
+    return _package("reg_mtl", echo, end_data, trace, best)
 
 
 def train_aux_only(
@@ -314,18 +313,5 @@ def train_aux_only(
         params, None, aux_train, weights, cfg, data.val,
         SelectionStrategy.NO_GP, val_aux=aux_val,
     )
-    recons = np.asarray([r.val_recon_loss for r in trace.records])
-    sel = int(np.argmin(recons))
-    rec = trace.records[sel]
     echo = _config_echo("aux_only", cfg, SelectionStrategy.NO_GP, tau=tau, alpha_reg=alpha_reg)
-    return FitResult(
-        method="aux_only",
-        config=echo,
-        selected_epoch=rec.epoch,
-        val_metrics={"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc,
-                     "recon_loss": rec.val_recon_loss},
-        test_metrics=evaluate(best, data.test),
-        final_metrics=evaluate(trace.records[-1].params, data.test),
-        params=best,
-        trace=trace,
-    )
+    return _package("aux_only", echo, data, trace, best)

@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     except DivergedError as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return 1
-    except (GrouprobeError, OSError, json.JSONDecodeError, KeyError) as e:
+    except (GrouprobeError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

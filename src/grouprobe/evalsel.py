@@ -1,4 +1,6 @@
-"""Group-aware evaluation, checkpoint selection, and Pareto extraction."""
+"""Group-aware evaluation, selection strategies, and Pareto extraction.
+
+The checkpoint itself is selected in `optim.train`."""
 
 from __future__ import annotations
 
@@ -64,26 +66,6 @@ def evaluate(params: ModelParams, data: LabeledDataset) -> GroupMetrics:
         wg_acc=float(per_group[present].min()),
         all_groups_present=bool(present.all()),
     )
-
-
-def select_checkpoint(trace, strategy: SelectionStrategy) -> int:
-    """Index of the best epoch in a training trace under the given strategy.
-
-    Ties go to the earliest epoch.  VAL_GP requires every record to carry a
-    worst-group validation accuracy.
-    """
-    records = trace.records
-    if not records:
-        raise InvalidInputError("empty trace")
-    if strategy is SelectionStrategy.VAL_GP:
-        series = [r.val_wg_acc for r in records]
-        if any(v is None or np.isnan(v) for v in series):
-            raise InvalidInputError("VAL_GP selection needs group-resolved validation metrics")
-    elif strategy is SelectionStrategy.NO_GP:
-        series = [r.val_avg_acc for r in records]
-    else:  # pragma: no cover - enum is closed
-        raise InvalidInputError(f"unknown strategy {strategy!r}")
-    return int(np.argmax(np.asarray(series, dtype=np.float64)))
 
 
 def spur_core_log_ratio(a: np.ndarray, d_c: int, d_s: int) -> float:
@@ -179,13 +161,18 @@ def write_pareto_csv(points: list[ParetoPoint], path: str | Path) -> None:
 def read_pareto_csv(path: str | Path) -> list[ParetoPoint]:
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
         if header != PARETO_CSV_COLUMNS:
-            raise InvalidInputError(f"unrecognized Pareto CSV header: {header!r}")
+            raise InvalidInputError(f"{path}: unrecognized Pareto CSV header: {header!r}")
         out = []
         for row in r:
-            tag = dict(zip(PARETO_CSV_COLUMNS[2:], row[2:]))
-            out.append(ParetoPoint(float(row[0]), float(row[1]), tag))
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+                avg, wg = float(row[0]), float(row[1])
+            except ValueError as e:
+                raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
+            out.append(ParetoPoint(avg, wg, dict(zip(PARETO_CSV_COLUMNS[2:], row[2:]))))
     return out
 
 

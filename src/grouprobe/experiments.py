@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,16 +61,9 @@ _TAG_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789
 # -- atomic writes ---------------------------------------------------------
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def atomic_via_tmp(path: str | Path, writer) -> None:
-    """Call writer(tmp_path) then rename the temp file into place."""
+    """Call writer(tmp_path) on a temp file in the same directory, then
+    rename it into place."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     writer(tmp)
@@ -344,12 +337,10 @@ def _run_cell(cfg: ExperimentConfig, run_idx: int, seed: int, out_dir: str | Non
         stem = f"{run.tag}_seed{seed}"
         payload = fit.to_json_dict()
         payload.update(seed=seed, tag=run.tag, log_ratio=_json_float(log_ratio))
-        atomic_write_text(out / "runs" / f"{stem}.json", json.dumps(payload, indent=1) + "\n")
+        text = json.dumps(payload, indent=1) + "\n"
+        atomic_via_tmp(out / "runs" / f"{stem}.json", lambda p: p.write_text(text))
         atomic_via_tmp(out / "traces" / f"{stem}.csv", fit.trace.to_csv)
-        atomic_write_text(
-            out / "params" / f"{stem}.json",
-            json.dumps(fit.params.to_json_dict(), indent=1) + "\n",
-        )
+        atomic_via_tmp(out / "params" / f"{stem}.json", fit.params.save_json)
     return record
 
 
@@ -443,7 +434,7 @@ def run_experiment(source, out_dir: str | Path | None):
     rows = _summarize(cfg, records)
     if out is not None:
         text = _csv_text(SUMMARY_COLUMNS, [[row[c] for c in SUMMARY_COLUMNS] for row in rows])
-        atomic_write_text(out / "summary.csv", text)
+        atomic_via_tmp(out / "summary.csv", lambda p: p.write_text(text))
     return rows, records
 
 
@@ -560,7 +551,7 @@ class SweepGrid:
         doc = {
             "schema": SCHEMA_VERSION,
             "name": self.name,
-            "data": _data_dict(self.data),
+            "data": asdict(self.data),
             "val": {"n_maj": self.val_n_maj, "n_min": self.val_n_min},
             "test": {"n_per_group": self.test_n_per_group, "seed": self.test_seed},
             "selection": self.selection,
@@ -600,18 +591,6 @@ def run_sweep(source, out_dir: str | Path | None):
     return points, front
 
 
-def _data_dict(spec: GroupDataSpec) -> dict:
-    return {
-        "d_c": spec.d_c,
-        "d_s": spec.d_s,
-        "sigma2_core": spec.sigma2_core,
-        "sigma2_spur": spec.sigma2_spur,
-        "n_maj": spec.n_maj,
-        "n_min": spec.n_min,
-        "sigma2_noise": spec.sigma2_noise,
-    }
-
-
 # -- named recipes -----------------------------------------------------------
 
 # Shared benchmark distribution: one core and one spurious coordinate, a
@@ -633,6 +612,24 @@ _BENCH_OPTIM = {"learning_rate": 0.001, "batch_size": 64, "epochs": 500,
                 "patience": 0, "momentum": 0.0}
 
 
+def _recipe(name: str, selection: str, **body) -> dict:
+    # every named recipe runs on the shared distribution, splits and seeds
+    return {"schema": SCHEMA_VERSION, "name": name, "data": dict(BENCH_DATA),
+            "val": dict(BENCH_VAL), "test": dict(BENCH_TEST), "selection": selection,
+            "seeds": list(BENCH_SEEDS), **body}
+
+
+def _reg_mtl_runs() -> list[dict]:
+    # the multitask rows of table2, and the cells fig5 plots
+    return [{
+        "tag": f"reg_mtl_tau{tau:g}",
+        "method": "reg_mtl",
+        "tau": tau,
+        "optim": dict(_BENCH_OPTIM, learning_rate=0.01),
+        "weights": {"alpha_aux": 10.0, "alpha_reg": 0.0, "lambda_l2": 1.0},
+    } for tau in (0.1, 10.0)]
+
+
 def recipe_table2() -> dict:
     """Low/high featurizer budget, end-task-only vs regularized multitask.
 
@@ -642,33 +639,14 @@ def recipe_table2() -> dict:
     actually plays out, and their cell values are read from the final-epoch
     columns.  The summary carries both views for every row.
     """
-    runs = []
-    for tau in (0.1, 10.0):
-        runs.append({
-            "tag": f"end_only_tau{tau:g}",
-            "method": "erm",
-            "tau": tau,
-            "optim": dict(_BENCH_OPTIM),
-            "weights": {"lambda_l2": 1.0},
-        })
-    for tau in (0.1, 10.0):
-        runs.append({
-            "tag": f"reg_mtl_tau{tau:g}",
-            "method": "reg_mtl",
-            "tau": tau,
-            "optim": dict(_BENCH_OPTIM, learning_rate=0.01),
-            "weights": {"alpha_aux": 10.0, "alpha_reg": 0.0, "lambda_l2": 1.0},
-        })
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": "table2",
-        "data": dict(BENCH_DATA),
-        "val": dict(BENCH_VAL),
-        "test": dict(BENCH_TEST),
-        "selection": "no_gp",
-        "seeds": list(BENCH_SEEDS),
-        "runs": runs,
-    }
+    runs = [{
+        "tag": f"end_only_tau{tau:g}",
+        "method": "erm",
+        "tau": tau,
+        "optim": dict(_BENCH_OPTIM),
+        "weights": {"lambda_l2": 1.0},
+    } for tau in (0.1, 10.0)]
+    return _recipe("table2", "no_gp", runs=runs + _reg_mtl_runs())
 
 
 def recipe_fig3() -> dict:
@@ -687,37 +665,12 @@ def recipe_fig3() -> dict:
                               "epochs": 500, "patience": 0, "momentum": 0.0},
                     "weights": {},
                 })
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": "fig3",
-        "data": dict(BENCH_DATA),
-        "val": dict(BENCH_VAL),
-        "test": dict(BENCH_TEST),
-        "selection": "no_gp",
-        "seeds": list(BENCH_SEEDS),
-        "runs": runs,
-    }
+    return _recipe("fig3", "no_gp", runs=runs)
 
 
 def recipe_fig5() -> dict:
     """The two multitask cells whose learned halfspaces are worth plotting."""
-    runs = [{
-        "tag": f"reg_mtl_tau{tau:g}",
-        "method": "reg_mtl",
-        "tau": tau,
-        "optim": dict(_BENCH_OPTIM, learning_rate=0.01),
-        "weights": {"alpha_aux": 10.0, "alpha_reg": 0.0, "lambda_l2": 1.0},
-    } for tau in (0.1, 10.0)]
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": "fig5",
-        "data": dict(BENCH_DATA),
-        "val": dict(BENCH_VAL),
-        "test": dict(BENCH_TEST),
-        "selection": "no_gp",
-        "seeds": list(BENCH_SEEDS),
-        "runs": runs,
-    }
+    return _recipe("fig5", "no_gp", runs=_reg_mtl_runs())
 
 
 def recipe_baselines() -> dict:
@@ -759,39 +712,24 @@ def recipe_baselines() -> dict:
             "weights": {"alpha_aux": 10.0, "alpha_reg": 0.0, "lambda_l2": 1.0},
         },
     ]
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": "baselines",
-        "data": dict(BENCH_DATA),
-        "val": dict(BENCH_VAL),
-        "test": dict(BENCH_TEST),
-        "selection": "val_gp",
-        "seeds": list(BENCH_SEEDS),
-        "runs": runs,
-    }
+    return _recipe("baselines", "val_gp", runs=runs)
 
 
 def recipe_pareto_default() -> dict:
     """3x3 aux/reg weight grid times the (lr, batch) grid at low budget."""
     e = math.e
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": "pareto-default",
-        "data": dict(BENCH_DATA),
-        "val": dict(BENCH_VAL),
-        "test": dict(BENCH_TEST),
-        "selection": "val_gp",
-        "seeds": list(BENCH_SEEDS),
-        "method": "reg_mtl",
-        "base": {"epochs": 500, "patience": 0, "momentum": 0.0, "lambda_l2": 1.0},
-        "grid": {
+    return _recipe(
+        "pareto-default", "val_gp",
+        method="reg_mtl",
+        base={"epochs": 500, "patience": 0, "momentum": 0.0, "lambda_l2": 1.0},
+        grid={
             "alpha_aux": [1.0 / e, 1.0, e],
             "alpha_reg": [1.0 / e, 1.0, e],
             "tau": [0.1],
             "learning_rate": [0.01, 0.001],
             "batch_size": [64, 256],
         },
-    }
+    )
 
 
 RECIPES = {

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidSpecError, ShapeError
+from .errors import DegenerateInputError, InvalidInputError, InvalidSpecError, ShapeError
 
 # Slack allowed when checking feasibility of the L1 constraint after projection.
 L1_FEASIBILITY_TOL = 1e-9
@@ -93,18 +93,26 @@ class ModelParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelParams":
-        return cls(
-            a=np.array(d["a"], dtype=np.float64),
-            w_end=np.array(d["w_end"], dtype=np.float64),
-            W_aux=np.array(d["W_aux"], dtype=np.float64),
-            tau=d["tau"],
-            fro_radius=d["fro_radius"],
-            l1_boundary=bool(d.get("l1_boundary", False)),
-        )
+        if not isinstance(d, dict):
+            raise InvalidInputError("model params must be a JSON object")
+        missing = [k for k in ("a", "w_end", "W_aux", "tau", "fro_radius") if k not in d]
+        if missing:
+            raise InvalidInputError(f"model params lack keys {missing}")
+        try:
+            arrays = {k: np.array(d[k], dtype=np.float64) for k in ("a", "w_end", "W_aux")}
+        except (TypeError, ValueError) as e:
+            raise InvalidInputError(f"model params: non-numeric array entry ({e})") from None
+        if any(d[k] is not None and not isinstance(d[k], (int, float)) for k in ("tau", "fro_radius")):
+            raise InvalidInputError("model params: tau and fro_radius must be numbers or null")
+        return cls(**arrays, tau=d["tau"], fro_radius=d["fro_radius"],
+                   l1_boundary=bool(d.get("l1_boundary", False)))
 
     @classmethod
     def load_json(cls, path: str | Path) -> "ModelParams":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_json_dict(json.loads(Path(path).read_text()))
+        except InvalidInputError as e:
+            raise InvalidInputError(f"{path}: {e}") from None
 
 
 def featurize(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -149,7 +149,8 @@ def multitask_loss(
     end_sample_weights=None,
 ) -> LossEval:
     """Joint objective: end BCE + alpha_aux * reconstruction + alpha_reg *
-    activation L1 penalty, the last averaged over both task batches.
+    activation L1 penalty, the last summed over the two task batches (the
+    end batch's mean penalty plus the aux batch's).
 
     With alpha_aux == alpha_reg == 0 this equals end_loss exactly.
     """

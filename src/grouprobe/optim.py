@@ -4,7 +4,6 @@ tracking, checkpoint selection, and optional early stopping."""
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergedError, InvalidInputError, InvalidSpecError
-from .evalsel import GroupMetrics, SelectionStrategy, evaluate
+from .evalsel import SelectionStrategy, evaluate
 from .linmodel import ModelParams, normalize_frobenius, project_l1, rescale_l1
 from .objectives import (
     LossEval,
@@ -100,10 +99,13 @@ def sgd_step(
     return out
 
 
-def _index_stream(n: int, rng: np.random.Generator):
-    # Endless shuffled indices; reshuffles whenever a pass completes.
-    while True:
-        yield from rng.permutation(n)
+def _index_schedule(n: int | None, length: int, seed_seq) -> np.ndarray | None:
+    # `length` shuffled indices into range(n): whole permutations back to
+    # back, so a shorter stream reshuffles each time a pass completes
+    if n is None:
+        return None
+    rng = np.random.default_rng(seed_seq)
+    return np.concatenate([rng.permutation(n) for _ in range(-(-length // n))])[:length]
 
 
 def heterogeneous_batches(
@@ -129,16 +131,15 @@ def heterogeneous_batches(
         raise InvalidInputError("cannot batch an empty dataset")
 
     end_child, aux_child = np.random.SeedSequence(seed).spawn(2)
-    end_stream = _index_stream(n_end, np.random.default_rng(end_child)) if n_end else None
-    aux_stream = _index_stream(n_aux, np.random.default_rng(aux_child)) if n_aux else None
-
     driver = max(v for v in (n_end, n_aux) if v is not None)
-    n_batches = math.ceil(driver / batch_size)
-    for b in range(n_batches):
-        size = min(batch_size, driver - b * batch_size)
-        ei = np.fromiter(itertools.islice(end_stream, size), dtype=np.int64) if end_stream else None
-        ai = np.fromiter(itertools.islice(aux_stream, size), dtype=np.int64) if aux_stream else None
-        yield ei, ai
+    end_idx = _index_schedule(n_end, driver, end_child)
+    aux_idx = _index_schedule(n_aux, driver, aux_child)
+    for start in range(0, driver, batch_size):
+        stop = start + batch_size
+        yield (
+            end_idx[start:stop] if end_idx is not None else None,
+            aux_idx[start:stop] if aux_idx is not None else None,
+        )
 
 
 @dataclass
@@ -148,15 +149,18 @@ class EpochRecord:
     val_avg_acc: float
     val_wg_acc: float
     val_group_acc: np.ndarray
-    params: ModelParams
     val_recon_loss: float | None = None
 
 
 @dataclass
 class TrainTrace:
+    """Per-epoch records plus the selected epoch and the last epoch's parameters."""
+
     records: list[EpochRecord] = field(default_factory=list)
     stop_epoch: int = 0
     stopped_early: bool = False
+    selected_epoch: int = -1
+    final_params: ModelParams | None = None
 
     CSV_HEADER = ["epoch", "train_loss", "val_avg_acc", "val_wg_acc", "g0", "g1", "g2", "g3"]
 
@@ -194,6 +198,9 @@ def train(
 ) -> tuple[TrainTrace, ModelParams]:
     """Run minibatch SGD for cfg.epochs and return (trace, best parameters).
 
+    The best parameters are those of the selected epoch, `trace.selected_epoch`;
+    `trace.final_params` holds the parameters after the last epoch run.
+
     The default loss is the joint objective (end BCE + weighted
     reconstruction + activation penalty); with no aux stream the aux terms
     use the end batch's activations only, and with no end stream training is
@@ -201,9 +208,12 @@ def train(
     composition entirely (used by the reweighting baselines).
 
     Validation runs once per epoch after its final step.  The selected
-    checkpoint maximizes the selector metric, earliest epoch on ties; with
-    patience > 0, training stops after that many consecutive epochs that
-    fail to improve the metric by at least IMPROVEMENT_EPS.
+    checkpoint maximizes the selector metric (average or worst-group
+    validation accuracy; the negated validation reconstruction loss without
+    an end stream), earliest epoch on ties; epochs whose metric is NaN are
+    never selected.  With patience > 0, training stops after that many
+    consecutive epochs that fail to improve the metric by at least
+    IMPROVEMENT_EPS.
     """
     aux_only = end_data is None
     if aux_only and aux_data is None:
@@ -234,8 +244,7 @@ def train(
     trace = TrainTrace()
     state = MomentumState.zeros(params.d)
     best_metric = -np.inf
-    best_params = params.copy()
-    best_epoch = -1
+    best_params = None
     bad_epochs = 0
 
     for ep in range(cfg.epochs):
@@ -268,7 +277,6 @@ def train(
             val_avg_acc=val_avg,
             val_wg_acc=val_wg,
             val_group_acc=val_groups,
-            params=params.copy(),
             val_recon_loss=val_recon,
         )
         trace.records.append(rec)
@@ -278,15 +286,14 @@ def train(
         if metric > best_metric:
             best_metric = metric
             best_params = params.copy()
-            best_epoch = ep
+            trace.selected_epoch = ep
         if cfg.patience > 0:
             bad_epochs = 0 if improved else bad_epochs + 1
             if bad_epochs >= cfg.patience:
                 trace.stopped_early = True
-                trace.stop_epoch = ep + 1
                 break
-    if not trace.stopped_early:
-        trace.stop_epoch = len(trace.records)
-
-    assert best_epoch >= 0
+    trace.stop_epoch = len(trace.records)
+    if best_params is None:
+        raise DivergedError("no epoch had a finite selection metric")
+    trace.final_params = params
     return trace, best_params

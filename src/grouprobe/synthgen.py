@@ -10,7 +10,8 @@ so s predicts y on most of the training distribution but not off it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,13 @@ from .errors import InvalidInputError, InvalidSpecError, ShapeError
 GROUP_OF_YS = {(1, 1): 0, (-1, -1): 1, (1, -1): 2, (-1, 1): 3}
 YS_OF_GROUP = {g: ys for ys, g in GROUP_OF_YS.items()}
 N_GROUPS = 4
+
+# Array names in a dataset .npz archive, in constructor order.
+_NPZ_ARRAYS = ("features", "labels", "spurious_attrs", "group_ids")
+
+# The same mapping as a 2x2 table indexed by ((y + 1) // 2, (s + 1) // 2):
+# rows y = -1, +1; columns s = -1, +1.
+_GROUP_TABLE = np.array([[GROUP_OF_YS[(y, s)] for s in (-1, 1)] for y in (-1, 1)], dtype=np.int64)
 
 
 def group_id(y: int, s: int) -> int:
@@ -70,6 +78,20 @@ def _check_pm_one(arr: np.ndarray, name: str) -> None:
         raise InvalidInputError(f"{name} entries must be -1 or +1")
 
 
+def _rows_of(data, idx):
+    # Row subset of an already-validated dataset: the rows are valid by
+    # construction, so skip the constructor and only lock the new arrays.
+    out = object.__new__(type(data))
+    for f in fields(data):
+        full = getattr(data, f.name)
+        arr = full[idx]
+        if arr.ndim != full.ndim:
+            raise ShapeError("take needs a 1-D index array, mask or slice")
+        arr.setflags(write=False)
+        object.__setattr__(out, f.name, arr)
+    return out
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix plus labels, spurious attributes, and derived group ids.
@@ -95,8 +117,7 @@ class LabeledDataset:
             raise ShapeError("labels, spurious_attrs and group_ids must be 1-D of matching length")
         _check_pm_one(y, "labels")
         _check_pm_one(s, "spurious_attrs")
-        expect = np.fromiter((GROUP_OF_YS[(yy, ss)] for yy, ss in zip(y, s)), dtype=np.int64, count=n)
-        if not np.array_equal(g, expect):
+        if not np.array_equal(g, _GROUP_TABLE[(y + 1) // 2, (s + 1) // 2]):
             raise InvalidInputError("group_ids do not match the (y, s) -> group mapping")
         for arr in (f, y, s, g):
             arr.setflags(write=False)
@@ -116,10 +137,8 @@ class LabeledDataset:
         return np.bincount(self.group_ids, minlength=N_GROUPS)
 
     def take(self, idx: np.ndarray) -> "LabeledDataset":
-        """Row subset as a new dataset (used for minibatching)."""
-        return LabeledDataset(
-            self.features[idx], self.labels[idx], self.spurious_attrs[idx], self.group_ids[idx]
-        )
+        """Row subset as a new read-only dataset (used for minibatching)."""
+        return _rows_of(self, idx)
 
     # -- serialization ----------------------------------------------------
 
@@ -139,17 +158,22 @@ class LabeledDataset:
     def from_csv(cls, path: str | Path) -> "LabeledDataset":
         with open(path, newline="") as fh:
             r = csv.reader(fh)
-            header = next(r)
-            if header[:3] != ["y", "s", "group"] or any(
+            header = next(r, None)
+            if header is None or header[:3] != ["y", "s", "group"] or any(
                 h != f"x{i}" for i, h in enumerate(header[3:])
             ):
-                raise InvalidInputError(f"unrecognized dataset CSV header: {header!r}")
+                raise InvalidInputError(f"{path}: unrecognized dataset CSV header: {header!r}")
             ys, ss, gs, xs = [], [], [], []
             for row in r:
-                ys.append(int(row[0]))
-                ss.append(int(row[1]))
-                gs.append(int(row[2]))
-                xs.append([float(v) for v in row[3:]])
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+                    ys.append(int(row[0]))
+                    ss.append(int(row[1]))
+                    gs.append(int(row[2]))
+                    xs.append([float(v) for v in row[3:]])
+                except ValueError as e:
+                    raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
         return cls(np.array(xs, dtype=np.float64).reshape(len(ys), len(header) - 3),
                    np.array(ys), np.array(ss), np.array(gs))
 
@@ -158,13 +182,21 @@ class LabeledDataset:
         # write through a handle: np.savez appends ".npz" to bare filenames,
         # which breaks temp-and-rename writers
         with open(path, "wb") as fh:
-            np.savez(fh, features=self.features, labels=self.labels,
-                     spurious_attrs=self.spurious_attrs, group_ids=self.group_ids)
+            np.savez(fh, **{k: getattr(self, k) for k in _NPZ_ARRAYS})
 
     @classmethod
     def from_npz(cls, path: str | Path) -> "LabeledDataset":
-        with np.load(path) as z:
-            return cls(z["features"], z["labels"], z["spurious_attrs"], z["group_ids"])
+        try:
+            z = np.load(path)
+        except (ValueError, EOFError, zipfile.BadZipFile) as e:
+            raise InvalidInputError(f"{path}: not an .npz archive ({e})") from None
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise InvalidInputError(f"{path}: not an .npz archive")
+        with z:
+            missing = [k for k in _NPZ_ARRAYS if k not in z.files]
+            if missing:
+                raise InvalidInputError(f"{path}: .npz archive lacks arrays {missing}")
+            return cls(*(z[k] for k in _NPZ_ARRAYS))
 
 
 @dataclass(frozen=True)
@@ -196,7 +228,8 @@ class AuxDataset:
         return self.noised.shape[1]
 
     def take(self, idx: np.ndarray) -> "AuxDataset":
-        return AuxDataset(self.noised[idx], self.targets[idx])
+        """Row subset as a new read-only dataset (used for minibatching)."""
+        return _rows_of(self, idx)
 
 
 def _sample_groups(spec: GroupDataSpec, counts: list[int], seed) -> LabeledDataset:

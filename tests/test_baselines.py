@@ -1,8 +1,11 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import grouprobe.optim
 from grouprobe import (
     GroupDroConfig,
     InvalidInputError,
@@ -15,6 +18,7 @@ from grouprobe import (
     TaskData,
     evaluate,
     init_params,
+    sgd_step,
     train,
     train_aux_only,
     train_erm,
@@ -85,14 +89,31 @@ class TestFitResultContract:
         assert loaded["test_metrics"]["avg_acc"] == fit.test_metrics.avg_acc
         assert loaded["config"]["learning_rate"] == tiny_cfg.learning_rate
 
-    def test_metrics_match_reported_epochs(self, tiny_task, tiny_cfg):
+    def test_metrics_match_reported_epochs(self, tiny_task, tiny_cfg, monkeypatch):
+        last_step = []
+
+        def recording_step(*args):
+            out = sgd_step(*args)
+            last_step[:] = [out]
+            return out
+
+        monkeypatch.setattr(grouprobe.optim, "sgd_step", recording_step)
         fit = train_erm(tiny_task, tiny_cfg, SelectionStrategy.NO_GP)
-        # patience is off, so epoch numbers index the trace directly
-        sel = evaluate(fit.trace.records[fit.selected_epoch].params, tiny_task.test)
-        fin = evaluate(fit.trace.records[-1].params, tiny_task.test)
-        assert fit.test_metrics.avg_acc == sel.avg_acc
-        assert fit.final_metrics.avg_acc == fin.avg_acc
-        assert np.array_equal(fit.params.a, fit.trace.records[fit.selected_epoch].params.a)
+        final = fit.trace.final_params
+        assert np.array_equal(final.a, last_step[0].a)
+        assert np.array_equal(final.w_end, last_step[0].w_end)
+        assert fit.final_metrics.avg_acc == evaluate(final, tiny_task.test).avg_acc
+        # epochs draw their batches from [seed, epoch], so a run cut short
+        # after the selected epoch ends on exactly the selected parameters
+        cut = train_erm(tiny_task, replace(tiny_cfg, epochs=fit.selected_epoch + 1),
+                        SelectionStrategy.NO_GP)
+        selected = cut.trace.final_params
+        assert np.array_equal(fit.params.a, selected.a)
+        assert np.array_equal(fit.params.w_end, selected.w_end)
+        assert np.array_equal(fit.params.W_aux, selected.W_aux)
+        assert fit.test_metrics.avg_acc == evaluate(selected, tiny_task.test).avg_acc
+        rec = fit.trace.records[fit.selected_epoch]
+        assert fit.val_metrics == {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
 
 
 class TestErm:
@@ -105,12 +126,21 @@ class TestErm:
         assert np.array_equal(fit.params.w_end, best.w_end)
         assert [r.train_loss for r in fit.trace.records] == [r.train_loss for r in trace.records]
 
-    def test_budget_flag_passes_through(self, tiny_task, tiny_cfg):
+    def test_budget_flag_passes_through(self, tiny_task, tiny_cfg, monkeypatch):
+        steps = []
+
+        def checked_step(*args):
+            out = sgd_step(*args)
+            steps.append(np.abs(out.a).sum())
+            return out
+
+        monkeypatch.setattr(grouprobe.optim, "sgd_step", checked_step)
         fit = train_erm(tiny_task, tiny_cfg, SelectionStrategy.NO_GP,
                         tau=0.5, l1_boundary=True)
         assert abs(np.abs(fit.params.a).sum() - 0.5) < 1e-9
-        for r in fit.trace.records:
-            assert abs(np.abs(r.params.a).sum() - 0.5) < 1e-9
+        # every step, not only every epoch, lands on the sphere
+        assert len(steps) == tiny_cfg.epochs * math.ceil(len(tiny_task.train) / tiny_cfg.batch_size)
+        assert all(abs(l1 - 0.5) < 1e-9 for l1 in steps)
 
 
 class TestJtt:

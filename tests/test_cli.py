@@ -1,12 +1,17 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import grouprobe
 from grouprobe import LabeledDataset, ParetoPoint, normal_cdf
 from grouprobe.cli import main, run_grad_check
-from grouprobe.evalsel import write_pareto_csv
+from grouprobe.evalsel import PARETO_CSV_COLUMNS, write_pareto_csv
 
 from test_experiments import tiny_config, tiny_sweep
 
@@ -153,6 +158,61 @@ class TestParetoCommand:
                      "--front", str(tmp_path / "f.csv")]) == 2
 
 
+PARAMS = {"a": [1.0, 0.5], "w_end": [1.0, -1.0], "W_aux": [[1.0, 0.0], [0.0, 0.0]],
+          "tau": None, "fro_radius": 1.0}
+DATA_CSV = "y,s,group,x0,x1\n1,1,0,0.5,0.5\n-1,-1,1,-0.5,-0.5\n"
+
+
+def _eval_argv(tmp_path, params=PARAMS, data_name="d.csv", data=DATA_CSV):
+    (tmp_path / "p.json").write_text(json.dumps(params))
+    path = tmp_path / data_name
+    if callable(data):
+        data(path)
+    else:
+        path.write_text(data)
+    return ["eval", "--params", str(tmp_path / "p.json"), "--data", str(path)]
+
+
+def _pareto_non_numeric(tmp_path):
+    full = tmp_path / "full.csv"
+    full.write_text(",".join(PARETO_CSV_COLUMNS) + "\n0.9,0.3,erm,,,,,\n0.8,high,erm,,,,,\n")
+    return ["pareto", "--input", str(full), "--front", str(tmp_path / "f.csv")], ["full.csv", "line 3"]
+
+
+def _csv_non_numeric(tmp_path):
+    return _eval_argv(tmp_path, data=DATA_CSV + "1,1,0,0.5,nope\n"), ["d.csv", "line 4"]
+
+
+def _npz_not_zip(tmp_path):
+    return _eval_argv(tmp_path, data_name="d.npz", data="y,s,group\n"), ["d.npz", "not an .npz"]
+
+
+def _params_without_fro_radius(tmp_path):
+    params = {k: v for k, v in PARAMS.items() if k != "fro_radius"}
+    return _eval_argv(tmp_path, params=params), ["p.json", "fro_radius"]
+
+
+def _npz_without_features(tmp_path):
+    def write(path):
+        with open(path, "wb") as fh:
+            np.savez(fh, labels=[1], spurious_attrs=[1], group_ids=[0])
+    return _eval_argv(tmp_path, data_name="d.npz", data=write), ["d.npz", "features"]
+
+
+@pytest.mark.parametrize("make", [
+    _pareto_non_numeric, _csv_non_numeric, _npz_not_zip,
+    _params_without_fro_radius, _npz_without_features,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_malformed_input_file_exits_2(make, tmp_path, capsys):
+    """A malformed input file is a usage error with one message naming the
+    file and what is wrong in it, not a traceback and not exit 1."""
+    argv, names = make(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(name in err[0] for name in names), err[0]
+
+
 class TestBoundCommand:
     BASE = ["bound", "--gamma", "1", "--sigma-spur", "1", "--eta", "1",
             "--tau", "0.1", "--lam", "0.1", "--dc", "1", "--ds", "1"]
@@ -213,5 +273,19 @@ def test_console_script_smoke():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["worst_group_error_bound"] == pytest.approx(
+        0.11507, abs=5e-6)
+
+
+def test_python_dash_m():
+    env = dict(os.environ)
+    src = str(Path(grouprobe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grouprobe", "bound", "--gamma", "1", "--sigma-spur", "1",
+         "--eta", "1", "--tau", "0.1", "--lam", "0.1", "--dc", "1", "--ds", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["worst_group_error_bound"] == pytest.approx(
         0.11507, abs=5e-6)

@@ -11,10 +11,8 @@ from grouprobe import (
     LabeledDataset,
     ModelParams,
     ParetoPoint,
-    SelectionStrategy,
     evaluate,
     pareto_front,
-    select_checkpoint,
     spur_core_log_ratio,
 )
 from grouprobe.errors import ShapeError
@@ -25,7 +23,6 @@ from grouprobe.evalsel import (
     write_front_gnuplot,
     write_pareto_csv,
 )
-from grouprobe.optim import EpochRecord, TrainTrace
 
 
 def _plain_params(w):
@@ -33,12 +30,6 @@ def _plain_params(w):
     d = len(w)
     return ModelParams(a=np.ones(d), w_end=w, W_aux=np.eye(d),
                        tau=None, fro_radius=None)
-
-
-def _record(epoch, avg, wg):
-    return EpochRecord(epoch=epoch, train_loss=0.0, val_avg_acc=avg,
-                       val_wg_acc=wg, val_group_acc=np.full(4, wg),
-                       params=_plain_params([1.0]))
 
 
 class TestEvaluate:
@@ -104,28 +95,6 @@ class TestEvaluate:
         d = evaluate(_plain_params([1.0]), data).to_json_dict()
         assert d["per_group_acc"][0] == 1.0
         assert d["per_group_acc"][1] is None
-
-
-class TestSelectCheckpoint:
-    def test_argmax_and_tie(self):
-        trace = TrainTrace(records=[
-            _record(0, 0.5, 0.2),
-            _record(1, 0.9, 0.1),
-            _record(2, 0.9, 0.4),
-            _record(3, 0.7, 0.4),
-        ])
-        assert select_checkpoint(trace, SelectionStrategy.NO_GP) == 1
-        assert select_checkpoint(trace, SelectionStrategy.VAL_GP) == 2
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(InvalidInputError):
-            select_checkpoint(TrainTrace(), SelectionStrategy.NO_GP)
-
-    def test_val_gp_rejects_nan(self):
-        trace = TrainTrace(records=[_record(0, 0.5, float("nan"))])
-        with pytest.raises(InvalidInputError):
-            select_checkpoint(trace, SelectionStrategy.VAL_GP)
-        assert select_checkpoint(trace, SelectionStrategy.NO_GP) == 0
 
 
 class TestLogRatio:

@@ -1,10 +1,14 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import grouprobe.optim
 from grouprobe import (
     DivergedError,
+    GroupMetrics,
     InvalidInputError,
     InvalidSpecError,
     LossEval,
@@ -16,8 +20,8 @@ from grouprobe import (
     sgd_step,
     train,
 )
+from grouprobe.objectives import recon_loss
 from grouprobe.optim import MomentumState
-from grouprobe.evalsel import select_checkpoint
 
 
 class TestOptimConfig:
@@ -83,6 +87,22 @@ class TestBatches:
         assert all(ei is None for ei, _ in batches)
         total = sum(len(ai) for _, ai in batches)
         assert total == len(tiny_aux)
+
+    @pytest.mark.parametrize("n_end, n_aux, batch", [(80, 10, 16), (10, 80, 7), (80, 80, 32)])
+    def test_same_draws_as_lazy_index_streams(self, tiny_task, tiny_aux, n_end, n_aux, batch):
+        # reference: endless streams that reshuffle whenever a pass completes,
+        # each batch taking the next indices from both
+        def stream(n, seed_seq):
+            rng = np.random.default_rng(seed_seq)
+            while True:
+                yield from rng.permutation(n)
+
+        end, aux = tiny_task.train.take(np.arange(n_end)), tiny_aux.take(np.arange(n_aux))
+        end_ref, aux_ref = (stream(n, c) for n, c in
+                            zip((n_end, n_aux), np.random.SeedSequence([4, 2]).spawn(2)))
+        for ei, ai in heterogeneous_batches(end, aux, batch, [4, 2]):
+            assert ei.tolist() == list(itertools.islice(end_ref, len(ei)))
+            assert ai.tolist() == list(itertools.islice(aux_ref, len(ai)))
 
     def test_no_stream_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -163,11 +183,16 @@ class TestTrain:
 
     def test_selected_checkpoint_is_argmax(self, tiny_task, tiny_aux, tiny_cfg):
         trace, best = self._run(tiny_task, tiny_aux, tiny_cfg)
-        idx = select_checkpoint(trace, SelectionStrategy.NO_GP)
         series = [r.val_avg_acc for r in trace.records]
-        assert series[idx] == max(series)
-        assert np.array_equal(best.a, trace.records[idx].params.a)
-        assert np.array_equal(best.w_end, trace.records[idx].params.w_end)
+        # the selected record holds the maximum, and no earlier epoch does
+        assert series[trace.selected_epoch] == max(series)
+        assert trace.selected_epoch == series.index(max(series))
+        # epochs draw their batches from [seed, epoch], so a run cut short
+        # after the selected epoch ends on exactly the returned parameters
+        cut, _ = self._run(tiny_task, tiny_aux, replace(tiny_cfg, epochs=trace.selected_epoch + 1))
+        assert np.array_equal(best.a, cut.final_params.a)
+        assert np.array_equal(best.w_end, cut.final_params.w_end)
+        assert np.array_equal(best.W_aux, cut.final_params.W_aux)
 
     def test_bit_determinism(self, tiny_task, tiny_aux, tiny_cfg):
         t1, b1 = self._run(tiny_task, tiny_aux, tiny_cfg)
@@ -177,10 +202,22 @@ class TestTrain:
         assert np.array_equal(b1.W_aux, b2.W_aux)
         assert [r.train_loss for r in t1.records] == [r.train_loss for r in t2.records]
 
-    def test_feasibility_every_epoch(self, tiny_task, tiny_aux, tiny_cfg):
-        trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg, tau=0.2)
-        for r in trace.records:
-            assert r.params.feasible()
+    def test_feasibility_every_epoch(self, tiny_task, tiny_aux, tiny_cfg, monkeypatch):
+        # checked after every step, which is stricter than every epoch
+        stepped = []
+
+        def checked_step(*args):
+            out = sgd_step(*args)
+            assert out.feasible() and np.abs(out.a).sum() <= 0.2 + 1e-9
+            stepped.append(out)
+            return out
+
+        monkeypatch.setattr(grouprobe.optim, "sgd_step", checked_step)
+        trace, best = self._run(tiny_task, tiny_aux, tiny_cfg, tau=0.2)
+        per_epoch = math.ceil(len(tiny_task.train) / tiny_cfg.batch_size)
+        assert len(stepped) == tiny_cfg.epochs * per_epoch
+        assert trace.final_params is stepped[-1]
+        assert best.feasible()
 
     def test_all_losses_finite(self, tiny_task, tiny_aux, tiny_cfg):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
@@ -235,3 +272,88 @@ class TestTrain:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == pytest.approx(trace.records[0].train_loss)
+
+
+class TestSelection:
+    """train() is the one place a checkpoint is selected."""
+
+    EPOCHS = 4
+
+    def _fit(self, task, aux, aux_val, selector, monkeypatch, script, epochs=EPOCHS):
+        """Train with validation metrics replaced by `script`, one value per
+        epoch: (avg, wg) accuracy pairs, or reconstruction losses when
+        `aux_val` is given (aux-only training)."""
+        values = iter(script)
+
+        def scripted_evaluate(params, data):
+            avg, wg = (0.5, 0.5) if aux_val is not None else next(values)
+            return GroupMetrics(np.full(4, wg), np.full(4, 1), avg, wg, True)
+
+        def scripted_recon(params, batch):
+            le = recon_loss(params, batch)
+            if batch is aux_val:
+                le.value = next(values)
+            return le
+
+        monkeypatch.setattr(grouprobe.optim, "evaluate", scripted_evaluate)
+        monkeypatch.setattr(grouprobe.optim, "recon_loss", scripted_recon)
+        cfg = OptimConfig(learning_rate=0.01, batch_size=16, epochs=epochs, seed=3)
+        params = init_params(task.train.d, 0.5, [3, 101])
+        if aux_val is not None:
+            return train(params, None, aux, LossWeights(), cfg, task.val, selector,
+                         val_aux=aux_val)
+        return train(params, task.train, None, LossWeights(), cfg, task.val, selector)
+
+    def test_argmax_and_tie(self, tiny_task, tiny_aux, tiny_aux_val, monkeypatch):
+        avg = [0.5, 0.9, 0.9, 0.7]
+        wg = [0.2, 0.1, 0.4, 0.4]
+        cases = [
+            (SelectionStrategy.NO_GP, None, list(zip(avg, wg)), 1),
+            (SelectionStrategy.VAL_GP, None, list(zip(avg, wg)), 2),
+            (SelectionStrategy.NO_GP, tiny_aux_val, [0.3, 0.1, 0.1, 0.2], 1),
+        ]
+        for selector, aux_val, script, want in cases:
+            trace, best = self._fit(tiny_task, tiny_aux, aux_val, selector, monkeypatch, script)
+            assert trace.selected_epoch == want
+            cut, _ = self._fit(tiny_task, tiny_aux, aux_val, selector, monkeypatch,
+                               script, epochs=want + 1)
+            assert np.array_equal(best.a, cut.final_params.a)
+            assert np.array_equal(best.w_end, cut.final_params.w_end)
+            assert np.array_equal(best.W_aux, cut.final_params.W_aux)
+
+    def test_nan_epoch_never_selected(self, tiny_task, tiny_aux, tiny_aux_val, monkeypatch):
+        nan = float("nan")
+        cases = [
+            (SelectionStrategy.NO_GP, None, [(nan, 0.1), (0.5, 0.1), (nan, 0.9), (0.4, 0.1)]),
+            (SelectionStrategy.VAL_GP, None, [(0.5, nan), (0.5, 0.3), (0.9, nan), (0.5, 0.2)]),
+            (SelectionStrategy.NO_GP, tiny_aux_val, [nan, 0.2, nan, 0.3]),
+        ]
+        for selector, aux_val, script in cases:
+            trace, _ = self._fit(tiny_task, tiny_aux, aux_val, selector, monkeypatch, script)
+            assert trace.selected_epoch == 1
+
+    def test_no_selectable_epoch_rejected(self, tiny_task, tiny_aux, tiny_aux_val, monkeypatch):
+        nan = float("nan")
+        with pytest.raises(DivergedError):
+            self._fit(tiny_task, tiny_aux, None, SelectionStrategy.VAL_GP, monkeypatch,
+                      [(0.5, nan)] * self.EPOCHS)
+        with pytest.raises(DivergedError):
+            self._fit(tiny_task, tiny_aux, tiny_aux_val, SelectionStrategy.NO_GP, monkeypatch,
+                      [nan] * self.EPOCHS)
+
+    def test_ties_pick_earliest_epoch(self, tiny_task, tiny_aux, tiny_aux_val):
+        # a step this small leaves every parameter bit unchanged, so every
+        # epoch ties exactly on the real validation metrics
+        cfg = OptimConfig(learning_rate=1e-300, batch_size=16, epochs=self.EPOCHS, seed=3)
+        for selector in SelectionStrategy:
+            params = init_params(tiny_task.train.d, 0.5, [3, 101])
+            trace, _ = train(params, tiny_task.train, tiny_aux, LossWeights(alpha_aux=1.0),
+                             cfg, tiny_task.val, selector)
+            key = "val_avg_acc" if selector is SelectionStrategy.NO_GP else "val_wg_acc"
+            assert len({getattr(r, key) for r in trace.records}) == 1
+            assert trace.selected_epoch == 0
+        params = init_params(tiny_task.train.d, 0.5, [3, 101], l1_boundary=True, dense_init=True)
+        trace, _ = train(params, None, tiny_aux, LossWeights(), cfg, tiny_task.val,
+                         SelectionStrategy.NO_GP, val_aux=tiny_aux_val)
+        assert len({r.val_recon_loss for r in trace.records}) == 1
+        assert trace.selected_epoch == 0

@@ -163,6 +163,19 @@ class TestLabeledDataset:
         assert sub.labels.tolist() == [-1]
         assert np.array_equal(sub.features, data.features[1:])
 
+    def test_take_matches_validated_constructor(self):
+        data = sample_group_dataset(GroupDataSpec(2, 1, 0.6, 0.1, 20, 4), 3)
+        for idx in (np.array([5, 0, 5, 23]), data.group_ids == 2, slice(3, 9)):
+            sub = data.take(idx)
+            ref = LabeledDataset(data.features[idx], data.labels[idx],
+                                 data.spurious_attrs[idx], data.group_ids[idx])
+            for name in ("features", "labels", "spurious_attrs", "group_ids"):
+                got, want = getattr(sub, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
+        with pytest.raises(ShapeError):
+            data.take(3)
+
     def test_csv_round_trip(self, tmp_path):
         data = sample_group_dataset(GroupDataSpec(2, 1, 0.6, 0.1, 20, 4), 11)
         path = tmp_path / "data.csv"
