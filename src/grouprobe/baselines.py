@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidInputError, InvalidSpecError
 from .evalsel import GroupMetrics, SelectionStrategy, evaluate
 from .linmodel import ModelParams, classify, init_params
-from .objectives import LossWeights, end_loss
+from .objectives import LossWeights
 from .optim import OptimConfig, TrainTrace, train
 from .synthgen import N_GROUPS, AuxDataset, LabeledDataset
 
@@ -236,27 +236,23 @@ def train_group_dro(
     q_steps: list[np.ndarray] = []
     loss_steps: list[np.ndarray] = []
 
-    def dro_loss(p, ei, ai):
-        batch = data.train.take(ei)
+    def reweight(nll, group_ids):
         # group losses exclude the L2 penalty: it does not depend on the data
-        z = (batch.features * p.a) @ p.w_end
-        nll = np.logaddexp(0.0, -batch.labels * z)
         gl = np.full(N_GROUPS, np.nan)
-        counts = np.bincount(batch.group_ids, minlength=N_GROUPS)
+        counts = np.bincount(group_ids, minlength=N_GROUPS)
         for g in range(N_GROUPS):
             if counts[g]:
-                gl[g] = nll[batch.group_ids == g].mean()
+                gl[g] = nll[group_ids == g].mean()
         present = counts > 0
         q[present] *= np.exp(dro.group_step * gl[present])
         q[:] = q / q.sum()
         q_steps.append(q.copy())
         loss_steps.append(gl)
-        sw = q[batch.group_ids] * len(batch) / counts[batch.group_ids]
-        return end_loss(p, batch, lambda_l2, sample_weights=sw)
+        return q[group_ids] * len(group_ids) / counts[group_ids]
 
     weights = LossWeights(lambda_l2=lambda_l2)
     trace, best = train(
-        params, data.train, None, weights, cfg, data.val, selector, loss_fn=dro_loss
+        params, data.train, None, weights, cfg, data.val, selector, weight_hook=reweight
     )
     echo = _config_echo(
         "group_dro", cfg, selector, tau=tau, lambda_l2=lambda_l2, group_step=dro.group_step

@@ -9,6 +9,7 @@ and summary files are byte-identical across reruns.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -95,6 +96,19 @@ def _parse_data(d: dict) -> GroupDataSpec:
         return GroupDataSpec(**d)
     except (GrouprobeError, TypeError) as e:
         raise ConfigError(f"invalid data block: {e}") from None
+
+
+def _parse_seeds(seeds) -> tuple[int, ...]:
+    # JSON true/false arrive as bools, which Python counts as ints
+    if (
+        not isinstance(seeds, list)
+        or not seeds
+        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)
+    ):
+        raise ConfigError("seeds must be a non-empty list of non-negative integers")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be distinct")
+    return tuple(seeds)
 
 
 @dataclass(frozen=True)
@@ -213,15 +227,7 @@ class ExperimentConfig:
         sel = d["selection"]
         if sel not in ("val_gp", "no_gp"):
             raise ConfigError(f"selection must be 'val_gp' or 'no_gp', got {sel!r}")
-        seeds = d["seeds"]
-        if (
-            not isinstance(seeds, list)
-            or not seeds
-            or not all(isinstance(s, int) and s >= 0 for s in seeds)
-        ):
-            raise ConfigError("seeds must be a non-empty list of non-negative integers")
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("seeds must be distinct")
+        seeds = _parse_seeds(d["seeds"])
         runs_raw = d["runs"]
         if not isinstance(runs_raw, list) or not runs_raw:
             raise ConfigError("runs must be a non-empty list")
@@ -247,7 +253,7 @@ class ExperimentConfig:
             test_n_per_group=int(d["test"]["n_per_group"]),
             test_seed=int(d["test"]["seed"]),
             selection=SelectionStrategy(sel),
-            seeds=tuple(seeds),
+            seeds=seeds,
             runs=runs,
             aux_reuse_end_features=bool(aux.get("reuse_end_features", True)),
         )
@@ -278,12 +284,32 @@ def n_workers() -> int:
     return w
 
 
-def _fit_one(cfg: ExperimentConfig, run: RunSpec, seed: int) -> FitResult:
-    train_set = sample_group_dataset(cfg.data, [seed, _SEED_TRAIN])
-    val_spec = replace(cfg.data, n_maj=cfg.val_n_maj, n_min=cfg.val_n_min)
+@functools.lru_cache(maxsize=8)
+def _seed_splits(data: GroupDataSpec, val_spec: GroupDataSpec, test_n_per_group: int,
+                 test_seed: int, aux_reuse_end_features: bool, seed: int):
+    """One run seed's (task splits, aux train set, aux val set).
+
+    Datasets are immutable, so every cell a process runs with the same seed
+    and data blocks shares one copy.  The memo holds a few seeds: recipes run
+    five, and a process takes its jobs cell by cell over the seed list.
+    """
+    train_set = sample_group_dataset(data, [seed, _SEED_TRAIN])
     val_set = sample_group_dataset(val_spec, [seed, _SEED_VAL])
-    test_set = make_balanced_test(cfg.data, cfg.test_n_per_group, cfg.test_seed)
-    task = TaskData(train_set, val_set, test_set)
+    test_set = make_balanced_test(data, test_n_per_group, test_seed)
+    base = (
+        train_set
+        if aux_reuse_end_features
+        else sample_group_dataset(data, [seed, _SEED_AUX_FRESH])
+    )
+    aux_train = noise_dataset(base, data.sigma2_noise, [seed, _SEED_AUX_NOISE])
+    aux_val = noise_dataset(val_set, data.sigma2_noise, [seed, _SEED_AUX_VAL_NOISE])
+    return TaskData(train_set, val_set, test_set), aux_train, aux_val
+
+
+def _fit_one(cfg: ExperimentConfig, run: RunSpec, seed: int) -> FitResult:
+    val_spec = replace(cfg.data, n_maj=cfg.val_n_maj, n_min=cfg.val_n_min)
+    task, aux_train, aux_val = _seed_splits(cfg.data, val_spec, cfg.test_n_per_group,
+                                            cfg.test_seed, cfg.aux_reuse_end_features, seed)
     ocfg = replace(run.optim, seed=seed)
 
     if run.method == "erm":
@@ -295,17 +321,9 @@ def _fit_one(cfg: ExperimentConfig, run: RunSpec, seed: int) -> FitResult:
     if run.method == "group_dro":
         return train_group_dro(task, ocfg, run.group_dro, cfg.selection, tau=run.tau,
                                l1_boundary=run.l1_boundary, lambda_l2=run.weights.lambda_l2)
-
-    base = (
-        train_set
-        if cfg.aux_reuse_end_features
-        else sample_group_dataset(cfg.data, [seed, _SEED_AUX_FRESH])
-    )
-    aux_train = noise_dataset(base, cfg.data.sigma2_noise, [seed, _SEED_AUX_NOISE])
     if run.method == "reg_mtl":
         return train_reg_mtl(task, aux_train, run.weights, run.tau, ocfg, cfg.selection,
                              l1_boundary=run.l1_boundary)
-    aux_val = noise_dataset(val_set, cfg.data.sigma2_noise, [seed, _SEED_AUX_VAL_NOISE])
     return train_aux_only(task, aux_train, aux_val, ocfg, tau=run.tau,
                           l1_boundary=run.l1_boundary, alpha_reg=run.weights.alpha_reg)
 
@@ -504,7 +522,7 @@ class SweepGrid:
             test_n_per_group=d["test"]["n_per_group"],
             test_seed=d["test"]["seed"],
             selection=d["selection"],
-            seeds=tuple(d["seeds"]),
+            seeds=_parse_seeds(d["seeds"]),
             method=method,
             epochs=base.get("epochs", 500),
             patience=base.get("patience", 0),

@@ -10,6 +10,7 @@ W_aux.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -59,20 +60,33 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return replace(self, a=self.a.copy(), w_end=self.w_end.copy(), W_aux=self.W_aux.copy())
 
+    def _replace_arrays(self, a: np.ndarray, w_end: np.ndarray, W_aux: np.ndarray) -> "ModelParams":
+        # The same constraint set with new float64 arrays of this model's
+        # shapes (an SGD step's output): skips the constructor's checks.
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, a=a, w_end=w_end, W_aux=W_aux)
+        return out
+
     def feasible(self, tol: float = L1_FEASIBILITY_TOL) -> bool:
-        """True when both norm constraints hold up to `tol`."""
-        ok = np.isfinite(self.a).all() and np.isfinite(self.w_end).all() and np.isfinite(self.W_aux).all()
-        if not ok:
-            return False
-        if self.tau is not None:
+        """True when every entry is finite and both norm constraints hold up
+        to `tol`.
+
+        A norm that passes its bound is finite, so a constrained block needs
+        no separate finiteness pass.
+        """
+        if self.tau is None:
+            if not np.isfinite(self.a).all():
+                return False
+        else:
             l1 = np.abs(self.a).sum()
-            if self.l1_boundary:
-                ok = ok and abs(l1 - self.tau) <= tol * max(1.0, self.tau)
-            else:
-                ok = ok and l1 <= self.tau + tol * max(1.0, self.tau)
-        if self.fro_radius is not None:
-            ok = ok and abs(np.linalg.norm(self.W_aux) - self.fro_radius) <= 1e-9 * max(1.0, self.fro_radius)
-        return bool(ok)
+            slack = tol * max(1.0, self.tau)
+            if not (abs(l1 - self.tau) <= slack if self.l1_boundary else l1 <= self.tau + slack):
+                return False
+        if not np.isfinite(self.w_end).all():
+            return False
+        if self.fro_radius is None:
+            return bool(np.isfinite(self.W_aux).all())
+        return abs(_fro_norm(self.W_aux) - self.fro_radius) <= 1e-9 * max(1.0, self.fro_radius)
 
     # -- JSON round trip ---------------------------------------------------
 
@@ -180,12 +194,19 @@ def rescale_l1(v: np.ndarray, tau: float) -> np.ndarray:
     return v * (tau / l1)
 
 
+def _fro_norm(W: np.ndarray) -> float:
+    # np.linalg.norm's own computation for a float matrix, without its
+    # argument dispatch: the same bits
+    x = W.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def normalize_frobenius(W: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Rescale W to Frobenius norm `radius`, preserving direction."""
     if radius <= 0:
         raise InvalidSpecError("radius must be positive")
     W = np.asarray(W, dtype=np.float64)
-    norm = np.linalg.norm(W)
+    norm = _fro_norm(W)
     if norm == 0.0:
         raise DegenerateInputError("cannot normalize the zero matrix: no direction")
     return W * (radius / norm)

@@ -3,6 +3,14 @@
 No autodiff anywhere: each loss returns its value together with exact
 gradients for (a, w_end, W_aux), which keeps every update auditable against
 finite differences.
+
+Each term has one array-level kernel (`end_terms`, `recon_terms`,
+`penalty_terms`), and `joint_terms` composes them into the training
+objective on raw minibatch arrays; `optim.train` calls it once per SGD step.
+The public `end_loss`, `recon_loss`, `activation_l1_penalty` and
+`multitask_loss` validate a model and a dataset batch, then run the same
+kernels, so training and the finite-difference checks share every float
+operation.
 """
 
 from __future__ import annotations
@@ -43,32 +51,126 @@ class LossEval:
     def zeros(cls, d: int) -> "LossEval":
         return cls(0.0, np.zeros(d), np.zeros(d), np.zeros((d, d)))
 
-    def add_scaled(self, other: "LossEval", scale: float) -> None:
-        self.value += scale * other.value
-        self.grad_a += scale * other.grad_a
-        self.grad_w_end += scale * other.grad_w_end
-        self.grad_W_aux += scale * other.grad_W_aux
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids overflow in exp for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # The stable branches 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
+    # below: exp(-|z|) is whichever exponential the branch needs.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _check_weights_vector(weights, n: int) -> np.ndarray:
+def check_sample_weights(weights, n: int) -> np.ndarray | None:
+    """Validate optional per-sample weights for n samples; None stays None."""
     if weights is None:
-        return np.ones(n)
+        return None
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ShapeError("sample_weights must match the batch length")
     if (w < 0).any():
         raise InvalidInputError("sample_weights must be >= 0")
     return w
+
+
+# -- array-level kernels -----------------------------------------------------
+#
+# The kernels trust their inputs: shapes agree, batches are non-empty, and
+# the caller has computed the featurizer output H = X * a once for every
+# term that reads it.
+
+
+def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=None):
+    """BCE data term plus L2 head penalty: (value, grad_a, grad_w_end).
+
+    neg_y is -y and t = (y+1)/2 for labels y in {-1,+1}.  sample_weights is
+    None, an array of per-sample weights, or a function from the per-sample
+    losses to such an array (whose result is validated here).
+    """
+    n = X.shape[0]
+    z = H @ w_end
+    nll = np.logaddexp(0.0, neg_y * z)
+    if callable(sample_weights):
+        sample_weights = check_sample_weights(sample_weights(nll), n)
+    # d nll / d z = sigmoid(z) - t
+    r = _sigmoid(z) - t
+    if sample_weights is None:
+        data = nll.sum() / n
+        g = r / n
+    else:
+        data = (sample_weights * nll).sum() / n
+        g = sample_weights * r / n
+    value = float(data) + 0.5 * lambda_l2 * float(w_end @ w_end)
+    grad_w_end = H.T @ g + lambda_l2 * w_end
+    grad_a = (X * w_end).T @ g
+    return value, grad_a, grad_w_end
+
+
+def recon_terms(Xt, H, X0, W_aux):
+    """Reconstruction term for H = Xt * a: (value, grad_a, grad_W_aux)."""
+    n = Xt.shape[0]
+    R = H @ W_aux - X0  # residual, one row per sample
+    value = float((R * R).sum()) / (2.0 * n)
+    grad_W_aux = H.T @ R / n
+    grad_a = ((R @ W_aux.T) * Xt).sum(axis=0) / n
+    return value, grad_a, grad_W_aux
+
+
+def penalty_terms(X, H):
+    """Activation L1 penalty for H = X * a: (value, grad_a)."""
+    n, d = X.shape
+    value = float(np.abs(H).sum()) / (n * d)
+    grad_a = (np.sign(H) * X).sum(axis=0) / (n * d)
+    return value, grad_a
+
+
+def joint_terms(a, w_end, W_aux, weights: LossWeights, end=None, aux=None,
+                sample_weights=None) -> LossEval:
+    """The training objective on raw minibatch arrays.
+
+    `end` is (X, -y, (y+1)/2) of the labeled batch and `aux` is
+    (noised, targets) of the reconstruction batch; either may be None, not
+    both.  With both streams this is end BCE + alpha_aux * reconstruction +
+    alpha_reg * (end batch penalty + aux batch penalty).  Without an aux
+    stream it is end BCE + alpha_reg * end batch penalty; without an end
+    stream, reconstruction + alpha_reg * aux batch penalty.  Terms with a
+    zero weight are skipped, and terms are added in that order.
+    """
+    d = a.shape[0]
+    alpha_aux, alpha_reg = weights.alpha_aux, weights.alpha_reg
+    grad_w_end, grad_W_aux = np.zeros(d), np.zeros((d, d))
+    penalized = []  # (X, X * a) of each batch the activation penalty reads
+    if end is not None:
+        X, neg_y, t = end
+        H = X * a
+        value, grad_a, grad_w_end = end_terms(X, H, neg_y, t, w_end, weights.lambda_l2,
+                                              sample_weights)
+        penalized.append((X, H))
+    if aux is not None and (end is None or alpha_aux != 0.0 or alpha_reg != 0.0):
+        Xt, X0 = aux
+        Ht = Xt * a
+        if end is None:
+            value, grad_a, grad_W_aux = recon_terms(Xt, Ht, X0, W_aux)
+        elif alpha_aux != 0.0:
+            rv, ra, rW = recon_terms(Xt, Ht, X0, W_aux)
+            value += alpha_aux * rv
+            grad_a = grad_a + alpha_aux * ra
+            grad_W_aux = alpha_aux * rW
+        penalized.append((Xt, Ht))
+    if alpha_reg != 0.0:
+        for Xp, Hp in penalized:
+            pv, pa = penalty_terms(Xp, Hp)
+            value += alpha_reg * pv
+            grad_a = grad_a + alpha_reg * pa
+    return LossEval(value, grad_a, grad_w_end, grad_W_aux)
+
+
+# -- validating wrappers -------------------------------------------------------
+
+
+def _check_batch(params: ModelParams, n: int, d: int) -> None:
+    if n == 0:
+        raise InvalidInputError("empty batch")
+    if d != params.d:
+        raise ShapeError("batch feature dim does not match the model")
 
 
 def end_loss(
@@ -84,46 +186,14 @@ def end_loss(
     out to |z| ~ 50 and far beyond.  Optional per-sample weights multiply the
     data term only (the penalty is weight-free).
     """
-    if lambda_l2 < 0:
-        raise InvalidInputError("lambda_l2 must be >= 0")
-    n = len(batch)
-    if n == 0:
-        raise InvalidInputError("empty batch")
-    w = _check_weights_vector(sample_weights, n)
-    X = batch.features
-    if X.shape[1] != params.d:
-        raise ShapeError("batch feature dim does not match the model")
-    y = batch.labels.astype(np.float64)
-    t = 0.5 * (y + 1.0)
-
-    H = X * params.a
-    z = H @ params.w_end
-    nll = np.logaddexp(0.0, -y * z)
-    value = float(np.mean(w * nll)) + 0.5 * lambda_l2 * float(params.w_end @ params.w_end)
-
-    # d nll / d z = sigmoid(z) - t
-    g = w * (_sigmoid(z) - t) / n
-    grad_w_end = H.T @ g + lambda_l2 * params.w_end
-    grad_a = (X * params.w_end).T @ g
-    return LossEval(value, grad_a, grad_w_end, np.zeros((params.d, params.d)))
+    return multitask_loss(params, batch, None, LossWeights(lambda_l2=lambda_l2), sample_weights)
 
 
 def recon_loss(params: ModelParams, batch: AuxDataset) -> LossEval:
     """Mean squared reconstruction error, 1/(2B) sum ||x - W_aux^T (a*xt)||^2."""
-    n = len(batch)
-    if n == 0:
-        raise InvalidInputError("empty batch")
-    Xt = batch.noised
-    if Xt.shape[1] != params.d:
-        raise ShapeError("batch feature dim does not match the model")
-    X0 = batch.targets
-
-    H = Xt * params.a
-    R = H @ params.W_aux - X0  # residual, one row per sample
-    value = float((R * R).sum()) / (2.0 * n)
-    grad_W_aux = H.T @ R / n
-    grad_a = ((R @ params.W_aux.T) * Xt).sum(axis=0) / n
-    return LossEval(value, grad_a, np.zeros(params.d), grad_W_aux)
+    _check_batch(params, len(batch), batch.d)
+    return joint_terms(params.a, params.w_end, params.W_aux, LossWeights(),
+                       aux=(batch.noised, batch.targets))
 
 
 def activation_l1_penalty(params: ModelParams, X: np.ndarray) -> LossEval:
@@ -132,12 +202,9 @@ def activation_l1_penalty(params: ModelParams, X: np.ndarray) -> LossEval:
 
     The subgradient at coordinates where a_j x_j == 0 is taken to be 0.
     """
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         raise InvalidInputError("empty batch")
-    H = X * params.a
-    value = float(np.abs(H).sum()) / (n * params.d)
-    grad_a = (np.sign(H) * X).sum(axis=0) / (n * params.d)
+    value, grad_a = penalty_terms(X, X * params.a)
     return LossEval(value, grad_a, np.zeros(params.d), np.zeros((params.d, params.d)))
 
 
@@ -152,14 +219,18 @@ def multitask_loss(
     activation L1 penalty, the last summed over the two task batches (the
     end batch's mean penalty plus the aux batch's).
 
-    With alpha_aux == alpha_reg == 0 this equals end_loss exactly.
+    With alpha_aux == alpha_reg == 0 this equals end_loss exactly, and the
+    aux batch may be None.
     """
-    total = end_loss(params, end_batch, weights.lambda_l2, end_sample_weights)
-    if (weights.alpha_aux != 0.0 or weights.alpha_reg != 0.0) and aux_batch is None:
-        raise InvalidInputError("aux batch required when alpha_aux or alpha_reg is nonzero")
-    if aux_batch is not None and weights.alpha_aux != 0.0:
-        total.add_scaled(recon_loss(params, aux_batch), weights.alpha_aux)
-    if aux_batch is not None and weights.alpha_reg != 0.0:
-        total.add_scaled(activation_l1_penalty(params, end_batch.features), weights.alpha_reg)
-        total.add_scaled(activation_l1_penalty(params, aux_batch.noised), weights.alpha_reg)
-    return total
+    n = len(end_batch)
+    _check_batch(params, n, end_batch.d)
+    w = check_sample_weights(end_sample_weights, n)
+    aux = None
+    if weights.alpha_aux != 0.0 or weights.alpha_reg != 0.0:
+        if aux_batch is None:
+            raise InvalidInputError("aux batch required when alpha_aux or alpha_reg is nonzero")
+        _check_batch(params, len(aux_batch), aux_batch.d)
+        aux = (aux_batch.noised, aux_batch.targets)
+    y = end_batch.labels.astype(np.float64)
+    return joint_terms(params.a, params.w_end, params.W_aux, weights,
+                       (end_batch.features, -y, 0.5 * (y + 1.0)), aux, w)

@@ -4,23 +4,17 @@ tracking, checkpoint selection, and optional early stopping."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergedError, InvalidInputError, InvalidSpecError
+from .errors import DivergedError, InvalidInputError, InvalidSpecError, ShapeError
 from .evalsel import SelectionStrategy, evaluate
 from .linmodel import ModelParams, normalize_frobenius, project_l1, rescale_l1
-from .objectives import (
-    LossEval,
-    LossWeights,
-    activation_l1_penalty,
-    end_loss,
-    multitask_loss,
-    recon_loss,
-)
+from .objectives import LossEval, LossWeights, check_sample_weights, joint_terms, recon_loss
 from .synthgen import AuxDataset, LabeledDataset
 
 # An epoch counts as improving the selection metric only when it beats the
@@ -71,7 +65,10 @@ def sgd_step(
     """One descent step followed by constraint enforcement.
 
     Order: momentum update, parameter update, then project `a` back to its
-    L1 set and renormalize W_aux.  Returns fresh parameters; `state` is
+    L1 set and renormalize W_aux.  With momentum 0 the velocity is the
+    gradient itself.  Raises DivergedError on a non-finite gradient.
+    Returns fresh parameters in the same constraint set, built without
+    re-running the ModelParams checks and asserted feasible; `state` is
     updated in place.
     """
     if not (
@@ -81,20 +78,23 @@ def sgd_step(
     ):
         raise DivergedError("non-finite gradient")
     m = cfg.momentum
-    state.v_a = m * state.v_a + grads.grad_a
-    state.v_w_end = m * state.v_w_end + grads.grad_w_end
-    state.v_W_aux = m * state.v_W_aux + grads.grad_W_aux
+    if m == 0.0:
+        state.v_a, state.v_w_end, state.v_W_aux = grads.grad_a, grads.grad_w_end, grads.grad_W_aux
+    else:
+        state.v_a = m * state.v_a + grads.grad_a
+        state.v_w_end = m * state.v_w_end + grads.grad_w_end
+        state.v_W_aux = m * state.v_W_aux + grads.grad_W_aux
 
-    a = params.a - cfg.learning_rate * state.v_a
-    w_end = params.w_end - cfg.learning_rate * state.v_w_end
-    W_aux = params.W_aux - cfg.learning_rate * state.v_W_aux
+    lr = cfg.learning_rate
+    a = params.a - lr * state.v_a
+    w_end = params.w_end - lr * state.v_w_end
+    W_aux = params.W_aux - lr * state.v_W_aux
 
     if params.tau is not None:
         a = rescale_l1(a, params.tau) if params.l1_boundary else project_l1(a, params.tau)
     if params.fro_radius is not None:
         W_aux = normalize_frobenius(W_aux, params.fro_radius)
-    out = ModelParams(a=a, w_end=w_end, W_aux=W_aux, tau=params.tau,
-                      fro_radius=params.fro_radius, l1_boundary=params.l1_boundary)
+    out = params._replace_arrays(a, w_end, W_aux)
     assert out.feasible(), "constraint violated after projection"
     return out
 
@@ -192,8 +192,8 @@ def train(
     cfg: OptimConfig,
     val_data: LabeledDataset | None,
     selector: SelectionStrategy,
-    loss_fn=None,
     end_sample_weights=None,
+    weight_hook=None,
     val_aux: AuxDataset | None = None,
 ) -> tuple[TrainTrace, ModelParams]:
     """Run minibatch SGD for cfg.epochs and return (trace, best parameters).
@@ -201,11 +201,19 @@ def train(
     The best parameters are those of the selected epoch, `trace.selected_epoch`;
     `trace.final_params` holds the parameters after the last epoch run.
 
-    The default loss is the joint objective (end BCE + weighted
-    reconstruction + activation penalty); with no aux stream the aux terms
-    use the end batch's activations only, and with no end stream training is
-    pure reconstruction.  `loss_fn(params, end_idx, aux_idx)` overrides the
-    composition entirely (used by the reweighting baselines).
+    The loss is the joint objective of `objectives.joint_terms` (end BCE +
+    weighted reconstruction + activation penalty); with no aux stream the
+    aux terms use the end batch's activations only, and with no end stream
+    training is pure reconstruction.  Each epoch draws its batch schedule
+    from one `heterogeneous_batches` call, gathers the rows it visits once,
+    and gives every step a contiguous slice of them; each step is one
+    `joint_terms` call and one `sgd_step` call.
+
+    End-stream samples can be weighted in one of two ways, not both:
+    `end_sample_weights` holds one fixed weight per row of end_data, and
+    `weight_hook(nll, group_ids)` is called once per step with the batch's
+    per-sample losses and group ids and returns the batch's weights (the
+    online group reweighting baseline updates its group distribution there).
 
     Validation runs once per epoch after its final step.  The selected
     checkpoint maximizes the selector metric (average or worst-group
@@ -222,24 +230,14 @@ def train(
         raise InvalidInputError("aux-only training needs val_aux for checkpoint selection")
     if not aux_only and (val_data is None or len(val_data) == 0):
         raise InvalidInputError("validation data must be non-empty")
-    if end_sample_weights is not None and loss_fn is not None:
-        raise InvalidInputError("pass sample weights or a custom loss, not both")
-
-    if loss_fn is None:
-        def loss_fn(p, ei, ai):
-            if aux_only:
-                total = recon_loss(p, aux_data.take(ai))
-                if weights.alpha_reg != 0.0:
-                    total.add_scaled(activation_l1_penalty(p, aux_data.noised[ai]), weights.alpha_reg)
-                return total
-            end_batch = end_data.take(ei)
-            sw = end_sample_weights[ei] if end_sample_weights is not None else None
-            if aux_data is None:
-                total = end_loss(p, end_batch, weights.lambda_l2, sw)
-                if weights.alpha_reg != 0.0:
-                    total.add_scaled(activation_l1_penalty(p, end_batch.features), weights.alpha_reg)
-                return total
-            return multitask_loss(p, end_batch, aux_data.take(ai), weights, sw)
+    if end_sample_weights is not None and weight_hook is not None:
+        raise InvalidInputError("pass sample weights or a weight hook, not both")
+    if aux_only and (end_sample_weights is not None or weight_hook is not None):
+        raise InvalidInputError("sample weighting needs an end stream")
+    if any(data is not None and data.d != params.d for data in (end_data, aux_data)):
+        raise ShapeError("training data feature dim does not match the model")
+    if not aux_only:
+        end_sample_weights = check_sample_weights(end_sample_weights, len(end_data))
 
     trace = TrainTrace()
     state = MomentumState.zeros(params.d)
@@ -248,15 +246,42 @@ def train(
     bad_epochs = 0
 
     for ep in range(cfg.epochs):
+        batches = list(heterogeneous_batches(end_data, aux_data, cfg.batch_size, [cfg.seed, ep]))
+        # gather the rows this epoch visits once, in visiting order; each
+        # step then takes the next contiguous slice
+        if not aux_only:
+            end_rows = np.concatenate([ei for ei, _ in batches])
+            X = end_data.features[end_rows]
+            y = end_data.labels[end_rows].astype(np.float64)
+            neg_y, t = -y, 0.5 * (y + 1.0)
+            if end_sample_weights is not None:
+                sw = end_sample_weights[end_rows]
+            if weight_hook is not None:
+                groups = end_data.group_ids[end_rows]
+        if aux_data is not None:
+            aux_rows = np.concatenate([ai for _, ai in batches])
+            Xt, X0 = aux_data.noised[aux_rows], aux_data.targets[aux_rows]
+
         loss_sum = 0.0
-        n_sum = 0
-        for ei, ai in heterogeneous_batches(end_data, aux_data, cfg.batch_size, [cfg.seed, ep]):
-            le = loss_fn(params, ei, ai)
+        seen = 0
+        for ei, ai in batches:
+            size = len(ei) if ei is not None else len(ai)
+            rows = slice(seen, seen + size)
+            seen += size
+            end = aux = batch_weights = None
+            if not aux_only:
+                end = (X[rows], neg_y[rows], t[rows])
+                if end_sample_weights is not None:
+                    batch_weights = sw[rows]
+                elif weight_hook is not None:
+                    batch_weights = functools.partial(weight_hook, group_ids=groups[rows])
+            if aux_data is not None:
+                aux = (Xt[rows], X0[rows])
+            le = joint_terms(params.a, params.w_end, params.W_aux, weights, end, aux,
+                             batch_weights)
             if not math.isfinite(le.value):
                 raise DivergedError("non-finite training loss", epoch=ep)
-            size = len(ei) if ei is not None else len(ai)
             loss_sum += le.value * size
-            n_sum += size
             try:
                 params = sgd_step(params, le, cfg, state)
             except DivergedError:
@@ -273,7 +298,7 @@ def train(
         )
         rec = EpochRecord(
             epoch=ep,
-            train_loss=loss_sum / n_sum,
+            train_loss=loss_sum / seen,
             val_avg_acc=val_avg,
             val_wg_acc=val_wg,
             val_group_acc=val_groups,

@@ -116,6 +116,45 @@ class TestFitResultContract:
         assert fit.val_metrics == {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
 
 
+_METHODS = {
+    "erm": lambda task, aux, aux_val, cfg: train_erm(task, cfg, SelectionStrategy.NO_GP),
+    "jtt": lambda task, aux, aux_val, cfg: train_jtt(task, cfg, JttConfig(3, 5.0),
+                                                    SelectionStrategy.VAL_GP),
+    "group_dro": lambda task, aux, aux_val, cfg: train_group_dro(
+        task, cfg, GroupDroConfig(0.1), SelectionStrategy.VAL_GP),
+    "reg_mtl": lambda task, aux, aux_val, cfg: train_reg_mtl(
+        task, aux, LossWeights(alpha_aux=1.0, alpha_reg=0.1, lambda_l2=1.0), 0.5, cfg,
+        SelectionStrategy.NO_GP),
+    "aux_only": lambda task, aux, aux_val, cfg: train_aux_only(task, aux, aux_val, cfg, 0.5),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_METHODS))
+def test_one_step_call_per_batch_one_schedule_per_epoch(
+        method, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg, monkeypatch):
+    """Every method trains through grouprobe.optim.train's one loop: one
+    batch schedule per epoch and one sgd_step call per batch, both looked up
+    on the module so that wrappers see every call (JTT runs two stages)."""
+    steps, schedules = [], []
+    real_step, real_batches = grouprobe.optim.sgd_step, grouprobe.optim.heterogeneous_batches
+
+    def counting_step(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    def counting_batches(*args, **kwargs):
+        schedules.append(1)
+        return real_batches(*args, **kwargs)
+
+    monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
+    monkeypatch.setattr(grouprobe.optim, "heterogeneous_batches", counting_batches)
+    _METHODS[method](tiny_task, tiny_aux, tiny_aux_val, tiny_cfg)
+    epochs = tiny_cfg.epochs + (3 if method == "jtt" else 0)
+    assert len(tiny_aux) == len(tiny_task.train)  # either stream sets the pace
+    assert len(schedules) == epochs
+    assert len(steps) == epochs * math.ceil(len(tiny_task.train) / tiny_cfg.batch_size)
+
+
 class TestErm:
     def test_matches_manual_train(self, tiny_task, tiny_cfg):
         fit = train_erm(tiny_task, tiny_cfg, SelectionStrategy.NO_GP, lambda_l2=0.5)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import grouprobe
-from grouprobe import LabeledDataset, ParetoPoint, normal_cdf
+from grouprobe import ConfigError, LabeledDataset, ParetoPoint, SweepGrid, normal_cdf
 from grouprobe.cli import main, run_grad_check
 from grouprobe.evalsel import PARETO_CSV_COLUMNS, write_pareto_csv
 
@@ -132,6 +132,17 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", str(grid), "--out", str(out)]) == 0
         assert "1 cells, 1 on the front" in capsys.readouterr().out
         assert (out / "sweep_front.dat").exists()
+
+    @pytest.mark.parametrize("seeds", [5, [], [-1], [1, 1], [True]], ids=str)
+    def test_bad_seeds_exit_2(self, seeds, tmp_path, capsys):
+        doc = tiny_sweep(seeds=seeds)
+        with pytest.raises(ConfigError, match="seeds must be"):
+            SweepGrid.load(doc)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(doc))
+        assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "sweep")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: seeds must be"), err
 
 
 class TestParetoCommand:

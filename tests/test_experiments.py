@@ -12,6 +12,7 @@ from grouprobe import (
     run_experiment,
     run_sweep,
 )
+from grouprobe import experiments
 from grouprobe.evalsel import dominates
 from grouprobe.experiments import (
     RECIPES,
@@ -113,6 +114,7 @@ class TestConfigParsing:
         lambda d: d["runs"][0].update(jtt={"upweight": 2.0}),     # jtt block on erm
         lambda d: d["runs"][1].update(group_dro={"group_step": 0.1}),
         lambda d: d["runs"][0]["weights"].update(alpha_aux=1.0),  # aux weight on erm
+        lambda d: d.update(seeds=[True]),
     ])
     def test_rejects_bad_documents(self, breaker):
         with pytest.raises(ConfigError):
@@ -260,6 +262,54 @@ class TestRunExperiment:
         for row in rows:
             cell = by_tag[row["tag"]]
             assert float(row["log_ratio_max"]) == pytest.approx(max(cell), abs=1e-12)
+
+
+class TestSplitMemo:
+    RUNS = [
+        {"tag": "erm", "method": "erm",
+         "optim": {"learning_rate": 0.01, "batch_size": 16, "epochs": 1},
+         "weights": {"lambda_l2": 1.0}},
+    ] + [
+        {"tag": f"mtl{i}", "method": "reg_mtl", "tau": 0.5,
+         "optim": {"learning_rate": 0.01, "batch_size": 16, "epochs": 1},
+         "weights": {"alpha_aux": 1.0, "lambda_l2": 1.0}}
+        for i in range(2)
+    ]
+
+    def _splits(self, monkeypatch, **overrides):
+        """Run one seed of an erm cell and two reg_mtl cells; return the
+        task splits and aux sets each cell trained on."""
+        seen = []
+        for name in ("train_erm", "train_reg_mtl"):
+            real = getattr(experiments, name)
+
+            def recording(task, *args, _real=real, _name=name, **kwargs):
+                seen.append((task, args[0] if _name == "train_reg_mtl" else None))
+                return _real(task, *args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, recording)
+        monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+        run_experiment(tiny_config(**{"runs": self.RUNS, "seeds": [0], **overrides}), None)
+        assert len(seen) == 3
+        return seen
+
+    def test_cells_of_one_seed_share_splits(self, monkeypatch):
+        (task, _), (task1, aux1), (task2, aux2) = self._splits(monkeypatch)
+        assert task is task1 is task2
+        assert aux1 is aux2
+        for arr in (task.train.features, task.val.labels, task.test.group_ids, aux1.noised):
+            assert not arr.flags.writeable
+
+    def test_other_seed_test_seed_or_val_size_get_their_own(self, monkeypatch):
+        base, _ = self._splits(monkeypatch)[0]
+        seed, _ = self._splits(monkeypatch, seeds=[1])[0]
+        test_seed, _ = self._splits(monkeypatch, test={"n_per_group": 25, "seed": 98})[0]
+        val_size, _ = self._splits(monkeypatch, val={"n_maj": 22, "n_min": 8})[0]
+        assert not np.array_equal(seed.train.features, base.train.features)
+        assert not np.array_equal(test_seed.test.features, base.test.features)
+        assert np.array_equal(test_seed.train.features, base.train.features)
+        assert (len(val_size.val), len(base.val)) == (30, 28)
+        assert len({id(t) for t in (base, seed, test_seed, val_size)}) == 4
 
 
 class TestWorkers:

@@ -252,3 +252,56 @@ class TestInitParams:
     def test_bad_dim(self):
         with pytest.raises(InvalidSpecError):
             init_params(0, 1.0, 0)
+
+
+def _feasible_reference(p: ModelParams, tol: float) -> bool:
+    """ModelParams.feasible as first written: a finiteness pass over every
+    entry, then the two norm bounds."""
+    ok = np.isfinite(p.a).all() and np.isfinite(p.w_end).all() and np.isfinite(p.W_aux).all()
+    if not ok:
+        return False
+    if p.tau is not None:
+        l1 = np.abs(p.a).sum()
+        if p.l1_boundary:
+            ok = ok and abs(l1 - p.tau) <= tol * max(1.0, p.tau)
+        else:
+            ok = ok and l1 <= p.tau + tol * max(1.0, p.tau)
+    if p.fro_radius is not None:
+        ok = ok and abs(np.linalg.norm(p.W_aux) - p.fro_radius) <= 1e-9 * max(1.0, p.fro_radius)
+    return bool(ok)
+
+
+_EDGE = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
+                         np.finfo(float).max, 5e-324])
+_ENTRY = st.one_of(_EDGE, st.floats(-10.0, 10.0), st.floats(allow_nan=True, allow_infinity=True))
+# scales that put a block just inside, on, or just outside its bound
+_SCALE = st.sampled_from([None, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-6, 0.5, 2.0])
+
+
+@st.composite
+def _params_case(draw):
+    d = draw(st.integers(1, 3))
+    a = draw(arrays(np.float64, d, elements=_ENTRY))
+    w_end = draw(arrays(np.float64, d, elements=_ENTRY))
+    W = draw(arrays(np.float64, (d, d), elements=_ENTRY))
+    tau = draw(st.sampled_from([None, 0.1, 1.0, 10.0, 1e300]))
+    boundary = tau is not None and draw(st.booleans())
+    fro = draw(st.sampled_from([None, 1.0, 0.5, 3.0]))
+    with np.errstate(all="ignore"):
+        l1, norm = np.abs(a).sum(), np.linalg.norm(W)
+        scale = draw(_SCALE)
+        if tau is not None and scale is not None and np.isfinite(l1) and l1 > 0:
+            a = a * (tau / l1) * scale
+        scale = draw(_SCALE)
+        if fro is not None and scale is not None and np.isfinite(norm) and norm > 0:
+            W = W * (fro / norm) * scale
+    p = ModelParams(a=a, w_end=w_end, W_aux=W, tau=tau, fro_radius=fro, l1_boundary=boundary)
+    return p, draw(st.sampled_from([1e-9, 0.0, 1e-3]))
+
+
+@given(_params_case())
+@settings(max_examples=600, deadline=None)
+def test_feasible_matches_reference_formula(case):
+    p, tol = case
+    with np.errstate(all="ignore"):
+        assert p.feasible(tol) is _feasible_reference(p, tol)

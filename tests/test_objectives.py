@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grouprobe import (
     AuxDataset,
     InvalidInputError,
     LabeledDataset,
     LossWeights,
+    ModelParams,
     ShapeError,
     end_loss,
     init_params,
     multitask_loss,
     recon_loss,
 )
-from grouprobe.objectives import activation_l1_penalty
+from grouprobe.objectives import _sigmoid, activation_l1_penalty, joint_terms
 from grouprobe.oracle import finite_diff_param_grads
 
 
@@ -234,3 +238,93 @@ class TestGradients:
         assert le.grad_W_aux.shape == (3, 3)
         assert np.isfinite(le.grad_a).all()
         assert np.isfinite(le.grad_W_aux).all()
+
+
+def _sigmoid_reference(z):
+    """The logistic function as first written: a boolean-mask scatter of
+    the two stable branches."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@given(arrays(np.float64, st.integers(0, 40),
+              elements=st.floats(allow_nan=True, allow_infinity=True)))
+@settings(max_examples=300, deadline=None)
+def test_sigmoid_matches_masked_reference(z):
+    with np.errstate(all="ignore"):
+        got, want = _sigmoid(z), _sigmoid_reference(z)
+    assert np.array_equal(got, want, equal_nan=True)
+    # a NaN logit means divergence; only the sign of a NaN may differ
+    num = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
+
+
+_VALUE = st.floats(-4.0, 4.0, allow_subnormal=False)
+_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+
+
+@st.composite
+def _kernel_case(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
+    pad = draw(st.integers(0, 3))  # the batch is a slice of a longer epoch array
+    X = draw(arrays(np.float64, (n + pad, d), elements=_VALUE))[pad:]
+    y = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    Xt = draw(arrays(np.float64, (n + pad, d), elements=_VALUE))[pad:]
+    X0 = draw(arrays(np.float64, (n + pad, d), elements=_VALUE))[pad:]
+    params = ModelParams(
+        a=draw(arrays(np.float64, d, elements=_VALUE)),
+        w_end=draw(arrays(np.float64, d, elements=_VALUE)),
+        W_aux=draw(arrays(np.float64, (d, d), elements=_VALUE)),
+        fro_radius=None,
+    )
+    weights = LossWeights(alpha_aux=draw(_WEIGHT), alpha_reg=draw(_WEIGHT),
+                          lambda_l2=draw(_WEIGHT))
+    sw = draw(st.one_of(st.none(), arrays(np.float64, n, elements=st.floats(0.0, 3.0))))
+    streams = draw(st.sampled_from(["end", "aux", "joint"]))
+    end_batch = LabeledDataset(X, y, y, np.where(y > 0, 0, 1))
+    return params, end_batch, AuxDataset(Xt, X0), weights, sw, streams
+
+
+@given(_kernel_case())
+@settings(max_examples=300, deadline=None)
+def test_training_kernel_matches_public_losses(case):
+    """The per-step kernel on raw arrays equals the public losses composed
+    term by term, bit for bit, for every stream combination."""
+    params, end_batch, aux_batch, w, sw, streams = case
+    yf = end_batch.labels.astype(np.float64)
+    end = (end_batch.features, -yf, 0.5 * (yf + 1.0)) if streams != "aux" else None
+    aux = (aux_batch.noised, aux_batch.targets) if streams != "end" else None
+    got = joint_terms(params.a, params.w_end, params.W_aux, w, end, aux,
+                      sw if end is not None else None)
+
+    if streams == "aux":
+        terms = [(1.0, recon_loss(params, aux_batch))]
+        pens = [aux_batch.noised]
+    else:
+        terms = [(1.0, end_loss(params, end_batch, w.lambda_l2, sw))]
+        if streams == "joint" and w.alpha_aux != 0.0:
+            terms.append((w.alpha_aux, recon_loss(params, aux_batch)))
+        pens = [end_batch.features] + ([aux_batch.noised] if streams == "joint" else [])
+    if w.alpha_reg != 0.0:
+        terms += [(w.alpha_reg, activation_l1_penalty(params, X)) for X in pens]
+    value = terms[0][1].value
+    grads = [terms[0][1].grad_a, terms[0][1].grad_w_end, terms[0][1].grad_W_aux]
+    for scale, le in terms[1:]:
+        value += scale * le.value
+        grads = [g + scale * h for g, h in
+                 zip(grads, (le.grad_a, le.grad_w_end, le.grad_W_aux))]
+
+    assert got.value == value
+    for g, want in zip((got.grad_a, got.grad_w_end, got.grad_W_aux), grads):
+        assert np.array_equal(g, want)
+    if streams == "joint":
+        mt = multitask_loss(params, end_batch, aux_batch, w, sw)
+        assert mt.value == got.value
+        for g, h in zip((got.grad_a, got.grad_w_end, got.grad_W_aux),
+                        (mt.grad_a, mt.grad_w_end, mt.grad_W_aux)):
+            assert np.array_equal(g, h)

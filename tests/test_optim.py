@@ -15,6 +15,7 @@ from grouprobe import (
     LossWeights,
     OptimConfig,
     SelectionStrategy,
+    ShapeError,
     heterogeneous_batches,
     init_params,
     sgd_step,
@@ -230,17 +231,28 @@ class TestTrain:
         assert trace.stop_epoch <= 60
         assert len(trace.records) == trace.stop_epoch
 
-    def test_nonfinite_loss_raises(self, tiny_task, tiny_cfg):
+    def test_nonfinite_loss_raises(self, tiny_task, tiny_cfg, monkeypatch):
+        # a weight hook that turns the loss NaN from the second epoch on
         params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
+        per_epoch = math.ceil(len(tiny_task.train) / tiny_cfg.batch_size)
+        hooked, stepped = [], []
 
-        def bad_loss(p, ei, ai):
-            le = LossEval.zeros(p.d)
-            le.value = float("nan")
-            return le
+        def hook(nll, group_ids):
+            hooked.append(len(nll))
+            return np.full(len(nll), 1.0 if len(hooked) <= per_epoch else np.nan)
 
-        with pytest.raises(DivergedError):
+        def counting_step(*args):
+            stepped.append(1)
+            return sgd_step(*args)
+
+        monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
+        with pytest.raises(DivergedError, match=r"non-finite training loss \(epoch 1\)") as exc:
             train(params, tiny_task.train, None, LossWeights(), tiny_cfg,
-                  tiny_task.val, SelectionStrategy.NO_GP, loss_fn=bad_loss)
+                  tiny_task.val, SelectionStrategy.NO_GP, weight_hook=hook)
+        assert exc.value.epoch == 1
+        # the NaN step raised before its parameter update
+        assert len(hooked) == per_epoch + 1
+        assert len(stepped) == per_epoch
 
     def test_aux_only_requires_val_aux(self, tiny_aux, tiny_cfg):
         params = init_params(tiny_aux.d, 1.0, 0)
@@ -254,13 +266,29 @@ class TestTrain:
             train(params, tiny_task.train, None, LossWeights(), tiny_cfg, None,
                   SelectionStrategy.NO_GP)
 
-    def test_sample_weights_and_loss_fn_exclusive(self, tiny_task, tiny_cfg):
+    def test_sample_weights_and_weight_hook_exclusive(self, tiny_task, tiny_cfg):
         params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
         with pytest.raises(InvalidInputError):
             train(params, tiny_task.train, None, LossWeights(), tiny_cfg,
                   tiny_task.val, SelectionStrategy.NO_GP,
-                  loss_fn=lambda p, ei, ai: LossEval.zeros(p.d),
+                  weight_hook=lambda nll, group_ids: np.ones(len(nll)),
                   end_sample_weights=np.ones(len(tiny_task.train)))
+
+    def test_sample_weights_checked_at_entry(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
+        params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
+        n = len(tiny_task.train)
+        for sw, error in ((-np.ones(n), InvalidInputError), (np.ones(n - 1), ShapeError)):
+            with pytest.raises(error):
+                train(params, tiny_task.train, None, LossWeights(), tiny_cfg,
+                      tiny_task.val, SelectionStrategy.NO_GP, end_sample_weights=sw)
+        # without an end stream there is nothing to weight
+        with pytest.raises(InvalidInputError):
+            train(params, None, tiny_aux, LossWeights(), tiny_cfg, tiny_task.val,
+                  SelectionStrategy.NO_GP, end_sample_weights=np.ones(n), val_aux=tiny_aux_val)
+        wide = init_params(tiny_task.train.d + 1, None, 0, fro_radius=None)
+        with pytest.raises(ShapeError):
+            train(wide, tiny_task.train, None, LossWeights(), tiny_cfg,
+                  tiny_task.val, SelectionStrategy.NO_GP)
 
     def test_trace_csv(self, tiny_task, tiny_aux, tiny_cfg, tmp_path):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
