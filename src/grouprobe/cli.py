@@ -30,7 +30,6 @@ from .synthgen import (
     GroupDataSpec,
     LabeledDataset,
     make_balanced_test,
-    noise_dataset,
     sample_group_dataset,
 )
 

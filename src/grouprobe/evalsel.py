@@ -5,6 +5,7 @@ The checkpoint itself is selected in `optim.train`."""
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, ShapeError
 from .linmodel import ModelParams, classify
-from .synthgen import N_GROUPS, LabeledDataset
+from .synthgen import N_GROUPS, LabeledDataset, read_csv_chunks
 
 
 class SelectionStrategy(Enum):
@@ -116,30 +117,22 @@ def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:
     """Non-dominated subset, sorted by avg_acc descending.
 
     Exact duplicates do not dominate each other, so all copies of a surviving
-    point are kept.  Single sweep over an avg-sorted order, O(n log n).
+    point are kept.  One stable sort by avg_acc, O(n log n).
     """
     if not points:
         return []
-    order = sorted(range(len(points)), key=lambda i: -points[i].avg_acc)
-    front: list[ParetoPoint] = []
-    best_wg = -np.inf
-    i = 0
-    n = len(order)
-    while i < n:
-        # bucket of equal avg_acc
-        j = i
-        avg = points[order[i]].avg_acc
-        while j < n and points[order[j]].avg_acc == avg:
-            j += 1
-        bucket = [points[order[k]] for k in range(i, j)]
-        bucket_max = max(p.wg_acc for p in bucket)
-        # within the bucket only max-wg points survive; across buckets the wg
-        # must strictly exceed everything already kept at higher avg
-        if bucket_max > best_wg:
-            front.extend(p for p in bucket if p.wg_acc == bucket_max)
-            best_wg = bucket_max
-        i = j
-    return front
+    avg = np.array([p.avg_acc for p in points], dtype=np.float64)
+    order = np.argsort(-avg, kind="stable")
+    avg = avg[order]
+    wg = np.array([p.wg_acc for p in points], dtype=np.float64)[order]
+    # buckets of equal avg_acc: within a bucket only max-wg points survive;
+    # across buckets the wg must strictly exceed everything kept at higher avg
+    new_bucket = np.concatenate(([True], avg[1:] != avg[:-1]))
+    bucket_max = np.maximum.reduceat(wg, np.flatnonzero(new_bucket))
+    best_before = np.concatenate(([-np.inf], np.maximum.accumulate(bucket_max)[:-1]))
+    bucket = np.cumsum(new_bucket) - 1
+    keep = (wg == bucket_max[bucket]) & (bucket_max > best_before)[bucket]
+    return [points[i] for i in order[keep].tolist()]
 
 
 PARETO_CSV_COLUMNS = ["avg_acc", "wg_acc", "method", "alpha_aux", "alpha_reg", "tau", "lr", "batch"]
@@ -159,21 +152,14 @@ def write_pareto_csv(points: list[ParetoPoint], path: str | Path) -> None:
 
 
 def read_pareto_csv(path: str | Path) -> list[ParetoPoint]:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != PARETO_CSV_COLUMNS:
-            raise InvalidInputError(f"{path}: unrecognized Pareto CSV header: {header!r}")
-        out = []
-        for row in r:
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} cells, got {len(row)}")
-                avg, wg = float(row[0]), float(row[1])
-            except ValueError as e:
-                raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
-            out.append(ParetoPoint(avg, wg, dict(zip(PARETO_CSV_COLUMNS[2:], row[2:]))))
-    return out
+    def dtypes_of(h):
+        return [np.float64, np.float64] if h == PARETO_CSV_COLUMNS else None
+
+    # tag cells repeat a few values per column; interning keeps one copy each
+    tag_cols = PARETO_CSV_COLUMNS[2:]
+    return [ParetoPoint(a, w, dict(zip(tag_cols, map(sys.intern, row[2:]))))
+            for rows, (avg, wg) in read_csv_chunks(path, "Pareto", dtypes_of)
+            for a, w, row in zip(avg.tolist(), wg.tolist(), rows)]
 
 
 def write_front_gnuplot(points: list[ParetoPoint], path: str | Path) -> None:

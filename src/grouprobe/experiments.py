@@ -8,14 +8,13 @@ and summary files are byte-identical across reruns.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,6 @@ from .baselines import (
 )
 from .errors import ConfigError, DegenerateInputError, GrouprobeError
 from .evalsel import (
-    PARETO_CSV_COLUMNS,
     ParetoPoint,
     SelectionStrategy,
     pareto_front,
@@ -85,6 +83,14 @@ def _expect_keys(d: dict, required: set[str], optional: set[str], where: str) ->
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _reject_bools(where: str, values: dict) -> None:
+    # JSON true/false arrive as bools, which Python counts as ints, so a
+    # numeric field would otherwise read `true` as 1
+    for key, v in values.items():
+        if isinstance(v, bool):
+            raise ConfigError(f"{where}{key} must be a number, got {json.dumps(v)}")
+
+
 def _parse_data(d: dict) -> GroupDataSpec:
     _expect_keys(
         d,
@@ -92,6 +98,7 @@ def _parse_data(d: dict) -> GroupDataSpec:
         {"sigma2_noise"},
         "data",
     )
+    _reject_bools("data.", d)
     try:
         return GroupDataSpec(**d)
     except (GrouprobeError, TypeError) as e:
@@ -109,6 +116,15 @@ def _parse_seeds(seeds) -> tuple[int, ...]:
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     return tuple(seeds)
+
+
+def _load(cls, source):
+    """A `cls` config from an instance, a JSON document or a JSON file path."""
+    if isinstance(source, cls):
+        return source
+    if isinstance(source, dict):
+        return cls.from_json_dict(source)
+    return cls.from_json_dict(json.loads(Path(source).read_text()))
 
 
 @dataclass(frozen=True)
@@ -146,6 +162,9 @@ class RunSpec:
         )
         wd = d.get("weights", {})
         _expect_keys(wd, set(), {"alpha_aux", "alpha_reg", "lambda_l2"}, f"{where}.weights")
+        _reject_bools(f"{where}.optim.", d["optim"])
+        _reject_bools(f"{where}.weights.", wd)
+        _reject_bools(f"{where}.", {"tau": d.get("tau")})
         try:
             optim = OptimConfig(seed=0, **d["optim"])
             weights = LossWeights(**wd)
@@ -164,6 +183,7 @@ class RunSpec:
             if method != "jtt":
                 raise ConfigError(f"{where}: jtt block is only valid for method 'jtt'")
             _expect_keys(d["jtt"], set(), {"id_epochs", "upweight"}, f"{where}.jtt")
+            _reject_bools(f"{where}.jtt.", d["jtt"])
         if method == "jtt":
             block = d.get("jtt", {})
             try:
@@ -177,6 +197,7 @@ class RunSpec:
             if method != "group_dro":
                 raise ConfigError(f"{where}: group_dro block is only valid for method 'group_dro'")
             _expect_keys(d["group_dro"], set(), {"group_step"}, f"{where}.group_dro")
+            _reject_bools(f"{where}.group_dro.", d["group_dro"])
         if method == "group_dro":
             block = d.get("group_dro", {})
             try:
@@ -224,6 +245,8 @@ class ExperimentConfig:
         data = _parse_data(d["data"])
         _expect_keys(d["val"], {"n_maj", "n_min"}, set(), "val")
         _expect_keys(d["test"], {"n_per_group", "seed"}, set(), "test")
+        _reject_bools("val.", d["val"])
+        _reject_bools("test.", d["test"])
         sel = d["selection"]
         if sel not in ("val_gp", "no_gp"):
             raise ConfigError(f"selection must be 'val_gp' or 'no_gp', got {sel!r}")
@@ -258,13 +281,7 @@ class ExperimentConfig:
             aux_reuse_end_features=bool(aux.get("reuse_end_features", True)),
         )
 
-    @classmethod
-    def load(cls, source) -> "ExperimentConfig":
-        if isinstance(source, cls):
-            return source
-        if isinstance(source, dict):
-            return cls.from_json_dict(source)
-        return cls.from_json_dict(json.loads(Path(source).read_text()))
+    load = classmethod(_load)
 
 
 # -- execution ---------------------------------------------------------------
@@ -469,23 +486,16 @@ SWEEP_AXES = ("alpha_aux", "alpha_reg", "tau", "learning_rate", "batch_size")
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian product over the five sweep axes around a base config."""
+    """Cartesian product over the five sweep axes around a base config.
 
-    name: str
-    data: GroupDataSpec
-    val_n_maj: int
-    val_n_min: int
-    test_n_per_group: int
-    test_seed: int
-    selection: str
-    seeds: tuple[int, ...]
+    `cells` lists the grid points, the last axis varying fastest; `config`
+    is the grid as an experiment, one run per cell tagged `cell0000`,
+    `cell0001`, ... in that order, validated like any other config.
+    """
+
     method: str
-    epochs: int
-    patience: int
-    momentum: float
-    lambda_l2: float
-    l1_boundary: bool
-    axes: dict
+    cells: tuple[dict, ...]
+    config: ExperimentConfig
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepGrid":
@@ -495,8 +505,6 @@ class SweepGrid:
             {"method", "base", "aux"},
             "sweep config",
         )
-        if d["schema"] != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema {d['schema']!r}; this build reads {SCHEMA_VERSION}")
         method = d.get("method", "reg_mtl")
         if method not in ("reg_mtl", "erm"):
             raise ConfigError("sweeps support methods 'reg_mtl' and 'erm'")
@@ -504,79 +512,35 @@ class SweepGrid:
         _expect_keys(
             base, set(), {"epochs", "patience", "momentum", "lambda_l2", "l1_boundary"}, "base"
         )
+        _reject_bools("base.", {k: v for k, v in base.items() if k != "l1_boundary"})
         grid = d["grid"]
         _expect_keys(grid, set(SWEEP_AXES), set(), "grid")
         for axis in SWEEP_AXES:
             vals = grid[axis]
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"grid.{axis} must be a non-empty list")
-        _expect_keys(d["val"], {"n_maj", "n_min"}, set(), "val")
-        _expect_keys(d["test"], {"n_per_group", "seed"}, set(), "test")
-        if d["selection"] not in ("val_gp", "no_gp"):
-            raise ConfigError("selection must be 'val_gp' or 'no_gp'")
-        return cls(
-            name=str(d["name"]),
-            data=_parse_data(d["data"]),
-            val_n_maj=d["val"]["n_maj"],
-            val_n_min=d["val"]["n_min"],
-            test_n_per_group=d["test"]["n_per_group"],
-            test_seed=d["test"]["seed"],
-            selection=d["selection"],
-            seeds=_parse_seeds(d["seeds"]),
-            method=method,
-            epochs=base.get("epochs", 500),
-            patience=base.get("patience", 0),
-            momentum=base.get("momentum", 0.0),
-            lambda_l2=base.get("lambda_l2", 1.0),
-            l1_boundary=bool(base.get("l1_boundary", False)),
-            axes={axis: list(grid[axis]) for axis in SWEEP_AXES},
-        )
+            _reject_bools(f"grid.{axis}", {f"[{i}]": v for i, v in enumerate(vals)})
+        cells = tuple(dict(zip(SWEEP_AXES, combo))
+                      for combo in itertools.product(*(grid[a] for a in SWEEP_AXES)))
+        optim = {"epochs": base.get("epochs", 500), "patience": base.get("patience", 0),
+                 "momentum": base.get("momentum", 0.0)}
+        runs = [{
+            "tag": f"cell{idx:04d}",
+            "method": method,
+            "tau": cell["tau"],
+            "l1_boundary": bool(base.get("l1_boundary", False)),
+            "optim": dict(optim, learning_rate=cell["learning_rate"], batch_size=cell["batch_size"]),
+            "weights": {
+                "alpha_aux": cell["alpha_aux"] if method == "reg_mtl" else 0.0,
+                "alpha_reg": cell["alpha_reg"] if method == "reg_mtl" else 0.0,
+                "lambda_l2": base.get("lambda_l2", 1.0),
+            },
+        } for idx, cell in enumerate(cells)]
+        shared = ("schema", "name", "data", "val", "test", "selection", "seeds")
+        return cls(method, cells, ExperimentConfig.from_json_dict(
+            {**{k: d[k] for k in shared}, "runs": runs}))
 
-    @classmethod
-    def load(cls, source) -> "SweepGrid":
-        if isinstance(source, cls):
-            return source
-        if isinstance(source, dict):
-            return cls.from_json_dict(source)
-        return cls.from_json_dict(json.loads(Path(source).read_text()))
-
-    def cells(self) -> list[dict]:
-        combos = itertools.product(*(self.axes[a] for a in SWEEP_AXES))
-        return [dict(zip(SWEEP_AXES, combo)) for combo in combos]
-
-    def to_experiment_config(self) -> ExperimentConfig:
-        runs = []
-        for idx, cell in enumerate(self.cells()):
-            run = {
-                "tag": f"cell{idx:04d}",
-                "method": self.method,
-                "tau": cell["tau"],
-                "l1_boundary": self.l1_boundary,
-                "optim": {
-                    "learning_rate": cell["learning_rate"],
-                    "batch_size": cell["batch_size"],
-                    "epochs": self.epochs,
-                    "patience": self.patience,
-                    "momentum": self.momentum,
-                },
-                "weights": {
-                    "alpha_aux": cell["alpha_aux"] if self.method == "reg_mtl" else 0.0,
-                    "alpha_reg": cell["alpha_reg"] if self.method == "reg_mtl" else 0.0,
-                    "lambda_l2": self.lambda_l2,
-                },
-            }
-            runs.append(run)
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "name": self.name,
-            "data": asdict(self.data),
-            "val": {"n_maj": self.val_n_maj, "n_min": self.val_n_min},
-            "test": {"n_per_group": self.test_n_per_group, "seed": self.test_seed},
-            "selection": self.selection,
-            "seeds": list(self.seeds),
-            "runs": runs,
-        }
-        return ExperimentConfig.from_json_dict(doc)
+    load = classmethod(_load)
 
 
 def run_sweep(source, out_dir: str | Path | None):
@@ -587,10 +551,9 @@ def run_sweep(source, out_dir: str | Path | None):
     sweep_front.csv and sweep_front.dat alongside the per-run artifacts.
     """
     grid = SweepGrid.load(source)
-    cfg = grid.to_experiment_config()
-    rows, records = run_experiment(cfg, out_dir)
+    rows, records = run_experiment(grid.config, out_dir)
     points = []
-    for row, cell in zip(rows, grid.cells()):
+    for row, cell in zip(rows, grid.cells):
         tag = {
             "method": grid.method,
             "alpha_aux": float(cell["alpha_aux"]),

@@ -10,6 +10,7 @@ so s predicts y on most of the training distribution but not off it.
 from __future__ import annotations
 
 import csv
+import itertools
 import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,6 +26,9 @@ N_GROUPS = 4
 
 # Array names in a dataset .npz archive, in constructor order.
 _NPZ_ARRAYS = ("features", "labels", "spurious_attrs", "group_ids")
+
+# Rows of CSV text built and written, or read and converted, at a time.
+_CSV_CHUNK_ROWS = 4096
 
 # The same mapping as a 2x2 table indexed by ((y + 1) // 2, (s + 1) // 2):
 # rows y = -1, +1; columns s = -1, +1.
@@ -76,6 +80,57 @@ class GroupDataSpec:
 def _check_pm_one(arr: np.ndarray, name: str) -> None:
     if not np.isin(arr, (-1, 1)).all():
         raise InvalidInputError(f"{name} entries must be -1 or +1")
+
+
+def read_csv_chunks(path: str | Path, kind: str, dtypes_of):
+    """Yield (rows, arrays) for each chunk of rows of a CSV file, at least one.
+
+    `dtypes_of(header)` gives the dtypes of the leading columns (None: bad
+    header); their cells convert as Python int()/float() do.  A row whose
+    cell count differs from the header's, or a bad cell, raises
+    InvalidInputError naming the file and the line of the first one."""
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        header = next(r, None)
+        dtypes = None if header is None else dtypes_of(header)
+        if dtypes is None:
+            raise InvalidInputError(f"{path}: unrecognized {kind} CSV header: {header!r}")
+        width = len(header)
+        done = 0
+        while True:
+            try:
+                rows = list(itertools.islice(r, _CSV_CHUNK_ROWS))
+            except csv.Error as e:
+                raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
+            try:
+                if set(map(len, rows)) - {width}:
+                    raise ValueError
+                cols = list(zip(*rows)) or [()] * width
+                arrays = [np.array(col, dtype=t) for col, t in zip(cols, dtypes)]
+            except (ValueError, OverflowError):
+                _raise_first_bad_row(path, rows, done, width, dtypes)
+                raise
+            yield rows, arrays
+            if len(rows) < _CSV_CHUNK_ROWS:
+                return
+            done += len(rows)
+
+
+def _raise_first_bad_row(path, rows, done, width, dtypes):
+    # error path: name the chunk's first malformed row and its first bad
+    # cell; a quoted cell may span lines, so the reader counts the line
+    for k, row in enumerate(rows):
+        try:
+            if len(row) != width:
+                raise ValueError(f"expected {width} cells, got {len(row)}")
+            for v, t in zip(row, dtypes):
+                np.array((v,), dtype=t)
+        except (ValueError, OverflowError) as e:
+            with open(path, newline="") as fh:
+                r = csv.reader(fh)
+                for _ in zip(range(done + k + 2), r):
+                    pass
+            raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
 
 
 def _rows_of(data, idx):
@@ -143,39 +198,32 @@ class LabeledDataset:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self, path: str | Path) -> None:
-        """Write `y,s,group,x0..x{d-1}` rows; floats use shortest round-trip repr."""
-        path = Path(path)
+        """Write `y,s,group,x0..x{d-1}` rows with CRLF line ends; floats use
+        their shortest round-trip repr."""
         header = ["y", "s", "group"] + [f"x{i}" for i in range(self.d)]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for i in range(len(self)):
-                row = [int(self.labels[i]), int(self.spurious_attrs[i]), int(self.group_ids[i])]
-                row += [repr(float(v)) for v in self.features[i]]
-                w.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            # a chunk of rows at a time bounds the text held in memory
+            for start in range(0, len(self), _CSV_CHUNK_ROWS):
+                chunk = slice(start, start + _CSV_CHUNK_ROWS)
+                cols = [a[chunk].tolist() for a in (self.labels, self.spurious_attrs, self.group_ids)]
+                cols += self.features[chunk].T.tolist()
+                # str() of a list of int/float tuples: "[(1, -1, 2, 0.5), (...)]",
+                # each float printed as repr()
+                text = str(list(zip(*cols)))[2:-2]
+                fh.write(text.replace("), (", "\r\n").replace(", ", ",") + "\r\n")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "LabeledDataset":
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r, None)
-            if header is None or header[:3] != ["y", "s", "group"] or any(
-                h != f"x{i}" for i, h in enumerate(header[3:])
-            ):
-                raise InvalidInputError(f"{path}: unrecognized dataset CSV header: {header!r}")
-            ys, ss, gs, xs = [], [], [], []
-            for row in r:
-                try:
-                    if len(row) != len(header):
-                        raise ValueError(f"expected {len(header)} cells, got {len(row)}")
-                    ys.append(int(row[0]))
-                    ss.append(int(row[1]))
-                    gs.append(int(row[2]))
-                    xs.append([float(v) for v in row[3:]])
-                except ValueError as e:
-                    raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
-        return cls(np.array(xs, dtype=np.float64).reshape(len(ys), len(header) - 3),
-                   np.array(ys), np.array(ss), np.array(gs))
+        def dtypes_of(h):
+            if h[:3] == ["y", "s", "group"] and all(x == f"x{i}" for i, x in enumerate(h[3:])):
+                return [np.int64] * 3 + [np.float64] * (len(h) - 3)
+            return None
+
+        chunks = [cols for _, cols in read_csv_chunks(path, "dataset", dtypes_of)]
+        y, s, g, *xs = (np.concatenate(col) for col in zip(*chunks))
+        features = np.array(xs, dtype=np.float64).reshape(len(xs), len(y)).T.copy()
+        return cls(features, y, s, g)
 
     def to_npz(self, path: str | Path) -> None:
         """Compact binary cache of the same four arrays (uncompressed .npz)."""

@@ -19,6 +19,12 @@ GEN_FLAGS = ["--dc", "1", "--ds", "1", "--sigma2-core", "0.6",
              "--sigma2-spur", "0.1", "--n-maj", "20", "--n-min", "4"]
 
 
+def _edited_doc(make, block, **fields):
+    doc = make()
+    doc[block] = dict(doc[block], **fields)
+    return doc
+
+
 @pytest.fixture(autouse=True)
 def _serial(monkeypatch):
     monkeypatch.setenv("GROUPROBE_WORKERS", "1")
@@ -143,6 +149,20 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "sweep")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: seeds must be"), err
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("train", _edited_doc(tiny_config, "test", n_per_group=True)),
+    ("sweep", _edited_doc(tiny_sweep, "grid", batch_size=[True])),
+], ids=["train-test-block", "sweep-grid"])
+def test_json_boolean_number_exits_2(command, doc, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    flag = "--config" if command == "train" else "--grid"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "got true" in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 class TestParetoCommand:

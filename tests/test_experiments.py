@@ -120,6 +120,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.load(_edited(tiny_config(), breaker))
 
+    # each of these loaded with true as 1 and false as 0
+    @pytest.mark.parametrize("breaker", [
+        lambda d: d["test"].update(n_per_group=True),
+        lambda d: d["test"].update(seed=False),
+        lambda d: d["val"].update(n_min=False),
+        lambda d: d["data"].update(d_c=True),
+        lambda d: d["data"].update(sigma2_noise=False),
+        lambda d: d["runs"][0]["optim"].update(batch_size=True),
+        lambda d: d["runs"][0]["optim"].update(momentum=False),
+        lambda d: d["runs"][0]["weights"].update(lambda_l2=True),
+        lambda d: d["runs"][1].update(tau=True),
+        lambda d: d["runs"][0].update(method="jtt", jtt={"id_epochs": True}),
+        lambda d: d["runs"][0].update(method="group_dro", group_dro={"group_step": True}),
+    ])
+    def test_rejects_json_booleans_as_numbers(self, breaker):
+        with pytest.raises(ConfigError, match="must be a number, got (true|false)"):
+            ExperimentConfig.load(_edited(tiny_config(), breaker))
+
     def test_aux_only_rejects_alpha_aux(self):
         doc = tiny_config(runs=[{
             "tag": "aux", "method": "aux_only", "tau": 0.5,
@@ -195,7 +213,7 @@ class TestRecipes:
 
     def test_pareto_recipe_is_sweep(self):
         grid = SweepGrid.load(recipe_config("pareto-default"))
-        assert len(grid.cells()) == 3 * 3 * 1 * 2 * 2
+        assert len(grid.cells) == 3 * 3 * 1 * 2 * 2
 
 
 class TestRunExperiment:
@@ -333,9 +351,9 @@ class TestWorkers:
 class TestSweep:
     def test_grid_expansion(self):
         grid = SweepGrid.load(tiny_sweep())
-        cells = grid.cells()
+        cells = grid.cells
         assert len(cells) == 4
-        cfg = grid.to_experiment_config()
+        cfg = grid.config
         assert [r.tag for r in cfg.runs] == [f"cell{i:04d}" for i in range(4)]
         assert all(r.method == "reg_mtl" for r in cfg.runs)
 
@@ -349,6 +367,22 @@ class TestSweep:
     def test_rejects_bad_grids(self, breaker):
         with pytest.raises(ConfigError):
             SweepGrid.load(_edited(tiny_sweep(), breaker))
+
+    @pytest.mark.parametrize("breaker", [
+        lambda d: d["grid"].update(batch_size=[16, True]),
+        lambda d: d["grid"].update(tau=[True]),
+        lambda d: d["base"].update(epochs=True),
+        lambda d: d["test"].update(n_per_group=True),
+        lambda d: d["val"].update(n_min=False),
+        lambda d: d["data"].update(d_s=True),
+    ])
+    def test_rejects_json_booleans_as_numbers(self, breaker):
+        with pytest.raises(ConfigError, match="must be a number, got (true|false)"):
+            SweepGrid.load(_edited(tiny_sweep(), breaker))
+
+    def test_boolean_flag_still_accepted(self):
+        grid = SweepGrid.load(_edited(tiny_sweep(), lambda d: d["base"].update(l1_boundary=True)))
+        assert all(r.l1_boundary for r in grid.config.runs)
 
     def test_run_sweep(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")

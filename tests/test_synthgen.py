@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,9 @@ from grouprobe import (
     sample_group_dataset,
 )
 from grouprobe.synthgen import GROUP_OF_YS, N_GROUPS, AuxDataset
+
+CSV_HEADER = "y,s,group,x0,x1\n"
+CSV_ROW = "1,1,0,0.5,0.5\n"
 
 
 class TestGroupId:
@@ -191,6 +196,43 @@ class TestLabeledDataset:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidInputError):
             LabeledDataset.from_csv(path)
+
+    @pytest.mark.parametrize("body,line,what", [
+        (CSV_ROW + "\n" + CSV_ROW, 3, "expected 5 cells, got 0"),         # blank line
+        (CSV_ROW * 2 + "\n", 4, "expected 5 cells, got 0"),               # blank last line
+        ("# note\n" + CSV_ROW, 2, "expected 5 cells, got 1"),             # comment line
+        (CSV_ROW + "1,1,0,0.5\n", 3, "expected 5 cells, got 4"),          # short row
+        (CSV_ROW + "1,1,0,0.5,0.5,0\n", 3, "expected 5 cells, got 6"),    # long row
+        ("1.5,1,0,0.5,0.5\n", 2, "invalid literal for int() with base 10: '1.5'"),
+        (CSV_ROW * 2 + "1,1,0,0.5,nope\n", 4, "could not convert string to float: 'nope'"),
+        # a quoted cell spanning two lines counts as two lines
+        ('1,1,0,"0.5\n",0.5\n1,1,0,0.5\n', 4, "expected 5 cells, got 4"),
+        # outside int64: was an OverflowError traceback
+        ("99999999999999999999,1,0,0.5,0.5\n", 2, "too large"),
+    ])
+    def test_csv_error_names_file_and_line(self, tmp_path, body, line, what):
+        path = tmp_path / "data.csv"
+        path.write_text(CSV_HEADER + body, newline="")
+        with pytest.raises(InvalidInputError) as err:
+            LabeledDataset.from_csv(path)
+        msg = str(err.value)
+        assert msg.startswith(f"{path}, line {line}: ") and what in msg, msg
+
+    def test_csv_field_over_reader_limit(self, tmp_path):
+        # the csv module's own limit: was a csv.Error traceback
+        path = tmp_path / "data.csv"
+        path.write_text(CSV_HEADER + CSV_ROW + "1,1,0,0.5," + "1" * 200_000 + "\n")
+        with pytest.raises(InvalidInputError, match=r"data\.csv, line 3: field larger"):
+            LabeledDataset.from_csv(path)
+
+    def test_csv_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(CSV_HEADER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = LabeledDataset.from_csv(path)
+        assert data.features.shape == (0, 2) and data.labels.shape == (0,)
+        assert data.features.dtype == np.float64 and data.labels.dtype == np.int64
 
     def test_npz_round_trip(self, tmp_path):
         data = sample_group_dataset(GroupDataSpec(1, 2, 0.6, 0.1, 12, 4), 13)
