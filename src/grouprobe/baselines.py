@@ -6,7 +6,7 @@ multitask trainer."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ class JttConfig:
     then a fresh model trains with those points upweighted."""
 
     id_epochs: int
-    upweight: float
+    upweight: float = 5.0
 
     def __post_init__(self):
         if self.id_epochs < 1:
@@ -61,7 +61,7 @@ class JttConfig:
 class GroupDroConfig:
     """Exponentiated-gradient ascent rate on the group weights."""
 
-    group_step: float
+    group_step: float = 0.01
 
     def __post_init__(self):
         if self.group_step < 0:
@@ -106,18 +106,7 @@ class FitResult:
 
 
 def _config_echo(method: str, cfg: OptimConfig, selector: SelectionStrategy, **kw) -> dict:
-    echo = {
-        "method": method,
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "patience": cfg.patience,
-        "momentum": cfg.momentum,
-        "seed": cfg.seed,
-        "selection": selector.value,
-    }
-    echo.update(kw)
-    return echo
+    return {"method": method, **asdict(cfg), "selection": selector.value, **kw}
 
 
 def _package(

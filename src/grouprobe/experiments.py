@@ -1,7 +1,8 @@
 """Config-driven experiment and sweep runner.
 
 Configs are single JSON documents with a versioned `schema` field; unknown
-keys anywhere are hard errors so typos cannot silently change a run.  Every
+keys anywhere are hard errors so typos cannot silently change a run, and each
+value must have the JSON type of the dataclass field it sets.  Every
 artifact write is temp-and-rename, runs are deterministic per (config, seed),
 and summary files are byte-identical across reruns.
 """
@@ -14,8 +15,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .baselines import (
     train_jtt,
     train_reg_mtl,
 )
-from .errors import ConfigError, DegenerateInputError, GrouprobeError
+from .errors import ConfigError, DegenerateInputError, GrouprobeError, InvalidSpecError
 from .evalsel import (
     ParetoPoint,
     SelectionStrategy,
@@ -71,6 +73,10 @@ def atomic_via_tmp(path: str | Path, writer) -> None:
 
 # -- config parsing --------------------------------------------------------
 
+# How an error names each JSON value type a config field can take
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", dict: "a JSON object", type(None): "null"}
+
 
 def _expect_keys(d: dict, required: set[str], optional: set[str], where: str) -> None:
     if not isinstance(d, dict):
@@ -83,26 +89,52 @@ def _expect_keys(d: dict, required: set[str], optional: set[str], where: str) ->
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
-def _reject_bools(where: str, values: dict) -> None:
-    # JSON true/false arrive as bools, which Python counts as ints, so a
-    # numeric field would otherwise read `true` as 1
-    for key, v in values.items():
-        if isinstance(v, bool):
-            raise ConfigError(f"{where}{key} must be a number, got {json.dumps(v)}")
+def _check(v, kinds: tuple[type, ...], where: str):
+    """`v` unchanged if it is a JSON value of one of `kinds`; an integer
+    counts as a float, and true/false count only as bool."""
+    if type(v) in kinds or (type(v) is int and float in kinds):
+        return v
+    # Python would read JSON true/false as the integers 1 and 0
+    as_number = type(v) is bool and (int in kinds or float in kinds)
+    want = "a number" if as_number else " or ".join(_KIND_NAMES[k] for k in kinds)
+    raise ConfigError(f"{where} must be {want}, got {json.dumps(v, default=repr)}")
 
 
-def _parse_data(d: dict) -> GroupDataSpec:
-    _expect_keys(
-        d,
-        {"d_c", "d_s", "sigma2_core", "sigma2_spur", "n_maj", "n_min"},
-        {"sigma2_noise"},
-        "data",
-    )
-    _reject_bools("data.", d)
+@functools.cache
+def _fields(cls) -> dict[str, tuple[tuple[type, ...], bool]]:
+    """Each field of a config dataclass as (the JSON value types it takes,
+    whether it is required), from annotations resolved once per class."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        kinds = get_args(hints[f.name]) or (hints[f.name],)
+        # a field that holds a config dataclass is a nested block, an object
+        out[f.name] = ((dict,) if any(map(is_dataclass, kinds)) else kinds,
+                       f.default is MISSING and f.default_factory is MISSING)
+    return out
+
+
+def _values(cls, d: dict, where: str, fixed=(), defaults=()) -> dict:
+    """`d`, checked as config block `where` of keyword arguments to `cls`: its
+    keys are the fields not in `fixed`, required unless the field has a
+    default or is in `defaults`, and each value has its field's type."""
+    spec = _fields(cls)
+    keys = spec.keys() - set(fixed)
+    _expect_keys(d, {k for k in keys if spec[k][1] and k not in defaults}, keys, where)
+    for k, v in d.items():
+        _check(v, spec[k][0], f"{where}.{k}")
+    return d
+
+
+def _block(cls, d: dict, where: str, defaults: dict | None = None, **fixed):
+    """A `cls` built from config block `where` (see _values), with the
+    caller's `fixed` values and `defaults` for the keys the block leaves out."""
+    defaults = defaults or {}
+    kw = {**defaults, **_values(cls, d, where, fixed, defaults), **fixed}
     try:
-        return GroupDataSpec(**d)
-    except (GrouprobeError, TypeError) as e:
-        raise ConfigError(f"invalid data block: {e}") from None
+        return cls(**kw)
+    except GrouprobeError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _parse_seeds(seeds) -> tuple[int, ...]:
@@ -134,7 +166,7 @@ class RunSpec:
     tag: str
     method: str
     optim: OptimConfig  # seed field is a placeholder, replaced per run
-    weights: LossWeights
+    weights: LossWeights = LossWeights()
     tau: float | None = None
     l1_boundary: bool = False
     jtt: JttConfig | None = None
@@ -142,35 +174,14 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str) -> "RunSpec":
-        _expect_keys(
-            d,
-            {"tag", "method", "optim"},
-            {"weights", "tau", "l1_boundary", "jtt", "group_dro"},
-            where,
-        )
-        tag = d["tag"]
+        _values(cls, d, where)
+        tag, method = d["tag"], d["method"]
         if not tag or not set(tag) <= _TAG_CHARS:
             raise ConfigError(f"{where}: tag must be non-empty and filesystem-safe, got {tag!r}")
-        method = d["method"]
         if method not in METHODS:
             raise ConfigError(f"{where}: method must be one of {METHODS}, got {method!r}")
-        _expect_keys(
-            d["optim"],
-            {"learning_rate", "batch_size", "epochs"},
-            {"patience", "momentum"},
-            f"{where}.optim",
-        )
-        wd = d.get("weights", {})
-        _expect_keys(wd, set(), {"alpha_aux", "alpha_reg", "lambda_l2"}, f"{where}.weights")
-        _reject_bools(f"{where}.optim.", d["optim"])
-        _reject_bools(f"{where}.weights.", wd)
-        _reject_bools(f"{where}.", {"tau": d.get("tau")})
-        try:
-            optim = OptimConfig(seed=0, **d["optim"])
-            weights = LossWeights(**wd)
-        except (GrouprobeError, TypeError) as e:
-            raise ConfigError(f"{where}: {e}") from None
-
+        optim = _block(OptimConfig, d["optim"], f"{where}.optim", seed=0)
+        weights = _block(LossWeights, d.get("weights", {}), f"{where}.weights")
         if method in ("erm", "jtt", "group_dro") and (
             weights.alpha_aux != 0 or weights.alpha_reg != 0
         ):
@@ -178,53 +189,57 @@ class RunSpec:
         if method == "aux_only" and weights.alpha_aux != 0:
             raise ConfigError(f"{where}: aux_only ignores alpha_aux; leave it at 0")
 
-        jtt = dro = None
-        if "jtt" in d:
-            if method != "jtt":
-                raise ConfigError(f"{where}: jtt block is only valid for method 'jtt'")
-            _expect_keys(d["jtt"], set(), {"id_epochs", "upweight"}, f"{where}.jtt")
-            _reject_bools(f"{where}.jtt.", d["jtt"])
-        if method == "jtt":
-            block = d.get("jtt", {})
-            try:
-                jtt = JttConfig(
-                    id_epochs=block.get("id_epochs", max(1, optim.epochs // 10)),
-                    upweight=block.get("upweight", 5.0),
-                )
-            except (GrouprobeError, TypeError) as e:
-                raise ConfigError(f"{where}: {e}") from None
-        if "group_dro" in d:
-            if method != "group_dro":
-                raise ConfigError(f"{where}: group_dro block is only valid for method 'group_dro'")
-            _expect_keys(d["group_dro"], set(), {"group_step"}, f"{where}.group_dro")
-            _reject_bools(f"{where}.group_dro.", d["group_dro"])
-        if method == "group_dro":
-            block = d.get("group_dro", {})
-            try:
-                dro = GroupDroConfig(group_step=block.get("group_step", 0.01))
-            except (GrouprobeError, TypeError) as e:
-                raise ConfigError(f"{where}: {e}") from None
+        # a method's own block is valid only on that method, which always
+        # gets one, its left-out keys defaulted
+        blocks = {}
+        for name, block_cls, defaults in (
+            ("jtt", JttConfig, {"id_epochs": max(1, optim.epochs // 10)}),
+            ("group_dro", GroupDroConfig, None),
+        ):
+            if name in d and method != name:
+                raise ConfigError(f"{where}: {name} block is only valid for method {name!r}")
+            if method == name:
+                blocks[name] = _block(block_cls, d.get(name, {}), f"{where}.{name}", defaults)
 
         tau = d.get("tau")
         if tau is not None:
-            if not isinstance(tau, (int, float)) or tau <= 0:
+            if tau <= 0:
                 raise ConfigError(f"{where}: tau must be positive or null")
             tau = float(tau)
         # reconstruction-only cells pin the featurizer norm exactly unless
         # told otherwise; everything else defaults to the ball constraint
-        boundary = bool(d.get("l1_boundary", method == "aux_only"))
+        boundary = d.get("l1_boundary", method == "aux_only")
         if boundary and tau is None:
             raise ConfigError(f"{where}: l1_boundary requires tau")
         return cls(tag=tag, method=method, optim=optim, weights=weights,
-                   tau=tau, l1_boundary=boundary, jtt=jtt, group_dro=dro)
+                   tau=tau, l1_boundary=boundary, **blocks)
+
+
+@dataclass(frozen=True)
+class _HeldOut:
+    """The `test` block: a group-balanced test set with its own seed."""
+
+    n_per_group: int
+    seed: int
+
+    def __post_init__(self):
+        if self.n_per_group < 1 or self.seed < 0:
+            raise InvalidSpecError("needs n_per_group >= 1 and seed >= 0")
+
+
+@dataclass(frozen=True)
+class _AuxBlock:
+    """The `aux` block: reconstruct noised copies of the end task's training
+    inputs, or of a fresh draw from the same distribution."""
+
+    reuse_end_features: bool = True
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
     data: GroupDataSpec
-    val_n_maj: int
-    val_n_min: int
+    val: GroupDataSpec  # data's distribution at the validation split's sizes
     test_n_per_group: int
     test_seed: int
     selection: SelectionStrategy
@@ -234,19 +249,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        _expect_keys(
-            d,
-            {"schema", "name", "data", "val", "test", "selection", "seeds", "runs"},
-            {"aux"},
-            "config",
-        )
-        if d["schema"] != SCHEMA_VERSION:
+        _expect_keys(d, {"schema", "name", "data", "val", "test", "selection", "seeds", "runs"},
+                     {"aux"}, "config")
+        if _check(d["schema"], (int,), "schema") != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema {d['schema']!r}; this build reads {SCHEMA_VERSION}")
-        data = _parse_data(d["data"])
-        _expect_keys(d["val"], {"n_maj", "n_min"}, set(), "val")
-        _expect_keys(d["test"], {"n_per_group", "seed"}, set(), "test")
-        _reject_bools("val.", d["val"])
-        _reject_bools("test.", d["test"])
+        data = _block(GroupDataSpec, d["data"], "data")
+        # the val block sets only the two sizes
+        shape = {k: v for k, v in vars(data).items() if k not in ("n_maj", "n_min")}
+        val = _block(GroupDataSpec, d["val"], "val", **shape)
+        test = _block(_HeldOut, d["test"], "test")
+        aux = _block(_AuxBlock, d.get("aux", {}), "aux")
         sel = d["selection"]
         if sel not in ("val_gp", "no_gp"):
             raise ConfigError(f"selection must be 'val_gp' or 'no_gp', got {sel!r}")
@@ -254,31 +266,20 @@ class ExperimentConfig:
         runs_raw = d["runs"]
         if not isinstance(runs_raw, list) or not runs_raw:
             raise ConfigError("runs must be a non-empty list")
-        runs = tuple(
-            RunSpec.from_dict(r, f"runs[{i}]") for i, r in enumerate(runs_raw)
-        )
+        runs = tuple(RunSpec.from_dict(r, f"runs[{i}]") for i, r in enumerate(runs_raw))
         tags = [r.tag for r in runs]
         if len(set(tags)) != len(tags):
             raise ConfigError("run tags must be distinct")
-        aux = d.get("aux", {})
-        _expect_keys(aux, set(), {"reuse_end_features"}, "aux")
-        try:
-            val_spec = replace(data, n_maj=d["val"]["n_maj"], n_min=d["val"]["n_min"])
-        except (GrouprobeError, TypeError) as e:
-            raise ConfigError(f"invalid val block: {e}") from None
-        if d["test"]["n_per_group"] < 1 or d["test"]["seed"] < 0:
-            raise ConfigError("test block needs n_per_group >= 1 and seed >= 0")
         return cls(
-            name=str(d["name"]),
+            name=_check(d["name"], (str,), "name"),
             data=data,
-            val_n_maj=val_spec.n_maj,
-            val_n_min=val_spec.n_min,
-            test_n_per_group=int(d["test"]["n_per_group"]),
-            test_seed=int(d["test"]["seed"]),
+            val=val,
+            test_n_per_group=test.n_per_group,
+            test_seed=test.seed,
             selection=SelectionStrategy(sel),
             seeds=seeds,
             runs=runs,
-            aux_reuse_end_features=bool(aux.get("reuse_end_features", True)),
+            aux_reuse_end_features=aux.reuse_end_features,
         )
 
     load = classmethod(_load)
@@ -324,8 +325,7 @@ def _seed_splits(data: GroupDataSpec, val_spec: GroupDataSpec, test_n_per_group:
 
 
 def _fit_one(cfg: ExperimentConfig, run: RunSpec, seed: int) -> FitResult:
-    val_spec = replace(cfg.data, n_maj=cfg.val_n_maj, n_min=cfg.val_n_min)
-    task, aux_train, aux_val = _seed_splits(cfg.data, val_spec, cfg.test_n_per_group,
+    task, aux_train, aux_val = _seed_splits(cfg.data, cfg.val, cfg.test_n_per_group,
                                             cfg.test_seed, cfg.aux_reuse_end_features, seed)
     ocfg = replace(run.optim, seed=seed)
 
@@ -499,27 +499,28 @@ class SweepGrid:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepGrid":
-        _expect_keys(
-            d,
-            {"schema", "name", "data", "val", "test", "selection", "seeds", "grid"},
-            {"method", "base", "aux"},
-            "sweep config",
-        )
+        _expect_keys(d, {"schema", "name", "data", "val", "test", "selection", "seeds", "grid"},
+                     {"method", "base", "aux"}, "sweep config")
         method = d.get("method", "reg_mtl")
         if method not in ("reg_mtl", "erm"):
             raise ConfigError("sweeps support methods 'reg_mtl' and 'erm'")
+        # base and grid values take the types of the run fields they set, but
+        # a grid tau is a number: it goes into the grid point's Pareto tag
+        kinds = {k: v[0] for c in (OptimConfig, LossWeights, RunSpec) for k, v in _fields(c).items()}
+        kinds["tau"] = (float,)
         base = d.get("base", {})
-        _expect_keys(
-            base, set(), {"epochs", "patience", "momentum", "lambda_l2", "l1_boundary"}, "base"
-        )
-        _reject_bools("base.", {k: v for k, v in base.items() if k != "l1_boundary"})
+        _expect_keys(base, set(), {"epochs", "patience", "momentum", "lambda_l2", "l1_boundary"},
+                     "base")
+        for k, v in base.items():
+            _check(v, kinds[k], f"base.{k}")
         grid = d["grid"]
         _expect_keys(grid, set(SWEEP_AXES), set(), "grid")
         for axis in SWEEP_AXES:
             vals = grid[axis]
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"grid.{axis} must be a non-empty list")
-            _reject_bools(f"grid.{axis}", {f"[{i}]": v for i, v in enumerate(vals)})
+            for i, v in enumerate(vals):
+                _check(v, kinds[axis], f"grid.{axis}[{i}]")
         cells = tuple(dict(zip(SWEEP_AXES, combo))
                       for combo in itertools.product(*(grid[a] for a in SWEEP_AXES)))
         optim = {"epochs": base.get("epochs", 500), "patience": base.get("patience", 0),
@@ -528,7 +529,7 @@ class SweepGrid:
             "tag": f"cell{idx:04d}",
             "method": method,
             "tau": cell["tau"],
-            "l1_boundary": bool(base.get("l1_boundary", False)),
+            "l1_boundary": base.get("l1_boundary", False),
             "optim": dict(optim, learning_rate=cell["learning_rate"], batch_size=cell["batch_size"]),
             "weights": {
                 "alpha_aux": cell["alpha_aux"] if method == "reg_mtl" else 0.0,
@@ -536,9 +537,8 @@ class SweepGrid:
                 "lambda_l2": base.get("lambda_l2", 1.0),
             },
         } for idx, cell in enumerate(cells)]
-        shared = ("schema", "name", "data", "val", "test", "selection", "seeds")
-        return cls(method, cells, ExperimentConfig.from_json_dict(
-            {**{k: d[k] for k in shared}, "runs": runs}))
+        shared = {k: v for k, v in d.items() if k not in ("method", "base", "grid")}
+        return cls(method, cells, ExperimentConfig.from_json_dict({**shared, "runs": runs}))
 
     load = classmethod(_load)
 

@@ -112,14 +112,20 @@ class ModelParams:
         missing = [k for k in ("a", "w_end", "W_aux", "tau", "fro_radius") if k not in d]
         if missing:
             raise InvalidInputError(f"model params lack keys {missing}")
+        # Python and numpy would read JSON true/false as the numbers 1 and 0
+        for k in ("a", "w_end", "W_aux", "tau", "fro_radius"):
+            if _holds_bool(d[k]):
+                raise InvalidInputError(f"model params: {k} must be numeric, got true/false")
         try:
             arrays = {k: np.array(d[k], dtype=np.float64) for k in ("a", "w_end", "W_aux")}
         except (TypeError, ValueError) as e:
             raise InvalidInputError(f"model params: non-numeric array entry ({e})") from None
         if any(d[k] is not None and not isinstance(d[k], (int, float)) for k in ("tau", "fro_radius")):
             raise InvalidInputError("model params: tau and fro_radius must be numbers or null")
-        return cls(**arrays, tau=d["tau"], fro_radius=d["fro_radius"],
-                   l1_boundary=bool(d.get("l1_boundary", False)))
+        boundary = d.get("l1_boundary", False)
+        if not isinstance(boundary, bool):
+            raise InvalidInputError(f"model params: l1_boundary must be true or false, got {boundary!r}")
+        return cls(**arrays, tau=d["tau"], fro_radius=d["fro_radius"], l1_boundary=boundary)
 
     @classmethod
     def load_json(cls, path: str | Path) -> "ModelParams":
@@ -127,6 +133,10 @@ class ModelParams:
             return cls.from_json_dict(json.loads(Path(path).read_text()))
         except InvalidInputError as e:
             raise InvalidInputError(f"{path}: {e}") from None
+
+
+def _holds_bool(v) -> bool:
+    return isinstance(v, bool) or (isinstance(v, list) and any(map(_holds_bool, v)))
 
 
 def featurize(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -156,13 +156,42 @@ class TestSweepCommand:
     ("sweep", _edited_doc(tiny_sweep, "grid", batch_size=[True])),
 ], ids=["train-test-block", "sweep-grid"])
 def test_json_boolean_number_exits_2(command, doc, tmp_path, capsys):
+    assert "got true" in _config_error(command, doc, tmp_path, capsys)
+
+
+def _config_error(command, doc, tmp_path, capsys) -> str:
+    """Run `command` on config `doc`: it must exit 2 before writing any
+    output, with one `error:` line, which is returned."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     flag = "--config" if command == "train" else "--grid"
     assert main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "got true" in err[0], err
+    assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "out").exists()
+    return err[0]
+
+
+def _jtt_run(doc):
+    doc["runs"][0].update(method="jtt", jtt={"id_epochs": 2.5})
+
+
+# each of these loaded and then failed mid-run with a TypeError traceback
+@pytest.mark.parametrize("command,edit,field", [
+    ("train", lambda d: d["data"].update(n_maj=60.0), "data.n_maj"),
+    ("train", lambda d: d["runs"][0]["optim"].update(batch_size=16.0), "runs[0].optim.batch_size"),
+    ("train", lambda d: d["runs"][1]["optim"].update(epochs=4.0), "runs[1].optim.epochs"),
+    ("train", _jtt_run, "runs[0].jtt.id_epochs"),
+    ("train", lambda d: d["runs"][0].update(tag=5), "runs[0].tag"),
+    ("train", lambda d: d["test"].update(n_per_group="25"), "test.n_per_group"),
+    ("sweep", lambda d: d["grid"].update(batch_size=[16.0]), "grid.batch_size[0]"),
+], ids=["data-n_maj", "optim-batch_size", "optim-epochs", "jtt-id_epochs", "tag",
+        "test-n_per_group", "sweep-grid-batch_size"])
+def test_wrong_value_type_exits_2(command, edit, field, tmp_path, capsys):
+    doc = (tiny_config if command == "train" else tiny_sweep)(seeds=[0])
+    edit(doc)
+    err = _config_error(command, doc, tmp_path, capsys)
+    assert err.startswith(f"error: {field} must be ") and "TypeError" not in err, err
 
 
 class TestParetoCommand:
@@ -230,9 +259,23 @@ def _npz_without_features(tmp_path):
     return _eval_argv(tmp_path, data_name="d.npz", data=write), ["d.npz", "features"]
 
 
+def _params_tau_true(tmp_path):
+    return _eval_argv(tmp_path, params=dict(PARAMS, tau=True)), ["p.json", "tau"]
+
+
+def _params_boundary_string(tmp_path):
+    params = dict(PARAMS, tau=1.5, l1_boundary="no")
+    return _eval_argv(tmp_path, params=params), ["p.json", "l1_boundary"]
+
+
+def _params_bool_array(tmp_path):
+    return _eval_argv(tmp_path, params=dict(PARAMS, a=[True, False])), ["p.json", "a must"]
+
+
 @pytest.mark.parametrize("make", [
     _pareto_non_numeric, _csv_non_numeric, _npz_not_zip,
     _params_without_fro_radius, _npz_without_features,
+    _params_tau_true, _params_boundary_string, _params_bool_array,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_input_file_exits_2(make, tmp_path, capsys):
     """A malformed input file is a usage error with one message naming the

@@ -138,6 +138,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="must be a number, got (true|false)"):
             ExperimentConfig.load(_edited(tiny_config(), breaker))
 
+    # each of these loaded, coerced to another value
+    @pytest.mark.parametrize("breaker,field", [
+        (lambda d: d["runs"][1].update(l1_boundary="false"), r"runs\[1\]\.l1_boundary"),
+        (lambda d: d.update(aux={"reuse_end_features": "no"}), r"aux\.reuse_end_features"),
+        (lambda d: d["test"].update(seed=1.5), r"test\.seed"),
+        (lambda d: d["test"].update(n_per_group=25.9), r"test\.n_per_group"),
+        (lambda d: d.update(schema=True), "schema"),
+    ], ids=["l1_boundary-string", "aux-flag-string", "test-seed-float",
+            "test-size-float", "schema-true"])
+    def test_rejects_coercible_values(self, breaker, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            ExperimentConfig.load(_edited(tiny_config(), breaker))
+
+    def test_values_kept_as_written(self):
+        doc = _edited(tiny_config(), lambda d: d["runs"][1]["optim"].update(learning_rate=1))
+        cfg = ExperimentConfig.load(doc)
+        assert type(cfg.runs[1].optim.learning_rate) is int
+        assert cfg.val.n_maj == 20 and cfg.val.sigma2_core == cfg.data.sigma2_core
+
+    def test_annotations_resolved_once_per_class(self, monkeypatch):
+        seen = []
+        real = experiments.get_type_hints
+        monkeypatch.setattr(experiments, "get_type_hints", lambda cls: seen.append(cls) or real(cls))
+        experiments._fields.cache_clear()
+        for _ in range(2):
+            ExperimentConfig.load(tiny_config())
+            SweepGrid.load(tiny_sweep())
+        assert seen and len(seen) == len(set(seen))
+
     def test_aux_only_rejects_alpha_aux(self):
         doc = tiny_config(runs=[{
             "tag": "aux", "method": "aux_only", "tau": 0.5,
@@ -379,6 +408,21 @@ class TestSweep:
     def test_rejects_json_booleans_as_numbers(self, breaker):
         with pytest.raises(ConfigError, match="must be a number, got (true|false)"):
             SweepGrid.load(_edited(tiny_sweep(), breaker))
+
+    @pytest.mark.parametrize("breaker,field", [
+        (lambda d: d["base"].update(l1_boundary="x"), r"base\.l1_boundary must be true or false"),
+        (lambda d: d["base"].update(epochs=3.0), r"base\.epochs must be an integer"),
+        (lambda d: d["grid"].update(batch_size=[16, 32.0]), r"grid\.batch_size\[1\] must be an"),
+        (lambda d: d["grid"].update(tau=[None]), r"grid\.tau\[0\] must be a number, got null"),
+    ], ids=["l1_boundary-string", "epochs-float", "batch-float", "tau-null"])
+    def test_rejects_values_of_the_wrong_type(self, breaker, field):
+        with pytest.raises(ConfigError, match=f"^{field}"):
+            SweepGrid.load(_edited(tiny_sweep(), breaker))
+
+    def test_aux_block_passes_through(self):
+        grid = SweepGrid.load(tiny_sweep(aux={"reuse_end_features": False}))
+        assert grid.config.aux_reuse_end_features is False
+        assert SweepGrid.load(tiny_sweep()).config.aux_reuse_end_features is True
 
     def test_boolean_flag_still_accepted(self):
         grid = SweepGrid.load(_edited(tiny_sweep(), lambda d: d["base"].update(l1_boundary=True)))
