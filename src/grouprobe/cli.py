@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergedError, GrouprobeError
-from .evalsel import evaluate, pareto_front, read_pareto_csv, write_front_gnuplot, write_pareto_csv
+from .evalsel import evaluate, front_indices, points_at, read_pareto_csv, write_front_gnuplot, write_pareto_csv
 from .experiments import (
     RECIPES,
     SWEEP_RECIPES,
@@ -23,7 +23,7 @@ from .experiments import (
     run_sweep,
 )
 from .linmodel import ModelParams, init_params
-from .objectives import LossWeights, end_loss, multitask_loss, recon_loss
+from .objectives import LossWeights, end_loss, end_stream, joint_terms, multitask_loss, recon_loss
 from .oracle import BoundInputs, finite_diff_param_grads, transfer_core_mass_lower_bound, worst_group_error_bound
 from .synthgen import (
     AuxDataset,
@@ -113,12 +113,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    points = read_pareto_csv(args.input)
-    front = pareto_front(points)
+    avg, wg, tags = read_pareto_csv(args.input)
+    front = points_at(avg, wg, tags, front_indices(avg, wg))
     atomic_via_tmp(args.front, lambda p: write_pareto_csv(front, p))
     if args.plot:
         atomic_via_tmp(args.plot, lambda p: write_front_gnuplot(front, p))
-    print(f"kept {len(front)} of {len(points)} points")
+    print(f"kept {len(front)} of {len(avg)} points")
     return 0
 
 
@@ -176,16 +176,17 @@ def run_grad_check(trials: int, seed: int) -> dict:
     checked = 0
     for _ in range(trials):
         params, end_batch, aux_batch, weights = _grad_check_instance(rng)
+        end, aux = end_stream(end_batch), (aux_batch.noised, aux_batch.targets)
+        # each loss with the arguments that make joint_terms compute it
         cases = [
-            ("end", lambda p: end_loss(p, end_batch, weights.lambda_l2),
-             end_loss(params, end_batch, weights.lambda_l2)),
-            ("recon", lambda p: recon_loss(p, aux_batch),
-             recon_loss(params, aux_batch)),
-            ("multitask", lambda p: multitask_loss(p, end_batch, aux_batch, weights),
-             multitask_loss(params, end_batch, aux_batch, weights)),
+            (end_loss(params, end_batch, weights.lambda_l2),
+             LossWeights(lambda_l2=weights.lambda_l2), end, None),
+            (recon_loss(params, aux_batch), LossWeights(), None, aux),
+            (multitask_loss(params, end_batch, aux_batch, weights), weights, end, aux),
         ]
-        for _name, f, le in cases:
-            fa, fw, fW = finite_diff_param_grads(lambda p: f(p).value, params)
+        for le, w, e, x in cases:
+            fa, fw, fW = finite_diff_param_grads(
+                lambda a, w_end, W_aux: joint_terms(a, w_end, W_aux, w, e, x).value, params)
             for got, want in ((le.grad_a, fa), (le.grad_w_end, fw), (le.grad_W_aux, fW)):
                 err = np.abs(got - want) / np.maximum(np.abs(want), 1e-2)
                 worst = max(worst, float(err.max()))

@@ -5,7 +5,6 @@ The checkpoint itself is selected in `optim.train`."""
 from __future__ import annotations
 
 import csv
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -113,26 +112,31 @@ def dominates(p: ParetoPoint, q: ParetoPoint) -> bool:
     )
 
 
-def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:
-    """Non-dominated subset, sorted by avg_acc descending.
+def front_indices(avg: np.ndarray, wg: np.ndarray) -> np.ndarray:
+    """Indices of the non-dominated points, sorted by avg descending.
 
     Exact duplicates do not dominate each other, so all copies of a surviving
-    point are kept.  One stable sort by avg_acc, O(n log n).
+    point are kept, in input order.  One stable sort by avg, O(n log n).
     """
-    if not points:
-        return []
-    avg = np.array([p.avg_acc for p in points], dtype=np.float64)
+    if avg.size == 0:
+        return np.arange(0)
     order = np.argsort(-avg, kind="stable")
-    avg = avg[order]
-    wg = np.array([p.wg_acc for p in points], dtype=np.float64)[order]
-    # buckets of equal avg_acc: within a bucket only max-wg points survive;
+    avg, wg = avg[order], wg[order]
+    # buckets of equal avg: within a bucket only max-wg points survive;
     # across buckets the wg must strictly exceed everything kept at higher avg
     new_bucket = np.concatenate(([True], avg[1:] != avg[:-1]))
     bucket_max = np.maximum.reduceat(wg, np.flatnonzero(new_bucket))
     best_before = np.concatenate(([-np.inf], np.maximum.accumulate(bucket_max)[:-1]))
     bucket = np.cumsum(new_bucket) - 1
     keep = (wg == bucket_max[bucket]) & (bucket_max > best_before)[bucket]
-    return [points[i] for i in order[keep].tolist()]
+    return order[keep]
+
+
+def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:
+    """Non-dominated subset, sorted by avg_acc descending (see `front_indices`)."""
+    avg = np.array([p.avg_acc for p in points], dtype=np.float64)
+    wg = np.array([p.wg_acc for p in points], dtype=np.float64)
+    return [points[i] for i in front_indices(avg, wg).tolist()]
 
 
 PARETO_CSV_COLUMNS = ["avg_acc", "wg_acc", "method", "alpha_aux", "alpha_reg", "tau", "lr", "batch"]
@@ -151,15 +155,31 @@ def write_pareto_csv(points: list[ParetoPoint], path: str | Path) -> None:
             w.writerow(row)
 
 
-def read_pareto_csv(path: str | Path) -> list[ParetoPoint]:
+def read_pareto_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+    """The avg_acc and wg_acc columns of a Pareto CSV, and each row's tag
+    cells (the columns after them, as text).
+
+    An accuracy outside [0, 1] raises the error `ParetoPoint` gives for the
+    first row that holds one."""
     def dtypes_of(h):
         return [np.float64, np.float64] if h == PARETO_CSV_COLUMNS else None
 
-    # tag cells repeat a few values per column; interning keeps one copy each
-    tag_cols = PARETO_CSV_COLUMNS[2:]
-    return [ParetoPoint(a, w, dict(zip(tag_cols, map(sys.intern, row[2:]))))
-            for rows, (avg, wg) in read_csv_chunks(path, "Pareto", dtypes_of)
-            for a, w, row in zip(avg.tolist(), wg.tolist(), rows)]
+    avgs, wgs, tags = [], [], []
+    for rows, (avg, wg) in read_csv_chunks(path, "Pareto", dtypes_of):
+        bad = ~((avg >= 0.0) & (avg <= 1.0) & (wg >= 0.0) & (wg <= 1.0))
+        if bad.any():
+            i = int(bad.argmax())
+            ParetoPoint(float(avg[i]), float(wg[i]))  # raises that row's range error
+        avgs.append(avg)
+        wgs.append(wg)
+        tags += [row[2:] for row in rows]
+    return np.concatenate(avgs), np.concatenate(wgs), tags
+
+
+def points_at(avg: np.ndarray, wg: np.ndarray, tags: list[list[str]], idx) -> list[ParetoPoint]:
+    """The ParetoPoints of the rows `idx` of columns read by `read_pareto_csv`."""
+    return [ParetoPoint(float(avg[i]), float(wg[i]), dict(zip(PARETO_CSV_COLUMNS[2:], tags[i])))
+            for i in np.asarray(idx).tolist()]
 
 
 def write_front_gnuplot(points: list[ParetoPoint], path: str | Path) -> None:

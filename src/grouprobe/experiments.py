@@ -483,6 +483,23 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 SWEEP_AXES = ("alpha_aux", "alpha_reg", "tau", "learning_rate", "batch_size")
 
+# Valid run-field values; a sweep value replaces its field in one of them,
+# so the constructor range-checks it under the name the sweep gives it.
+_SWEEP_PROBES = (OptimConfig(learning_rate=1.0, batch_size=1, epochs=1), LossWeights())
+
+
+def _sweep_value(key: str, v, kinds: tuple[type, ...], where: str) -> None:
+    """Check one `base` or `grid` value of a sweep: its type, then its range."""
+    _check(v, kinds, where)
+    if key == "tau" and v <= 0:
+        raise ConfigError(f"{where}: tau must be positive")
+    for probe in _SWEEP_PROBES:
+        if key in _fields(type(probe)):
+            try:
+                replace(probe, **{key: v})
+            except GrouprobeError as e:
+                raise ConfigError(f"{where}: {e}") from None
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -512,7 +529,7 @@ class SweepGrid:
         _expect_keys(base, set(), {"epochs", "patience", "momentum", "lambda_l2", "l1_boundary"},
                      "base")
         for k, v in base.items():
-            _check(v, kinds[k], f"base.{k}")
+            _sweep_value(k, v, kinds[k], f"base.{k}")
         grid = d["grid"]
         _expect_keys(grid, set(SWEEP_AXES), set(), "grid")
         for axis in SWEEP_AXES:
@@ -520,7 +537,7 @@ class SweepGrid:
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"grid.{axis} must be a non-empty list")
             for i, v in enumerate(vals):
-                _check(v, kinds[axis], f"grid.{axis}[{i}]")
+                _sweep_value(axis, v, kinds[axis], f"grid.{axis}[{i}]")
         cells = tuple(dict(zip(SWEEP_AXES, combo))
                       for combo in itertools.product(*(grid[a] for a in SWEEP_AXES)))
         optim = {"epochs": base.get("epochs", 500), "patience": base.get("patience", 0),

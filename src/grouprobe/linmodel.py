@@ -112,6 +112,9 @@ class ModelParams:
         missing = [k for k in ("a", "w_end", "W_aux", "tau", "fro_radius") if k not in d]
         if missing:
             raise InvalidInputError(f"model params lack keys {missing}")
+        unknown = sorted(set(d) - {"a", "w_end", "W_aux", "tau", "fro_radius", "l1_boundary"})
+        if unknown:
+            raise InvalidInputError(f"model params: unknown keys {unknown}")
         # Python and numpy would read JSON true/false as the numbers 1 and 0
         for k in ("a", "w_end", "W_aux", "tau", "fro_radius"):
             if _holds_bool(d[k]):

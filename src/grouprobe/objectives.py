@@ -11,6 +11,17 @@ The public `end_loss`, `recon_loss`, `activation_l1_penalty` and
 `multitask_loss` validate a model and a dataset batch, then run the same
 kernels, so training and the finite-difference checks share every float
 operation.
+
+Lanes: the kernels take one parameter set or a stack of R of them.  `a`
+and `w_end` are (d,) or (R, d) and `W_aux` is (d, d) or (R, d, d); the data
+batch has no lane axis and is shared by every lane.  Values and gradients
+come back per lane, with the parameters' leading axis: `joint_terms` gives
+a Python float value (trace CSVs print its repr) and (d,), (d,), (d, d)
+gradients for one set, and (R,), (R, d), (R, d), (R, d, d) arrays for a
+stack.  Lane r of a stacked call equals the one-set call on lane r's
+parameters bit for bit.  Sample weights are shared by every lane; a
+callable weight (the group-DRO hook) needs the loss of a single set and is
+1-D only.
 """
 
 from __future__ import annotations
@@ -40,9 +51,10 @@ class LossWeights:
 
 @dataclass
 class LossEval:
-    """A loss value and its gradients in model-parameter layout."""
+    """A loss value and its gradients in model-parameter layout; for a
+    stack of parameter sets, one value and one gradient per lane."""
 
-    value: float
+    value: float | np.ndarray
     grad_a: np.ndarray
     grad_w_end: np.ndarray
     grad_W_aux: np.ndarray
@@ -75,32 +87,40 @@ def check_sample_weights(weights, n: int) -> np.ndarray | None:
 #
 # The kernels trust their inputs: shapes agree, batches are non-empty, and
 # the caller has computed the featurizer output H = X * a once for every
-# term that reads it.
+# term that reads it (see `_featurize`).  Every product over the batch axis
+# is a matvec, vecmat or matmul and every batch sum is over trailing axes,
+# so a leading lane axis rides along without changing any float operation.
+
+
+def _featurize(X, v):
+    """X * v for one (d,) vector, or (R, n, d) for a stack of R vectors."""
+    return X * (v if v.ndim == 1 else v[:, None, :])
 
 
 def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=None):
     """BCE data term plus L2 head penalty: (value, grad_a, grad_w_end).
 
     neg_y is -y and t = (y+1)/2 for labels y in {-1,+1}.  sample_weights is
-    None, an array of per-sample weights, or a function from the per-sample
-    losses to such an array (whose result is validated here).
+    None, an array of per-sample weights, or (one parameter set only) a
+    function from the per-sample losses to such an array, whose result is
+    validated here.
     """
     n = X.shape[0]
-    z = H @ w_end
+    z = np.matvec(H, w_end)
     nll = np.logaddexp(0.0, neg_y * z)
     if callable(sample_weights):
         sample_weights = check_sample_weights(sample_weights(nll), n)
     # d nll / d z = sigmoid(z) - t
     r = _sigmoid(z) - t
     if sample_weights is None:
-        data = nll.sum() / n
+        data = nll.sum(axis=-1) / n
         g = r / n
     else:
-        data = (sample_weights * nll).sum() / n
+        data = (sample_weights * nll).sum(axis=-1) / n
         g = sample_weights * r / n
-    value = float(data) + 0.5 * lambda_l2 * float(w_end @ w_end)
-    grad_w_end = H.T @ g + lambda_l2 * w_end
-    grad_a = (X * w_end).T @ g
+    value = data + 0.5 * lambda_l2 * np.vecdot(w_end, w_end)
+    grad_w_end = np.vecmat(g, H) + lambda_l2 * w_end
+    grad_a = np.vecmat(g, _featurize(X, w_end))
     return value, grad_a, grad_w_end
 
 
@@ -108,23 +128,24 @@ def recon_terms(Xt, H, X0, W_aux):
     """Reconstruction term for H = Xt * a: (value, grad_a, grad_W_aux)."""
     n = Xt.shape[0]
     R = H @ W_aux - X0  # residual, one row per sample
-    value = float((R * R).sum()) / (2.0 * n)
-    grad_W_aux = H.T @ R / n
-    grad_a = ((R @ W_aux.T) * Xt).sum(axis=0) / n
+    value = (R * R).sum(axis=(-2, -1)) / (2.0 * n)
+    grad_W_aux = H.mT @ R / n
+    grad_a = ((R @ W_aux.mT) * Xt).sum(axis=-2) / n
     return value, grad_a, grad_W_aux
 
 
 def penalty_terms(X, H):
     """Activation L1 penalty for H = X * a: (value, grad_a)."""
     n, d = X.shape
-    value = float(np.abs(H).sum()) / (n * d)
-    grad_a = (np.sign(H) * X).sum(axis=0) / (n * d)
+    value = np.abs(H).sum(axis=(-2, -1)) / (n * d)
+    grad_a = (np.sign(H) * X).sum(axis=-2) / (n * d)
     return value, grad_a
 
 
 def joint_terms(a, w_end, W_aux, weights: LossWeights, end=None, aux=None,
                 sample_weights=None) -> LossEval:
-    """The training objective on raw minibatch arrays.
+    """The training objective on raw minibatch arrays, for one parameter set
+    or a stack of them (see the module docstring).
 
     `end` is (X, -y, (y+1)/2) of the labeled batch and `aux` is
     (noised, targets) of the reconstruction batch; either may be None, not
@@ -134,19 +155,18 @@ def joint_terms(a, w_end, W_aux, weights: LossWeights, end=None, aux=None,
     stream, reconstruction + alpha_reg * aux batch penalty.  Terms with a
     zero weight are skipped, and terms are added in that order.
     """
-    d = a.shape[0]
     alpha_aux, alpha_reg = weights.alpha_aux, weights.alpha_reg
-    grad_w_end, grad_W_aux = np.zeros(d), np.zeros((d, d))
+    grad_w_end = grad_W_aux = None  # zero unless a term below sets them
     penalized = []  # (X, X * a) of each batch the activation penalty reads
     if end is not None:
         X, neg_y, t = end
-        H = X * a
+        H = _featurize(X, a)
         value, grad_a, grad_w_end = end_terms(X, H, neg_y, t, w_end, weights.lambda_l2,
                                               sample_weights)
         penalized.append((X, H))
     if aux is not None and (end is None or alpha_aux != 0.0 or alpha_reg != 0.0):
         Xt, X0 = aux
-        Ht = Xt * a
+        Ht = _featurize(Xt, a)
         if end is None:
             value, grad_a, grad_W_aux = recon_terms(Xt, Ht, X0, W_aux)
         elif alpha_aux != 0.0:
@@ -160,10 +180,18 @@ def joint_terms(a, w_end, W_aux, weights: LossWeights, end=None, aux=None,
             pv, pa = penalty_terms(Xp, Hp)
             value += alpha_reg * pv
             grad_a = grad_a + alpha_reg * pa
-    return LossEval(value, grad_a, grad_w_end, grad_W_aux)
+    return LossEval(float(value) if a.ndim == 1 else value, grad_a,
+                    np.zeros(w_end.shape) if grad_w_end is None else grad_w_end,
+                    np.zeros(W_aux.shape) if grad_W_aux is None else grad_W_aux)
 
 
 # -- validating wrappers -------------------------------------------------------
+
+
+def end_stream(batch: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `end` argument of `joint_terms` for a labeled batch: (X, -y, (y+1)/2)."""
+    y = batch.labels.astype(np.float64)
+    return batch.features, -y, 0.5 * (y + 1.0)
 
 
 def _check_batch(params: ModelParams, n: int, d: int) -> None:
@@ -205,7 +233,7 @@ def activation_l1_penalty(params: ModelParams, X: np.ndarray) -> LossEval:
     if X.shape[0] == 0:
         raise InvalidInputError("empty batch")
     value, grad_a = penalty_terms(X, X * params.a)
-    return LossEval(value, grad_a, np.zeros(params.d), np.zeros((params.d, params.d)))
+    return LossEval(float(value), grad_a, np.zeros(params.d), np.zeros((params.d, params.d)))
 
 
 def multitask_loss(
@@ -231,6 +259,4 @@ def multitask_loss(
             raise InvalidInputError("aux batch required when alpha_aux or alpha_reg is nonzero")
         _check_batch(params, len(aux_batch), aux_batch.d)
         aux = (aux_batch.noised, aux_batch.targets)
-    y = end_batch.labels.astype(np.float64)
-    return joint_terms(params.a, params.w_end, params.W_aux, weights,
-                       (end_batch.features, -y, 0.5 * (y + 1.0)), aux, w)
+    return joint_terms(params.a, params.w_end, params.W_aux, weights, end_stream(end_batch), aux, w)

@@ -99,12 +99,14 @@ def sgd_step(
     return out
 
 
-def _index_schedule(n: int | None, length: int, seed_seq) -> np.ndarray | None:
+def _index_schedule(n: int | None, length: int, seed, stream: int) -> np.ndarray | None:
     # `length` shuffled indices into range(n): whole permutations back to
-    # back, so a shorter stream reshuffles each time a pass completes
+    # back, so a shorter stream reshuffles each time a pass completes.  The
+    # generator is child `stream` of SeedSequence(seed), built directly
+    # rather than through spawn().
     if n is None:
         return None
-    rng = np.random.default_rng(seed_seq)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
     return np.concatenate([rng.permutation(n) for _ in range(-(-length // n))])[:length]
 
 
@@ -130,10 +132,9 @@ def heterogeneous_batches(
     if n_end == 0 or n_aux == 0:
         raise InvalidInputError("cannot batch an empty dataset")
 
-    end_child, aux_child = np.random.SeedSequence(seed).spawn(2)
     driver = max(v for v in (n_end, n_aux) if v is not None)
-    end_idx = _index_schedule(n_end, driver, end_child)
-    aux_idx = _index_schedule(n_aux, driver, aux_child)
+    end_idx = _index_schedule(n_end, driver, seed, 0)
+    aux_idx = _index_schedule(n_aux, driver, seed, 1)
     for start in range(0, driver, batch_size):
         stop = start + batch_size
         yield (

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, DivergedError, InvalidInputError
+from .errors import DegenerateInputError, DivergedError, InvalidInputError, ShapeError
 from .linmodel import ModelParams
 
 # Bisection bracket for the inverse CDF: |x| <= 40 covers every p that is
@@ -105,44 +105,50 @@ def numeric_bayes_weight(inp: BayesWeightInputs, samples: int, seed) -> float:
     return float(x @ xt) / denom
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
+def finite_diff_grad(f: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
+                     h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a flat vector.
+
+    `f` maps a (k, n) stack of points to their k values, for a theta of n
+    coordinates.  All 2n probes, theta + h e_i for each i and then
+    theta - h e_i for each i, go to it in one call.
+    """
     theta = np.asarray(theta, dtype=np.float64)
     if h <= 0:
         raise InvalidInputError("h must be positive")
-    g = np.empty_like(theta)
-    for i in range(theta.size):
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h
-        dn[i] -= h
-        fu, fd = float(f(up)), float(f(dn))
-        if not (math.isfinite(fu) and math.isfinite(fd)):
-            raise DivergedError("non-finite loss during finite differencing")
-        g[i] = (fu - fd) / (2.0 * h)
-    return g
+    n = theta.size
+    probes = np.tile(theta, (2, n, 1))
+    diag = np.arange(n)
+    probes[0, diag, diag] += h
+    probes[1, diag, diag] -= h
+    values = np.asarray(f(probes.reshape(2 * n, n)), dtype=np.float64)
+    if values.shape != (2 * n,):
+        raise ShapeError(f"f must return one value per point: expected {2 * n}, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise DivergedError("non-finite loss during finite differencing")
+    return (values[:n] - values[n:]) / (2.0 * h)
 
 
 def finite_diff_param_grads(
-    loss_fn: Callable[[ModelParams], float], params: ModelParams, h: float = 1e-6
+    values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    params: ModelParams,
+    h: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Central-difference gradients w.r.t. (a, w_end, W_aux) of a model loss.
 
-    The constraint fields are carried over unchanged; loss_fn must treat the
-    parameters as an unconstrained point.
+    `values(a, w_end, W_aux)` returns the loss of k stacked parameter sets,
+    given as (k, d), (k, d) and (k, d, d) arrays, such as the `.value` of
+    `objectives.joint_terms`.  The constraint fields of `params` are not
+    read: the probes are unconstrained points.
     """
     d = params.d
-    base = params.copy()
 
-    def flat_loss(theta: np.ndarray) -> float:
-        p = base.copy()
-        p.a = theta[:d].copy()
-        p.w_end = theta[d : 2 * d].copy()
-        p.W_aux = theta[2 * d :].reshape(d, d).copy()
-        return float(loss_fn(p))
+    def stacked(theta: np.ndarray) -> np.ndarray:
+        return values(theta[:, :d].copy(), theta[:, d : 2 * d].copy(),
+                      theta[:, 2 * d :].reshape(-1, d, d))
 
-    theta0 = np.concatenate([base.a, base.w_end, base.W_aux.ravel()])
-    g = finite_diff_grad(flat_loss, theta0, h)
+    theta0 = np.concatenate([params.a, params.w_end, params.W_aux.ravel()])
+    g = finite_diff_grad(stacked, theta0, h)
     return g[:d], g[d : 2 * d], g[2 * d :].reshape(d, d)
 
 

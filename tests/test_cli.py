@@ -194,6 +194,18 @@ def test_wrong_value_type_exits_2(command, edit, field, tmp_path, capsys):
     assert err.startswith(f"error: {field} must be ") and "TypeError" not in err, err
 
 
+@pytest.mark.parametrize("edit,field", [
+    (lambda d: d["grid"].update(learning_rate=[0.0]), "grid.learning_rate[0]: "),
+    (lambda d: d["base"].update(epochs=0), "base.epochs: "),
+    (lambda d: d["grid"].update(tau=[-1.0]), "grid.tau[0]: "),
+], ids=["lr-zero", "epochs-zero", "tau-negative"])
+def test_sweep_range_error_names_the_sweep_field(edit, field, tmp_path, capsys):
+    doc = tiny_sweep(seeds=[0])
+    edit(doc)
+    err = _config_error("sweep", doc, tmp_path, capsys)
+    assert err.startswith(f"error: {field}") and "runs[" not in err, err
+
+
 class TestParetoCommand:
     def test_front_extraction(self, tmp_path, capsys):
         full = tmp_path / "full.csv"
@@ -272,10 +284,15 @@ def _params_bool_array(tmp_path):
     return _eval_argv(tmp_path, params=dict(PARAMS, a=[True, False])), ["p.json", "a must"]
 
 
+def _params_unknown_key(tmp_path):
+    params = dict(PARAMS, tau=1.5, l1_boundry=True)
+    return _eval_argv(tmp_path, params=params), ["p.json", "l1_boundry"]
+
+
 @pytest.mark.parametrize("make", [
     _pareto_non_numeric, _csv_non_numeric, _npz_not_zip,
     _params_without_fro_radius, _npz_without_features,
-    _params_tau_true, _params_boundary_string, _params_bool_array,
+    _params_tau_true, _params_boundary_string, _params_bool_array, _params_unknown_key,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_input_file_exits_2(make, tmp_path, capsys):
     """A malformed input file is a usage error with one message naming the

@@ -19,6 +19,7 @@ from grouprobe.errors import ShapeError
 from grouprobe.evalsel import (
     PARETO_CSV_COLUMNS,
     dominates,
+    points_at,
     read_pareto_csv,
     write_front_gnuplot,
     write_pareto_csv,
@@ -210,8 +211,9 @@ class TestParetoSerialization:
         pts = self._points()
         path = tmp_path / "front.csv"
         write_pareto_csv(pts, path)
-        loaded = read_pareto_csv(path)
-        assert [(p.avg_acc, p.wg_acc) for p in loaded] == [(p.avg_acc, p.wg_acc) for p in pts]
+        avg, wg, tags = read_pareto_csv(path)
+        assert list(zip(avg.tolist(), wg.tolist())) == [(p.avg_acc, p.wg_acc) for p in pts]
+        loaded = points_at(avg, wg, tags, [0])
         assert loaded[0].tag["method"] == "reg_mtl"
         assert float(loaded[0].tag["alpha_aux"]) == 10.0
         header = path.read_text().splitlines()[0]

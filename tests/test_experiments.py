@@ -419,6 +419,21 @@ class TestSweep:
         with pytest.raises(ConfigError, match=f"^{field}"):
             SweepGrid.load(_edited(tiny_sweep(), breaker))
 
+    @pytest.mark.parametrize("breaker,message", [
+        (lambda d: d["grid"].update(learning_rate=[0.0]),
+         r"grid\.learning_rate\[0\]: learning_rate must be > 0"),
+        (lambda d: d["grid"].update(batch_size=[16, 0]), r"grid\.batch_size\[1\]: batch_size must be >= 1"),
+        (lambda d: d["grid"].update(tau=[-1.0]), r"grid\.tau\[0\]: tau must be positive"),
+        (lambda d: d["grid"].update(alpha_reg=[-0.5]), r"grid\.alpha_reg\[0\]: alpha_reg must be >= 0"),
+        (lambda d: d["base"].update(epochs=0), r"base\.epochs: epochs must be >= 1"),
+        (lambda d: d["base"].update(momentum=1.0), r"base\.momentum: momentum must be in \[0, 1\)"),
+        (lambda d: d["base"].update(lambda_l2=-1.0), r"base\.lambda_l2: lambda_l2 must be >= 0"),
+    ], ids=["lr-zero", "batch-zero", "tau-negative", "alpha-negative", "epochs-zero",
+            "momentum-one", "lambda-negative"])
+    def test_range_errors_name_the_sweep_field(self, breaker, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SweepGrid.load(_edited(tiny_sweep(), breaker))
+
     def test_aux_block_passes_through(self):
         grid = SweepGrid.load(tiny_sweep(aux={"reuse_end_features": False}))
         assert grid.config.aux_reuse_end_features is False

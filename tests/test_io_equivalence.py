@@ -199,15 +199,19 @@ def test_read_pareto_csv_matches_reference(tmp_path):
     rows[17][5] = "quoted, with comma"
     path = tmp_path / "p.csv"
     _pareto_file(path, rows)
-    got, want = read_pareto_csv(path), _reference_read_pareto_csv(path)
-    assert [(p.avg_acc, p.wg_acc, p.tag) for p in got] == [(p.avg_acc, p.wg_acc, p.tag) for p in want]
+    avg, wg, tags = read_pareto_csv(path)
+    got = [(a, w, dict(zip(PARETO_CSV_COLUMNS[2:], t))) for a, w, t in zip(avg.tolist(), wg.tolist(), tags)]
+    want = _reference_read_pareto_csv(path)
+    assert got == [(p.avg_acc, p.wg_acc, p.tag) for p in want]
 
 
 PARETO_ROW = ["0.5", "0.5", "erm", "", "", "", "", ""]
 
 
-@pytest.mark.parametrize("bad", [["0.5", "high"] + PARETO_ROW[2:], ["0.5"], PARETO_ROW + ["x"]],
-                         ids=["non-numeric", "short", "long"])
+@pytest.mark.parametrize("bad", [["0.5", "high"] + PARETO_ROW[2:], ["0.5"], PARETO_ROW + ["x"],
+                                 ["1.5", "nan"] + PARETO_ROW[2:], ["0.5", "-0.25"] + PARETO_ROW[2:],
+                                 ["nan", "0.5"] + PARETO_ROW[2:]],
+                         ids=["non-numeric", "short", "long", "avg-above-1", "wg-below-0", "nan"])
 @pytest.mark.parametrize("at", [0, 4096, 5000])
 def test_pareto_errors_match_reference(bad, at, tmp_path):
     rows = [PARETO_ROW] * at + [bad] + [PARETO_ROW] * 3

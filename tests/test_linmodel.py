@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from grouprobe import (
     DegenerateInputError,
+    InvalidInputError,
     InvalidSpecError,
     ModelParams,
     ShapeError,
@@ -215,6 +216,12 @@ class TestModelParams:
         assert np.array_equal(p.W_aux, q.W_aux)
         assert q.tau == p.tau and q.fro_radius == p.fro_radius
         assert q.l1_boundary is True
+
+    def test_json_unknown_key_rejected(self):
+        d = init_params(2, 0.7, 1).to_json_dict()
+        d["l1_boundry"] = True
+        with pytest.raises(InvalidInputError, match="l1_boundry"):
+            ModelParams.from_json_dict(d)
 
 
 class TestInitParams:

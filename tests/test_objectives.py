@@ -208,6 +208,16 @@ class TestMultitask:
             LossWeights(lambda_l2=-1.0)
 
 
+def _lanewise(fn, params):
+    """The stacked loss values finite_diff_param_grads asks for, from a
+    public loss called once per lane."""
+    def values(a, w_end, W_aux):
+        return np.array([fn(ModelParams(a=a[r], w_end=w_end[r], W_aux=W_aux[r],
+                                        tau=params.tau, fro_radius=params.fro_radius)).value
+                         for r in range(len(a))])
+    return values
+
+
 class TestGradients:
     @pytest.mark.parametrize("loss_name", ["end", "recon", "penalty", "multitask"])
     def test_matches_finite_differences(self, loss_name):
@@ -222,7 +232,7 @@ class TestGradients:
                 "multitask": lambda p: multitask_loss(p, end_batch, aux_batch, w),
             }[loss_name]
             le = fn(params)
-            fa, fw, fW = finite_diff_param_grads(lambda p: fn(p).value, params)
+            fa, fw, fW = finite_diff_param_grads(_lanewise(fn, params), params)
             for got, want in ((le.grad_a, fa), (le.grad_w_end, fw), (le.grad_W_aux, fW)):
                 rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-2)
                 assert rel.max() < 1e-5
@@ -328,3 +338,43 @@ def test_training_kernel_matches_public_losses(case):
         for g, h in zip((got.grad_a, got.grad_w_end, got.grad_W_aux),
                         (mt.grad_a, mt.grad_w_end, mt.grad_W_aux)):
             assert np.array_equal(g, h)
+
+
+@st.composite
+def _lane_case(draw):
+    d = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([1, 7, 8, 9, 64, 256]))
+    lanes = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, Xt, X0 = (rng.uniform(-4.0, 4.0, size=(n, d)) for _ in range(3))
+    y = rng.choice((-1.0, 1.0), size=n)
+    a = rng.uniform(-4.0, 4.0, size=(lanes, d))
+    w_end = rng.uniform(-4.0, 4.0, size=(lanes, d))
+    W_aux = rng.uniform(-4.0, 4.0, size=(lanes, d, d))
+    weights = LossWeights(alpha_aux=draw(_WEIGHT), alpha_reg=draw(_WEIGHT),
+                          lambda_l2=draw(_WEIGHT))
+    streams = draw(st.sampled_from(["end", "aux", "joint"]))
+    end = (X, -y, 0.5 * (y + 1.0)) if streams != "aux" else None
+    aux = (Xt, X0) if streams != "end" else None
+    sw = rng.uniform(0.0, 3.0, size=n) if end is not None and draw(st.booleans()) else None
+    return (a, w_end, W_aux), weights, end, aux, sw
+
+
+@given(_lane_case())
+@settings(max_examples=300, deadline=None)
+def test_stacked_lanes_match_single_calls(case):
+    """Lane r of a stacked call equals the 1-D call on lane r's parameters,
+    bit for bit, in the value and all three gradients."""
+    (a, w_end, W_aux), weights, end, aux, sw = case
+    got = joint_terms(a, w_end, W_aux, weights, end, aux, sw)
+    lanes = len(a)
+    assert got.value.shape == (lanes,)
+    assert got.grad_a.shape == got.grad_w_end.shape == a.shape
+    assert got.grad_W_aux.shape == W_aux.shape
+    for r in range(lanes):
+        one = joint_terms(a[r], w_end[r], W_aux[r], weights, end, aux, sw)
+        assert type(one.value) is float
+        assert got.value[r] == one.value
+        for g, h in ((got.grad_a, one.grad_a), (got.grad_w_end, one.grad_w_end),
+                     (got.grad_W_aux, one.grad_W_aux)):
+            assert np.array_equal(g[r], h)

@@ -11,6 +11,7 @@ from grouprobe import (
     DivergedError,
     InvalidInputError,
     ModelParams,
+    ShapeError,
     bayes_weight,
     finite_diff_grad,
     finite_diff_param_grads,
@@ -122,23 +123,43 @@ class TestNumericBayesWeight:
 
 class TestFiniteDiff:
     def test_quadratic(self):
-        g = finite_diff_grad(lambda t: float(t @ t), np.array([1.0, 2.0]))
+        g = finite_diff_grad(lambda t: np.vecdot(t, t), np.array([1.0, 2.0]))
         assert np.allclose(g, [2.0, 4.0], atol=1e-6)
 
     def test_bad_step(self):
         with pytest.raises(InvalidInputError):
-            finite_diff_grad(lambda t: 0.0, np.zeros(2), h=0.0)
+            finite_diff_grad(lambda t: np.zeros(len(t)), np.zeros(2), h=0.0)
 
     def test_nonfinite_loss(self):
         with pytest.raises(DivergedError):
-            finite_diff_grad(lambda t: float("inf"), np.zeros(2))
+            finite_diff_grad(lambda t: np.full(len(t), np.inf), np.zeros(2))
+
+    def test_one_value_per_point(self):
+        with pytest.raises(ShapeError):
+            finite_diff_grad(lambda t: t.sum(), np.zeros(2))
+
+    def test_matches_one_probe_at_a_time(self):
+        # the stacked probes are the points a per-coordinate loop would visit
+        rng = np.random.default_rng(4)
+        theta, h = rng.normal(size=7), 1e-6
+
+        def f(t):
+            return np.sin(t).sum(axis=-1) * np.cos(t[..., 0])
+
+        want = np.empty_like(theta)
+        for i in range(theta.size):
+            up, dn = theta.copy(), theta.copy()
+            up[i] += h
+            dn[i] -= h
+            want[i] = (float(f(up)) - float(f(dn))) / (2.0 * h)
+        assert np.array_equal(finite_diff_grad(f, theta, h), want)
 
     def test_param_grads_on_quadratic(self):
         p = ModelParams(a=np.array([1.0, -2.0]), w_end=np.array([0.5, 0.0]),
                         W_aux=np.arange(4.0).reshape(2, 2), tau=None, fro_radius=None)
 
-        def loss(q):
-            return float(q.a @ q.a) + float(q.w_end @ q.w_end) + float((q.W_aux ** 2).sum())
+        def loss(a, w_end, W_aux):
+            return np.vecdot(a, a) + np.vecdot(w_end, w_end) + (W_aux ** 2).sum(axis=(-2, -1))
 
         ga, gw, gW = finite_diff_param_grads(loss, p)
         assert np.allclose(ga, 2 * p.a, atol=1e-5)
@@ -260,3 +281,21 @@ class TestTransferBound:
                           d_c=2, d_s=1, eps=eps)
         with pytest.raises(InvalidInputError):
             transfer_core_mass_lower_bound(inp)
+
+
+def test_param_grads_evaluate_all_probes_in_one_call():
+    d = 3
+    p = ModelParams(a=np.arange(1.0, 4.0), w_end=np.ones(d), W_aux=np.eye(d),
+                    tau=None, fro_radius=None)
+    calls = []
+
+    def values(a, w_end, W_aux):
+        calls.append((a.shape, w_end.shape, W_aux.shape))
+        return np.vecdot(a, a) + np.vecdot(w_end, w_end) + (W_aux ** 2).sum(axis=(-2, -1))
+
+    ga, gw, gW = finite_diff_param_grads(values, p)
+    probes = 2 * (2 * d + d * d)
+    assert calls == [((probes, d), (probes, d), (probes, d, d))]
+    assert np.allclose(ga, 2 * p.a, atol=1e-5)
+    assert np.allclose(gw, 2 * p.w_end, atol=1e-5)
+    assert np.allclose(gW, 2 * p.W_aux, atol=1e-5)
