@@ -8,12 +8,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DivergedError, GrouprobeError
-from .evalsel import evaluate, front_indices, points_at, read_pareto_csv, write_front_gnuplot, write_pareto_csv
+from .evalsel import evaluate, front_indices, read_pareto_csv, write_front_gnuplot, write_pareto_csv
 from .experiments import (
     RECIPES,
     SWEEP_RECIPES,
@@ -36,6 +37,7 @@ from .synthgen import (
 
 def _add_generate(sub):
     p = sub.add_parser("generate", help="sample a synthetic dataset to CSV or NPZ")
+    p.set_defaults(func=cmd_generate)
     p.add_argument("--spec", help="named recipe whose data distribution to use")
     p.add_argument("--dc", type=int, help="core dimensions (custom spec)")
     p.add_argument("--ds", type=int, help="spurious dimensions (custom spec)")
@@ -107,17 +109,17 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     source = recipe_config(args.recipe) if args.recipe else args.grid
-    points, front = run_sweep(source, args.out)
-    print(f"{len(points)} cells, {len(front)} on the front; artifacts in {args.out}")
+    rows, front = run_sweep(source, args.out)
+    print(f"{len(rows)} cells, {len(front)} on the front; artifacts in {args.out}")
     return 0
 
 
 def cmd_pareto(args) -> int:
     avg, wg, tags = read_pareto_csv(args.input)
-    front = points_at(avg, wg, tags, front_indices(avg, wg))
-    atomic_via_tmp(args.front, lambda p: write_pareto_csv(front, p))
+    front = front_indices(avg, wg)
+    atomic_via_tmp(args.front, lambda p: write_pareto_csv(avg, wg, tags, front, p))
     if args.plot:
-        atomic_via_tmp(args.plot, lambda p: write_front_gnuplot(front, p))
+        atomic_via_tmp(args.plot, lambda p: write_front_gnuplot(avg, wg, front, p))
     print(f"kept {len(front)} of {len(avg)} points")
     return 0
 
@@ -128,14 +130,10 @@ def cmd_bound(args) -> int:
         tau=args.tau, lam=args.lam, d_c=args.dc, d_s=args.ds, eps=args.eps,
     )
     out = {
-        "inputs": {
-            "gamma": args.gamma, "sigma_spur": args.sigma_spur, "eta": args.eta,
-            "tau": args.tau, "lam": args.lam, "d_c": args.dc, "d_s": args.ds,
-        },
+        "inputs": {k: v for k, v in asdict(inp).items() if v is not None},
         "worst_group_error_bound": worst_group_error_bound(inp),
     }
     if args.eps is not None:
-        out["inputs"]["eps"] = args.eps
         tb = transfer_core_mass_lower_bound(inp)
         out["transfer_core_mass_lower_bound"] = {"value": tb.value, "vacuous": tb.vacuous}
     print(json.dumps(out, indent=1))
@@ -212,27 +210,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generate(sub)
 
     p = sub.add_parser("train", help="run an experiment config or named recipe")
+    p.set_defaults(func=cmd_train)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--config", help="experiment config JSON path")
     g.add_argument("--recipe", choices=sorted(set(RECIPES) - SWEEP_RECIPES))
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("eval", help="evaluate saved model params on a dataset")
+    p.set_defaults(func=cmd_eval)
     p.add_argument("--params", required=True, help="model params JSON")
     p.add_argument("--data", required=True, help="dataset CSV or NPZ")
 
     p = sub.add_parser("sweep", help="run a hyperparameter sweep grid")
+    p.set_defaults(func=cmd_sweep)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--grid", help="sweep grid JSON path")
     g.add_argument("--recipe", choices=sorted(SWEEP_RECIPES))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("pareto", help="extract the Pareto front from a sweep CSV")
+    p.set_defaults(func=cmd_pareto)
     p.add_argument("--input", required=True, help="sweep_full.csv from a sweep run")
     p.add_argument("--front", required=True, help="output CSV for the front")
     p.add_argument("--plot", help="optional gnuplot two-column output")
 
     p = sub.add_parser("bound", help="evaluate the analytic bounds")
+    p.set_defaults(func=cmd_bound)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--sigma-spur", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
@@ -244,27 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worst-group error target; enables the transfer bound")
 
     p = sub.add_parser("grad-check", help="verify analytic gradients against finite differences")
+    p.set_defaults(func=cmd_grad_check)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
     return ap
 
 
-_DISPATCH = {
-    "generate": cmd_generate,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "pareto": cmd_pareto,
-    "bound": cmd_bound,
-    "grad-check": cmd_grad_check,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.func(args)
     except DivergedError as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return 1

@@ -142,17 +142,14 @@ def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:
 PARETO_CSV_COLUMNS = ["avg_acc", "wg_acc", "method", "alpha_aux", "alpha_reg", "tau", "lr", "batch"]
 
 
-def write_pareto_csv(points: list[ParetoPoint], path: str | Path) -> None:
-    """Write points with their settings tag in a fixed column order."""
+def write_pareto_csv(avg: np.ndarray, wg: np.ndarray, tags: list[list[str]], idx,
+                     path: str | Path) -> None:
+    """Write the rows `idx` of Pareto columns (as `read_pareto_csv` returns
+    them) in the fixed column order; each row's tag cells are text."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(PARETO_CSV_COLUMNS)
-        for p in points:
-            row = [repr(float(p.avg_acc)), repr(float(p.wg_acc))]
-            for col in PARETO_CSV_COLUMNS[2:]:
-                v = p.tag.get(col, "")
-                row.append(repr(float(v)) if isinstance(v, float) else str(v))
-            w.writerow(row)
+        w.writerows([repr(float(avg[i])), repr(float(wg[i])), *tags[i]] for i in idx)
 
 
 def read_pareto_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
@@ -176,14 +173,8 @@ def read_pareto_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[list
     return np.concatenate(avgs), np.concatenate(wgs), tags
 
 
-def points_at(avg: np.ndarray, wg: np.ndarray, tags: list[list[str]], idx) -> list[ParetoPoint]:
-    """The ParetoPoints of the rows `idx` of columns read by `read_pareto_csv`."""
-    return [ParetoPoint(float(avg[i]), float(wg[i]), dict(zip(PARETO_CSV_COLUMNS[2:], tags[i])))
-            for i in np.asarray(idx).tolist()]
-
-
-def write_front_gnuplot(points: list[ParetoPoint], path: str | Path) -> None:
-    """Two-column `avg wg` file, one point per line, '#'-prefixed header."""
+def write_front_gnuplot(avg: np.ndarray, wg: np.ndarray, idx, path: str | Path) -> None:
+    """Two-column `avg wg` file of the rows `idx`, one per line, '#'-prefixed header."""
     lines = ["# avg_acc wg_acc"]
-    lines += [f"{repr(float(p.avg_acc))} {repr(float(p.wg_acc))}" for p in points]
+    lines += [f"{repr(float(avg[i]))} {repr(float(wg[i]))}" for i in idx]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -34,9 +34,9 @@ from .baselines import (
 )
 from .errors import ConfigError, DegenerateInputError, GrouprobeError, InvalidSpecError
 from .evalsel import (
-    ParetoPoint,
+    PARETO_CSV_COLUMNS,
     SelectionStrategy,
-    pareto_front,
+    front_indices,
     spur_core_log_ratio,
     write_front_gnuplot,
     write_pareto_csv,
@@ -346,33 +346,20 @@ def _fit_one(cfg: ExperimentConfig, run: RunSpec, seed: int) -> FitResult:
 
 
 def _run_cell(cfg: ExperimentConfig, run_idx: int, seed: int, out_dir: str | None) -> dict:
+    """Train one (cell, seed) job and return its run record: the JSON object
+    written to runs/<tag>_seed<seed>.json when out_dir is given."""
     run = cfg.runs[run_idx]
     fit = _fit_one(cfg, run, seed)
     try:
         log_ratio = spur_core_log_ratio(fit.params.a, cfg.data.d_c, cfg.data.d_s)
     except DegenerateInputError:
         log_ratio = float("nan")
-    record = {
-        "tag": run.tag,
-        "seed": seed,
-        "method": run.method,
-        "selected_epoch": fit.selected_epoch,
-        "test_avg_acc": fit.test_metrics.avg_acc,
-        "test_wg_acc": fit.test_metrics.wg_acc,
-        "final_avg_acc": fit.final_metrics.avg_acc,
-        "final_wg_acc": fit.final_metrics.wg_acc,
-        "test_group_acc": [
-            None if np.isnan(v) else float(v) for v in fit.test_metrics.per_group_acc
-        ],
-        "log_ratio": log_ratio,
-        "extras": fit.extras,
-    }
+    record = fit.to_json_dict()
+    record.update(seed=seed, tag=run.tag, log_ratio=_json_float(log_ratio))
     if out_dir is not None:
         out = Path(out_dir)
         stem = f"{run.tag}_seed{seed}"
-        payload = fit.to_json_dict()
-        payload.update(seed=seed, tag=run.tag, log_ratio=_json_float(log_ratio))
-        text = json.dumps(payload, indent=1) + "\n"
+        text = json.dumps(record, indent=1) + "\n"
         atomic_via_tmp(out / "runs" / f"{stem}.json", lambda p: p.write_text(text))
         atomic_via_tmp(out / "traces" / f"{stem}.csv", fit.trace.to_csv)
         atomic_via_tmp(out / "params" / f"{stem}.json", fit.params.save_json)
@@ -405,14 +392,6 @@ def _summarize(cfg: ExperimentConfig, records: list[dict]) -> list[dict]:
     rows = []
     for run in cfg.runs:
         cell = [r for r in records if r["tag"] == run.tag]
-        avg_m, avg_s = _mean_std([r["test_avg_acc"] for r in cell])
-        wg_m, wg_s = _mean_std([r["test_wg_acc"] for r in cell])
-        favg_m, favg_s = _mean_std([r["final_avg_acc"] for r in cell])
-        fwg_m, fwg_s = _mean_std([r["final_wg_acc"] for r in cell])
-        lr_m, lr_s = _mean_std([r["log_ratio"] for r in cell])
-        by_group = np.asarray(
-            [[np.nan if v is None else v for v in r["test_group_acc"]] for r in cell]
-        )
         row = {
             "tag": run.tag,
             "method": run.method,
@@ -423,22 +402,20 @@ def _summarize(cfg: ExperimentConfig, records: list[dict]) -> list[dict]:
             "batch": str(run.optim.batch_size),
             "selection": cfg.selection.value,
             "n_seeds": str(len(cell)),
-            "test_avg_mean": repr(avg_m),
-            "test_avg_std": repr(avg_s),
-            "test_wg_mean": repr(wg_m),
-            "test_wg_std": repr(wg_s),
-            "final_avg_mean": repr(favg_m),
-            "final_avg_std": repr(favg_s),
-            "final_wg_mean": repr(fwg_m),
-            "final_wg_std": repr(fwg_s),
-            "g0_mean": repr(float(by_group[:, 0].mean())),
-            "g1_mean": repr(float(by_group[:, 1].mean())),
-            "g2_mean": repr(float(by_group[:, 2].mean())),
-            "g3_mean": repr(float(by_group[:, 3].mean())),
-            "log_ratio_mean": repr(lr_m),
-            "log_ratio_std": repr(lr_s),
-            "log_ratio_max": repr(float(np.max([r["log_ratio"] for r in cell]))),
         }
+        for view, acc in itertools.product(("test", "final"), ("avg", "wg")):
+            mean, std = _mean_std([r[f"{view}_metrics"][f"{acc}_acc"] for r in cell])
+            row[f"{view}_{acc}_mean"], row[f"{view}_{acc}_std"] = repr(mean), repr(std)
+        by_group = np.asarray(
+            [[np.nan if v is None else v for v in r["test_metrics"]["per_group_acc"]] for r in cell]
+        )
+        for g in range(by_group.shape[1]):
+            row[f"g{g}_mean"] = repr(float(by_group[:, g].mean()))
+        # non-finite ratios are stored as their repr strings
+        log_ratios = [float(r["log_ratio"]) for r in cell]
+        mean, std = _mean_std(log_ratios)
+        row.update(log_ratio_mean=repr(mean), log_ratio_std=repr(std),
+                   log_ratio_max=repr(float(np.max(log_ratios))))
         rows.append(row)
     return rows
 
@@ -446,10 +423,12 @@ def _summarize(cfg: ExperimentConfig, records: list[dict]) -> list[dict]:
 def run_experiment(source, out_dir: str | Path | None):
     """Run every (cell, seed) job of a config; returns (summary_rows, records).
 
-    When out_dir is given, writes per-run JSON results, per-epoch trace CSVs,
-    selected-model parameter JSONs, a config echo, and summary.csv.  Jobs run
-    in a bounded process pool (see n_workers); outputs are keyed by
-    deterministic seeds only, so scheduling never affects results.
+    A record is the JSON object of one job's runs/<tag>_seed<seed>.json, in
+    (cell, seed) order; a summary row maps SUMMARY_COLUMNS to one cell's
+    summary.csv text.  When out_dir is given, writes those files plus per-epoch
+    trace CSVs and selected-model parameter JSONs.  Jobs run in a bounded
+    process pool (see n_workers); outputs are keyed by deterministic seeds
+    only, so scheduling never affects results.
     """
     cfg = ExperimentConfig.load(source)
     out = None
@@ -510,7 +489,6 @@ class SweepGrid:
     `cell0001`, ... in that order, validated like any other config.
     """
 
-    method: str
     cells: tuple[dict, ...]
     config: ExperimentConfig
 
@@ -538,6 +516,8 @@ class SweepGrid:
                 raise ConfigError(f"grid.{axis} must be a non-empty list")
             for i, v in enumerate(vals):
                 _sweep_value(axis, v, kinds[axis], f"grid.{axis}[{i}]")
+                if method == "erm" and axis in ("alpha_aux", "alpha_reg") and v != 0:
+                    raise ConfigError(f"grid.{axis}[{i}]: erm does not take aux loss weights")
         cells = tuple(dict(zip(SWEEP_AXES, combo))
                       for combo in itertools.product(*(grid[a] for a in SWEEP_AXES)))
         optim = {"epochs": base.get("epochs", 500), "patience": base.get("patience", 0),
@@ -548,45 +528,35 @@ class SweepGrid:
             "tau": cell["tau"],
             "l1_boundary": base.get("l1_boundary", False),
             "optim": dict(optim, learning_rate=cell["learning_rate"], batch_size=cell["batch_size"]),
-            "weights": {
-                "alpha_aux": cell["alpha_aux"] if method == "reg_mtl" else 0.0,
-                "alpha_reg": cell["alpha_reg"] if method == "reg_mtl" else 0.0,
-                "lambda_l2": base.get("lambda_l2", 1.0),
-            },
+            "weights": {"alpha_aux": cell["alpha_aux"], "alpha_reg": cell["alpha_reg"],
+                        "lambda_l2": base.get("lambda_l2", 1.0)},
         } for idx, cell in enumerate(cells)]
         shared = {k: v for k, v in d.items() if k not in ("method", "base", "grid")}
-        return cls(method, cells, ExperimentConfig.from_json_dict({**shared, "runs": runs}))
+        return cls(cells, ExperimentConfig.from_json_dict({**shared, "runs": runs}))
 
     load = classmethod(_load)
 
 
 def run_sweep(source, out_dir: str | Path | None):
-    """Run a sweep grid; returns (all_points, front_points) as ParetoPoints.
-
-    Per-cell metrics are means over the seed list (aggregation happens before
-    front extraction).  With out_dir set, writes sweep_full.csv,
-    sweep_front.csv and sweep_front.dat alongside the per-run artifacts.
+    """Run a sweep grid; returns (rows, front_rows): the summary rows of all
+    cells, and of those on the Pareto front of their seed-mean test (avg, wg)
+    accuracies, by avg descending.  With out_dir set, writes sweep_full.csv,
+    sweep_front.csv and sweep_front.dat, tagged with summary.csv's values,
+    alongside the experiment's artifacts.
     """
     grid = SweepGrid.load(source)
-    rows, records = run_experiment(grid.config, out_dir)
-    points = []
-    for row, cell in zip(rows, grid.cells):
-        tag = {
-            "method": grid.method,
-            "alpha_aux": float(cell["alpha_aux"]),
-            "alpha_reg": float(cell["alpha_reg"]),
-            "tau": float(cell["tau"]),
-            "lr": float(cell["learning_rate"]),
-            "batch": cell["batch_size"],
-        }
-        points.append(ParetoPoint(float(row["test_avg_mean"]), float(row["test_wg_mean"]), tag))
-    front = pareto_front(points)
+    rows, _ = run_experiment(grid.config, out_dir)
+    avg = np.array([float(row["test_avg_mean"]) for row in rows])
+    wg = np.array([float(row["test_wg_mean"]) for row in rows])
+    front = front_indices(avg, wg)
     if out_dir is not None:
         out = Path(out_dir)
-        atomic_via_tmp(out / "sweep_full.csv", lambda p: write_pareto_csv(points, p))
-        atomic_via_tmp(out / "sweep_front.csv", lambda p: write_pareto_csv(front, p))
-        atomic_via_tmp(out / "sweep_front.dat", lambda p: write_front_gnuplot(front, p))
-    return points, front
+        tags = [[row[c] for c in PARETO_CSV_COLUMNS[2:]] for row in rows]
+        atomic_via_tmp(out / "sweep_full.csv",
+                       lambda p: write_pareto_csv(avg, wg, tags, range(len(rows)), p))
+        atomic_via_tmp(out / "sweep_front.csv", lambda p: write_pareto_csv(avg, wg, tags, front, p))
+        atomic_via_tmp(out / "sweep_front.dat", lambda p: write_front_gnuplot(avg, wg, front, p))
+    return rows, [rows[i] for i in front.tolist()]
 
 
 # -- named recipes -----------------------------------------------------------

@@ -59,10 +59,6 @@ class LossEval:
     grad_w_end: np.ndarray
     grad_W_aux: np.ndarray
 
-    @classmethod
-    def zeros(cls, d: int) -> "LossEval":
-        return cls(0.0, np.zeros(d), np.zeros(d), np.zeros((d, d)))
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # The stable branches 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))

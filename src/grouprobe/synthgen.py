@@ -192,7 +192,7 @@ class LabeledDataset:
         return np.bincount(self.group_ids, minlength=N_GROUPS)
 
     def take(self, idx: np.ndarray) -> "LabeledDataset":
-        """Row subset as a new read-only dataset (used for minibatching)."""
+        """Row subset as a new read-only dataset."""
         return _rows_of(self, idx)
 
     # -- serialization ----------------------------------------------------
@@ -276,7 +276,7 @@ class AuxDataset:
         return self.noised.shape[1]
 
     def take(self, idx: np.ndarray) -> "AuxDataset":
-        """Row subset as a new read-only dataset (used for minibatching)."""
+        """Row subset as a new read-only dataset."""
         return _rows_of(self, idx)
 
 

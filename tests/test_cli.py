@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import grouprobe
-from grouprobe import ConfigError, LabeledDataset, ParetoPoint, SweepGrid, normal_cdf
+from grouprobe import ConfigError, LabeledDataset, SweepGrid, normal_cdf
 from grouprobe.cli import main, run_grad_check
 from grouprobe.evalsel import PARETO_CSV_COLUMNS, write_pareto_csv
 
@@ -194,6 +194,13 @@ def test_wrong_value_type_exits_2(command, edit, field, tmp_path, capsys):
     assert err.startswith(f"error: {field} must be ") and "TypeError" not in err, err
 
 
+def test_erm_sweep_with_aux_weight_exits_2(tmp_path, capsys):
+    doc = tiny_sweep(method="erm", seeds=[0])
+    doc["grid"].update(alpha_aux=[0.0], alpha_reg=[0.0, 1.0])
+    err = _config_error("sweep", doc, tmp_path, capsys)
+    assert err == "error: grid.alpha_reg[1]: erm does not take aux loss weights", err
+
+
 @pytest.mark.parametrize("edit,field", [
     (lambda d: d["grid"].update(learning_rate=[0.0]), "grid.learning_rate[0]: "),
     (lambda d: d["base"].update(epochs=0), "base.epochs: "),
@@ -209,11 +216,9 @@ def test_sweep_range_error_names_the_sweep_field(edit, field, tmp_path, capsys):
 class TestParetoCommand:
     def test_front_extraction(self, tmp_path, capsys):
         full = tmp_path / "full.csv"
-        write_pareto_csv([
-            ParetoPoint(0.9, 0.3, tag={"method": "erm"}),
-            ParetoPoint(0.7, 0.2, tag={"method": "erm"}),   # dominated
-            ParetoPoint(0.8, 0.5, tag={"method": "erm"}),
-        ], full)
+        avg = np.array([0.9, 0.7, 0.8])  # the second point is dominated
+        wg = np.array([0.3, 0.2, 0.5])
+        write_pareto_csv(avg, wg, [["erm", "", "", "", "", ""]] * 3, range(3), full)
         front = tmp_path / "front.csv"
         plot = tmp_path / "front.dat"
         code = main(["pareto", "--input", str(full), "--front", str(front),

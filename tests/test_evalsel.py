@@ -19,7 +19,6 @@ from grouprobe.errors import ShapeError
 from grouprobe.evalsel import (
     PARETO_CSV_COLUMNS,
     dominates,
-    points_at,
     read_pareto_csv,
     write_front_gnuplot,
     write_pareto_csv,
@@ -199,23 +198,20 @@ class TestParetoFront:
 
 
 class TestParetoSerialization:
-    def _points(self):
-        return [
-            ParetoPoint(0.9, 0.3, tag={"method": "reg_mtl", "alpha_aux": 10.0,
-                                       "alpha_reg": 0.0, "tau": 0.1,
-                                       "lr": 0.001, "batch": 64}),
-            ParetoPoint(0.8, 0.5, tag={"method": "erm"}),
-        ]
+    def _columns(self):
+        avg, wg = np.array([0.9, 0.8]), np.array([0.3, 0.5])
+        tags = [["reg_mtl", "10.0", "0.0", "0.1", "0.001", "64"], ["erm", "", "", "", "", ""]]
+        return avg, wg, tags
 
     def test_csv_round_trip(self, tmp_path):
-        pts = self._points()
+        avg, wg, tags = self._columns()
         path = tmp_path / "front.csv"
-        write_pareto_csv(pts, path)
-        avg, wg, tags = read_pareto_csv(path)
-        assert list(zip(avg.tolist(), wg.tolist())) == [(p.avg_acc, p.wg_acc) for p in pts]
-        loaded = points_at(avg, wg, tags, [0])
-        assert loaded[0].tag["method"] == "reg_mtl"
-        assert float(loaded[0].tag["alpha_aux"]) == 10.0
+        write_pareto_csv(avg, wg, tags, range(2), path)
+        got_avg, got_wg, got_tags = read_pareto_csv(path)
+        assert got_avg.tolist() == avg.tolist() and got_wg.tolist() == wg.tolist()
+        assert got_tags == tags
+        assert got_tags[0][0] == "reg_mtl"
+        assert float(got_tags[0][1]) == 10.0
         header = path.read_text().splitlines()[0]
         assert header == ",".join(PARETO_CSV_COLUMNS)
 
@@ -226,9 +222,9 @@ class TestParetoSerialization:
             read_pareto_csv(path)
 
     def test_gnuplot_format(self, tmp_path):
-        pts = self._points()
+        avg, wg, _ = self._columns()
         path = tmp_path / "front.dat"
-        write_front_gnuplot(pts, path)
+        write_front_gnuplot(avg, wg, range(2), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# avg_acc wg_acc"
         assert lines[1] == "0.9 0.3"

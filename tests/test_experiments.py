@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from grouprobe import (
     run_sweep,
 )
 from grouprobe import experiments
-from grouprobe.evalsel import dominates
+from grouprobe.evalsel import PARETO_CSV_COLUMNS, ParetoPoint, dominates
 from grouprobe.experiments import (
     RECIPES,
     SUMMARY_COLUMNS,
@@ -297,6 +298,15 @@ class TestRunExperiment:
         for f in sorted((out / "runs").iterdir()):
             assert f.read_bytes() == (par / "runs" / f.name).read_bytes()
 
+    def test_records_are_the_run_files(self, run_once):
+        out, rows, records = run_once
+        assert [(r["tag"], r["seed"]) for r in records] == [
+            (tag, seed) for tag in ("erm", "mtl") for seed in (0, 1)]
+        for r in records:
+            text = (out / "runs" / f"{r['tag']}_seed{r['seed']}.json").read_text()
+            assert r == json.loads(text)
+            assert json.dumps(r, indent=1) + "\n" == text
+
     def test_no_out_dir(self, monkeypatch):
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
         rows, records = run_experiment(tiny_config(), None)
@@ -304,7 +314,7 @@ class TestRunExperiment:
 
     def test_log_ratio_columns(self, run_once):
         out, rows, records = run_once
-        by_tag = {r["tag"]: [x["log_ratio"] for x in records if x["tag"] == r["tag"]]
+        by_tag = {r["tag"]: [float(x["log_ratio"]) for x in records if x["tag"] == r["tag"]]
                   for r in rows}
         for row in rows:
             cell = by_tag[row["tag"]]
@@ -443,14 +453,23 @@ class TestSweep:
         grid = SweepGrid.load(_edited(tiny_sweep(), lambda d: d["base"].update(l1_boundary=True)))
         assert all(r.l1_boundary for r in grid.config.runs)
 
+    @pytest.mark.parametrize("axis", ["alpha_aux", "alpha_reg"])
+    def test_erm_rejects_aux_weights(self, axis):
+        doc = tiny_sweep(method="erm")
+        doc["grid"].update(alpha_aux=[0.0], alpha_reg=[0.0])
+        doc["grid"][axis] = [0.0, 0.5]
+        with pytest.raises(ConfigError, match=rf"^grid\.{axis}\[1\]: erm does not take aux loss weights$"):
+            SweepGrid.load(doc)
+
     def test_run_sweep(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
         out = tmp_path / "sweep"
-        points, front = run_sweep(tiny_sweep(), out)
-        assert len(points) == 4
-        assert set((p.avg_acc, p.wg_acc) for p in front) <= set(
+        rows, front = run_sweep(tiny_sweep(), out)
+        assert len(rows) == 4
+        points = [_point(r) for r in rows]
+        assert set((p.avg_acc, p.wg_acc) for p in map(_point, front)) <= set(
             (p.avg_acc, p.wg_acc) for p in points)
-        for p in front:
+        for p in map(_point, front):
             assert not any(dominates(q, p) for q in points)
         assert (out / "sweep_full.csv").exists()
         assert (out / "sweep_front.csv").exists()
@@ -458,11 +477,37 @@ class TestSweep:
         assert (out / "summary.csv").exists()
         assert not list(out.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("method,alpha_aux", [("reg_mtl", [0.5, 1.0]), ("erm", [0.0])])
+    def test_sweep_files_are_summary_columns(self, method, alpha_aux, tmp_path, monkeypatch):
+        monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+        doc = tiny_sweep(method=method)
+        doc["grid"]["alpha_aux"] = alpha_aux
+        rows, front = run_sweep(doc, tmp_path)
+        summary, full, front_file = (
+            list(csv.DictReader((tmp_path / name).read_text().splitlines()))
+            for name in ("summary.csv", "sweep_full.csv", "sweep_front.csv"))
+        assert rows == summary and len(rows) == 2 * len(alpha_aux)
+        assert full == [_pareto_row(r) for r in summary]
+        assert front_file == [_pareto_row(r) for r in front]
+        assert {r["method"] for r in full} == {method}
+        if method == "erm":
+            assert {(r["alpha_aux"], r["alpha_reg"]) for r in full} == {("0.0", "0.0")}
+
     def test_single_cell_front(self, monkeypatch):
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
         doc = tiny_sweep()
         doc["grid"] = {"alpha_aux": [1.0], "alpha_reg": [0.0], "tau": [0.5],
                        "learning_rate": [0.01], "batch_size": [16]}
-        points, front = run_sweep(doc, None)
-        assert len(points) == 1
-        assert front == points
+        rows, front = run_sweep(doc, None)
+        assert len(rows) == 1
+        assert front == rows
+
+
+def _point(row: dict) -> ParetoPoint:
+    return ParetoPoint(float(row["test_avg_mean"]), float(row["test_wg_mean"]))
+
+
+def _pareto_row(row: dict) -> dict:
+    """The Pareto CSV row of a summary row."""
+    return {"avg_acc": row["test_avg_mean"], "wg_acc": row["test_wg_mean"],
+            **{c: row[c] for c in PARETO_CSV_COLUMNS[2:]}}

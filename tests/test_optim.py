@@ -116,11 +116,7 @@ class TestBatches:
 
 class TestSgdStep:
     def _grads(self, d, scale=1.0):
-        g = LossEval.zeros(d)
-        g.grad_a = np.full(d, scale)
-        g.grad_w_end = np.full(d, -scale)
-        g.grad_W_aux = np.full((d, d), scale)
-        return g
+        return LossEval(0.0, np.full(d, scale), np.full(d, -scale), np.full((d, d), scale))
 
     def test_plain_step(self):
         p = init_params(2, None, 0, fro_radius=None)
