@@ -24,10 +24,8 @@ from .errors import (
 )
 from .evalsel import (
     GroupMetrics,
-    ParetoPoint,
     SelectionStrategy,
     evaluate,
-    pareto_front,
     spur_core_log_ratio,
 )
 from .experiments import (

@@ -5,9 +5,7 @@ multitask trainer."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -100,9 +98,6 @@ class FitResult:
             "final_metrics": self.final_metrics.to_json_dict(),
             "extras": self.extras,
         }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=1) + "\n")
 
 
 def _config_echo(method: str, cfg: OptimConfig, selector: SelectionStrategy, **kw) -> dict:

@@ -45,7 +45,7 @@ def _add_generate(sub):
     p.add_argument("--sigma2-spur", type=float)
     p.add_argument("--n-maj", type=int)
     p.add_argument("--n-min", type=int)
-    p.add_argument("--sigma2-noise", type=float, default=0.0)
+    p.add_argument("--sigma2-noise", type=float)
     p.add_argument("--balanced", type=int, metavar="N_PER_GROUP",
                    help="draw a group-balanced set instead of the train split")
     p.add_argument("--seed", type=int, required=True)
@@ -55,18 +55,18 @@ def _add_generate(sub):
 
 
 def _spec_from_args(args) -> GroupDataSpec:
+    # in GroupDataSpec's field order
+    flags = {"--dc": args.dc, "--ds": args.ds, "--sigma2-core": args.sigma2_core,
+             "--sigma2-spur": args.sigma2_spur, "--n-maj": args.n_maj, "--n-min": args.n_min}
     if args.spec is not None:
-        doc = recipe_config(args.spec)
-        return GroupDataSpec(**doc["data"])
-    fields = {
-        "d_c": args.dc, "d_s": args.ds,
-        "sigma2_core": args.sigma2_core, "sigma2_spur": args.sigma2_spur,
-        "n_maj": args.n_maj, "n_min": args.n_min,
-    }
-    missing = [k for k, v in fields.items() if v is None]
+        given = [f for f, v in {**flags, "--sigma2-noise": args.sigma2_noise}.items() if v is not None]
+        if given:
+            raise ConfigError(f"--spec sets the whole data distribution; drop {', '.join(given)}")
+        return GroupDataSpec(**recipe_config(args.spec)["data"])
+    missing = [f for f, v in flags.items() if v is None]
     if missing:
         raise ConfigError(f"--spec not given, so all custom flags are required; missing {missing}")
-    return GroupDataSpec(sigma2_noise=args.sigma2_noise, **fields)
+    return GroupDataSpec(*flags.values(), sigma2_noise=args.sigma2_noise or 0.0)
 
 
 def cmd_generate(args) -> int:

@@ -5,7 +5,7 @@ The checkpoint itself is selected in `optim.train`."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, ShapeError
 from .linmodel import ModelParams, classify
-from .synthgen import N_GROUPS, LabeledDataset, read_csv_chunks
+from .synthgen import N_GROUPS, LabeledDataset, csv_line_of, read_csv_chunks
 
 
 class SelectionStrategy(Enum):
@@ -88,30 +88,6 @@ def spur_core_log_ratio(a: np.ndarray, d_c: int, d_s: int) -> float:
     return float(np.log(spur / core))
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
-    """One configuration's (average, worst-group) accuracy with its settings tag."""
-
-    avg_acc: float
-    wg_acc: float
-    tag: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("avg_acc", "wg_acc"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidInputError(f"{name} must be in [0, 1], got {v}")
-
-
-def dominates(p: ParetoPoint, q: ParetoPoint) -> bool:
-    """True when p is at least as good on both axes and strictly better on one."""
-    return (
-        p.avg_acc >= q.avg_acc
-        and p.wg_acc >= q.wg_acc
-        and (p.avg_acc > q.avg_acc or p.wg_acc > q.wg_acc)
-    )
-
-
 def front_indices(avg: np.ndarray, wg: np.ndarray) -> np.ndarray:
     """Indices of the non-dominated points, sorted by avg descending.
 
@@ -132,13 +108,6 @@ def front_indices(avg: np.ndarray, wg: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
-def pareto_front(points: list[ParetoPoint]) -> list[ParetoPoint]:
-    """Non-dominated subset, sorted by avg_acc descending (see `front_indices`)."""
-    avg = np.array([p.avg_acc for p in points], dtype=np.float64)
-    wg = np.array([p.wg_acc for p in points], dtype=np.float64)
-    return [points[i] for i in front_indices(avg, wg).tolist()]
-
-
 PARETO_CSV_COLUMNS = ["avg_acc", "wg_acc", "method", "alpha_aux", "alpha_reg", "tau", "lr", "batch"]
 
 
@@ -156,8 +125,8 @@ def read_pareto_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[list
     """The avg_acc and wg_acc columns of a Pareto CSV, and each row's tag
     cells (the columns after them, as text).
 
-    An accuracy outside [0, 1] raises the error `ParetoPoint` gives for the
-    first row that holds one."""
+    An accuracy outside [0, 1] (or NaN) raises InvalidInputError naming the
+    file and the line of the first row that holds one."""
     def dtypes_of(h):
         return [np.float64, np.float64] if h == PARETO_CSV_COLUMNS else None
 
@@ -166,7 +135,9 @@ def read_pareto_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, list[list
         bad = ~((avg >= 0.0) & (avg <= 1.0) & (wg >= 0.0) & (wg <= 1.0))
         if bad.any():
             i = int(bad.argmax())
-            ParetoPoint(float(avg[i]), float(wg[i]))  # raises that row's range error
+            name, v = ("avg_acc", avg[i]) if not 0.0 <= avg[i] <= 1.0 else ("wg_acc", wg[i])
+            raise InvalidInputError(f"{path}, line {csv_line_of(path, len(tags) + i)}: "
+                                    f"{name} must be in [0, 1], got {float(v)}")
         avgs.append(avg)
         wgs.append(wg)
         tags += [row[2:] for row in rows]

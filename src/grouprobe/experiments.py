@@ -91,7 +91,11 @@ def _expect_keys(d: dict, required: set[str], optional: set[str], where: str) ->
 
 def _check(v, kinds: tuple[type, ...], where: str):
     """`v` unchanged if it is a JSON value of one of `kinds`; an integer
-    counts as a float, and true/false count only as bool."""
+    counts as a float, true/false count only as bool, and a float must be
+    finite."""
+    # Python's json reads NaN and Infinity, and NaN passes every range check
+    if type(v) is float and float in kinds and not math.isfinite(v):
+        raise ConfigError(f"{where} must be a finite number, got {json.dumps(v)}")
     if type(v) in kinds or (type(v) is int and float in kinds):
         return v
     # Python would read JSON true/false as the integers 1 and 0

@@ -121,10 +121,15 @@ class ModelParams:
                 raise InvalidInputError(f"model params: {k} must be numeric, got true/false")
         try:
             arrays = {k: np.array(d[k], dtype=np.float64) for k in ("a", "w_end", "W_aux")}
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise InvalidInputError(f"model params: non-numeric array entry ({e})") from None
         if any(d[k] is not None and not isinstance(d[k], (int, float)) for k in ("tau", "fro_radius")):
             raise InvalidInputError("model params: tau and fro_radius must be numbers or null")
+        # Python's json reads NaN and Infinity
+        bad = [k for k in ("a", "w_end", "W_aux") if not np.isfinite(arrays[k]).all()]
+        bad += [k for k in ("tau", "fro_radius") if isinstance(d[k], float) and not math.isfinite(d[k])]
+        if bad:
+            raise InvalidInputError(f"model params: non-finite values in {bad}")
         boundary = d.get("l1_boundary", False)
         if not isinstance(boundary, bool):
             raise InvalidInputError(f"model params: l1_boundary must be true or false, got {boundary!r}")
@@ -188,7 +193,12 @@ def project_l1(v: np.ndarray, tau: float) -> np.ndarray:
     u = np.sort(av)[::-1]
     css = np.cumsum(u)
     k = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * k > css - tau)[0][-1]
+    try:
+        rho = np.nonzero(u * k > css - tau)[0][-1]
+    except IndexError:
+        # k = 1 always qualifies in exact arithmetic; here |v| swamped tau
+        raise DegenerateInputError(f"cannot project onto the L1 ball of radius {tau}: "
+                                   "it is below the float64 resolution of v") from None
     theta = (css[rho] - tau) / (rho + 1.0)
     return np.sign(v) * np.maximum(av - theta, 0.0)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergedError, InvalidInputError, InvalidSpecError, ShapeError
+from .errors import DegenerateInputError, DivergedError, InvalidInputError, InvalidSpecError, ShapeError
 from .evalsel import SelectionStrategy, evaluate
 from .linmodel import ModelParams, normalize_frobenius, project_l1, rescale_l1
 from .objectives import LossEval, LossWeights, check_sample_weights, joint_terms, recon_loss
@@ -66,10 +66,10 @@ def sgd_step(
 
     Order: momentum update, parameter update, then project `a` back to its
     L1 set and renormalize W_aux.  With momentum 0 the velocity is the
-    gradient itself.  Raises DivergedError on a non-finite gradient.
-    Returns fresh parameters in the same constraint set, built without
-    re-running the ModelParams checks and asserted feasible; `state` is
-    updated in place.
+    gradient itself.  Raises DivergedError on a non-finite gradient, or
+    when the step leaves parameters the projection cannot bring back into
+    the constraint set.  Returns fresh parameters in that set, built without
+    re-running the ModelParams checks; `state` is updated in place.
     """
     if not (
         np.isfinite(grads.grad_a).all()
@@ -90,12 +90,16 @@ def sgd_step(
     w_end = params.w_end - lr * state.v_w_end
     W_aux = params.W_aux - lr * state.v_W_aux
 
-    if params.tau is not None:
-        a = rescale_l1(a, params.tau) if params.l1_boundary else project_l1(a, params.tau)
-    if params.fro_radius is not None:
-        W_aux = normalize_frobenius(W_aux, params.fro_radius)
+    try:
+        if params.tau is not None:
+            a = rescale_l1(a, params.tau) if params.l1_boundary else project_l1(a, params.tau)
+        if params.fro_radius is not None:
+            W_aux = normalize_frobenius(W_aux, params.fro_radius)
+    except DegenerateInputError as e:
+        raise DivergedError(f"projection failed: {e}") from None
     out = params._replace_arrays(a, w_end, W_aux)
-    assert out.feasible(), "constraint violated after projection"
+    if not out.feasible():
+        raise DivergedError("parameters infeasible after projection")
     return out
 
 
@@ -285,8 +289,8 @@ def train(
             loss_sum += le.value * size
             try:
                 params = sgd_step(params, le, cfg, state)
-            except DivergedError:
-                raise DivergedError("non-finite gradient", epoch=ep) from None
+            except DivergedError as e:
+                raise DivergedError(str(e), epoch=ep) from None
 
         if val_data is not None:
             vm = evaluate(params, val_data)

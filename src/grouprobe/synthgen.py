@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import zipfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -126,25 +126,18 @@ def _raise_first_bad_row(path, rows, done, width, dtypes):
             for v, t in zip(row, dtypes):
                 np.array((v,), dtype=t)
         except (ValueError, OverflowError) as e:
-            with open(path, newline="") as fh:
-                r = csv.reader(fh)
-                for _ in zip(range(done + k + 2), r):
-                    pass
-            raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
+            raise InvalidInputError(f"{path}, line {csv_line_of(path, done + k)}: {e}") from None
 
 
-def _rows_of(data, idx):
-    # Row subset of an already-validated dataset: the rows are valid by
-    # construction, so skip the constructor and only lock the new arrays.
-    out = object.__new__(type(data))
-    for f in fields(data):
-        full = getattr(data, f.name)
-        arr = full[idx]
-        if arr.ndim != full.ndim:
-            raise ShapeError("take needs a 1-D index array, mask or slice")
-        arr.setflags(write=False)
-        object.__setattr__(out, f.name, arr)
-    return out
+def csv_line_of(path: str | Path, k: int) -> int:
+    """The line of a CSV file that its data row `k` (0-based, after the
+    header) ends on; a quoted cell may span lines, so the reader counts them.
+    For error paths: it reads the file again from the start."""
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        for _ in zip(range(k + 2), r):
+            pass
+        return r.line_num
 
 
 @dataclass(frozen=True)
@@ -193,7 +186,8 @@ class LabeledDataset:
 
     def take(self, idx: np.ndarray) -> "LabeledDataset":
         """Row subset as a new read-only dataset."""
-        return _rows_of(self, idx)
+        return LabeledDataset(self.features[idx], self.labels[idx],
+                              self.spurious_attrs[idx], self.group_ids[idx])
 
     # -- serialization ----------------------------------------------------
 
@@ -277,7 +271,7 @@ class AuxDataset:
 
     def take(self, idx: np.ndarray) -> "AuxDataset":
         """Row subset as a new read-only dataset."""
-        return _rows_of(self, idx)
+        return AuxDataset(self.noised[idx], self.targets[idx])
 
 
 def _sample_groups(spec: GroupDataSpec, counts: list[int], seed) -> LabeledDataset:

@@ -56,6 +56,16 @@ class TestGenerate:
                      "--out", str(out)]) == 0
         assert len(LabeledDataset.from_csv(out)) == 1000
 
+    def test_spec_with_custom_flags_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        code = main(["generate", "--spec", "table2", "--n-maj", "10", "--n-min", "2",
+                     "--sigma2-noise", "0.5", "--seed", "0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert all(f in err[0] for f in ("--n-maj", "--n-min", "--sigma2-noise")), err
+        assert not out.exists()
+
     def test_incomplete_custom_spec(self, tmp_path, capsys):
         code = main(["generate", "--dc", "1", "--seed", "0",
                      "--out", str(tmp_path / "x.csv")])
@@ -97,6 +107,21 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("method,alpha_aux", [("erm", 0.0), ("reg_mtl", 10.0)])
+    def test_projection_divergence_exits_1(self, method, alpha_aux, tmp_path, capsys):
+        doc = tiny_config(seeds=[0])
+        doc["runs"] = [{
+            "tag": "blowup", "method": method, "tau": 0.1,
+            "optim": {"learning_rate": 1e300, "batch_size": 16, "epochs": 2},
+            "weights": {"alpha_aux": alpha_aux, "lambda_l2": 1.0},
+        }]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged"), err
 
     def test_sweep_recipe_not_a_train_choice(self):
         with pytest.raises(SystemExit) as exc:
@@ -185,8 +210,14 @@ def _jtt_run(doc):
     ("train", lambda d: d["runs"][0].update(tag=5), "runs[0].tag"),
     ("train", lambda d: d["test"].update(n_per_group="25"), "test.n_per_group"),
     ("sweep", lambda d: d["grid"].update(batch_size=[16.0]), "grid.batch_size[0]"),
+    ("train", lambda d: d["runs"][0]["optim"].update(learning_rate=float("nan")),
+     "runs[0].optim.learning_rate"),
+    ("train", lambda d: d["runs"][1].update(tau=float("inf")), "runs[1].tau"),
+    ("train", lambda d: d["data"].update(sigma2_core=float("nan")), "data.sigma2_core"),
+    ("sweep", lambda d: d["grid"].update(learning_rate=[float("inf")]), "grid.learning_rate[0]"),
 ], ids=["data-n_maj", "optim-batch_size", "optim-epochs", "jtt-id_epochs", "tag",
-        "test-n_per_group", "sweep-grid-batch_size"])
+        "test-n_per_group", "sweep-grid-batch_size", "optim-lr-nan", "tau-inf",
+        "data-sigma2_core-nan", "sweep-grid-lr-inf"])
 def test_wrong_value_type_exits_2(command, edit, field, tmp_path, capsys):
     doc = (tiny_config if command == "train" else tiny_sweep)(seeds=[0])
     edit(doc)
@@ -289,6 +320,18 @@ def _params_bool_array(tmp_path):
     return _eval_argv(tmp_path, params=dict(PARAMS, a=[True, False])), ["p.json", "a must"]
 
 
+def _params_nan_a(tmp_path):
+    return _eval_argv(tmp_path, params=dict(PARAMS, a=[float("nan"), 0.05])), ["p.json", "'a'"]
+
+
+def _params_inf_tau(tmp_path):
+    return _eval_argv(tmp_path, params=dict(PARAMS, tau=float("inf"))), ["p.json", "tau"]
+
+
+def _params_int_beyond_float(tmp_path):
+    return _eval_argv(tmp_path, params=dict(PARAMS, w_end=[10**400, 0])), ["p.json", "too large"]
+
+
 def _params_unknown_key(tmp_path):
     params = dict(PARAMS, tau=1.5, l1_boundry=True)
     return _eval_argv(tmp_path, params=params), ["p.json", "l1_boundry"]
@@ -298,6 +341,7 @@ def _params_unknown_key(tmp_path):
     _pareto_non_numeric, _csv_non_numeric, _npz_not_zip,
     _params_without_fro_radius, _npz_without_features,
     _params_tau_true, _params_boundary_string, _params_bool_array, _params_unknown_key,
+    _params_nan_a, _params_inf_tau, _params_int_beyond_float,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_input_file_exits_2(make, tmp_path, capsys):
     """A malformed input file is a usage error with one message naming the

@@ -10,15 +10,13 @@ from grouprobe import (
     InvalidInputError,
     LabeledDataset,
     ModelParams,
-    ParetoPoint,
     evaluate,
-    pareto_front,
     spur_core_log_ratio,
 )
 from grouprobe.errors import ShapeError
 from grouprobe.evalsel import (
     PARETO_CSV_COLUMNS,
-    dominates,
+    front_indices,
     read_pareto_csv,
     write_front_gnuplot,
     write_pareto_csv,
@@ -121,80 +119,78 @@ class TestLogRatio:
             spur_core_log_ratio(np.array([1.0]), 1, 0)
 
 
-def brute_force_front(points):
-    return [p for p in points
-            if not any(dominates(q, p) for q in points)]
+def dominated(avg, wg):
+    """Each point's dominance flag by O(n^2) pairwise comparison."""
+    ge_avg = avg[:, None] <= avg[None, :]
+    ge_wg = wg[:, None] <= wg[None, :]
+    strict = (avg[:, None] < avg[None, :]) | (wg[:, None] < wg[None, :])
+    return (ge_avg & ge_wg & strict).any(axis=1)
+
+
+def _front(pts):
+    avg, wg = np.array(pts, dtype=np.float64).reshape(-1, 2).T
+    return front_indices(avg, wg).tolist()
 
 
 class TestParetoFront:
     def test_named_example(self):
-        a = ParetoPoint(0.9, 0.3)
-        b = ParetoPoint(0.8, 0.5)
-        c = ParetoPoint(0.85, 0.2)   # dominated by a
-        d = ParetoPoint(0.8, 0.5)    # duplicate of b, kept
-        front = pareto_front([a, b, c, d])
-        assert front == [a, b, d]
+        a = (0.9, 0.3)
+        b = (0.8, 0.5)
+        c = (0.85, 0.2)   # dominated by a
+        d = (0.8, 0.5)    # duplicate of b, kept
+        front = _front([a, b, c, d])
+        assert front == [0, 1, 3]
 
     def test_staircase_all_survive(self):
-        pts = [ParetoPoint(0.9, 0.5), ParetoPoint(0.8, 0.6), ParetoPoint(0.85, 0.55)]
-        assert pareto_front(pts) == [pts[0], pts[2], pts[1]]
+        pts = [(0.9, 0.5), (0.8, 0.6), (0.85, 0.55)]
+        assert _front(pts) == [0, 2, 1]
 
     def test_strictly_worse_excluded(self):
-        keep = ParetoPoint(0.85, 0.55)
-        drop = ParetoPoint(0.7, 0.4)
-        assert pareto_front([keep, drop]) == [keep]
+        keep = (0.85, 0.55)
+        drop = (0.7, 0.4)
+        assert _front([keep, drop]) == [0]
 
     def test_single_point(self):
-        p = ParetoPoint(0.5, 0.5)
-        assert pareto_front([p]) == [p]
-        assert pareto_front([]) == []
+        assert _front([(0.5, 0.5)]) == [0]
+        assert _front([]) == []
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(1, 40))
             # quantized grid makes exact ties and duplicates common
-            pts = [ParetoPoint(float(rng.integers(0, 11)) / 10,
-                               float(rng.integers(0, 11)) / 10,
-                               tag={"method": "erm"})
-                   for _ in range(n)]
-            front = pareto_front(pts)
-            expected = brute_force_front(pts)
-            assert sorted((p.avg_acc, p.wg_acc) for p in front) == sorted(
-                (p.avg_acc, p.wg_acc) for p in expected)
+            avg = rng.integers(0, 11, size=n) / 10
+            wg = rng.integers(0, 11, size=n) / 10
+            front = front_indices(avg, wg)
+            expected = np.flatnonzero(~dominated(avg, wg))
+            assert sorted(zip(avg[front], wg[front])) == sorted(
+                zip(avg[expected], wg[expected]))
 
     def test_sorted_by_avg_desc(self):
         rng = np.random.default_rng(5)
-        pts = [ParetoPoint(float(a), float(w)) for a, w in rng.random((60, 2))]
-        front = pareto_front(pts)
-        avgs = [p.avg_acc for p in front]
+        avg, wg = rng.random((2, 60))
+        front = front_indices(avg, wg)
+        avgs = avg[front].tolist()
         assert avgs == sorted(avgs, reverse=True)
-        wgs = [p.wg_acc for p in front]
+        wgs = wg[front].tolist()
         assert wgs == sorted(wgs)  # the front is a staircase
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
-        pts = [ParetoPoint(float(a), float(w)) for a, w in rng.random((30, 2))]
-        front = pareto_front(pts)
-        assert pareto_front(front) == front
+        avg, wg = rng.random((2, 30))
+        front = front_indices(avg, wg)
+        assert front[front_indices(avg[front], wg[front])].tolist() == front.tolist()
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=25))
     @settings(max_examples=100, deadline=None)
     def test_front_property(self, coords):
-        pts = [ParetoPoint(a / 8, w / 8) for a, w in coords]
-        front = pareto_front(pts)
+        avg, wg = np.array(coords, dtype=np.float64).reshape(-1, 2).T / 8
+        front = front_indices(avg, wg)
         # every front member is non-dominated in the input
-        for p in front:
-            assert not any(dominates(q, p) for q in pts)
+        assert not dominated(avg, wg)[front].any()
         # every input point is covered by some front member on both axes
-        for q in pts:
-            assert any(p.avg_acc >= q.avg_acc and p.wg_acc >= q.wg_acc for p in front)
-
-    def test_point_validation(self):
-        with pytest.raises(InvalidInputError):
-            ParetoPoint(1.2, 0.5)
-        with pytest.raises(InvalidInputError):
-            ParetoPoint(0.5, -0.1)
+        for a, w in zip(avg, wg):
+            assert ((avg[front] >= a) & (wg[front] >= w)).any()
 
 
 class TestParetoSerialization:
@@ -214,6 +210,17 @@ class TestParetoSerialization:
         assert float(got_tags[0][1]) == 10.0
         header = path.read_text().splitlines()[0]
         assert header == ",".join(PARETO_CSV_COLUMNS)
+
+    def test_csv_range_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "full.csv"
+        for row, message in [("1.5,0.5", "avg_acc must be in [0, 1], got 1.5"),
+                             ("0.5,-0.1", "wg_acc must be in [0, 1], got -0.1"),
+                             ("nan,0.5", "avg_acc must be in [0, 1], got nan")]:
+            path.write_text(",".join(PARETO_CSV_COLUMNS) + "\n0.9,0.3,erm,,,,,\n"
+                            + row + ",erm,,,,,\n")
+            with pytest.raises(InvalidInputError) as exc:
+                read_pareto_csv(path)
+            assert str(exc.value) == f"{path}, line 3: {message}"
 
     def test_csv_header_guard(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -14,7 +14,7 @@ from grouprobe import (
     run_sweep,
 )
 from grouprobe import experiments
-from grouprobe.evalsel import PARETO_CSV_COLUMNS, ParetoPoint, dominates
+from grouprobe.evalsel import PARETO_CSV_COLUMNS
 from grouprobe.experiments import (
     RECIPES,
     SUMMARY_COLUMNS,
@@ -466,11 +466,14 @@ class TestSweep:
         out = tmp_path / "sweep"
         rows, front = run_sweep(tiny_sweep(), out)
         assert len(rows) == 4
-        points = [_point(r) for r in rows]
-        assert set((p.avg_acc, p.wg_acc) for p in map(_point, front)) <= set(
-            (p.avg_acc, p.wg_acc) for p in points)
-        for p in map(_point, front):
-            assert not any(dominates(q, p) for q in points)
+        avg, wg = _accuracies(rows)
+        front_points = set(zip(*_accuracies(front)))
+        assert front_points <= set(zip(avg, wg))
+        ge_avg = avg[:, None] <= avg[None, :]
+        ge_wg = wg[:, None] <= wg[None, :]
+        strict = (avg[:, None] < avg[None, :]) | (wg[:, None] < wg[None, :])
+        dominated = (ge_avg & ge_wg & strict).any(axis=1)
+        assert not front_points & set(zip(avg[dominated], wg[dominated]))
         assert (out / "sweep_full.csv").exists()
         assert (out / "sweep_front.csv").exists()
         assert (out / "sweep_front.dat").exists()
@@ -503,8 +506,9 @@ class TestSweep:
         assert front == rows
 
 
-def _point(row: dict) -> ParetoPoint:
-    return ParetoPoint(float(row["test_avg_mean"]), float(row["test_wg_mean"]))
+def _accuracies(rows: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """The seed-mean test (avg, wg) accuracy columns of summary rows."""
+    return tuple(np.array([float(r[k]) for r in rows]) for k in ("test_avg_mean", "test_wg_mean"))
 
 
 def _pareto_row(row: dict) -> dict:

@@ -1,14 +1,41 @@
 """Source hygiene checks that need no linter: every module under
-src/grouprobe uses each name it imports.  `__init__.py` is skipped because
-its imports are the package's re-exports."""
+src/grouprobe imports only the standard library, numpy and its own package,
+and uses each name it imports.  `__init__.py` is skipped by the unused-name
+check because its imports are the package's re-exports."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "grouprobe"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level packages imported that are neither the standard library,
+    numpy nor grouprobe; relative imports are the package's own."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return sorted(roots - sys.stdlib_module_names - {"numpy", "grouprobe"})
+
+
+def test_scanner_flags_foreign_imports():
+    src = ("from __future__ import annotations\nimport os.path, scipy.stats\n"
+           "from numpy.linalg import norm\nfrom . import errors\nfrom .linmodel import x\n"
+           "from mpmath import mp\nimport grouprobe.cli\n")
+    assert foreign_imports(src) == ["mpmath", "scipy"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 def unused_imports(source: str) -> list[str]:

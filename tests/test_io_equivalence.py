@@ -1,9 +1,10 @@
 """The column-wise dataset CSV and Pareto code against row-by-row references.
 
 The `_reference_*` functions are the row-by-row implementations the
-column-wise code replaced, kept here verbatim as oracles: files written must
+column-wise code replaced, kept here as oracles (the Pareto ones over plain
+lists instead of point objects): files written must
 be byte-identical, arrays read bit-identical, errors the same, and the Pareto
-front the same point objects in the same order.
+front the same point indices in the same order.
 """
 
 import csv
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouprobe import InvalidInputError, LabeledDataset, ParetoPoint, pareto_front
-from grouprobe.evalsel import PARETO_CSV_COLUMNS, read_pareto_csv
+from grouprobe import InvalidInputError, LabeledDataset
+from grouprobe.evalsel import PARETO_CSV_COLUMNS, front_indices, read_pareto_csv
 from grouprobe.synthgen import GROUP_OF_YS
 
 SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3]
@@ -66,29 +67,30 @@ def _reference_read_pareto_csv(path):
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} cells, got {len(row)}")
                 avg, wg = float(row[0]), float(row[1])
+                for name, v in (("avg_acc", avg), ("wg_acc", wg)):
+                    if not 0.0 <= v <= 1.0:
+                        raise ValueError(f"{name} must be in [0, 1], got {v}")
             except ValueError as e:
                 raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
-            out.append(ParetoPoint(avg, wg, dict(zip(PARETO_CSV_COLUMNS[2:], row[2:]))))
+            out.append((avg, wg, dict(zip(PARETO_CSV_COLUMNS[2:], row[2:]))))
     return out
 
 
-def _reference_pareto_front(points):
-    if not points:
-        return []
-    order = sorted(range(len(points)), key=lambda i: -points[i].avg_acc)
+def _reference_front_indices(avg, wg):
+    order = sorted(range(len(avg)), key=lambda i: -avg[i])
     front = []
     best_wg = -np.inf
     i = 0
     n = len(order)
     while i < n:
         j = i
-        avg = points[order[i]].avg_acc
-        while j < n and points[order[j]].avg_acc == avg:
+        a = avg[order[i]]
+        while j < n and avg[order[j]] == a:
             j += 1
-        bucket = [points[order[k]] for k in range(i, j)]
-        bucket_max = max(p.wg_acc for p in bucket)
+        bucket = [order[k] for k in range(i, j)]
+        bucket_max = max(wg[k] for k in bucket)
         if bucket_max > best_wg:
-            front.extend(p for p in bucket if p.wg_acc == bucket_max)
+            front.extend(k for k in bucket if wg[k] == bucket_max)
             best_wg = bucket_max
         i = j
     return front
@@ -201,8 +203,7 @@ def test_read_pareto_csv_matches_reference(tmp_path):
     _pareto_file(path, rows)
     avg, wg, tags = read_pareto_csv(path)
     got = [(a, w, dict(zip(PARETO_CSV_COLUMNS[2:], t))) for a, w, t in zip(avg.tolist(), wg.tolist(), tags)]
-    want = _reference_read_pareto_csv(path)
-    assert got == [(p.avg_acc, p.wg_acc, p.tag) for p in want]
+    assert got == _reference_read_pareto_csv(path)
 
 
 PARETO_ROW = ["0.5", "0.5", "erm", "", "", "", "", ""]
@@ -232,16 +233,17 @@ _coord = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
 @given(st.lists(st.tuples(_coord, _coord), max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_pareto_front_same_objects_same_order(coords):
-    pts = [ParetoPoint(a, w, tag={"i": i}) for i, (a, w) in enumerate(coords)]
-    got = pareto_front(pts)
-    want = _reference_pareto_front(pts)
-    assert [id(p) for p in got] == [id(p) for p in want]
+    avg, wg = np.array(coords, dtype=np.float64).reshape(-1, 2).T
+    got = front_indices(avg, wg)
+    want = _reference_front_indices(avg.tolist(), wg.tolist())
+    assert got.tolist() == want
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.integers(0, 3))
 @settings(max_examples=200, deadline=None)
 def test_pareto_front_one_avg_bucket(wgs, dup):
-    # every point shares one avg_acc, and copies of one object repeat
-    pts = [ParetoPoint(0.5, w / 3) for w in wgs]
-    pts += [pts[0]] * dup
-    assert [id(p) for p in pareto_front(pts)] == [id(p) for p in _reference_pareto_front(pts)]
+    # every point shares one avg_acc, and copies of the first point repeat
+    wgs = [w / 3 for w in wgs]
+    wgs += [wgs[0]] * dup
+    avg = [0.5] * len(wgs)
+    assert front_indices(np.array(avg), np.array(wgs)).tolist() == _reference_front_indices(avg, wgs)

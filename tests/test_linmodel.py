@@ -78,6 +78,11 @@ class TestProjectL1:
             p = project_l1(v, 0.5)
             assert np.all(p * v >= 0.0)
 
+    def test_tau_below_float64_resolution_raises(self):
+        # with |v| ~ 1e16, css - tau rounds to css and no threshold qualifies
+        with pytest.raises(DegenerateInputError, match="float64 resolution"):
+            project_l1(np.array([1e16, 0.0]), 0.1)
+
     def test_bad_args(self):
         with pytest.raises(InvalidSpecError):
             project_l1(np.ones(3), 0.0)

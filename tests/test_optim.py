@@ -156,6 +156,14 @@ class TestSgdStep:
         assert q1.a[0] == pytest.approx(p.a[0] - 1.0)
         assert q2.a[0] == pytest.approx(p.a[0] - 2.5)
 
+    def test_infeasible_projection_raises(self):
+        # a step to |a| ~ 1e15 projects to L1 norm 0.125, above tau = 0.1
+        p = init_params(2, 0.1, 0)
+        cfg = OptimConfig(learning_rate=1e15, batch_size=1, epochs=1)
+        g = LossEval(0.0, np.array([-1.0, 0.0]), np.zeros(2), np.zeros((2, 2)))
+        with pytest.raises(DivergedError, match="infeasible"):
+            sgd_step(p, g, cfg, MomentumState.zeros(2))
+
     def test_nonfinite_gradient_raises(self):
         p = init_params(2, None, 0, fro_radius=None)
         cfg = OptimConfig(learning_rate=0.1, batch_size=1, epochs=1)
@@ -249,6 +257,15 @@ class TestTrain:
         # the NaN step raised before its parameter update
         assert len(hooked) == per_epoch + 1
         assert len(stepped) == per_epoch
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("tau,alpha_aux", [(0.1, 0.0), (0.1, 10.0), (10.0, 10.0)])
+    def test_huge_learning_rate_raises_diverged(self, tiny_task, tiny_aux, tau, alpha_aux):
+        # the step swamps tau in float64, so the L1 projection cannot hold
+        cfg = OptimConfig(learning_rate=1e300, batch_size=16, epochs=2, seed=0)
+        weights = LossWeights(alpha_aux=alpha_aux, lambda_l2=1.0)
+        with pytest.raises(DivergedError, match=r"\(epoch 0\)$"):
+            self._run(tiny_task, tiny_aux if alpha_aux else None, cfg, tau=tau, weights=weights)
 
     def test_aux_only_requires_val_aux(self, tiny_aux, tiny_cfg):
         params = init_params(tiny_aux.d, 1.0, 0)
