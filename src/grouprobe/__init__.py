@@ -46,7 +46,7 @@ from .linmodel import (
     project_l1,
     rescale_l1,
 )
-from .objectives import LossEval, LossWeights, end_loss, multitask_loss, recon_loss
+from .objectives import LossEval, LossWeights, multitask_loss
 from .optim import OptimConfig, TrainTrace, heterogeneous_batches, sgd_step, train
 from .oracle import (
     BayesWeightInputs,

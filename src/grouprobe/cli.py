@@ -24,7 +24,7 @@ from .experiments import (
     run_sweep,
 )
 from .linmodel import ModelParams, init_params
-from .objectives import LossWeights, end_loss, end_stream, joint_terms, multitask_loss, recon_loss
+from .objectives import LossWeights, end_stream, joint_terms, multitask_loss
 from .oracle import BoundInputs, finite_diff_param_grads, transfer_core_mass_lower_bound, worst_group_error_bound
 from .synthgen import (
     AuxDataset,
@@ -45,7 +45,8 @@ def _add_generate(sub):
     p.add_argument("--sigma2-spur", type=float)
     p.add_argument("--n-maj", type=int)
     p.add_argument("--n-min", type=int)
-    p.add_argument("--sigma2-noise", type=float)
+    p.add_argument("--sigma2-noise", type=float,
+                   help="accepted and range-checked, but a no-op: generated data has no aux noise")
     p.add_argument("--balanced", type=int, metavar="N_PER_GROUP",
                    help="draw a group-balanced set instead of the train split")
     p.add_argument("--seed", type=int, required=True)
@@ -175,16 +176,15 @@ def run_grad_check(trials: int, seed: int) -> dict:
     for _ in range(trials):
         params, end_batch, aux_batch, weights = _grad_check_instance(rng)
         end, aux = end_stream(end_batch), (aux_batch.noised, aux_batch.targets)
-        # each loss with the arguments that make joint_terms compute it
-        cases = [
-            (end_loss(params, end_batch, weights.lambda_l2),
-             LossWeights(lambda_l2=weights.lambda_l2), end, None),
-            (recon_loss(params, aux_batch), LossWeights(), None, aux),
-            (multitask_loss(params, end_batch, aux_batch, weights), weights, end, aux),
-        ]
-        for le, w, e, x in cases:
+        # the end loss, the reconstruction loss and the joint objective
+        cases = [(LossWeights(lambda_l2=weights.lambda_l2), end_batch, None),
+                 (LossWeights(), None, aux_batch),
+                 (weights, end_batch, aux_batch)]
+        for w, e, x in cases:
+            le = multitask_loss(params, e, x, w)
+            streams = (None if e is None else end, None if x is None else aux)
             fa, fw, fW = finite_diff_param_grads(
-                lambda a, w_end, W_aux: joint_terms(a, w_end, W_aux, w, e, x).value, params)
+                lambda a, w_end, W_aux: joint_terms(a, w_end, W_aux, w, *streams).value, params)
             for got, want in ((le.grad_a, fa), (le.grad_w_end, fw), (le.grad_W_aux, fW)):
                 err = np.abs(got - want) / np.maximum(np.abs(want), 1e-2)
                 worst = max(worst, float(err.max()))

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -92,10 +93,11 @@ def _expect_keys(d: dict, required: set[str], optional: set[str], where: str) ->
 def _check(v, kinds: tuple[type, ...], where: str):
     """`v` unchanged if it is a JSON value of one of `kinds`; an integer
     counts as a float, true/false count only as bool, and a float must be
-    finite."""
-    # Python's json reads NaN and Infinity, and NaN passes every range check
-    if type(v) is float and float in kinds and not math.isfinite(v):
-        raise ConfigError(f"{where} must be a finite number, got {json.dumps(v)}")
+    finite: an integer in a float field too."""
+    # json reads NaN, Infinity and integers past float64; NaN passes range checks
+    if type(v) in (int, float) and float in kinds and not abs(v) <= sys.float_info.max:
+        got = json.dumps(v) if type(v) is float else f"an integer of {len(str(abs(v)))} digits"
+        raise ConfigError(f"{where} must be a finite number, got {got}")
     if type(v) in kinds or (type(v) is int and float in kinds):
         return v
     # Python would read JSON true/false as the integers 1 and 0

@@ -7,10 +7,7 @@ finite differences.
 Each term has one array-level kernel (`end_terms`, `recon_terms`,
 `penalty_terms`), and `joint_terms` composes them into the training
 objective on raw minibatch arrays; `optim.train` calls it once per SGD step.
-The public `end_loss`, `recon_loss`, `activation_l1_penalty` and
-`multitask_loss` validate a model and a dataset batch, then run the same
-kernels, so training and the finite-difference checks share every float
-operation.
+`multitask_loss` validates a model and its batches, then calls `joint_terms`.
 
 Lanes: the kernels take one parameter set or a stack of R of them.  `a`
 and `w_end` are (d,) or (R, d) and `W_aux` is (d, d) or (R, d, d); the data
@@ -131,7 +128,8 @@ def recon_terms(Xt, H, X0, W_aux):
 
 
 def penalty_terms(X, H):
-    """Activation L1 penalty for H = X * a: (value, grad_a)."""
+    """Activation L1 penalty for H = X * a, the batch mean of |H| / d:
+    (value, grad_a), whose subgradient is 0 where an entry of H is 0."""
     n, d = X.shape
     value = np.abs(H).sum(axis=(-2, -1)) / (n * d)
     grad_a = (np.sign(H) * X).sum(axis=-2) / (n * d)
@@ -181,7 +179,7 @@ def joint_terms(a, w_end, W_aux, weights: LossWeights, end=None, aux=None,
                     np.zeros(W_aux.shape) if grad_W_aux is None else grad_W_aux)
 
 
-# -- validating wrappers -------------------------------------------------------
+# -- the validated loss ------------------------------------------------------
 
 
 def end_stream(batch: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,69 +188,36 @@ def end_stream(batch: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return batch.features, -y, 0.5 * (y + 1.0)
 
 
-def _check_batch(params: ModelParams, n: int, d: int) -> None:
-    if n == 0:
-        raise InvalidInputError("empty batch")
-    if d != params.d:
-        raise ShapeError("batch feature dim does not match the model")
+def multitask_loss(params: ModelParams, end_batch: LabeledDataset | None,
+                   aux_batch: AuxDataset | None, weights: LossWeights,
+                   end_sample_weights=None) -> LossEval:
+    """The joint objective of one model on dataset batches: validated here,
+    computed by `joint_terms`.
 
-
-def end_loss(
-    params: ModelParams,
-    batch: LabeledDataset,
-    lambda_l2: float = 0.0,
-    sample_weights=None,
-) -> LossEval:
-    """Binary cross-entropy of the end head plus an L2 penalty on w_end.
-
-    Targets are t = (y+1)/2 for labels y in {-1,+1}; the per-sample loss is
-    log(1 + exp(-y z)) computed in log-sum-exp form, so values stay finite
-    out to |z| ~ 50 and far beyond.  Optional per-sample weights multiply the
-    data term only (the penalty is weight-free).
+    With an end batch: end BCE (log(1 + exp(-y z)) in log-sum-exp form, any
+    per-sample weights scaling it) + lambda_l2/2 ||w_end||^2 + alpha_aux *
+    reconstruction + alpha_reg * each batch's mean |a*x| / d.  The aux batch
+    is unused, and may be None, when alpha_aux == alpha_reg == 0.  Without
+    an end batch: reconstruction 1/(2B) sum ||x - W_aux^T (a*xt)||^2 +
+    alpha_reg * the aux batch's penalty.
     """
-    return multitask_loss(params, batch, None, LossWeights(lambda_l2=lambda_l2), sample_weights)
-
-
-def recon_loss(params: ModelParams, batch: AuxDataset) -> LossEval:
-    """Mean squared reconstruction error, 1/(2B) sum ||x - W_aux^T (a*xt)||^2."""
-    _check_batch(params, len(batch), batch.d)
-    return joint_terms(params.a, params.w_end, params.W_aux, LossWeights(),
-                       aux=(batch.noised, batch.targets))
-
-
-def activation_l1_penalty(params: ModelParams, X: np.ndarray) -> LossEval:
-    """Batch-mean L1 norm of the featurizer output a*x, divided by the
-    featurizer parameter count d.
-
-    The subgradient at coordinates where a_j x_j == 0 is taken to be 0.
-    """
-    if X.shape[0] == 0:
-        raise InvalidInputError("empty batch")
-    value, grad_a = penalty_terms(X, X * params.a)
-    return LossEval(float(value), grad_a, np.zeros(params.d), np.zeros((params.d, params.d)))
-
-
-def multitask_loss(
-    params: ModelParams,
-    end_batch: LabeledDataset,
-    aux_batch: AuxDataset,
-    weights: LossWeights,
-    end_sample_weights=None,
-) -> LossEval:
-    """Joint objective: end BCE + alpha_aux * reconstruction + alpha_reg *
-    activation L1 penalty, the last summed over the two task batches (the
-    end batch's mean penalty plus the aux batch's).
-
-    With alpha_aux == alpha_reg == 0 this equals end_loss exactly, and the
-    aux batch may be None.
-    """
-    n = len(end_batch)
-    _check_batch(params, n, end_batch.d)
-    w = check_sample_weights(end_sample_weights, n)
-    aux = None
-    if weights.alpha_aux != 0.0 or weights.alpha_reg != 0.0:
+    if end_batch is None:
         if aux_batch is None:
-            raise InvalidInputError("aux batch required when alpha_aux or alpha_reg is nonzero")
-        _check_batch(params, len(aux_batch), aux_batch.d)
-        aux = (aux_batch.noised, aux_batch.targets)
-    return joint_terms(params.a, params.w_end, params.W_aux, weights, end_stream(end_batch), aux, w)
+            raise InvalidInputError("an end batch or an aux batch is required")
+        if end_sample_weights is not None:
+            raise InvalidInputError("sample weights need an end batch")
+    elif weights.alpha_aux == 0.0 and weights.alpha_reg == 0.0:
+        aux_batch = None
+    elif aux_batch is None:
+        raise InvalidInputError("aux batch required when alpha_aux or alpha_reg is nonzero")
+    for batch in (end_batch, aux_batch):
+        if batch is not None and len(batch) == 0:
+            raise InvalidInputError("empty batch")
+        if batch is not None and batch.d != params.d:
+            raise ShapeError("batch feature dim does not match the model")
+    end = w = None
+    if end_batch is not None:
+        end = end_stream(end_batch)
+        w = check_sample_weights(end_sample_weights, len(end_batch))
+    aux = None if aux_batch is None else (aux_batch.noised, aux_batch.targets)
+    return joint_terms(params.a, params.w_end, params.W_aux, weights, end, aux, w)

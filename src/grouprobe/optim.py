@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DegenerateInputError, DivergedError, InvalidInputError, InvalidSpecError, ShapeError
 from .evalsel import SelectionStrategy, evaluate
 from .linmodel import ModelParams, normalize_frobenius, project_l1, rescale_l1
-from .objectives import LossEval, LossWeights, check_sample_weights, joint_terms, recon_loss
+from .objectives import LossEval, LossWeights, check_sample_weights, joint_terms, multitask_loss
 from .synthgen import AuxDataset, LabeledDataset
 
 # An epoch counts as improving the selection metric only when it beats the
@@ -298,9 +298,8 @@ def train(
         else:
             val_avg = val_wg = float("nan")
             val_groups = np.full(4, np.nan)
-        val_recon = (
-            float(recon_loss(params, val_aux).value) if val_aux is not None else None
-        )
+        val_recon = (None if val_aux is None
+                     else multitask_loss(params, None, val_aux, LossWeights()).value)
         rec = EpochRecord(
             epoch=ep,
             train_loss=loss_sum / seen,

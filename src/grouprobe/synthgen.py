@@ -88,7 +88,8 @@ def read_csv_chunks(path: str | Path, kind: str, dtypes_of):
     `dtypes_of(header)` gives the dtypes of the leading columns (None: bad
     header); their cells convert as Python int()/float() do.  A row whose
     cell count differs from the header's, or a bad cell, raises
-    InvalidInputError naming the file and the line of the first one."""
+    InvalidInputError naming the file and the line of the first one, after
+    the rows before it are yielded: a caller's check of them comes first."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
@@ -98,27 +99,35 @@ def read_csv_chunks(path: str | Path, kind: str, dtypes_of):
         width = len(header)
         done = 0
         while True:
+            rows, err = [], None
             try:
-                rows = list(itertools.islice(r, _CSV_CHUNK_ROWS))
+                rows.extend(itertools.islice(r, _CSV_CHUNK_ROWS))
             except csv.Error as e:
-                raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
+                err = InvalidInputError(f"{path}, line {r.line_num}: {e}")
             try:
-                if set(map(len, rows)) - {width}:
-                    raise ValueError
-                cols = list(zip(*rows)) or [()] * width
-                arrays = [np.array(col, dtype=t) for col, t in zip(cols, dtypes)]
+                arrays = _columns(rows, width, dtypes)
             except (ValueError, OverflowError):
-                _raise_first_bad_row(path, rows, done, width, dtypes)
-                raise
+                k, err = _first_bad_row(path, rows, done, width, dtypes)
+                rows = rows[:k]
+                arrays = _columns(rows, width, dtypes)
             yield rows, arrays
+            if err is not None:
+                raise err
             if len(rows) < _CSV_CHUNK_ROWS:
                 return
             done += len(rows)
 
 
-def _raise_first_bad_row(path, rows, done, width, dtypes):
-    # error path: name the chunk's first malformed row and its first bad
-    # cell; a quoted cell may span lines, so the reader counts the line
+def _columns(rows, width, dtypes):
+    if set(map(len, rows)) - {width}:
+        raise ValueError
+    cols = list(zip(*rows)) or [()] * width
+    return [np.array(col, dtype=t) for col, t in zip(cols, dtypes)]
+
+
+def _first_bad_row(path, rows, done, width, dtypes) -> tuple[int, InvalidInputError]:
+    # error path: the chunk's first malformed row and its first bad cell; a
+    # quoted cell may span lines, so the reader counts the line
     for k, row in enumerate(rows):
         try:
             if len(row) != width:
@@ -126,7 +135,7 @@ def _raise_first_bad_row(path, rows, done, width, dtypes):
             for v, t in zip(row, dtypes):
                 np.array((v,), dtype=t)
         except (ValueError, OverflowError) as e:
-            raise InvalidInputError(f"{path}, line {csv_line_of(path, done + k)}: {e}") from None
+            return k, InvalidInputError(f"{path}, line {csv_line_of(path, done + k)}: {e}")
 
 
 def csv_line_of(path: str | Path, k: int) -> int:

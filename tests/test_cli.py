@@ -50,6 +50,13 @@ class TestGenerate:
         data = LabeledDataset.from_csv(out)
         assert data.group_counts().tolist() == [10, 10, 10, 10]
 
+    def test_sigma2_noise_is_a_no_op(self, tmp_path):
+        outs = [tmp_path / f"n{v}.csv" for v in ("0.0", "5.0")]
+        for v, out in zip(("0.0", "5.0"), outs):
+            assert main(["generate", *GEN_FLAGS, "--sigma2-noise", v,
+                         "--seed", "5", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_named_distribution(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert main(["generate", "--spec", "table2", "--seed", "0",
@@ -201,7 +208,11 @@ def _jtt_run(doc):
     doc["runs"][0].update(method="jtt", jtt={"id_epochs": 2.5})
 
 
-# each of these loaded and then failed mid-run with a TypeError traceback
+# an integer too large for float64: float() of it raises OverflowError
+HUGE_INT = 10**400
+
+
+# each of these loaded and then failed mid-run with a TypeError or OverflowError traceback
 @pytest.mark.parametrize("command,edit,field", [
     ("train", lambda d: d["data"].update(n_maj=60.0), "data.n_maj"),
     ("train", lambda d: d["runs"][0]["optim"].update(batch_size=16.0), "runs[0].optim.batch_size"),
@@ -215,9 +226,17 @@ def _jtt_run(doc):
     ("train", lambda d: d["runs"][1].update(tau=float("inf")), "runs[1].tau"),
     ("train", lambda d: d["data"].update(sigma2_core=float("nan")), "data.sigma2_core"),
     ("sweep", lambda d: d["grid"].update(learning_rate=[float("inf")]), "grid.learning_rate[0]"),
+    ("train", lambda d: d["runs"][1].update(tau=HUGE_INT), "runs[1].tau"),
+    ("train", lambda d: d["runs"][0]["optim"].update(learning_rate=HUGE_INT),
+     "runs[0].optim.learning_rate"),
+    ("train", lambda d: d["runs"][0]["weights"].update(lambda_l2=HUGE_INT),
+     "runs[0].weights.lambda_l2"),
+    ("sweep", lambda d: d["grid"].update(tau=[HUGE_INT]), "grid.tau[0]"),
+    ("train", lambda d: d["data"].update(sigma2_core=HUGE_INT), "data.sigma2_core"),
 ], ids=["data-n_maj", "optim-batch_size", "optim-epochs", "jtt-id_epochs", "tag",
         "test-n_per_group", "sweep-grid-batch_size", "optim-lr-nan", "tau-inf",
-        "data-sigma2_core-nan", "sweep-grid-lr-inf"])
+        "data-sigma2_core-nan", "sweep-grid-lr-inf", "tau-huge-int", "optim-lr-huge-int",
+        "weights-lambda_l2-huge-int", "sweep-grid-tau-huge-int", "data-sigma2_core-huge-int"])
 def test_wrong_value_type_exits_2(command, edit, field, tmp_path, capsys):
     doc = (tiny_config if command == "train" else tiny_sweep)(seeds=[0])
     edit(doc)

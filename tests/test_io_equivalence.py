@@ -225,6 +225,24 @@ def test_pareto_errors_match_reference(bad, at, tmp_path):
     assert str(got.value) == str(want.value)
 
 
+# a parse error later in the same 4,096-row chunk must not hide an earlier
+# out-of-range row: the row-by-row reader reports the out-of-range one
+@pytest.mark.parametrize("later", ["0.5,high,erm,,,,,", "0.5", "0.\x005,0.5,erm,,,,,"],
+                         ids=["non-numeric", "short", "nul"])
+@pytest.mark.parametrize("at", [1, 4097])
+def test_pareto_earliest_error_wins(later, at, tmp_path):
+    good = ",".join(PARETO_ROW)
+    lines = [",".join(PARETO_CSV_COLUMNS)] + [good] * at + ["1.5,0.5,erm,,,,,", good, later, good]
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError) as want:
+        _reference_read_pareto_csv(path)
+    with pytest.raises(InvalidInputError) as got:
+        read_pareto_csv(path)
+    assert str(got.value) == str(want.value)
+    assert f"line {at + 2}: avg_acc must be in [0, 1], got 1.5" in str(got.value)
+
+
 # coarse grids make equal-avg buckets, equal wg inside them and exact
 # duplicates common; 0.0 and -0.0 are equal but distinct floats
 _coord = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0])

@@ -10,15 +10,14 @@ from grouprobe import (
     AuxDataset,
     InvalidInputError,
     LabeledDataset,
+    LossEval,
     LossWeights,
     ModelParams,
     ShapeError,
-    end_loss,
     init_params,
     multitask_loss,
-    recon_loss,
 )
-from grouprobe.objectives import _sigmoid, activation_l1_penalty, joint_terms
+from grouprobe.objectives import _sigmoid, end_terms, joint_terms, penalty_terms, recon_terms
 from grouprobe.oracle import finite_diff_param_grads
 
 
@@ -44,6 +43,38 @@ def random_instance(rng, d=None, n=None):
     return params, end_batch, aux_batch
 
 
+def end_only(params, batch, lambda_l2=0.0, sample_weights=None):
+    """The validated end loss: multitask_loss with no aux batch."""
+    return multitask_loss(params, batch, None, LossWeights(lambda_l2=lambda_l2), sample_weights)
+
+
+def recon_only(params, batch):
+    """The validated reconstruction loss: multitask_loss with no end batch."""
+    return multitask_loss(params, None, batch, LossWeights())
+
+
+# Each loss term from its own kernel, in model-parameter layout: the
+# term-by-term oracles for the composed objective.
+
+def end_term(params, batch, lambda_l2=0.0, sample_weights=None):
+    X = batch.features
+    y = batch.labels.astype(np.float64)
+    value, grad_a, grad_w_end = end_terms(X, X * params.a, -y, 0.5 * (y + 1.0), params.w_end,
+                                          lambda_l2, sample_weights)
+    return LossEval(float(value), grad_a, grad_w_end, np.zeros((params.d, params.d)))
+
+
+def recon_term(params, batch):
+    Xt = batch.noised
+    value, grad_a, grad_W_aux = recon_terms(Xt, Xt * params.a, batch.targets, params.W_aux)
+    return LossEval(float(value), grad_a, np.zeros(params.d), grad_W_aux)
+
+
+def penalty_term(params, X):
+    value, grad_a = penalty_terms(X, X * params.a)
+    return LossEval(float(value), grad_a, np.zeros(params.d), np.zeros((params.d, params.d)))
+
+
 class TestEndLoss:
     def test_hand_value_single_sample(self):
         params = init_params(2, None, 0, fro_radius=None)
@@ -53,15 +84,15 @@ class TestEndLoss:
         batch = LabeledDataset(X, [1], [1], [0])
         z = 2.0 * 0.5 + 4.0 * (-0.25)  # 0.0
         expect = math.log(1.0 + math.exp(-1.0 * z))
-        out = end_loss(params, batch)
+        out = end_only(params, batch)
         assert abs(out.value - expect) < 1e-15
 
     def test_l2_penalty_added(self):
         params = init_params(2, None, 3, fro_radius=None)
         X = np.array([[0.3, -0.2], [1.0, 0.4]])
         batch = LabeledDataset(X, [1, -1], [1, -1], [0, 1])
-        base = end_loss(params, batch, 0.0).value
-        pen = end_loss(params, batch, 2.0).value
+        base = end_only(params, batch, 0.0).value
+        pen = end_only(params, batch, 2.0).value
         assert abs(pen - base - 1.0 * float(params.w_end @ params.w_end)) < 1e-15
 
     def test_stable_at_extreme_logits(self):
@@ -69,7 +100,7 @@ class TestEndLoss:
         params.a = np.array([1.0])
         params.w_end = np.array([1.0])
         batch = LabeledDataset(np.array([[1e4], [-1e4]]), [-1, 1], [-1, 1], [1, 0])
-        out = end_loss(params, batch)
+        out = end_only(params, batch)
         assert math.isfinite(out.value)
         assert out.value == pytest.approx(1e4, rel=1e-12)
 
@@ -81,27 +112,27 @@ class TestEndLoss:
         scaled = params.copy()
         scaled.w_end = params.w_end * c
         scaled.a = params.a / c
-        assert end_loss(scaled, batch).value == pytest.approx(
-            end_loss(params, batch).value, abs=1e-12
+        assert end_only(scaled, batch).value == pytest.approx(
+            end_only(params, batch).value, abs=1e-12
         )
 
     def test_sample_weights(self):
         rng = np.random.default_rng(3)
         params, batch, _ = random_instance(rng, d=3, n=5)
-        ones = end_loss(params, batch, 0.7, sample_weights=np.ones(5))
-        plain = end_loss(params, batch, 0.7)
+        ones = end_only(params, batch, 0.7, sample_weights=np.ones(5))
+        plain = end_only(params, batch, 0.7)
         assert ones.value == pytest.approx(plain.value, abs=1e-15)
         assert np.allclose(ones.grad_a, plain.grad_a, atol=1e-15)
         with pytest.raises(ShapeError):
-            end_loss(params, batch, sample_weights=np.ones(4))
+            end_only(params, batch, sample_weights=np.ones(4))
         with pytest.raises(InvalidInputError):
-            end_loss(params, batch, sample_weights=-np.ones(5))
+            end_only(params, batch, sample_weights=-np.ones(5))
 
     def test_penalty_excluded_from_weighting(self):
         rng = np.random.default_rng(4)
         params, batch, _ = random_instance(rng, d=2, n=4)
-        heavy = end_loss(params, batch, 1.0, sample_weights=np.full(4, 3.0))
-        plain = end_loss(params, batch, 1.0)
+        heavy = end_only(params, batch, 1.0, sample_weights=np.full(4, 3.0))
+        plain = end_only(params, batch, 1.0)
         pen = 0.5 * float(params.w_end @ params.w_end)
         assert heavy.value - pen == pytest.approx(3.0 * (plain.value - pen), rel=1e-12)
 
@@ -109,11 +140,11 @@ class TestEndLoss:
         params = init_params(2, None, 0, fro_radius=None)
         batch = LabeledDataset(np.ones((1, 3)), [1], [1], [0])
         with pytest.raises(ShapeError):
-            end_loss(params, batch)
+            end_only(params, batch)
         with pytest.raises(InvalidInputError):
-            end_loss(params, batch.take(np.array([], dtype=np.int64)))
+            end_only(params, batch.take(np.array([], dtype=np.int64)))
         with pytest.raises(InvalidInputError):
-            end_loss(params, batch.take(np.array([0])), lambda_l2=-1.0)
+            end_only(params, batch.take(np.array([0])), lambda_l2=-1.0)
 
 
 class TestReconLoss:
@@ -123,9 +154,9 @@ class TestReconLoss:
         params.W_aux = np.eye(2)
         X = np.array([[1.0, -2.0], [0.5, 3.0]])
         exact = AuxDataset(X, X)
-        assert recon_loss(params, exact).value == 0.0
+        assert recon_only(params, exact).value == 0.0
         off = AuxDataset(X, X + 0.1)
-        assert recon_loss(params, off).value > 0.0
+        assert recon_only(params, off).value > 0.0
 
     def test_hand_value(self):
         params = init_params(1, None, 0, fro_radius=None)
@@ -133,12 +164,17 @@ class TestReconLoss:
         params.W_aux = np.array([[3.0]])
         batch = AuxDataset(np.array([[1.0]]), np.array([[4.0]]))
         # residual 2*3*1 - 4 = 2; loss = 4 / 2
-        assert recon_loss(params, batch).value == pytest.approx(2.0, abs=1e-15)
+        assert recon_only(params, batch).value == pytest.approx(2.0, abs=1e-15)
 
     def test_rejects_empty(self):
         params = init_params(2, None, 0, fro_radius=None)
         with pytest.raises(InvalidInputError):
-            recon_loss(params, AuxDataset(np.ones((2, 2)), np.ones((2, 2))).take(np.array([], dtype=np.int64)))
+            recon_only(params, AuxDataset(np.ones((2, 2)), np.ones((2, 2))).take(np.array([], dtype=np.int64)))
+
+    def test_rejects_mismatched(self):
+        params = init_params(2, None, 0, fro_radius=None)
+        with pytest.raises(ShapeError):
+            recon_only(params, AuxDataset(np.ones((2, 3)), np.ones((2, 3))))
 
 
 class TestActivationPenalty:
@@ -147,14 +183,14 @@ class TestActivationPenalty:
         params.a = np.array([1.0, -2.0])
         X = np.array([[3.0, 1.0], [0.0, -1.0]])
         # per-row L1 of a*x: |3| + |-2| = 5 and |0| + |2| = 2; mean/d = 7/4
-        out = activation_l1_penalty(params, X)
+        out = penalty_term(params, X)
         assert out.value == pytest.approx(7.0 / 4.0, abs=1e-15)
 
     def test_zero_subgradient_at_kink(self):
         params = init_params(2, None, 0, fro_radius=None)
         params.a = np.array([0.0, 1.0])
         X = np.array([[5.0, 1.0]])
-        out = activation_l1_penalty(params, X)
+        out = penalty_term(params, X)
         assert out.grad_a[0] == 0.0
 
 
@@ -168,10 +204,10 @@ class TestMultitask:
                             lambda_l2=float(rng.uniform(0, 2)))
             total = multitask_loss(params, end_batch, aux_batch, w)
             parts = (
-                end_loss(params, end_batch, w.lambda_l2).value
-                + w.alpha_aux * recon_loss(params, aux_batch).value
-                + w.alpha_reg * activation_l1_penalty(params, end_batch.features).value
-                + w.alpha_reg * activation_l1_penalty(params, aux_batch.noised).value
+                end_term(params, end_batch, w.lambda_l2).value
+                + w.alpha_aux * recon_term(params, aux_batch).value
+                + w.alpha_reg * penalty_term(params, end_batch.features).value
+                + w.alpha_reg * penalty_term(params, aux_batch.noised).value
             )
             assert total.value == pytest.approx(parts, rel=1e-12)
 
@@ -180,7 +216,7 @@ class TestMultitask:
         params, end_batch, aux_batch = random_instance(rng)
         w = LossWeights(lambda_l2=0.5)
         mt = multitask_loss(params, end_batch, aux_batch, w)
-        eo = end_loss(params, end_batch, 0.5)
+        eo = end_term(params, end_batch, 0.5)
         assert mt.value == eo.value
         assert np.array_equal(mt.grad_a, eo.grad_a)
         assert np.array_equal(mt.grad_W_aux, eo.grad_W_aux)
@@ -200,6 +236,33 @@ class TestMultitask:
         params, end_batch, _ = random_instance(rng)
         with pytest.raises(InvalidInputError):
             multitask_loss(params, end_batch, None, LossWeights(alpha_aux=1.0))
+
+    @pytest.mark.parametrize("alpha_reg", [0.0, 0.8])
+    def test_without_end_batch_is_the_aux_kernel(self, alpha_reg):
+        """No end batch: reconstruction plus alpha_reg times the aux batch's
+        penalty, as joint_terms computes it; alpha_aux and lambda_l2 are unused."""
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            params, _, aux_batch = random_instance(rng)
+            w = LossWeights(alpha_aux=1.7, alpha_reg=alpha_reg, lambda_l2=0.4)
+            got = multitask_loss(params, None, aux_batch, w)
+            want = joint_terms(params.a, params.w_end, params.W_aux, w, end=None,
+                               aux=(aux_batch.noised, aux_batch.targets))
+            assert got.value == want.value
+            for g, h in ((got.grad_a, want.grad_a), (got.grad_w_end, want.grad_w_end),
+                         (got.grad_W_aux, want.grad_W_aux)):
+                assert np.array_equal(g, h)
+
+    def test_needs_a_batch(self):
+        params = init_params(2, None, 0, fro_radius=None)
+        with pytest.raises(InvalidInputError):
+            multitask_loss(params, None, None, LossWeights())
+
+    def test_sample_weights_need_end_batch(self):
+        rng = np.random.default_rng(13)
+        params, _, aux_batch = random_instance(rng, n=4)
+        with pytest.raises(InvalidInputError):
+            multitask_loss(params, None, aux_batch, LossWeights(), np.ones(4))
 
     def test_weights_validated(self):
         with pytest.raises(InvalidInputError):
@@ -226,9 +289,9 @@ class TestGradients:
             params, end_batch, aux_batch = random_instance(rng)
             w = LossWeights(alpha_aux=1.3, alpha_reg=0.7, lambda_l2=0.9)
             fn = {
-                "end": lambda p: end_loss(p, end_batch, w.lambda_l2),
-                "recon": lambda p: recon_loss(p, aux_batch),
-                "penalty": lambda p: activation_l1_penalty(p, end_batch.features),
+                "end": lambda p: end_only(p, end_batch, w.lambda_l2),
+                "recon": lambda p: recon_only(p, aux_batch),
+                "penalty": lambda p: penalty_term(p, end_batch.features),
                 "multitask": lambda p: multitask_loss(p, end_batch, aux_batch, w),
             }[loss_name]
             le = fn(params)
@@ -302,9 +365,10 @@ def _kernel_case(draw):
 
 @given(_kernel_case())
 @settings(max_examples=300, deadline=None)
-def test_training_kernel_matches_public_losses(case):
-    """The per-step kernel on raw arrays equals the public losses composed
-    term by term, bit for bit, for every stream combination."""
+def test_training_kernel_matches_term_kernels(case):
+    """The per-step kernel on raw arrays equals the term kernels composed
+    term by term, and the validated loss on the same batches, bit for bit,
+    for every stream combination."""
     params, end_batch, aux_batch, w, sw, streams = case
     yf = end_batch.labels.astype(np.float64)
     end = (end_batch.features, -yf, 0.5 * (yf + 1.0)) if streams != "aux" else None
@@ -313,15 +377,15 @@ def test_training_kernel_matches_public_losses(case):
                       sw if end is not None else None)
 
     if streams == "aux":
-        terms = [(1.0, recon_loss(params, aux_batch))]
+        terms = [(1.0, recon_term(params, aux_batch))]
         pens = [aux_batch.noised]
     else:
-        terms = [(1.0, end_loss(params, end_batch, w.lambda_l2, sw))]
+        terms = [(1.0, end_term(params, end_batch, w.lambda_l2, sw))]
         if streams == "joint" and w.alpha_aux != 0.0:
-            terms.append((w.alpha_aux, recon_loss(params, aux_batch)))
+            terms.append((w.alpha_aux, recon_term(params, aux_batch)))
         pens = [end_batch.features] + ([aux_batch.noised] if streams == "joint" else [])
     if w.alpha_reg != 0.0:
-        terms += [(w.alpha_reg, activation_l1_penalty(params, X)) for X in pens]
+        terms += [(w.alpha_reg, penalty_term(params, X)) for X in pens]
     value = terms[0][1].value
     grads = [terms[0][1].grad_a, terms[0][1].grad_w_end, terms[0][1].grad_W_aux]
     for scale, le in terms[1:]:
@@ -332,8 +396,10 @@ def test_training_kernel_matches_public_losses(case):
     assert got.value == value
     for g, want in zip((got.grad_a, got.grad_w_end, got.grad_W_aux), grads):
         assert np.array_equal(g, want)
-    if streams == "joint":
-        mt = multitask_loss(params, end_batch, aux_batch, w, sw)
+    if streams != "end":
+        joint = streams == "joint"
+        mt = multitask_loss(params, end_batch if joint else None, aux_batch, w,
+                            sw if joint else None)
         assert mt.value == got.value
         for g, h in zip((got.grad_a, got.grad_w_end, got.grad_W_aux),
                         (mt.grad_a, mt.grad_w_end, mt.grad_W_aux)):

@@ -21,7 +21,7 @@ from grouprobe import (
     sgd_step,
     train,
 )
-from grouprobe.objectives import recon_loss
+from grouprobe.objectives import multitask_loss
 from grouprobe.optim import MomentumState
 
 
@@ -330,14 +330,14 @@ class TestSelection:
             avg, wg = (0.5, 0.5) if aux_val is not None else next(values)
             return GroupMetrics(np.full(4, wg), np.full(4, 1), avg, wg, True)
 
-        def scripted_recon(params, batch):
-            le = recon_loss(params, batch)
-            if batch is aux_val:
+        def scripted_loss(params, end_batch, aux_batch, weights):
+            le = multitask_loss(params, end_batch, aux_batch, weights)
+            if aux_batch is aux_val:
                 le.value = next(values)
             return le
 
         monkeypatch.setattr(grouprobe.optim, "evaluate", scripted_evaluate)
-        monkeypatch.setattr(grouprobe.optim, "recon_loss", scripted_recon)
+        monkeypatch.setattr(grouprobe.optim, "multitask_loss", scripted_loss)
         cfg = OptimConfig(learning_rate=0.01, batch_size=16, epochs=epochs, seed=3)
         params = init_params(task.train.d, 0.5, [3, 101])
         if aux_val is not None:
