@@ -12,14 +12,16 @@ rule alone contributes.  Runs in about half a minute.
 
 from grouprobe import (
     GroupDataSpec,
+    LossWeights,
     OptimConfig,
+    RunSpec,
     SelectionStrategy,
     TaskData,
+    fit,
     make_balanced_test,
     recipe_config,
     run_experiment,
     sample_group_dataset,
-    train_erm,
 )
 
 rows, _ = run_experiment(recipe_config("baselines"), None)
@@ -42,15 +44,17 @@ val_spec = GroupDataSpec(d_c=1, d_s=1, sigma2_core=0.6, sigma2_spur=0.1,
 task = TaskData(sample_group_dataset(spec, [0, 10]),
                 sample_group_dataset(val_spec, [0, 11]),
                 make_balanced_test(spec, 250, 907))
-cfg = OptimConfig(learning_rate=0.001, batch_size=64, epochs=500, seed=0)
+erm = RunSpec(tag="erm", method="erm",
+              optim=OptimConfig(learning_rate=0.001, batch_size=64, epochs=500, seed=0),
+              weights=LossWeights(lambda_l2=1.0))
 
 print("same ERM trace (seed 0), two checkpoint rules")
 print(f"{'selection rule':<22} {'epoch':>5} {'test avg':>9} {'test wg':>8}")
 for name, rule in (("worst-group val acc", SelectionStrategy.VAL_GP),
                    ("average val acc", SelectionStrategy.NO_GP)):
-    fit = train_erm(task, cfg, rule)
-    m = fit.test_metrics
-    print(f"{name:<22} {fit.selected_epoch:5d} {m.avg_acc:9.3f} {m.wg_acc:8.3f}")
+    result = fit(erm, task, rule)
+    m = result.test_metrics
+    print(f"{name:<22} {result.selected_epoch:5d} {m.avg_acc:9.3f} {m.wg_acc:8.3f}")
 
 print()
 print("Every training step is identical between the last two rows; only the")

@@ -13,14 +13,14 @@ from grouprobe import (
     GroupDataSpec,
     LossWeights,
     OptimConfig,
+    RunSpec,
     SelectionStrategy,
     TaskData,
+    fit,
     make_balanced_test,
     noise_dataset,
     sample_group_dataset,
     spur_core_log_ratio,
-    train_erm,
-    train_reg_mtl,
 )
 
 SEED = 0
@@ -42,28 +42,31 @@ print()
 rows = []
 for tau in (0.1, 10.0):
     cfg = OptimConfig(learning_rate=0.001, batch_size=64, epochs=500, seed=SEED)
-    fit = train_erm(task, cfg, SelectionStrategy.NO_GP, tau=tau, lambda_l2=1.0)
-    rows.append((f"end-only   tau={tau:<4g}", fit, fit.test_metrics))
+    run = RunSpec(tag="end_only", method="erm", optim=cfg, tau=tau,
+                  weights=LossWeights(lambda_l2=1.0))
+    result = fit(run, task, SelectionStrategy.NO_GP)
+    rows.append((f"end-only   tau={tau:<4g}", result, result.test_metrics))
 
 for tau in (0.1, 10.0):
     # the larger step is where the high-budget joint training actually
     # commits to one coordinate instead of hovering between them
     cfg = OptimConfig(learning_rate=0.01, batch_size=64, epochs=500, seed=SEED)
-    weights = LossWeights(alpha_aux=10.0, lambda_l2=1.0)
-    fit = train_reg_mtl(task, aux, weights, tau, cfg, SelectionStrategy.NO_GP)
+    run = RunSpec(tag="multitask", method="reg_mtl", optim=cfg, tau=tau,
+                  weights=LossWeights(alpha_aux=10.0, lambda_l2=1.0))
+    result = fit(run, task, SelectionStrategy.NO_GP, aux)
     # joint runs are read at the last epoch: checkpoint selection by average
     # validation accuracy would quietly undo the collapse we want to expose
-    rows.append((f"multitask  tau={tau:<4g}", fit, fit.final_metrics))
+    rows.append((f"multitask  tau={tau:<4g}", result, result.final_metrics))
 
 print(f"{'run':<20} {'avg':>6} {'worst':>6}   per-group accuracy")
-for name, fit, metrics in rows:
+for name, result, metrics in rows:
     groups = " ".join(f"{v:.2f}" for v in metrics.per_group_acc)
     print(f"{name:<20} {metrics.avg_acc:6.3f} {metrics.wg_acc:6.3f}   [{groups}]")
 
 print()
 print(f"{'run':<20} {'|a_core|':>9} {'|a_spur|':>9} {'log spur/core':>14}")
-for name, fit, _ in rows:
-    a = fit.params.a
+for name, result, _ in rows:
+    a = result.params.a
     ratio = spur_core_log_ratio(a, spec.d_c, spec.d_s)
     print(f"{name:<20} {abs(a[0]):9.4f} {abs(a[1]):9.4f} {ratio:14.2f}")
 

@@ -13,14 +13,16 @@ from grouprobe import (
     BayesWeightInputs,
     GroupDataSpec,
     OptimConfig,
+    RunSpec,
+    SelectionStrategy,
     TaskData,
     bayes_weight,
+    fit,
     make_balanced_test,
     noise_dataset,
     numeric_bayes_weight,
     sample_group_dataset,
     spur_core_log_ratio,
-    train_aux_only,
 )
 
 spec = GroupDataSpec(d_c=1, d_s=1, sigma2_core=0.6, sigma2_spur=0.1,
@@ -57,8 +59,8 @@ for tau in (0.1, 10.0):
         aux_val = noise_dataset(sample_group_dataset(spec, [seed, 13]),
                                 spec.sigma2_noise, [seed, 14])
         cfg = OptimConfig(learning_rate=0.01, batch_size=64, epochs=500, seed=seed)
-        fit = train_aux_only(task, aux, aux_val, cfg, tau)
-        a = fit.params.a
+        run = RunSpec(tag="aux_only", method="aux_only", optim=cfg, tau=tau, l1_boundary=True)
+        a = fit(run, task, SelectionStrategy.NO_GP, aux, aux_val).params.a
         ratio = spur_core_log_ratio(a, spec.d_c, spec.d_s)
         print(f"{tau:7g} {seed:5d} {abs(a[0]):9.4f} {abs(a[1]):9.4f} {ratio:14.2f}")
 

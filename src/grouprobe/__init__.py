@@ -2,17 +2,7 @@
 linear model with a shared L1-budgeted featurizer, reweighting baselines,
 group-aware evaluation, and analytic oracles."""
 
-from .baselines import (
-    FitResult,
-    GroupDroConfig,
-    JttConfig,
-    TaskData,
-    train_aux_only,
-    train_erm,
-    train_group_dro,
-    train_jtt,
-    train_reg_mtl,
-)
+from .baselines import FitResult, GroupDroConfig, JttConfig, RunSpec, TaskData, fit
 from .errors import (
     ConfigError,
     DegenerateInputError,

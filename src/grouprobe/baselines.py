@@ -1,7 +1,8 @@
 """Robust-training baselines over the same data, loop, and evaluation stack:
 plain ERM, two-stage upweighting (JTT-style), online group reweighting
-(groupDRO-style, treated as a group-supervised skyline), and the regularized
-multitask trainer."""
+(groupDRO-style, treated as a group-supervised skyline), reconstruction-only
+training, and the regularized multitask trainer.  A `RunSpec` names one
+method and its hyperparameters, and `fit` trains any of them."""
 
 from __future__ import annotations
 
@@ -20,9 +21,20 @@ from .synthgen import N_GROUPS, AuxDataset, LabeledDataset
 _INIT_SEED_TAG = 101
 _SECOND_STAGE_SEED_TAG = 102
 
+# Each method with the loss weights its run config echoes, in echo order:
+# the end-task baselines take no aux weights, and reconstruction-only
+# training never reads lambda_l2.
+_ECHO_WEIGHTS = {
+    "erm": ("lambda_l2",),
+    "jtt": ("lambda_l2",),
+    "group_dro": ("lambda_l2",),
+    "reg_mtl": ("lambda_l2", "alpha_aux", "alpha_reg"),
+    "aux_only": ("alpha_reg",),
+}
+METHODS = tuple(_ECHO_WEIGHTS)
 
-def _init_seed(cfg: OptimConfig, tag: int = _INIT_SEED_TAG):
-    return [cfg.seed, tag]
+# A run tag names the run's output files.
+_TAG_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
 
 @dataclass(frozen=True)
@@ -66,6 +78,46 @@ class GroupDroConfig:
             raise InvalidSpecError("group_step must be >= 0")
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One training cell: a method plus its hyperparameters.
+
+    `optim.seed` is the run seed.  The `jtt` and `group_dro` blocks are
+    required on their own method and refused on any other.
+    """
+
+    tag: str
+    method: str
+    optim: OptimConfig
+    weights: LossWeights = LossWeights()
+    tau: float | None = None
+    l1_boundary: bool = False
+    jtt: JttConfig | None = None
+    group_dro: GroupDroConfig | None = None
+
+    def __post_init__(self):
+        method, weights = self.method, self.weights
+        if not self.tag or not set(self.tag) <= _TAG_CHARS:
+            raise InvalidSpecError(f"tag must be non-empty and filesystem-safe, got {self.tag!r}")
+        if method not in METHODS:
+            raise InvalidSpecError(f"method must be one of {METHODS}, got {method!r}")
+        if method in ("erm", "jtt", "group_dro") and (
+            weights.alpha_aux != 0 or weights.alpha_reg != 0
+        ):
+            raise InvalidSpecError(f"{method} does not take aux loss weights")
+        if method == "aux_only" and weights.alpha_aux != 0:
+            raise InvalidSpecError("aux_only ignores alpha_aux; leave it at 0")
+        for name in ("jtt", "group_dro"):
+            if getattr(self, name) is not None and method != name:
+                raise InvalidSpecError(f"{name} block is only valid for method {name!r}")
+            if getattr(self, name) is None and method == name:
+                raise InvalidSpecError(f"method {name!r} needs a {name} block")
+        if self.tau is not None and not self.tau > 0:
+            raise InvalidSpecError("tau must be positive or null")
+        if self.l1_boundary and self.tau is None:
+            raise InvalidSpecError("l1_boundary requires tau")
+
+
 @dataclass
 class FitResult:
     """One trained model with its trace, selected checkpoint, and test scores.
@@ -100,19 +152,115 @@ class FitResult:
         }
 
 
-def _config_echo(method: str, cfg: OptimConfig, selector: SelectionStrategy, **kw) -> dict:
-    return {"method": method, **asdict(cfg), "selection": selector.value, **kw}
+def _group_reweighting(train_set: LabeledDataset, group_step: float):
+    """The group-DRO weight hook for `optim.train`, and the diagnostics dict
+    it fills with each step's group distribution q and group batch losses."""
+    if not (train_set.group_counts() > 0).all():
+        raise InvalidInputError("group reweighting requires all four groups in training data")
+    q = np.full(N_GROUPS, 1.0 / N_GROUPS)
+    diagnostics = {"q_steps": [], "group_loss_steps": []}
+
+    def reweight(nll, group_ids):
+        # group losses exclude the L2 penalty: it does not depend on the data
+        gl = np.full(N_GROUPS, np.nan)
+        counts = np.bincount(group_ids, minlength=N_GROUPS)
+        for g in range(N_GROUPS):
+            if counts[g]:
+                gl[g] = nll[group_ids == g].mean()
+        present = counts > 0
+        q[present] *= np.exp(group_step * gl[present])
+        q[:] = q / q.sum()
+        diagnostics["q_steps"].append(q.copy())
+        diagnostics["group_loss_steps"].append(gl)
+        return q[group_ids] * len(group_ids) / counts[group_ids]
+
+    return reweight, diagnostics
 
 
-def _package(
-    method: str,
-    config: dict,
+def fit(
+    run: RunSpec,
     data: TaskData,
-    trace: TrainTrace,
-    best: ModelParams,
-    extras: dict | None = None,
-    diagnostics: dict | None = None,
+    selector: SelectionStrategy,
+    aux: AuxDataset | None = None,
+    aux_val: AuxDataset | None = None,
 ) -> FitResult:
+    """Train `run` on data.train, seeded by run.optim.seed, and score it on
+    data.test.
+
+    Every method starts from an `init_params` draw under run.tau and
+    run.l1_boundary and trains through `optim.train` with run.weights:
+
+    - erm: end task only, BCE + L2 on the head; no aux stream, no
+      reweighting.
+    - jtt: loss-based upweighting without group labels.  Stage 1 runs plain
+      ERM for jtt.id_epochs; its final model's training errors form the set
+      E.  Stage 2 restarts from a fresh initialization and minimizes the
+      same loss with E upweighted by jtt.upweight, weights rescaled to mean
+      1.  An empty E degrades to plain ERM, flagged in extras.
+    - group_dro: online worst-group reweighting with known train group
+      labels.  Keeps a distribution q over the four groups.  Each step first
+      lifts q multiplicatively by exp(group_step * group batch loss) for
+      groups present in the batch and renormalizes, then descends the
+      q-weighted loss.  With group_step == 0, q stays uniform (group-balanced
+      ERM).
+    - reg_mtl: joint end + reconstruction of `aux` under the L1 featurizer
+      budget.
+    - aux_only: reconstruction of `aux` only; the end head is left at
+      initialization.  Selection is always NO_GP, whatever `selector` says:
+      it picks the epoch with the lowest reconstruction error on `aux_val`.
+      Test classification metrics are still reported but reflect the
+      untrained head; the object of interest is the learned featurizer.  The
+      featurizer starts from a dense draw: with no end task competing for
+      it, several L1 allocations can reconstruct equally well, and a generic
+      dense warm start is what lets runs land in different ones instead of
+      having the identity warm start pick a single basin by construction.
+
+    Only reg_mtl and aux_only read `aux`, and only aux_only reads `aux_val`.
+    The result's config echoes the method, run.optim, the selection, tau,
+    the method's loss weights and its own block.
+    """
+    method, cfg = run.method, run.optim
+    aux_only = method == "aux_only"
+    if aux_only:
+        selector = SelectionStrategy.NO_GP
+    block = run.jtt or run.group_dro
+    config = {
+        "method": method, **asdict(cfg), "selection": selector.value, "tau": run.tau,
+        **{k: getattr(run.weights, k) for k in _ECHO_WEIGHTS[method]},
+        **(asdict(block) if block else {}),
+    }
+
+    def init(tag: int):
+        return init_params(data.train.d, run.tau, [cfg.seed, tag],
+                           l1_boundary=run.l1_boundary, dense_init=aux_only)
+
+    params = init(_INIT_SEED_TAG)
+    kw, extras, diagnostics = {}, {}, {}
+    if method == "jtt":
+        stage1_cfg = replace(cfg, epochs=run.jtt.id_epochs, patience=0)
+        trace1, _ = train(params, data.train, None, run.weights, stage1_cfg, data.val, selector)
+        wrong = classify(trace1.final_params, data.train.features) != data.train.labels
+        err_counts = np.bincount(data.train.group_ids[wrong], minlength=N_GROUPS)
+        extras["jtt"] = {
+            "error_set_size": int(wrong.sum()),
+            "error_group_counts": [int(v) for v in err_counts],
+            "fallback_erm": bool(wrong.sum() == 0),
+        }
+        params = init(_SECOND_STAGE_SEED_TAG)
+        if wrong.any():  # else nothing to upweight: stage 2 is exactly ERM
+            sw = np.where(wrong, run.jtt.upweight, 1.0)
+            kw["end_sample_weights"] = sw / sw.mean()
+    elif method == "group_dro":
+        kw["weight_hook"], diagnostics = _group_reweighting(data.train, run.group_dro.group_step)
+
+    trace, best = train(
+        params, None if aux_only else data.train,
+        aux if method in ("reg_mtl", "aux_only") else None,
+        run.weights, cfg, data.val, selector, val_aux=aux_val if aux_only else None, **kw,
+    )
+    if method == "group_dro":
+        extras["group_dro"] = {"final_q": [float(v) for v in diagnostics["q_steps"][-1]]}
+
     # the checkpoint is the one train() selected; records are one per epoch
     rec = trace.records[trace.selected_epoch]
     val_metrics = {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
@@ -127,171 +275,6 @@ def _package(
         final_metrics=evaluate(trace.final_params, data.test),
         params=best,
         trace=trace,
-        extras=extras or {},
-        diagnostics=diagnostics or {},
+        extras=extras,
+        diagnostics=diagnostics,
     )
-
-
-def train_erm(
-    data: TaskData,
-    cfg: OptimConfig,
-    selector: SelectionStrategy,
-    tau: float | None = None,
-    l1_boundary: bool = False,
-    lambda_l2: float = 1.0,
-) -> FitResult:
-    """End task only: BCE + L2 on the head, no aux stream, no reweighting."""
-    params = init_params(data.train.d, tau, _init_seed(cfg), l1_boundary=l1_boundary)
-    weights = LossWeights(alpha_aux=0.0, alpha_reg=0.0, lambda_l2=lambda_l2)
-    trace, best = train(params, data.train, None, weights, cfg, data.val, selector)
-    echo = _config_echo("erm", cfg, selector, tau=tau, lambda_l2=lambda_l2)
-    return _package("erm", echo, data, trace, best)
-
-
-def train_jtt(
-    data: TaskData,
-    cfg: OptimConfig,
-    jtt: JttConfig,
-    selector: SelectionStrategy,
-    tau: float | None = None,
-    l1_boundary: bool = False,
-    lambda_l2: float = 1.0,
-) -> FitResult:
-    """Loss-based upweighting without group labels.
-
-    Stage 1 runs plain ERM for jtt.id_epochs; its final model's training
-    errors form the set E.  Stage 2 restarts from a fresh initialization and
-    minimizes the same loss with E upweighted by jtt.upweight, weights
-    rescaled to mean 1.  An empty E degrades to plain ERM, flagged in extras.
-    """
-    stage1_cfg = replace(cfg, epochs=jtt.id_epochs, patience=0)
-    p1 = init_params(data.train.d, tau, _init_seed(cfg), l1_boundary=l1_boundary)
-    w0 = LossWeights(lambda_l2=lambda_l2)
-    trace1, _ = train(p1, data.train, None, w0, stage1_cfg, data.val, selector)
-    stage1_final = trace1.final_params
-
-    wrong = classify(stage1_final, data.train.features) != data.train.labels
-    err_counts = np.bincount(data.train.group_ids[wrong], minlength=N_GROUPS)
-    extras = {
-        "jtt": {
-            "error_set_size": int(wrong.sum()),
-            "error_group_counts": [int(v) for v in err_counts],
-            "fallback_erm": bool(wrong.sum() == 0),
-        }
-    }
-
-    echo = _config_echo(
-        "jtt", cfg, selector, tau=tau, lambda_l2=lambda_l2,
-        id_epochs=jtt.id_epochs, upweight=jtt.upweight,
-    )
-    p2 = init_params(data.train.d, tau, _init_seed(cfg, _SECOND_STAGE_SEED_TAG),
-                     l1_boundary=l1_boundary)
-    sw = None  # nothing to upweight: stage 2 is exactly ERM
-    if wrong.any():
-        sw = np.where(wrong, jtt.upweight, 1.0)
-        sw = sw / sw.mean()
-    trace2, best = train(
-        p2, data.train, None, w0, cfg, data.val, selector, end_sample_weights=sw
-    )
-    return _package("jtt", echo, data, trace2, best, extras)
-
-
-def train_group_dro(
-    data: TaskData,
-    cfg: OptimConfig,
-    dro: GroupDroConfig,
-    selector: SelectionStrategy,
-    tau: float | None = None,
-    l1_boundary: bool = False,
-    lambda_l2: float = 1.0,
-) -> FitResult:
-    """Online worst-group reweighting with known train group labels.
-
-    Keeps a distribution q over the four groups.  Each step first lifts q
-    multiplicatively by exp(group_step * group batch loss) for groups present
-    in the batch and renormalizes, then descends the q-weighted loss.  With
-    group_step == 0, q stays uniform (group-balanced ERM).
-    """
-    if not (data.train.group_counts() > 0).all():
-        raise InvalidInputError("group reweighting requires all four groups in training data")
-
-    params = init_params(data.train.d, tau, _init_seed(cfg), l1_boundary=l1_boundary)
-    q = np.full(N_GROUPS, 1.0 / N_GROUPS)
-    q_steps: list[np.ndarray] = []
-    loss_steps: list[np.ndarray] = []
-
-    def reweight(nll, group_ids):
-        # group losses exclude the L2 penalty: it does not depend on the data
-        gl = np.full(N_GROUPS, np.nan)
-        counts = np.bincount(group_ids, minlength=N_GROUPS)
-        for g in range(N_GROUPS):
-            if counts[g]:
-                gl[g] = nll[group_ids == g].mean()
-        present = counts > 0
-        q[present] *= np.exp(dro.group_step * gl[present])
-        q[:] = q / q.sum()
-        q_steps.append(q.copy())
-        loss_steps.append(gl)
-        return q[group_ids] * len(group_ids) / counts[group_ids]
-
-    weights = LossWeights(lambda_l2=lambda_l2)
-    trace, best = train(
-        params, data.train, None, weights, cfg, data.val, selector, weight_hook=reweight
-    )
-    echo = _config_echo(
-        "group_dro", cfg, selector, tau=tau, lambda_l2=lambda_l2, group_step=dro.group_step
-    )
-    extras = {"group_dro": {"final_q": [float(v) for v in q]}}
-    diagnostics = {"q_steps": q_steps, "group_loss_steps": loss_steps}
-    return _package("group_dro", echo, data, trace, best, extras, diagnostics)
-
-
-def train_reg_mtl(
-    end_data: TaskData,
-    aux_data: AuxDataset,
-    weights: LossWeights,
-    tau: float | None,
-    cfg: OptimConfig,
-    selector: SelectionStrategy,
-    l1_boundary: bool = False,
-) -> FitResult:
-    """Joint end + reconstruction training under the L1 featurizer budget."""
-    params = init_params(end_data.train.d, tau, _init_seed(cfg), l1_boundary=l1_boundary)
-    trace, best = train(params, end_data.train, aux_data, weights, cfg, end_data.val, selector)
-    echo = _config_echo(
-        "reg_mtl", cfg, selector, tau=tau, lambda_l2=weights.lambda_l2,
-        alpha_aux=weights.alpha_aux, alpha_reg=weights.alpha_reg,
-    )
-    return _package("reg_mtl", echo, end_data, trace, best)
-
-
-def train_aux_only(
-    data: TaskData,
-    aux_train: AuxDataset,
-    aux_val: AuxDataset,
-    cfg: OptimConfig,
-    tau: float | None,
-    l1_boundary: bool = True,
-    alpha_reg: float = 0.0,
-    dense_init: bool = True,
-) -> FitResult:
-    """Reconstruction-only training; the end head is left at initialization.
-
-    Selection picks the epoch with the lowest validation reconstruction
-    error.  Test classification metrics are still reported but reflect the
-    untrained head; the object of interest is the learned featurizer.
-
-    dense_init defaults on: with no end task competing for the featurizer,
-    several L1 allocations can reconstruct equally well, and a generic dense
-    warm start is what lets runs land in different ones instead of having the
-    identity warm start pick a single basin by construction.
-    """
-    params = init_params(data.train.d, tau, _init_seed(cfg),
-                         l1_boundary=l1_boundary, dense_init=dense_init)
-    weights = LossWeights(alpha_reg=alpha_reg)
-    trace, best = train(
-        params, None, aux_train, weights, cfg, data.val,
-        SelectionStrategy.NO_GP, val_aux=aux_val,
-    )
-    echo = _config_echo("aux_only", cfg, SelectionStrategy.NO_GP, tau=tau, alpha_reg=alpha_reg)
-    return _package("aux_only", echo, data, trace, best)

@@ -22,17 +22,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .baselines import (
-    FitResult,
-    GroupDroConfig,
-    JttConfig,
-    TaskData,
-    train_aux_only,
-    train_erm,
-    train_group_dro,
-    train_jtt,
-    train_reg_mtl,
-)
+from .baselines import GroupDroConfig, JttConfig, RunSpec, TaskData, fit
 from .errors import ConfigError, DegenerateInputError, GrouprobeError, InvalidSpecError
 from .evalsel import (
     PARETO_CSV_COLUMNS,
@@ -47,7 +37,6 @@ from .optim import OptimConfig
 from .synthgen import GroupDataSpec, make_balanced_test, noise_dataset, sample_group_dataset
 
 SCHEMA_VERSION = 1
-METHODS = ("erm", "jtt", "group_dro", "reg_mtl", "aux_only")
 
 # Per-role child seeds derived from the run seed, so data, corruption, and
 # initialization draws never share a stream.
@@ -56,8 +45,6 @@ _SEED_VAL = 11
 _SEED_AUX_NOISE = 12
 _SEED_AUX_FRESH = 13
 _SEED_AUX_VAL_NOISE = 14
-
-_TAG_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
 
 # -- atomic writes ---------------------------------------------------------
@@ -92,12 +79,17 @@ def _expect_keys(d: dict, required: set[str], optional: set[str], where: str) ->
 
 def _check(v, kinds: tuple[type, ...], where: str):
     """`v` unchanged if it is a JSON value of one of `kinds`; an integer
-    counts as a float, true/false count only as bool, and a float must be
-    finite: an integer in a float field too."""
+    counts as a float, true/false count only as bool, a float must be finite
+    (an integer in a float field too), and an integer in an integer field
+    must fit int64."""
     # json reads NaN, Infinity and integers past float64; NaN passes range checks
     if type(v) in (int, float) and float in kinds and not abs(v) <= sys.float_info.max:
         got = json.dumps(v) if type(v) is float else f"an integer of {len(str(abs(v)))} digits"
         raise ConfigError(f"{where} must be a finite number, got {got}")
+    # integer fields become numpy sizes and seeds, which stop at int64
+    if type(v) is int and int in kinds and abs(v) > 2**63 - 1:
+        raise ConfigError(f"{where} must be an integer of magnitude at most 2**63 - 1, "
+                          f"got an integer of {len(str(abs(v)))} digits")
     if type(v) in kinds or (type(v) is int and float in kinds):
         return v
     # Python would read JSON true/false as the integers 1 and 0
@@ -165,60 +157,30 @@ def _load(cls, source):
     return cls.from_json_dict(json.loads(Path(source).read_text()))
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One training cell: a method plus its hyperparameters."""
-
-    tag: str
-    method: str
-    optim: OptimConfig  # seed field is a placeholder, replaced per run
-    weights: LossWeights = LossWeights()
-    tau: float | None = None
-    l1_boundary: bool = False
-    jtt: JttConfig | None = None
-    group_dro: GroupDroConfig | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str) -> "RunSpec":
-        _values(cls, d, where)
-        tag, method = d["tag"], d["method"]
-        if not tag or not set(tag) <= _TAG_CHARS:
-            raise ConfigError(f"{where}: tag must be non-empty and filesystem-safe, got {tag!r}")
-        if method not in METHODS:
-            raise ConfigError(f"{where}: method must be one of {METHODS}, got {method!r}")
-        optim = _block(OptimConfig, d["optim"], f"{where}.optim", seed=0)
-        weights = _block(LossWeights, d.get("weights", {}), f"{where}.weights")
-        if method in ("erm", "jtt", "group_dro") and (
-            weights.alpha_aux != 0 or weights.alpha_reg != 0
-        ):
-            raise ConfigError(f"{where}: {method} does not take aux loss weights")
-        if method == "aux_only" and weights.alpha_aux != 0:
-            raise ConfigError(f"{where}: aux_only ignores alpha_aux; leave it at 0")
-
-        # a method's own block is valid only on that method, which always
-        # gets one, its left-out keys defaulted
-        blocks = {}
-        for name, block_cls, defaults in (
-            ("jtt", JttConfig, {"id_epochs": max(1, optim.epochs // 10)}),
-            ("group_dro", GroupDroConfig, None),
-        ):
-            if name in d and method != name:
-                raise ConfigError(f"{where}: {name} block is only valid for method {name!r}")
-            if method == name:
-                blocks[name] = _block(block_cls, d.get(name, {}), f"{where}.{name}", defaults)
-
-        tau = d.get("tau")
-        if tau is not None:
-            if tau <= 0:
-                raise ConfigError(f"{where}: tau must be positive or null")
-            tau = float(tau)
+def _run_spec(d: dict, where: str) -> RunSpec:
+    """The `RunSpec` of config cell `where`: its blocks built, tau a float and
+    the keys a cell may leave out defaulted; the constructor checks the
+    method rules."""
+    _values(RunSpec, d, where)
+    method = d["method"]
+    optim = _block(OptimConfig, d["optim"], f"{where}.optim", seed=0)
+    kw = {"weights": _block(LossWeights, d.get("weights", {}), f"{where}.weights")}
+    # a method always gets its own block, with the keys it leaves out defaulted
+    for name, block_cls, defaults in (
+        ("jtt", JttConfig, {"id_epochs": max(1, optim.epochs // 10)}),
+        ("group_dro", GroupDroConfig, None),
+    ):
+        if name in d or method == name:
+            kw[name] = _block(block_cls, d.get(name, {}), f"{where}.{name}", defaults)
+    tau = d.get("tau")
+    try:
         # reconstruction-only cells pin the featurizer norm exactly unless
         # told otherwise; everything else defaults to the ball constraint
-        boundary = d.get("l1_boundary", method == "aux_only")
-        if boundary and tau is None:
-            raise ConfigError(f"{where}: l1_boundary requires tau")
-        return cls(tag=tag, method=method, optim=optim, weights=weights,
-                   tau=tau, l1_boundary=boundary, **blocks)
+        return RunSpec(tag=d["tag"], method=method, optim=optim,
+                       tau=None if tau is None else float(tau),
+                       l1_boundary=d.get("l1_boundary", method == "aux_only"), **kw)
+    except GrouprobeError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -272,7 +234,7 @@ class ExperimentConfig:
         runs_raw = d["runs"]
         if not isinstance(runs_raw, list) or not runs_raw:
             raise ConfigError("runs must be a non-empty list")
-        runs = tuple(RunSpec.from_dict(r, f"runs[{i}]") for i, r in enumerate(runs_raw))
+        runs = tuple(_run_spec(r, f"runs[{i}]") for i, r in enumerate(runs_raw))
         tags = [r.tag for r in runs]
         if len(set(tags)) != len(tags):
             raise ConfigError("run tags must be distinct")
@@ -330,45 +292,27 @@ def _seed_splits(data: GroupDataSpec, val_spec: GroupDataSpec, test_n_per_group:
     return TaskData(train_set, val_set, test_set), aux_train, aux_val
 
 
-def _fit_one(cfg: ExperimentConfig, run: RunSpec, seed: int) -> FitResult:
-    task, aux_train, aux_val = _seed_splits(cfg.data, cfg.val, cfg.test_n_per_group,
-                                            cfg.test_seed, cfg.aux_reuse_end_features, seed)
-    ocfg = replace(run.optim, seed=seed)
-
-    if run.method == "erm":
-        return train_erm(task, ocfg, cfg.selection, tau=run.tau,
-                         l1_boundary=run.l1_boundary, lambda_l2=run.weights.lambda_l2)
-    if run.method == "jtt":
-        return train_jtt(task, ocfg, run.jtt, cfg.selection, tau=run.tau,
-                         l1_boundary=run.l1_boundary, lambda_l2=run.weights.lambda_l2)
-    if run.method == "group_dro":
-        return train_group_dro(task, ocfg, run.group_dro, cfg.selection, tau=run.tau,
-                               l1_boundary=run.l1_boundary, lambda_l2=run.weights.lambda_l2)
-    if run.method == "reg_mtl":
-        return train_reg_mtl(task, aux_train, run.weights, run.tau, ocfg, cfg.selection,
-                             l1_boundary=run.l1_boundary)
-    return train_aux_only(task, aux_train, aux_val, ocfg, tau=run.tau,
-                          l1_boundary=run.l1_boundary, alpha_reg=run.weights.alpha_reg)
-
-
 def _run_cell(cfg: ExperimentConfig, run_idx: int, seed: int, out_dir: str | None) -> dict:
     """Train one (cell, seed) job and return its run record: the JSON object
     written to runs/<tag>_seed<seed>.json when out_dir is given."""
     run = cfg.runs[run_idx]
-    fit = _fit_one(cfg, run, seed)
+    task, aux_train, aux_val = _seed_splits(cfg.data, cfg.val, cfg.test_n_per_group,
+                                            cfg.test_seed, cfg.aux_reuse_end_features, seed)
+    result = fit(replace(run, optim=replace(run.optim, seed=seed)), task, cfg.selection,
+                 aux_train, aux_val)
     try:
-        log_ratio = spur_core_log_ratio(fit.params.a, cfg.data.d_c, cfg.data.d_s)
+        log_ratio = spur_core_log_ratio(result.params.a, cfg.data.d_c, cfg.data.d_s)
     except DegenerateInputError:
         log_ratio = float("nan")
-    record = fit.to_json_dict()
+    record = result.to_json_dict()
     record.update(seed=seed, tag=run.tag, log_ratio=_json_float(log_ratio))
     if out_dir is not None:
         out = Path(out_dir)
         stem = f"{run.tag}_seed{seed}"
         text = json.dumps(record, indent=1) + "\n"
         atomic_via_tmp(out / "runs" / f"{stem}.json", lambda p: p.write_text(text))
-        atomic_via_tmp(out / "traces" / f"{stem}.csv", fit.trace.to_csv)
-        atomic_via_tmp(out / "params" / f"{stem}.json", fit.params.save_json)
+        atomic_via_tmp(out / "traces" / f"{stem}.csv", result.trace.to_csv)
+        atomic_via_tmp(out / "params" / f"{stem}.json", result.params.save_json)
     return record
 
 

@@ -17,7 +17,9 @@ from grouprobe import (
     BayesWeightInputs,
     BoundInputs,
     GroupDataSpec,
+    LossWeights,
     OptimConfig,
+    RunSpec,
     SelectionStrategy,
     TaskData,
     bayes_weight,
@@ -27,8 +29,8 @@ from grouprobe import (
     numeric_bayes_weight,
     project_l1,
     run_experiment,
+    fit,
     sample_group_dataset,
-    train_erm,
     worst_group_error_bound,
 )
 from grouprobe.cli import run_grad_check
@@ -126,9 +128,11 @@ class TestCriterion3:
             val = sample_group_dataset(replace(spec, n_maj=90, n_min=10), [seed, 11])
             task = TaskData(train, val, held_out)
             cfg = OptimConfig(learning_rate=0.001, batch_size=64, epochs=500, seed=seed)
-            fit = train_erm(task, cfg, SelectionStrategy.NO_GP, tau=10.0, lambda_l2=1.0)
-            avgs.append(fit.test_metrics.avg_acc)
-            wgs.append(fit.test_metrics.wg_acc)
+            run = RunSpec(tag="erm", method="erm", optim=cfg, tau=10.0,
+                          weights=LossWeights(lambda_l2=1.0))
+            result = fit(run, task, SelectionStrategy.NO_GP)
+            avgs.append(result.test_metrics.avg_acc)
+            wgs.append(result.test_metrics.wg_acc)
         avg, wg = float(np.mean(avgs)), float(np.mean(wgs))
         ok = avg >= 0.85 and wg <= 0.70
         report(3, "plain training hides group failure", ok,

@@ -7,6 +7,8 @@ import pytest
 
 import grouprobe.optim
 from grouprobe import (
+    ConfigError,
+    ExperimentConfig,
     GroupDroConfig,
     InvalidInputError,
     InvalidSpecError,
@@ -14,18 +16,30 @@ from grouprobe import (
     LabeledDataset,
     LossWeights,
     OptimConfig,
+    RunSpec,
     SelectionStrategy,
     TaskData,
     evaluate,
+    fit,
     init_params,
     sgd_step,
     train,
-    train_aux_only,
-    train_erm,
-    train_group_dro,
-    train_jtt,
-    train_reg_mtl,
 )
+
+from test_experiments import tiny_config
+
+NO_GP, VAL_GP = SelectionStrategy.NO_GP, SelectionStrategy.VAL_GP
+L2 = LossWeights(lambda_l2=1.0)
+
+
+def spec(method: str, cfg: OptimConfig, **kw) -> RunSpec:
+    """A run of `method` with L2 strength 1 unless `kw` gives weights."""
+    return RunSpec(tag=method, method=method, optim=cfg, **{"weights": L2, **kw})
+
+
+def aux_only(cfg: OptimConfig, tau: float = 0.5) -> RunSpec:
+    # reconstruction-only cells train on the L1 sphere, as configs default them
+    return spec("aux_only", cfg, tau=tau, l1_boundary=True)
 
 
 class TestConfigs:
@@ -53,38 +67,88 @@ class TestConfigs:
             GroupDroConfig(group_step=-0.1)
 
 
+class TestRunSpec:
+    CFG = OptimConfig(learning_rate=0.01, batch_size=16, epochs=4)
+
+    # (RunSpec arguments, the same cell as config runs[0], the message)
+    RULES = [
+        ({"tag": "a b", "method": "erm"}, {"tag": "a b"},
+         "tag must be non-empty and filesystem-safe, got 'a b'"),
+        ({"tag": "x", "method": "boosting"}, {"method": "boosting"},
+         "method must be one of ('erm', 'jtt', 'group_dro', 'reg_mtl', 'aux_only'), "
+         "got 'boosting'"),
+        ({"tag": "x", "method": "erm", "weights": LossWeights(alpha_aux=1.0)},
+         {"weights": {"alpha_aux": 1.0}}, "erm does not take aux loss weights"),
+        ({"tag": "x", "method": "group_dro", "weights": LossWeights(alpha_reg=0.5),
+          "group_dro": GroupDroConfig()},
+         {"method": "group_dro", "weights": {"alpha_reg": 0.5}},
+         "group_dro does not take aux loss weights"),
+        ({"tag": "x", "method": "aux_only", "tau": 0.5, "l1_boundary": True,
+          "weights": LossWeights(alpha_aux=2.0)},
+         {"method": "aux_only", "tau": 0.5, "weights": {"alpha_aux": 2.0}},
+         "aux_only ignores alpha_aux; leave it at 0"),
+        ({"tag": "x", "method": "erm", "jtt": JttConfig(2)}, {"jtt": {"id_epochs": 2}},
+         "jtt block is only valid for method 'jtt'"),
+        ({"tag": "x", "method": "reg_mtl", "group_dro": GroupDroConfig()},
+         {"method": "reg_mtl", "group_dro": {}},
+         "group_dro block is only valid for method 'group_dro'"),
+        ({"tag": "x", "method": "erm", "tau": -1.0}, {"tau": -1.0},
+         "tau must be positive or null"),
+        ({"tag": "x", "method": "erm", "tau": 0.0}, {"tau": 0.0},
+         "tau must be positive or null"),
+        ({"tag": "x", "method": "erm", "l1_boundary": True}, {"l1_boundary": True},
+         "l1_boundary requires tau"),
+    ]
+
+    @pytest.mark.parametrize("kw,cell,message", RULES,
+                             ids=["tag", "method", "erm-alpha", "dro-alpha", "aux-only-alpha",
+                                  "jtt-block", "dro-block", "tau-negative", "tau-zero",
+                                  "boundary-no-tau"])
+    def test_rule_raises_from_constructor_as_from_config(self, kw, cell, message):
+        with pytest.raises(InvalidSpecError) as direct:
+            RunSpec(optim=self.CFG, **kw)
+        assert str(direct.value) == message
+        run = {"tag": "x", "method": "erm",
+               "optim": {"learning_rate": 0.01, "batch_size": 16, "epochs": 4}, **cell}
+        with pytest.raises(ConfigError) as loaded:
+            ExperimentConfig.load(tiny_config(runs=[run]))
+        assert str(loaded.value) == f"runs[0]: {message}"
+
+    @pytest.mark.parametrize("method", ["jtt", "group_dro"])
+    def test_own_block_required(self, method):
+        with pytest.raises(InvalidSpecError, match=f"^method '{method}' needs a {method} block$"):
+            RunSpec(tag="x", method=method, optim=self.CFG)
+
 class TestFitResultContract:
     def _all_fits(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
         return {
-            "erm": train_erm(tiny_task, tiny_cfg, SelectionStrategy.NO_GP),
-            "jtt": train_jtt(tiny_task, tiny_cfg, JttConfig(2, 3.0),
-                             SelectionStrategy.VAL_GP),
-            "group_dro": train_group_dro(tiny_task, tiny_cfg, GroupDroConfig(0.05),
-                                         SelectionStrategy.VAL_GP),
-            "reg_mtl": train_reg_mtl(tiny_task, tiny_aux,
-                                     LossWeights(alpha_aux=1.0, lambda_l2=1.0),
-                                     0.5, tiny_cfg, SelectionStrategy.NO_GP),
-            "aux_only": train_aux_only(tiny_task, tiny_aux, tiny_aux_val,
-                                       tiny_cfg, 0.5),
+            "erm": fit(spec("erm", tiny_cfg), tiny_task, NO_GP),
+            "jtt": fit(spec("jtt", tiny_cfg, jtt=JttConfig(2, 3.0)), tiny_task, VAL_GP),
+            "group_dro": fit(spec("group_dro", tiny_cfg, group_dro=GroupDroConfig(0.05)),
+                             tiny_task, VAL_GP),
+            "reg_mtl": fit(spec("reg_mtl", tiny_cfg, tau=0.5,
+                                weights=LossWeights(alpha_aux=1.0, lambda_l2=1.0)),
+                           tiny_task, NO_GP, tiny_aux),
+            "aux_only": fit(aux_only(tiny_cfg), tiny_task, NO_GP, tiny_aux, tiny_aux_val),
         }
 
     def test_shared_interface(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
-        for name, fit in self._all_fits(tiny_task, tiny_aux, tiny_aux_val, tiny_cfg).items():
-            assert fit.method == name
-            assert fit.config["method"] == name
-            assert 0 <= fit.selected_epoch < tiny_cfg.epochs
-            assert fit.params.feasible()
-            assert len(fit.trace.records) <= tiny_cfg.epochs
-            assert 0.0 <= fit.test_metrics.avg_acc <= 1.0
-            assert 0.0 <= fit.final_metrics.avg_acc <= 1.0
+        for name, result in self._all_fits(tiny_task, tiny_aux, tiny_aux_val, tiny_cfg).items():
+            assert result.method == name
+            assert result.config["method"] == name
+            assert 0 <= result.selected_epoch < tiny_cfg.epochs
+            assert result.params.feasible()
+            assert len(result.trace.records) <= tiny_cfg.epochs
+            assert 0.0 <= result.test_metrics.avg_acc <= 1.0
+            assert 0.0 <= result.final_metrics.avg_acc <= 1.0
 
     def test_json_round_trip(self, tiny_task, tiny_cfg):
-        fit = train_erm(tiny_task, tiny_cfg, SelectionStrategy.NO_GP)
-        loaded = json.loads(json.dumps(fit.to_json_dict()))
+        result = fit(spec("erm", tiny_cfg), tiny_task, NO_GP)
+        loaded = json.loads(json.dumps(result.to_json_dict()))
         assert set(loaded) == {"method", "config", "selected_epoch", "val_metrics",
                                "test_metrics", "final_metrics", "extras"}
         assert loaded["method"] == "erm"
-        assert loaded["test_metrics"]["avg_acc"] == fit.test_metrics.avg_acc
+        assert loaded["test_metrics"]["avg_acc"] == result.test_metrics.avg_acc
         assert loaded["config"]["learning_rate"] == tiny_cfg.learning_rate
 
     def test_metrics_match_reported_epochs(self, tiny_task, tiny_cfg, monkeypatch):
@@ -96,34 +160,31 @@ class TestFitResultContract:
             return out
 
         monkeypatch.setattr(grouprobe.optim, "sgd_step", recording_step)
-        fit = train_erm(tiny_task, tiny_cfg, SelectionStrategy.NO_GP)
-        final = fit.trace.final_params
+        result = fit(spec("erm", tiny_cfg), tiny_task, NO_GP)
+        final = result.trace.final_params
         assert np.array_equal(final.a, last_step[0].a)
         assert np.array_equal(final.w_end, last_step[0].w_end)
-        assert fit.final_metrics.avg_acc == evaluate(final, tiny_task.test).avg_acc
+        assert result.final_metrics.avg_acc == evaluate(final, tiny_task.test).avg_acc
         # epochs draw their batches from [seed, epoch], so a run cut short
         # after the selected epoch ends on exactly the selected parameters
-        cut = train_erm(tiny_task, replace(tiny_cfg, epochs=fit.selected_epoch + 1),
-                        SelectionStrategy.NO_GP)
+        cut = fit(spec("erm", replace(tiny_cfg, epochs=result.selected_epoch + 1)),
+                  tiny_task, NO_GP)
         selected = cut.trace.final_params
-        assert np.array_equal(fit.params.a, selected.a)
-        assert np.array_equal(fit.params.w_end, selected.w_end)
-        assert np.array_equal(fit.params.W_aux, selected.W_aux)
-        assert fit.test_metrics.avg_acc == evaluate(selected, tiny_task.test).avg_acc
-        rec = fit.trace.records[fit.selected_epoch]
-        assert fit.val_metrics == {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
+        assert np.array_equal(result.params.a, selected.a)
+        assert np.array_equal(result.params.w_end, selected.w_end)
+        assert np.array_equal(result.params.W_aux, selected.W_aux)
+        assert result.test_metrics.avg_acc == evaluate(selected, tiny_task.test).avg_acc
+        rec = result.trace.records[result.selected_epoch]
+        assert result.val_metrics == {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
 
-
+# (run arguments besides the optimizer config, selection rule) per method
 _METHODS = {
-    "erm": lambda task, aux, aux_val, cfg: train_erm(task, cfg, SelectionStrategy.NO_GP),
-    "jtt": lambda task, aux, aux_val, cfg: train_jtt(task, cfg, JttConfig(3, 5.0),
-                                                    SelectionStrategy.VAL_GP),
-    "group_dro": lambda task, aux, aux_val, cfg: train_group_dro(
-        task, cfg, GroupDroConfig(0.1), SelectionStrategy.VAL_GP),
-    "reg_mtl": lambda task, aux, aux_val, cfg: train_reg_mtl(
-        task, aux, LossWeights(alpha_aux=1.0, alpha_reg=0.1, lambda_l2=1.0), 0.5, cfg,
-        SelectionStrategy.NO_GP),
-    "aux_only": lambda task, aux, aux_val, cfg: train_aux_only(task, aux, aux_val, cfg, 0.5),
+    "erm": ({}, NO_GP),
+    "jtt": ({"jtt": JttConfig(3, 5.0)}, VAL_GP),
+    "group_dro": ({"group_dro": GroupDroConfig(0.1)}, VAL_GP),
+    "reg_mtl": ({"weights": LossWeights(alpha_aux=1.0, alpha_reg=0.1, lambda_l2=1.0),
+                 "tau": 0.5}, NO_GP),
+    "aux_only": ({"tau": 0.5, "l1_boundary": True}, NO_GP),
 }
 
 
@@ -146,7 +207,8 @@ def test_one_step_call_per_batch_one_schedule_per_epoch(
 
     monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
     monkeypatch.setattr(grouprobe.optim, "heterogeneous_batches", counting_batches)
-    _METHODS[method](tiny_task, tiny_aux, tiny_aux_val, tiny_cfg)
+    kw, selector = _METHODS[method]
+    fit(spec(method, tiny_cfg, **kw), tiny_task, selector, tiny_aux, tiny_aux_val)
     epochs = tiny_cfg.epochs + (3 if method == "jtt" else 0)
     assert len(tiny_aux) == len(tiny_task.train)  # either stream sets the pace
     assert len(schedules) == epochs
@@ -155,13 +217,15 @@ def test_one_step_call_per_batch_one_schedule_per_epoch(
 
 class TestErm:
     def test_matches_manual_train(self, tiny_task, tiny_cfg):
-        fit = train_erm(tiny_task, tiny_cfg, SelectionStrategy.NO_GP, lambda_l2=0.5)
+        weights = LossWeights(lambda_l2=0.5)
+        result = fit(spec("erm", tiny_cfg, weights=weights), tiny_task, NO_GP)
         params = init_params(tiny_task.train.d, None, [tiny_cfg.seed, 101])
-        trace, best = train(params, tiny_task.train, None, LossWeights(lambda_l2=0.5),
-                            tiny_cfg, tiny_task.val, SelectionStrategy.NO_GP)
-        assert np.array_equal(fit.params.a, best.a)
-        assert np.array_equal(fit.params.w_end, best.w_end)
-        assert [r.train_loss for r in fit.trace.records] == [r.train_loss for r in trace.records]
+        trace, best = train(params, tiny_task.train, None, weights,
+                            tiny_cfg, tiny_task.val, NO_GP)
+        assert np.array_equal(result.params.a, best.a)
+        assert np.array_equal(result.params.w_end, best.w_end)
+        assert ([r.train_loss for r in result.trace.records]
+                == [r.train_loss for r in trace.records])
 
     def test_budget_flag_passes_through(self, tiny_task, tiny_cfg, monkeypatch):
         steps = []
@@ -172,18 +236,24 @@ class TestErm:
             return out
 
         monkeypatch.setattr(grouprobe.optim, "sgd_step", checked_step)
-        fit = train_erm(tiny_task, tiny_cfg, SelectionStrategy.NO_GP,
-                        tau=0.5, l1_boundary=True)
-        assert abs(np.abs(fit.params.a).sum() - 0.5) < 1e-9
+        result = fit(spec("erm", tiny_cfg, tau=0.5, l1_boundary=True), tiny_task, NO_GP)
+        assert abs(np.abs(result.params.a).sum() - 0.5) < 1e-9
         # every step, not only every epoch, lands on the sphere
         assert len(steps) == tiny_cfg.epochs * math.ceil(len(tiny_task.train) / tiny_cfg.batch_size)
         assert all(abs(l1 - 0.5) < 1e-9 for l1 in steps)
 
+    def test_ignores_aux_streams(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
+        plain = fit(spec("erm", tiny_cfg), tiny_task, NO_GP)
+        given = fit(spec("erm", tiny_cfg), tiny_task, NO_GP, tiny_aux, tiny_aux_val)
+        assert np.array_equal(plain.params.a, given.params.a)
+        assert np.array_equal(plain.params.w_end, given.params.w_end)
+        assert given.trace.records[0].val_recon_loss is None
+
 
 class TestJtt:
     def test_extras_shape(self, tiny_task, tiny_cfg):
-        fit = train_jtt(tiny_task, tiny_cfg, JttConfig(2, 5.0), SelectionStrategy.VAL_GP)
-        info = fit.extras["jtt"]
+        result = fit(spec("jtt", tiny_cfg, jtt=JttConfig(2, 5.0)), tiny_task, VAL_GP)
+        info = result.extras["jtt"]
         assert info["error_set_size"] == sum(info["error_group_counts"])
         assert len(info["error_group_counts"]) == 4
         assert info["fallback_erm"] == (info["error_set_size"] == 0)
@@ -191,25 +261,25 @@ class TestJtt:
     def test_unit_upweight_is_fresh_erm(self, tiny_task, tiny_cfg):
         """upweight=1 rescales to all-ones weights, so stage 2 must match a
         plain run from the stage-2 initialization bit for bit."""
-        fit = train_jtt(tiny_task, tiny_cfg, JttConfig(2, 1.0), SelectionStrategy.NO_GP)
-        assert fit.extras["jtt"]["error_set_size"] > 0  # the interesting branch
+        result = fit(spec("jtt", tiny_cfg, jtt=JttConfig(2, 1.0)), tiny_task, NO_GP)
+        assert result.extras["jtt"]["error_set_size"] > 0  # the interesting branch
         p2 = init_params(tiny_task.train.d, None, [tiny_cfg.seed, 102])
         trace, best = train(
             p2, tiny_task.train, None, LossWeights(lambda_l2=1.0), tiny_cfg,
-            tiny_task.val, SelectionStrategy.NO_GP,
+            tiny_task.val, NO_GP,
             end_sample_weights=np.ones(len(tiny_task.train)),
         )
-        assert np.array_equal(fit.params.w_end, best.w_end)
-        assert np.array_equal(fit.params.a, best.a)
+        assert np.array_equal(result.params.w_end, best.w_end)
+        assert np.array_equal(result.params.a, best.a)
 
     def test_stage2_restarts_fresh(self, tiny_task, tiny_cfg):
-        fit = train_jtt(tiny_task, tiny_cfg, JttConfig(2, 5.0), SelectionStrategy.NO_GP)
+        fit(spec("jtt", tiny_cfg, jtt=JttConfig(2, 5.0)), tiny_task, NO_GP)
         # first stage-2 epoch starts from the tag-102 draw, not stage 1's end
         p101 = init_params(tiny_task.train.d, None, [tiny_cfg.seed, 101])
         p102 = init_params(tiny_task.train.d, None, [tiny_cfg.seed, 102])
         assert not np.array_equal(p101.w_end, p102.w_end)
 
-    def test_empty_error_set_falls_back(self, tiny_cfg):
+    def test_empty_error_set_falls_back(self):
         # trivially separable task: stage 1 classifies everything correctly
         y = np.array([1, -1, 1, -1] * 8)
         s = np.array([1, -1, -1, 1] * 8)
@@ -218,18 +288,18 @@ class TestJtt:
         data = LabeledDataset(X, y, s, g)
         task = TaskData(data, data, data)
         cfg = OptimConfig(learning_rate=0.5, batch_size=8, epochs=4, seed=0)
-        fit = train_jtt(task, cfg, JttConfig(3, 10.0), SelectionStrategy.NO_GP)
-        assert fit.extras["jtt"]["fallback_erm"]
-        assert fit.extras["jtt"]["error_set_size"] == 0
-        assert fit.test_metrics.avg_acc == 1.0
+        result = fit(spec("jtt", cfg, jtt=JttConfig(3, 10.0)), task, NO_GP)
+        assert result.extras["jtt"]["fallback_erm"]
+        assert result.extras["jtt"]["error_set_size"] == 0
+        assert result.test_metrics.avg_acc == 1.0
 
 
 class TestGroupDro:
     def test_q_trajectory_is_exponentiated_update(self, tiny_task, tiny_cfg):
-        fit = train_group_dro(tiny_task, tiny_cfg, GroupDroConfig(0.3),
-                              SelectionStrategy.VAL_GP)
-        q_steps = fit.diagnostics["q_steps"]
-        loss_steps = fit.diagnostics["group_loss_steps"]
+        result = fit(spec("group_dro", tiny_cfg, group_dro=GroupDroConfig(0.3)),
+                     tiny_task, VAL_GP)
+        q_steps = result.diagnostics["q_steps"]
+        loss_steps = result.diagnostics["group_loss_steps"]
         assert len(q_steps) == len(loss_steps)
         eta = 0.3
         q_prev = np.full(4, 0.25)
@@ -242,13 +312,13 @@ class TestGroupDro:
             lifted /= lifted.sum()
             assert np.allclose(q_now, lifted, atol=1e-12)
             q_prev = q_now
-        final_q = np.array(fit.extras["group_dro"]["final_q"])
+        final_q = np.array(result.extras["group_dro"]["final_q"])
         assert np.allclose(final_q, q_steps[-1])
 
     def test_zero_step_keeps_uniform(self, tiny_task, tiny_cfg):
-        fit = train_group_dro(tiny_task, tiny_cfg, GroupDroConfig(0.0),
-                              SelectionStrategy.NO_GP)
-        for q in fit.diagnostics["q_steps"]:
+        result = fit(spec("group_dro", tiny_cfg, group_dro=GroupDroConfig(0.0)),
+                     tiny_task, NO_GP)
+        for q in result.diagnostics["q_steps"]:
             assert np.array_equal(q, np.full(4, 0.25))
 
     def test_requires_all_groups(self, tiny_task, tiny_cfg):
@@ -256,45 +326,53 @@ class TestGroupDro:
         pruned = tiny_task.train.take(np.flatnonzero(keep))
         task = TaskData(pruned, tiny_task.val, tiny_task.test)
         with pytest.raises(InvalidInputError):
-            train_group_dro(task, tiny_cfg, GroupDroConfig(0.1), SelectionStrategy.VAL_GP)
+            fit(spec("group_dro", tiny_cfg, group_dro=GroupDroConfig(0.1)), task, VAL_GP)
 
 
 class TestAuxOnly:
     def test_head_left_at_init(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
-        fit = train_aux_only(tiny_task, tiny_aux, tiny_aux_val, tiny_cfg, 0.5)
+        result = fit(aux_only(tiny_cfg), tiny_task, NO_GP, tiny_aux, tiny_aux_val)
         p0 = init_params(tiny_task.train.d, 0.5, [tiny_cfg.seed, 101],
                          l1_boundary=True, dense_init=True)
-        assert np.array_equal(fit.params.w_end, p0.w_end)
-        assert not np.array_equal(fit.params.W_aux, p0.W_aux)  # featurizer trained
+        assert np.array_equal(result.params.w_end, p0.w_end)
+        assert not np.array_equal(result.params.W_aux, p0.W_aux)  # featurizer trained
 
     def test_selects_min_val_recon(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
-        fit = train_aux_only(tiny_task, tiny_aux, tiny_aux_val, tiny_cfg, 0.5)
-        recons = [r.val_recon_loss for r in fit.trace.records]
-        assert fit.val_metrics["recon_loss"] == min(recons)
-        assert fit.selected_epoch == int(np.argmin(recons))
+        result = fit(aux_only(tiny_cfg), tiny_task, NO_GP, tiny_aux, tiny_aux_val)
+        recons = [r.val_recon_loss for r in result.trace.records]
+        assert result.val_metrics["recon_loss"] == min(recons)
+        assert result.selected_epoch == int(np.argmin(recons))
 
-    def test_dense_init_flag(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
-        dense = train_aux_only(tiny_task, tiny_aux, tiny_aux_val, tiny_cfg, 0.5)
-        identity = train_aux_only(tiny_task, tiny_aux, tiny_aux_val, tiny_cfg, 0.5,
-                                  dense_init=False)
-        assert not np.array_equal(dense.params.W_aux, identity.params.W_aux)
+    def test_starts_from_dense_init(self, tiny_task, tiny_aux, tiny_aux_val, monkeypatch):
+        starts = []
 
+        def recording_train(params, *args, **kwargs):
+            starts.append(params.copy())
+            return train(params, *args, **kwargs)
+
+        monkeypatch.setattr(grouprobe.baselines, "train", recording_train)
+        cfg = OptimConfig(learning_rate=0.01, batch_size=16, epochs=1, seed=3)
+        fit(aux_only(cfg), tiny_task, NO_GP, tiny_aux, tiny_aux_val)
+        dense = init_params(tiny_task.train.d, 0.5, [3, 101], l1_boundary=True, dense_init=True)
+        identity = init_params(tiny_task.train.d, 0.5, [3, 101], l1_boundary=True)
+        assert len(starts) == 1
+        assert np.array_equal(starts[0].W_aux, dense.W_aux)
+        assert not np.array_equal(dense.W_aux, identity.W_aux)
 
 class TestRegMtl:
     def test_config_echo_and_feasibility(self, tiny_task, tiny_aux, tiny_cfg):
         weights = LossWeights(alpha_aux=2.0, alpha_reg=0.1, lambda_l2=1.0)
-        fit = train_reg_mtl(tiny_task, tiny_aux, weights, 0.5, tiny_cfg,
-                            SelectionStrategy.NO_GP)
-        assert fit.config["alpha_aux"] == 2.0
-        assert fit.config["alpha_reg"] == 0.1
-        assert fit.config["tau"] == 0.5
-        assert np.abs(fit.params.a).sum() <= 0.5 + 1e-9
+        result = fit(spec("reg_mtl", tiny_cfg, weights=weights, tau=0.5),
+                     tiny_task, NO_GP, tiny_aux)
+        assert result.config["alpha_aux"] == 2.0
+        assert result.config["alpha_reg"] == 0.1
+        assert result.config["tau"] == 0.5
+        assert np.abs(result.params.a).sum() <= 0.5 + 1e-9
 
     def test_determinism(self, tiny_task, tiny_aux, tiny_cfg):
-        weights = LossWeights(alpha_aux=1.0, lambda_l2=1.0)
-        f1 = train_reg_mtl(tiny_task, tiny_aux, weights, 0.5, tiny_cfg,
-                           SelectionStrategy.NO_GP)
-        f2 = train_reg_mtl(tiny_task, tiny_aux, weights, 0.5, tiny_cfg,
-                           SelectionStrategy.NO_GP)
+        run = spec("reg_mtl", tiny_cfg, weights=LossWeights(alpha_aux=1.0, lambda_l2=1.0),
+                   tau=0.5)
+        f1 = fit(run, tiny_task, NO_GP, tiny_aux)
+        f2 = fit(run, tiny_task, NO_GP, tiny_aux)
         assert np.array_equal(f1.params.a, f2.params.a)
         assert f1.test_metrics.avg_acc == f2.test_metrics.avg_acc

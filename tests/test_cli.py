@@ -212,7 +212,8 @@ def _jtt_run(doc):
 HUGE_INT = 10**400
 
 
-# each of these loaded and then failed mid-run with a TypeError or OverflowError traceback
+# each of these loaded and then failed mid-run with a TypeError, OverflowError or
+# ValueError traceback
 @pytest.mark.parametrize("command,edit,field", [
     ("train", lambda d: d["data"].update(n_maj=60.0), "data.n_maj"),
     ("train", lambda d: d["runs"][0]["optim"].update(batch_size=16.0), "runs[0].optim.batch_size"),
@@ -233,10 +234,16 @@ HUGE_INT = 10**400
      "runs[0].weights.lambda_l2"),
     ("sweep", lambda d: d["grid"].update(tau=[HUGE_INT]), "grid.tau[0]"),
     ("train", lambda d: d["data"].update(sigma2_core=HUGE_INT), "data.sigma2_core"),
+    ("train", lambda d: d["data"].update(n_maj=HUGE_INT), "data.n_maj"),
+    ("train", lambda d: d["data"].update(d_c=HUGE_INT), "data.d_c"),
+    ("train", lambda d: d["test"].update(n_per_group=HUGE_INT), "test.n_per_group"),
+    ("train", lambda d: d["data"].update(n_maj=2**63), "data.n_maj"),
 ], ids=["data-n_maj", "optim-batch_size", "optim-epochs", "jtt-id_epochs", "tag",
         "test-n_per_group", "sweep-grid-batch_size", "optim-lr-nan", "tau-inf",
         "data-sigma2_core-nan", "sweep-grid-lr-inf", "tau-huge-int", "optim-lr-huge-int",
-        "weights-lambda_l2-huge-int", "sweep-grid-tau-huge-int", "data-sigma2_core-huge-int"])
+        "weights-lambda_l2-huge-int", "sweep-grid-tau-huge-int", "data-sigma2_core-huge-int",
+        "data-n_maj-huge-int", "data-d_c-huge-int", "test-n_per_group-huge-int",
+        "data-n_maj-2**63"])
 def test_wrong_value_type_exits_2(command, edit, field, tmp_path, capsys):
     doc = (tiny_config if command == "train" else tiny_sweep)(seeds=[0])
     edit(doc)

@@ -19,7 +19,6 @@ from grouprobe.experiments import (
     RECIPES,
     SUMMARY_COLUMNS,
     SWEEP_RECIPES,
-    RunSpec,
     n_workers,
 )
 
@@ -151,6 +150,14 @@ class TestConfigParsing:
     def test_rejects_coercible_values(self, breaker, field):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
             ExperimentConfig.load(_edited(tiny_config(), breaker))
+
+    def test_integer_fields_load_up_to_int64(self):
+        # the largest values the type check takes; loaded only, never trained
+        doc = tiny_config()
+        doc["data"].update(n_maj=2**63 - 2)
+        doc["test"].update(n_per_group=2**63 - 1)
+        cfg = ExperimentConfig.load(doc)
+        assert cfg.data.n_maj == 2**63 - 2 and cfg.test_n_per_group == 2**63 - 1
 
     def test_values_kept_as_written(self):
         doc = _edited(tiny_config(), lambda d: d["runs"][1]["optim"].update(learning_rate=1))
@@ -312,6 +319,16 @@ class TestRunExperiment:
         rows, records = run_experiment(tiny_config(), None)
         assert len(rows) == 2 and len(records) == 4
 
+    def test_aux_only_echoes_no_gp_under_val_gp(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+        doc = tiny_config(selection="val_gp", seeds=[0], runs=[{
+            "tag": "aux", "method": "aux_only", "tau": 0.5,
+            "optim": {"learning_rate": 0.01, "batch_size": 16, "epochs": 2},
+        }])
+        _, records = run_experiment(doc, tmp_path)
+        echo = json.loads((tmp_path / "runs" / "aux_seed0.json").read_text())["config"]
+        assert echo["selection"] == records[0]["config"]["selection"] == "no_gp"
+
     def test_log_ratio_columns(self, run_once):
         out, rows, records = run_once
         by_tag = {r["tag"]: [float(x["log_ratio"]) for x in records if x["tag"] == r["tag"]]
@@ -337,14 +354,13 @@ class TestSplitMemo:
         """Run one seed of an erm cell and two reg_mtl cells; return the
         task splits and aux sets each cell trained on."""
         seen = []
-        for name in ("train_erm", "train_reg_mtl"):
-            real = getattr(experiments, name)
+        real = experiments.fit
 
-            def recording(task, *args, _real=real, _name=name, **kwargs):
-                seen.append((task, args[0] if _name == "train_reg_mtl" else None))
-                return _real(task, *args, **kwargs)
+        def recording(run, task, selector, aux=None, aux_val=None):
+            seen.append((task, aux if run.method == "reg_mtl" else None))
+            return real(run, task, selector, aux, aux_val)
 
-            monkeypatch.setattr(experiments, name, recording)
+        monkeypatch.setattr(experiments, "fit", recording)
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
         run_experiment(tiny_config(**{"runs": self.RUNS, "seeds": [0], **overrides}), None)
         assert len(seen) == 3

@@ -1,9 +1,12 @@
 """Source hygiene checks that need no linter: every module under
 src/grouprobe imports only the standard library, numpy and its own package,
 and uses each name it imports.  `__init__.py` is skipped by the unused-name
-check because its imports are the package's re-exports."""
+check because its imports are the package's re-exports.  Every name the
+demos and the README's Python code import from grouprobe must exist."""
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -72,3 +75,41 @@ def test_scanner_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ROOT = SRC.parents[1]
+
+
+def grouprobe_imports(source: str) -> list[tuple[str, str]]:
+    """Each (module, name) that `from grouprobe... import name` statements
+    in `source` ask for."""
+    return [(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "grouprobe" for alias in node.names]
+
+
+def missing_names(source: str) -> list[str]:
+    return [f"{module}.{name}" for module, name in grouprobe_imports(source)
+            if not hasattr(importlib.import_module(module), name)]
+
+
+def readme_python() -> str:
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks, "README has no Python block"
+    return "\n".join(blocks)
+
+
+def test_scanner_flags_missing_public_names():
+    src = ("import grouprobe\nfrom grouprobe import ConfigError, no_such_name\n"
+           "from grouprobe.cli import main\nfrom json import nothing_here\n")
+    assert grouprobe_imports(src) == [("grouprobe", "ConfigError"), ("grouprobe", "no_such_name"),
+                                      ("grouprobe.cli", "main")]
+    assert missing_names(src) == ["grouprobe.no_such_name"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+                         + ["README.md"])
+def test_demo_and_readme_imports_exist(name):
+    source = readme_python() if name == "README.md" else (ROOT / "demos" / name).read_text()
+    assert grouprobe_imports(source), "no grouprobe import found"
+    assert missing_names(source) == []
