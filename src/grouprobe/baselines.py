@@ -237,7 +237,7 @@ def fit(
     params = init(_INIT_SEED_TAG)
     kw, extras, diagnostics = {}, {}, {}
     if method == "jtt":
-        stage1_cfg = replace(cfg, epochs=run.jtt.id_epochs, patience=0)
+        stage1_cfg = replace(cfg, epochs=run.jtt.id_epochs)
         trace1, _ = train(params, data.train, None, run.weights, stage1_cfg, data.val, selector)
         wrong = classify(trace1.final_params, data.train.features) != data.train.labels
         err_counts = np.bincount(data.train.group_ids[wrong], minlength=N_GROUPS)

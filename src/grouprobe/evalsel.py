@@ -54,11 +54,10 @@ def evaluate(params: ModelParams, data: LabeledDataset) -> GroupMetrics:
         raise InvalidInputError("cannot evaluate on an empty dataset")
     correct = (classify(params, data.features) == data.labels).astype(np.float64)
     sizes = np.bincount(data.group_ids, minlength=N_GROUPS)
-    per_group = np.full(N_GROUPS, np.nan)
-    for g in range(N_GROUPS):
-        if sizes[g] > 0:
-            per_group[g] = correct[data.group_ids == g].mean()
     present = sizes > 0
+    # sums of 0/1 values are exact, so each group's hits / size is its mean
+    hits = np.bincount(data.group_ids, weights=correct, minlength=N_GROUPS)
+    per_group = np.divide(hits, sizes, out=np.full(N_GROUPS, np.nan), where=present)
     return GroupMetrics(
         per_group_acc=per_group,
         group_sizes=sizes,

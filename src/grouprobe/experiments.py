@@ -470,8 +470,8 @@ class SweepGrid:
                     raise ConfigError(f"grid.{axis}[{i}]: erm does not take aux loss weights")
         cells = tuple(dict(zip(SWEEP_AXES, combo))
                       for combo in itertools.product(*(grid[a] for a in SWEEP_AXES)))
-        optim = {"epochs": base.get("epochs", 500), "patience": base.get("patience", 0),
-                 "momentum": base.get("momentum", 0.0)}
+        optim = {"epochs": 500, **{k: v for k, v in base.items()
+                                   if k in ("epochs", "patience", "momentum")}}
         runs = [{
             "tag": f"cell{idx:04d}",
             "method": method,
@@ -526,8 +526,7 @@ BENCH_DATA = {
 BENCH_VAL = {"n_maj": 90, "n_min": 10}
 BENCH_TEST = {"n_per_group": 250, "seed": 907}
 BENCH_SEEDS = [0, 1, 2, 3, 4]
-_BENCH_OPTIM = {"learning_rate": 0.001, "batch_size": 64, "epochs": 500,
-                "patience": 0, "momentum": 0.0}
+_BENCH_OPTIM = {"learning_rate": 0.001, "batch_size": 64, "epochs": 500}
 
 
 def _recipe(name: str, selection: str, **body) -> dict:
@@ -579,8 +578,7 @@ def recipe_fig3() -> dict:
                     "method": "aux_only",
                     "tau": tau,
                     "l1_boundary": True,
-                    "optim": {"learning_rate": lr, "batch_size": batch,
-                              "epochs": 500, "patience": 0, "momentum": 0.0},
+                    "optim": {"learning_rate": lr, "batch_size": batch, "epochs": 500},
                     "weights": {},
                 })
     return _recipe("fig3", "no_gp", runs=runs)
@@ -639,7 +637,7 @@ def recipe_pareto_default() -> dict:
     return _recipe(
         "pareto-default", "val_gp",
         method="reg_mtl",
-        base={"epochs": 500, "patience": 0, "momentum": 0.0, "lambda_l2": 1.0},
+        base={"epochs": 500, "lambda_l2": 1.0},
         grid={
             "alpha_aux": [1.0 / e, 1.0, e],
             "alpha_reg": [1.0 / e, 1.0, e],

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError, InvalidSpecError, ShapeError
+from .errors import DegenerateInputError, GrouprobeError, InvalidInputError, InvalidSpecError, ShapeError
 
 # Slack allowed when checking feasibility of the L1 constraint after projection.
 L1_FEASIBILITY_TOL = 1e-9
@@ -139,8 +139,8 @@ class ModelParams:
     def load_json(cls, path: str | Path) -> "ModelParams":
         try:
             return cls.from_json_dict(json.loads(Path(path).read_text()))
-        except InvalidInputError as e:
-            raise InvalidInputError(f"{path}: {e}") from None
+        except GrouprobeError as e:
+            raise type(e)(f"{path}: {e}") from None
 
 
 def _holds_bool(v) -> bool:

@@ -1,5 +1,5 @@
-"""Projected SGD over the two-task objective, with per-epoch validation
-tracking, checkpoint selection, and optional early stopping."""
+"""Projected SGD over the two-task objective, run for a fixed number of
+epochs, with per-epoch validation tracking and checkpoint selection."""
 
 from __future__ import annotations
 
@@ -17,17 +17,14 @@ from .linmodel import ModelParams, normalize_frobenius, project_l1, rescale_l1
 from .objectives import LossEval, LossWeights, check_sample_weights, joint_terms, multitask_loss
 from .synthgen import AuxDataset, LabeledDataset
 
-# An epoch counts as improving the selection metric only when it beats the
-# best seen so far by at least this much.
-IMPROVEMENT_EPS = 1e-12
-
-
 @dataclass(frozen=True)
 class OptimConfig:
     learning_rate: float
     batch_size: int
     epochs: int
-    patience: int = 0  # 0 disables early stopping
+    # schema-1 keys that every run artifact echoes; training is plain SGD
+    # with no early stopping, so both must be 0
+    patience: int = 0
     momentum: float = 0.0
     seed: int = 0
 
@@ -38,38 +35,22 @@ class OptimConfig:
             raise InvalidSpecError("batch_size must be >= 1")
         if self.epochs < 1:
             raise InvalidSpecError("epochs must be >= 1")
-        if self.patience < 0:
-            raise InvalidSpecError("patience must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidSpecError("momentum must be in [0, 1)")
+        if self.patience != 0:
+            raise InvalidSpecError("patience must be 0: training has no early stopping")
+        if self.momentum != 0:
+            raise InvalidSpecError("momentum must be 0: training is plain SGD")
         if self.seed < 0:
             raise InvalidSpecError("seed must be a non-negative integer")
 
 
-@dataclass
-class MomentumState:
-    """Velocity buffers, one per parameter block."""
-
-    v_a: np.ndarray
-    v_w_end: np.ndarray
-    v_W_aux: np.ndarray
-
-    @classmethod
-    def zeros(cls, d: int) -> "MomentumState":
-        return cls(np.zeros(d), np.zeros(d), np.zeros((d, d)))
-
-
-def sgd_step(
-    params: ModelParams, grads: LossEval, cfg: OptimConfig, state: MomentumState
-) -> ModelParams:
+def sgd_step(params: ModelParams, grads: LossEval, lr: float) -> ModelParams:
     """One descent step followed by constraint enforcement.
 
-    Order: momentum update, parameter update, then project `a` back to its
-    L1 set and renormalize W_aux.  With momentum 0 the velocity is the
-    gradient itself.  Raises DivergedError on a non-finite gradient, or
+    Order: parameter update, then project `a` back to its L1 set and
+    renormalize W_aux.  Raises DivergedError on a non-finite gradient, or
     when the step leaves parameters the projection cannot bring back into
     the constraint set.  Returns fresh parameters in that set, built without
-    re-running the ModelParams checks; `state` is updated in place.
+    re-running the ModelParams checks.
     """
     if not (
         np.isfinite(grads.grad_a).all()
@@ -77,18 +58,9 @@ def sgd_step(
         and np.isfinite(grads.grad_W_aux).all()
     ):
         raise DivergedError("non-finite gradient")
-    m = cfg.momentum
-    if m == 0.0:
-        state.v_a, state.v_w_end, state.v_W_aux = grads.grad_a, grads.grad_w_end, grads.grad_W_aux
-    else:
-        state.v_a = m * state.v_a + grads.grad_a
-        state.v_w_end = m * state.v_w_end + grads.grad_w_end
-        state.v_W_aux = m * state.v_W_aux + grads.grad_W_aux
-
-    lr = cfg.learning_rate
-    a = params.a - lr * state.v_a
-    w_end = params.w_end - lr * state.v_w_end
-    W_aux = params.W_aux - lr * state.v_W_aux
+    a = params.a - lr * grads.grad_a
+    w_end = params.w_end - lr * grads.grad_w_end
+    W_aux = params.W_aux - lr * grads.grad_W_aux
 
     try:
         if params.tau is not None:
@@ -162,8 +134,6 @@ class TrainTrace:
     """Per-epoch records plus the selected epoch and the last epoch's parameters."""
 
     records: list[EpochRecord] = field(default_factory=list)
-    stop_epoch: int = 0
-    stopped_early: bool = False
     selected_epoch: int = -1
     final_params: ModelParams | None = None
 
@@ -204,7 +174,7 @@ def train(
     """Run minibatch SGD for cfg.epochs and return (trace, best parameters).
 
     The best parameters are those of the selected epoch, `trace.selected_epoch`;
-    `trace.final_params` holds the parameters after the last epoch run.
+    `trace.final_params` holds the parameters after the last epoch.
 
     The loss is the joint objective of `objectives.joint_terms` (end BCE +
     weighted reconstruction + activation penalty); with no aux stream the
@@ -224,9 +194,7 @@ def train(
     checkpoint maximizes the selector metric (average or worst-group
     validation accuracy; the negated validation reconstruction loss without
     an end stream), earliest epoch on ties; epochs whose metric is NaN are
-    never selected.  With patience > 0, training stops after that many
-    consecutive epochs that fail to improve the metric by at least
-    IMPROVEMENT_EPS.
+    never selected.
     """
     aux_only = end_data is None
     if aux_only and aux_data is None:
@@ -245,10 +213,8 @@ def train(
         end_sample_weights = check_sample_weights(end_sample_weights, len(end_data))
 
     trace = TrainTrace()
-    state = MomentumState.zeros(params.d)
     best_metric = -np.inf
     best_params = None
-    bad_epochs = 0
 
     for ep in range(cfg.epochs):
         batches = list(heterogeneous_batches(end_data, aux_data, cfg.batch_size, [cfg.seed, ep]))
@@ -288,7 +254,7 @@ def train(
                 raise DivergedError("non-finite training loss", epoch=ep)
             loss_sum += le.value * size
             try:
-                params = sgd_step(params, le, cfg, state)
+                params = sgd_step(params, le, cfg.learning_rate)
             except DivergedError as e:
                 raise DivergedError(str(e), epoch=ep) from None
 
@@ -311,17 +277,10 @@ def train(
         trace.records.append(rec)
 
         metric = _selection_metric(rec, selector, aux_only)
-        improved = metric >= best_metric + IMPROVEMENT_EPS
         if metric > best_metric:
             best_metric = metric
             best_params = params.copy()
             trace.selected_epoch = ep
-        if cfg.patience > 0:
-            bad_epochs = 0 if improved else bad_epochs + 1
-            if bad_epochs >= cfg.patience:
-                trace.stopped_early = True
-                break
-    trace.stop_epoch = len(trace.records)
     if best_params is None:
         raise DivergedError("no epoch had a finite selection metric")
     trace.final_params = params

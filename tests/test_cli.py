@@ -262,12 +262,44 @@ def test_erm_sweep_with_aux_weight_exits_2(tmp_path, capsys):
     (lambda d: d["grid"].update(learning_rate=[0.0]), "grid.learning_rate[0]: "),
     (lambda d: d["base"].update(epochs=0), "base.epochs: "),
     (lambda d: d["grid"].update(tau=[-1.0]), "grid.tau[0]: "),
-], ids=["lr-zero", "epochs-zero", "tau-negative"])
+    (lambda d: d["base"].update(patience=3), "base.patience: patience must be 0"),
+    (lambda d: d["base"].update(momentum=0.9), "base.momentum: momentum must be 0"),
+], ids=["lr-zero", "epochs-zero", "tau-negative", "patience-nonzero", "momentum-nonzero"])
 def test_sweep_range_error_names_the_sweep_field(edit, field, tmp_path, capsys):
     doc = tiny_sweep(seeds=[0])
     edit(doc)
     err = _config_error("sweep", doc, tmp_path, capsys)
     assert err.startswith(f"error: {field}") and "runs[" not in err, err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["runs"][0]["optim"].update(momentum=0.5), "runs[0].optim: momentum must be 0"),
+    (lambda d: d["runs"][1]["optim"].update(patience=3), "runs[1].optim: patience must be 0"),
+], ids=["momentum", "patience"])
+def test_nonzero_momentum_or_patience_exits_2(edit, message, tmp_path, capsys):
+    doc = tiny_config(seeds=[0])
+    edit(doc)
+    err = _config_error("train", doc, tmp_path, capsys)
+    assert err.startswith(f"error: {message}"), err
+
+
+def test_explicit_zero_momentum_and_patience_write_the_same_bytes(tmp_path):
+    """Schema-1 configs may spell out patience 0 and momentum 0.0 in each
+    run's optim block; every artifact is byte-identical to leaving them out."""
+    outputs = []
+    for explicit in (False, True):
+        doc = tiny_config(seeds=[0])
+        if explicit:
+            for run in doc["runs"]:
+                run["optim"].update(patience=0, momentum=0.0)
+        cfg, out = tmp_path / f"cfg{explicit:d}.json", tmp_path / f"out{explicit:d}"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        outputs.append({str(p.relative_to(out)): p.read_bytes() for p in files})
+    assert {name.split("/")[0] for name in outputs[0]} == {"runs", "traces", "params",
+                                                           "summary.csv"}
+    assert outputs[0] == outputs[1]
 
 
 class TestParetoCommand:
@@ -363,11 +395,31 @@ def _params_unknown_key(tmp_path):
     return _eval_argv(tmp_path, params=params), ["p.json", "l1_boundry"]
 
 
+def _params_tau_negative(tmp_path):
+    return _eval_argv(tmp_path, params=dict(PARAMS, tau=-1)), ["p.json", "tau must be positive"]
+
+
+def _params_fro_radius_zero(tmp_path):
+    return _eval_argv(tmp_path, params=dict(PARAMS, fro_radius=0)), ["p.json", "fro_radius"]
+
+
+def _params_boundary_without_tau(tmp_path):
+    params = dict(PARAMS, l1_boundary=True)
+    return _eval_argv(tmp_path, params=params), ["p.json", "l1_boundary requires tau"]
+
+
+def _params_mismatched_shapes(tmp_path):
+    params = dict(PARAMS, a=[1.0, 0.5, 0.25])
+    return _eval_argv(tmp_path, params=params), ["p.json", "W_aux,(d,d)"]
+
+
 @pytest.mark.parametrize("make", [
     _pareto_non_numeric, _csv_non_numeric, _npz_not_zip,
     _params_without_fro_radius, _npz_without_features,
     _params_tau_true, _params_boundary_string, _params_bool_array, _params_unknown_key,
     _params_nan_a, _params_inf_tau, _params_int_beyond_float,
+    _params_tau_negative, _params_fro_radius_zero, _params_boundary_without_tau,
+    _params_mismatched_shapes,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_input_file_exits_2(make, tmp_path, capsys):
     """A malformed input file is a usage error with one message naming the

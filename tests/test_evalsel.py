@@ -21,6 +21,8 @@ from grouprobe.evalsel import (
     write_front_gnuplot,
     write_pareto_csv,
 )
+from grouprobe.linmodel import classify
+from grouprobe.synthgen import N_GROUPS, YS_OF_GROUP
 
 
 def _plain_params(w):
@@ -93,6 +95,32 @@ class TestEvaluate:
         d = evaluate(_plain_params([1.0]), data).to_json_dict()
         assert d["per_group_acc"][0] == 1.0
         assert d["per_group_acc"][1] is None
+
+
+def _reference_group_acc(params, data):
+    # the per-group loop that evaluate's weighted bincount replaced
+    correct = (classify(params, data.features) == data.labels).astype(np.float64)
+    sizes = np.bincount(data.group_ids, minlength=N_GROUPS)
+    per_group = np.full(N_GROUPS, np.nan)
+    for g in range(N_GROUPS):
+        if sizes[g] > 0:
+            per_group[g] = correct[data.group_ids == g].mean()
+    return per_group
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3000), present=st.sets(st.integers(0, 3), min_size=1),
+       seed=st.integers(0, 2**32 - 1))
+def test_group_acc_matches_per_group_loop(n, present, seed):
+    """Bit for bit, NaN placement and sign bits included, over any group mix."""
+    rng = np.random.default_rng(seed)
+    groups = sorted(present)
+    g = rng.choice(groups, size=n, p=rng.dirichlet(np.ones(len(groups))))
+    y, s = np.array([YS_OF_GROUP[v] for v in g]).reshape(n, 2).T
+    data = LabeledDataset(rng.normal(size=(n, 2)), y, s, g)
+    params = _plain_params(rng.normal(size=2))
+    got, want = evaluate(params, data).per_group_acc, _reference_group_acc(params, data)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLogRatio:

@@ -452,7 +452,8 @@ class TestSweep:
         (lambda d: d["grid"].update(tau=[-1.0]), r"grid\.tau\[0\]: tau must be positive"),
         (lambda d: d["grid"].update(alpha_reg=[-0.5]), r"grid\.alpha_reg\[0\]: alpha_reg must be >= 0"),
         (lambda d: d["base"].update(epochs=0), r"base\.epochs: epochs must be >= 1"),
-        (lambda d: d["base"].update(momentum=1.0), r"base\.momentum: momentum must be in \[0, 1\)"),
+        (lambda d: d["base"].update(momentum=1.0),
+         r"base\.momentum: momentum must be 0: training is plain SGD"),
         (lambda d: d["base"].update(lambda_l2=-1.0), r"base\.lambda_l2: lambda_l2 must be >= 0"),
     ], ids=["lr-zero", "batch-zero", "tau-negative", "alpha-negative", "epochs-zero",
             "momentum-one", "lambda-negative"])

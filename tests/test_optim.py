@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -22,7 +23,6 @@ from grouprobe import (
     train,
 )
 from grouprobe.objectives import multitask_loss
-from grouprobe.optim import MomentumState
 
 
 class TestOptimConfig:
@@ -37,6 +37,8 @@ class TestOptimConfig:
             {"momentum": 1.0},
             {"momentum": -0.1},
             {"seed": -1},
+            {"patience": 3},
+            {"momentum": 0.5},
         ],
     )
     def test_invalid(self, kw):
@@ -105,6 +107,10 @@ class TestBatches:
             assert ei.tolist() == list(itertools.islice(end_ref, len(ei)))
             assert ai.tolist() == list(itertools.islice(aux_ref, len(ai)))
 
+    def test_is_a_generator_function(self):
+        # bench/tracer.py wraps it as a generator and counts one per epoch
+        assert inspect.isgeneratorfunction(grouprobe.optim.heterogeneous_batches)
+
     def test_no_stream_rejected(self):
         with pytest.raises(InvalidInputError):
             list(heterogeneous_batches(None, None, 4, 0))
@@ -119,58 +125,42 @@ class TestSgdStep:
         return LossEval(0.0, np.full(d, scale), np.full(d, -scale), np.full((d, d), scale))
 
     def test_plain_step(self):
-        p = init_params(2, None, 0, fro_radius=None)
-        cfg = OptimConfig(learning_rate=0.1, batch_size=1, epochs=1)
-        state = MomentumState.zeros(2)
-        q = sgd_step(p, self._grads(2), cfg, state)
-        assert np.allclose(q.a, p.a - 0.1)
-        assert np.allclose(q.w_end, p.w_end + 0.1)
+        p, g = init_params(2, None, 0, fro_radius=None), self._grads(2)
+        q = sgd_step(p, g, 0.1)
+        # no constraint set: exactly params - lr * grads, block by block
+        assert np.array_equal(q.a, p.a - 0.1 * g.grad_a)
+        assert np.array_equal(q.w_end, p.w_end - 0.1 * g.grad_w_end)
+        assert np.array_equal(q.W_aux, p.W_aux - 0.1 * g.grad_W_aux)
 
     def test_ball_projection_applied(self):
         p = init_params(2, 1.0, 0)
-        cfg = OptimConfig(learning_rate=5.0, batch_size=1, epochs=1)
-        q = sgd_step(p, self._grads(2, scale=-1.0), cfg, MomentumState.zeros(2))
+        q = sgd_step(p, self._grads(2, scale=-1.0), 5.0)
         assert np.abs(q.a).sum() <= 1.0 + 1e-9
         assert q.feasible()
 
     def test_sphere_rescale_applied(self):
         p = init_params(2, 1.0, 0, l1_boundary=True)
-        cfg = OptimConfig(learning_rate=0.3, batch_size=1, epochs=1)
-        q = sgd_step(p, self._grads(2), cfg, MomentumState.zeros(2))
+        q = sgd_step(p, self._grads(2), 0.3)
         assert abs(np.abs(q.a).sum() - 1.0) < 1e-9
 
     def test_fro_radius_maintained(self):
         p = init_params(3, 1.0, 1)
-        cfg = OptimConfig(learning_rate=0.5, batch_size=1, epochs=1)
-        q = sgd_step(p, self._grads(3), cfg, MomentumState.zeros(3))
+        q = sgd_step(p, self._grads(3), 0.5)
         assert abs(np.linalg.norm(q.W_aux) - 1.0) < 1e-9
-
-    def test_momentum_accumulates(self):
-        p = init_params(1, None, 0, fro_radius=None)
-        cfg = OptimConfig(learning_rate=1.0, batch_size=1, epochs=1, momentum=0.5)
-        state = MomentumState.zeros(1)
-        g = self._grads(1)
-        q1 = sgd_step(p, g, cfg, state)
-        q2 = sgd_step(q1, g, cfg, state)
-        # velocity 1 then 1.5: positions -1 then -2.5
-        assert q1.a[0] == pytest.approx(p.a[0] - 1.0)
-        assert q2.a[0] == pytest.approx(p.a[0] - 2.5)
 
     def test_infeasible_projection_raises(self):
         # a step to |a| ~ 1e15 projects to L1 norm 0.125, above tau = 0.1
         p = init_params(2, 0.1, 0)
-        cfg = OptimConfig(learning_rate=1e15, batch_size=1, epochs=1)
         g = LossEval(0.0, np.array([-1.0, 0.0]), np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(DivergedError, match="infeasible"):
-            sgd_step(p, g, cfg, MomentumState.zeros(2))
+            sgd_step(p, g, 1e15)
 
     def test_nonfinite_gradient_raises(self):
         p = init_params(2, None, 0, fro_radius=None)
-        cfg = OptimConfig(learning_rate=0.1, batch_size=1, epochs=1)
         g = self._grads(2)
         g.grad_a = np.array([np.nan, 0.0])
         with pytest.raises(DivergedError):
-            sgd_step(p, g, cfg, MomentumState.zeros(2))
+            sgd_step(p, g, 0.1)
 
 
 class TestTrain:
@@ -183,8 +173,6 @@ class TestTrain:
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
         assert len(trace.records) == tiny_cfg.epochs
         assert [r.epoch for r in trace.records] == list(range(tiny_cfg.epochs))
-        assert trace.stop_epoch == tiny_cfg.epochs
-        assert not trace.stopped_early
 
     def test_selected_checkpoint_is_argmax(self, tiny_task, tiny_aux, tiny_cfg):
         trace, best = self._run(tiny_task, tiny_aux, tiny_cfg)
@@ -227,13 +215,6 @@ class TestTrain:
     def test_all_losses_finite(self, tiny_task, tiny_aux, tiny_cfg):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
         assert all(math.isfinite(r.train_loss) for r in trace.records)
-
-    def test_patience_stops_early(self, tiny_task, tiny_aux):
-        cfg = OptimConfig(learning_rate=1e-6, batch_size=16, epochs=60, patience=3, seed=0)
-        trace, _ = self._run(tiny_task, tiny_aux, cfg)
-        assert trace.stopped_early
-        assert trace.stop_epoch <= 60
-        assert len(trace.records) == trace.stop_epoch
 
     def test_nonfinite_loss_raises(self, tiny_task, tiny_cfg, monkeypatch):
         # a weight hook that turns the loss NaN from the second epoch on
