@@ -235,7 +235,7 @@ def fit(
                            l1_boundary=run.l1_boundary, dense_init=aux_only)
 
     params = init(_INIT_SEED_TAG)
-    kw, extras, diagnostics = {}, {}, {}
+    sample_weights, extras, diagnostics = None, {}, {}
     if method == "jtt":
         stage1_cfg = replace(cfg, epochs=run.jtt.id_epochs)
         trace1, _ = train(params, data.train, None, run.weights, stage1_cfg, data.val, selector)
@@ -249,14 +249,14 @@ def fit(
         params = init(_SECOND_STAGE_SEED_TAG)
         if wrong.any():  # else nothing to upweight: stage 2 is exactly ERM
             sw = np.where(wrong, run.jtt.upweight, 1.0)
-            kw["end_sample_weights"] = sw / sw.mean()
+            sample_weights = sw / sw.mean()
     elif method == "group_dro":
-        kw["weight_hook"], diagnostics = _group_reweighting(data.train, run.group_dro.group_step)
+        sample_weights, diagnostics = _group_reweighting(data.train, run.group_dro.group_step)
 
     trace, best = train(
         params, None if aux_only else data.train,
         aux if method in ("reg_mtl", "aux_only") else None,
-        run.weights, cfg, data.val, selector, val_aux=aux_val if aux_only else None, **kw,
+        run.weights, cfg, data.val, selector, sample_weights, aux_val if aux_only else None,
     )
     if method == "group_dro":
         extras["group_dro"] = {"final_q": [float(v) for v in diagnostics["q_steps"][-1]]}

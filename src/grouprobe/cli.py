@@ -70,18 +70,20 @@ def _spec_from_args(args) -> GroupDataSpec:
     return GroupDataSpec(*flags.values(), sigma2_noise=args.sigma2_noise or 0.0)
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
 def cmd_generate(args) -> int:
     spec = _spec_from_args(args)
-    if args.balanced is not None:
-        data = make_balanced_test(spec, args.balanced, args.seed)
-    else:
-        data = sample_group_dataset(spec, args.seed)
+    seed = _at_least("--seed", args.seed, 0)
+    data = (sample_group_dataset(spec, seed) if args.balanced is None
+            else make_balanced_test(spec, args.balanced, seed))
     out = Path(args.out)
     fmt = args.format or ("npz" if out.suffix == ".npz" else "csv")
-    if fmt == "csv":
-        atomic_via_tmp(out, data.to_csv)
-    else:
-        atomic_via_tmp(out, data.to_npz)
+    atomic_via_tmp(out, data.to_csv if fmt == "csv" else data.to_npz)
     print(f"wrote {len(data)} rows ({fmt}) to {out}")
     return 0
 
@@ -195,7 +197,7 @@ def run_grad_check(trials: int, seed: int) -> dict:
 
 
 def cmd_grad_check(args) -> int:
-    out = run_grad_check(args.trials, args.seed)
+    out = run_grad_check(_at_least("--trials", args.trials, 1), _at_least("--seed", args.seed, 0))
     print(json.dumps(out, indent=1))
     return 0 if out["pass"] else 1
 

@@ -78,10 +78,10 @@ def _expect_keys(d: dict, required: set[str], optional: set[str], where: str) ->
 
 
 def _check(v, kinds: tuple[type, ...], where: str):
-    """`v` unchanged if it is a JSON value of one of `kinds`; an integer
-    counts as a float, true/false count only as bool, a float must be finite
-    (an integer in a float field too), and an integer in an integer field
-    must fit int64."""
+    """`v` if it is a JSON value of one of `kinds`; an integer counts as a
+    float and loads as one, true/false count only as bool, a float must be
+    finite (an integer in a float field too), and an integer in an integer
+    field must fit int64."""
     # json reads NaN, Infinity and integers past float64; NaN passes range checks
     if type(v) in (int, float) and float in kinds and not abs(v) <= sys.float_info.max:
         got = json.dumps(v) if type(v) is float else f"an integer of {len(str(abs(v)))} digits"
@@ -90,8 +90,10 @@ def _check(v, kinds: tuple[type, ...], where: str):
     if type(v) is int and int in kinds and abs(v) > 2**63 - 1:
         raise ConfigError(f"{where} must be an integer of magnitude at most 2**63 - 1, "
                           f"got an integer of {len(str(abs(v)))} digits")
-    if type(v) in kinds or (type(v) is int and float in kinds):
+    if type(v) in kinds:
         return v
+    if type(v) is int and float in kinds:
+        return float(v)
     # Python would read JSON true/false as the integers 1 and 0
     as_number = type(v) is bool and (int in kinds or float in kinds)
     want = "a number" if as_number else " or ".join(_KIND_NAMES[k] for k in kinds)
@@ -113,15 +115,13 @@ def _fields(cls) -> dict[str, tuple[tuple[type, ...], bool]]:
 
 
 def _values(cls, d: dict, where: str, fixed=(), defaults=()) -> dict:
-    """`d`, checked as config block `where` of keyword arguments to `cls`: its
+    """`d` as checked config block `where` of keyword arguments to `cls`: its
     keys are the fields not in `fixed`, required unless the field has a
-    default or is in `defaults`, and each value has its field's type."""
+    default or is in `defaults`, and each value is `_check`ed."""
     spec = _fields(cls)
     keys = spec.keys() - set(fixed)
     _expect_keys(d, {k for k in keys if spec[k][1] and k not in defaults}, keys, where)
-    for k, v in d.items():
-        _check(v, spec[k][0], f"{where}.{k}")
-    return d
+    return {k: _check(v, spec[k][0], f"{where}.{k}") for k, v in d.items()}
 
 
 def _block(cls, d: dict, where: str, defaults: dict | None = None, **fixed):
@@ -161,7 +161,7 @@ def _run_spec(d: dict, where: str) -> RunSpec:
     """The `RunSpec` of config cell `where`: its blocks built, tau a float and
     the keys a cell may leave out defaulted; the constructor checks the
     method rules."""
-    _values(RunSpec, d, where)
+    d = _values(RunSpec, d, where)
     method = d["method"]
     optim = _block(OptimConfig, d["optim"], f"{where}.optim", seed=0)
     kw = {"weights": _block(LossWeights, d.get("weights", {}), f"{where}.weights")}
@@ -172,12 +172,10 @@ def _run_spec(d: dict, where: str) -> RunSpec:
     ):
         if name in d or method == name:
             kw[name] = _block(block_cls, d.get(name, {}), f"{where}.{name}", defaults)
-    tau = d.get("tau")
     try:
         # reconstruction-only cells pin the featurizer norm exactly unless
         # told otherwise; everything else defaults to the ball constraint
-        return RunSpec(tag=d["tag"], method=method, optim=optim,
-                       tau=None if tau is None else float(tau),
+        return RunSpec(tag=d["tag"], method=method, optim=optim, tau=d.get("tau"),
                        l1_boundary=d.get("l1_boundary", method == "aux_only"), **kw)
     except GrouprobeError as e:
         raise ConfigError(f"{where}: {e}") from None

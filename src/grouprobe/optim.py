@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DegenerateInputError, DivergedError, InvalidInputError, InvalidSpecError, ShapeError
 from .evalsel import SelectionStrategy, evaluate
 from .linmodel import ModelParams, normalize_frobenius, project_l1, rescale_l1
-from .objectives import LossEval, LossWeights, check_sample_weights, joint_terms, multitask_loss
+from .objectives import LossEval, LossWeights, check_sample_weights, end_stream, joint_terms, multitask_loss
 from .synthgen import AuxDataset, LabeledDataset
 
 @dataclass(frozen=True)
@@ -159,16 +159,22 @@ def _selection_metric(record: EpochRecord, selector: SelectionStrategy, aux_only
     return record.val_avg_acc
 
 
+def _gather(columns: tuple, index_batches: list[np.ndarray]) -> tuple:
+    """One epoch of a stream's per-row columns, gathered once in visiting
+    order, so each step reads the next contiguous slice; None stays None."""
+    rows = np.concatenate(index_batches)
+    return tuple(None if c is None else c[rows] for c in columns)
+
+
 def train(
     params: ModelParams,
     end_data: LabeledDataset | None,
     aux_data: AuxDataset | None,
     weights: LossWeights,
     cfg: OptimConfig,
-    val_data: LabeledDataset | None,
+    val_data: LabeledDataset,
     selector: SelectionStrategy,
-    end_sample_weights=None,
-    weight_hook=None,
+    sample_weights=None,
     val_aux: AuxDataset | None = None,
 ) -> tuple[TrainTrace, ModelParams]:
     """Run minibatch SGD for cfg.epochs and return (trace, best parameters).
@@ -179,18 +185,19 @@ def train(
     The loss is the joint objective of `objectives.joint_terms` (end BCE +
     weighted reconstruction + activation penalty); with no aux stream the
     aux terms use the end batch's activations only, and with no end stream
-    training is pure reconstruction.  Each epoch draws its batch schedule
-    from one `heterogeneous_batches` call, gathers the rows it visits once,
-    and gives every step a contiguous slice of them; each step is one
-    `joint_terms` call and one `sgd_step` call.
+    training is pure reconstruction.  Each stream is a tuple of per-row
+    columns built once: `objectives.end_stream` plus the weight column, or
+    (noised, targets).  Each epoch takes one `heterogeneous_batches`
+    schedule and `_gather`s every column once; each step is one
+    `joint_terms` call and one `sgd_step` call on the next slice.
 
-    End-stream samples can be weighted in one of two ways, not both:
-    `end_sample_weights` holds one fixed weight per row of end_data, and
-    `weight_hook(nll, group_ids)` is called once per step with the batch's
-    per-sample losses and group ids and returns the batch's weights (the
-    online group reweighting baseline updates its group distribution there).
+    `sample_weights` needs an end stream.  It is one fixed weight per row of
+    end_data, or a hook `(nll, group_ids) -> weights` called once per step
+    with the batch's per-sample losses and group ids (the online group
+    reweighting baseline updates its group distribution there).
 
-    Validation runs once per epoch after its final step.  The selected
+    Validation on the non-empty `val_data` (and `val_aux` without an end
+    stream) runs once per epoch after its final step.  The selected
     checkpoint maximizes the selector metric (average or worst-group
     validation accuracy; the negated validation reconstruction loss without
     an end stream), earliest epoch on ties; epochs whose metric is NaN are
@@ -201,16 +208,18 @@ def train(
         raise InvalidInputError("need at least one data stream")
     if aux_only and val_aux is None:
         raise InvalidInputError("aux-only training needs val_aux for checkpoint selection")
-    if not aux_only and (val_data is None or len(val_data) == 0):
+    if val_data is None or len(val_data) == 0:
         raise InvalidInputError("validation data must be non-empty")
-    if end_sample_weights is not None and weight_hook is not None:
-        raise InvalidInputError("pass sample weights or a weight hook, not both")
-    if aux_only and (end_sample_weights is not None or weight_hook is not None):
+    if aux_only and sample_weights is not None:
         raise InvalidInputError("sample weighting needs an end stream")
     if any(data is not None and data.d != params.d for data in (end_data, aux_data)):
         raise ShapeError("training data feature dim does not match the model")
+    hook = sample_weights if callable(sample_weights) else None
     if not aux_only:
-        end_sample_weights = check_sample_weights(end_sample_weights, len(end_data))
+        weight_column = (end_data.group_ids if hook is not None
+                         else check_sample_weights(sample_weights, len(end_data)))
+    end_columns = None if aux_only else (*end_stream(end_data), weight_column)
+    aux_columns = None if aux_data is None else (aux_data.noised, aux_data.targets)
 
     trace = TrainTrace()
     best_metric = -np.inf
@@ -218,20 +227,10 @@ def train(
 
     for ep in range(cfg.epochs):
         batches = list(heterogeneous_batches(end_data, aux_data, cfg.batch_size, [cfg.seed, ep]))
-        # gather the rows this epoch visits once, in visiting order; each
-        # step then takes the next contiguous slice
-        if not aux_only:
-            end_rows = np.concatenate([ei for ei, _ in batches])
-            X = end_data.features[end_rows]
-            y = end_data.labels[end_rows].astype(np.float64)
-            neg_y, t = -y, 0.5 * (y + 1.0)
-            if end_sample_weights is not None:
-                sw = end_sample_weights[end_rows]
-            if weight_hook is not None:
-                groups = end_data.group_ids[end_rows]
-        if aux_data is not None:
-            aux_rows = np.concatenate([ai for _, ai in batches])
-            Xt, X0 = aux_data.noised[aux_rows], aux_data.targets[aux_rows]
+        if end_columns is not None:
+            X, neg_y, t, w = _gather(end_columns, [ei for ei, _ in batches])
+        if aux_columns is not None:
+            Xt, X0 = _gather(aux_columns, [ai for _, ai in batches])
 
         loss_sum = 0.0
         seen = 0
@@ -240,13 +239,12 @@ def train(
             rows = slice(seen, seen + size)
             seen += size
             end = aux = batch_weights = None
-            if not aux_only:
+            if ei is not None:
                 end = (X[rows], neg_y[rows], t[rows])
-                if end_sample_weights is not None:
-                    batch_weights = sw[rows]
-                elif weight_hook is not None:
-                    batch_weights = functools.partial(weight_hook, group_ids=groups[rows])
-            if aux_data is not None:
+                if w is not None:
+                    batch_weights = (w[rows] if hook is None
+                                     else functools.partial(hook, group_ids=w[rows]))
+            if ai is not None:
                 aux = (Xt[rows], X0[rows])
             le = joint_terms(params.a, params.w_end, params.W_aux, weights, end, aux,
                              batch_weights)
@@ -258,20 +256,15 @@ def train(
             except DivergedError as e:
                 raise DivergedError(str(e), epoch=ep) from None
 
-        if val_data is not None:
-            vm = evaluate(params, val_data)
-            val_avg, val_wg, val_groups = vm.avg_acc, vm.wg_acc, vm.per_group_acc
-        else:
-            val_avg = val_wg = float("nan")
-            val_groups = np.full(4, np.nan)
+        vm = evaluate(params, val_data)
         val_recon = (None if val_aux is None
                      else multitask_loss(params, None, val_aux, LossWeights()).value)
         rec = EpochRecord(
             epoch=ep,
             train_loss=loss_sum / seen,
-            val_avg_acc=val_avg,
-            val_wg_acc=val_wg,
-            val_group_acc=val_groups,
+            val_avg_acc=vm.avg_acc,
+            val_wg_acc=vm.wg_acc,
+            val_group_acc=vm.per_group_acc,
             val_recon_loss=val_recon,
         )
         trace.records.append(rec)

@@ -174,6 +174,12 @@ class BoundInputs:
     d_s: int
     eps: float | None = None
 
+    def __post_init__(self):
+        for name in ("gamma", "sigma_spur", "eta", "tau", "lam", "eps"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise InvalidInputError(f"{name} must be finite, got {v}")
+
 
 def worst_group_error_bound(inp: BoundInputs) -> float:
     """Worst-group misclassification bound for a core-dominated halfspace.

@@ -267,7 +267,7 @@ class TestJtt:
         trace, best = train(
             p2, tiny_task.train, None, LossWeights(lambda_l2=1.0), tiny_cfg,
             tiny_task.val, NO_GP,
-            end_sample_weights=np.ones(len(tiny_task.train)),
+            sample_weights=np.ones(len(tiny_task.train)),
         )
         assert np.array_equal(result.params.w_end, best.w_end)
         assert np.array_equal(result.params.a, best.a)

@@ -73,6 +73,15 @@ class TestGenerate:
         assert all(f in err[0] for f in ("--n-maj", "--n-min", "--sigma2-noise")), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--balanced", "10"]], ids=["train", "balanced"])
+    def test_negative_seed_exits_2(self, extra, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        code = main(["generate", "--spec", "table2", *extra, "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --seed must be >= 0, got -1"], err
+        assert not out.exists()
+
     def test_incomplete_custom_spec(self, tmp_path, capsys):
         code = main(["generate", "--dc", "1", "--seed", "0",
                      "--out", str(tmp_path / "x.csv")])
@@ -283,6 +292,19 @@ def test_nonzero_momentum_or_patience_exits_2(edit, message, tmp_path, capsys):
     assert err.startswith(f"error: {message}"), err
 
 
+def _train_artifacts(doc, tmp_path, name) -> dict[str, bytes]:
+    """Every file `train --config doc` writes, by path under the output
+    directory; the directory holds runs/, traces/, params/ and summary.csv."""
+    cfg, out = tmp_path / f"{name}.json", tmp_path / name
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    artifacts = {str(p.relative_to(out)): p.read_bytes() for p in files}
+    assert {name.split("/")[0] for name in artifacts} == {"runs", "traces", "params",
+                                                          "summary.csv"}
+    return artifacts
+
+
 def test_explicit_zero_momentum_and_patience_write_the_same_bytes(tmp_path):
     """Schema-1 configs may spell out patience 0 and momentum 0.0 in each
     run's optim block; every artifact is byte-identical to leaving them out."""
@@ -292,14 +314,25 @@ def test_explicit_zero_momentum_and_patience_write_the_same_bytes(tmp_path):
         if explicit:
             for run in doc["runs"]:
                 run["optim"].update(patience=0, momentum=0.0)
-        cfg, out = tmp_path / f"cfg{explicit:d}.json", tmp_path / f"out{explicit:d}"
-        cfg.write_text(json.dumps(doc))
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        files = sorted(p for p in out.rglob("*") if p.is_file())
-        outputs.append({str(p.relative_to(out)): p.read_bytes() for p in files})
-    assert {name.split("/")[0] for name in outputs[0]} == {"runs", "traces", "params",
-                                                           "summary.csv"}
+        outputs.append(_train_artifacts(doc, tmp_path, f"out{explicit:d}"))
     assert outputs[0] == outputs[1]
+
+
+def test_integer_in_number_field_writes_the_same_bytes(tmp_path):
+    """A number field loads as a float, so `1` and `1.0` are one run and
+    every artifact is byte-identical."""
+    outputs = []
+    for one, zero in ((1, 0), (1.0, 0.0)):
+        doc = tiny_config(seeds=[0])
+        doc["data"].update(sigma2_noise=one)
+        erm, mtl = doc["runs"]
+        erm["optim"].update(momentum=zero)
+        erm["weights"].update(lambda_l2=one)
+        mtl.update(tau=one)
+        mtl["weights"].update(alpha_aux=one, alpha_reg=zero)
+        outputs.append(_train_artifacts(doc, tmp_path, type(one).__name__))
+    assert outputs[0] == outputs[1]
+    assert b'"momentum": 0.0' in outputs[0]["runs/erm_seed0.json"]
 
 
 class TestParetoCommand:
@@ -455,6 +488,19 @@ class TestBoundCommand:
         assert main(self.BASE + ["--eps", "0.7"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,eps", [
+        ("--gamma", "nan", None), ("--gamma", "inf", "0.3"), ("--eta", "inf", None),
+        ("--eps", "nan", "nan"),
+    ], ids=["gamma-nan", "gamma-inf-with-eps", "eta-inf", "eps-nan"])
+    def test_nonfinite_input_exits_2(self, flag, value, eps, capsys):
+        argv = self.BASE + (["--eps", eps] if eps else [])
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0] == f"error: {flag[2:]} must be finite, got {value}", err
+        assert captured.out == ""
+
 
 class TestGradCheckCommand:
     def test_passes(self, capsys):
@@ -463,6 +509,17 @@ class TestGradCheckCommand:
         assert out["pass"] is True
         assert out["max_relative_error"] <= 1e-5
         assert out["trials"] == 3
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--trials", "0"], "--trials must be >= 1, got 0"),
+        (["--trials", "-3"], "--trials must be >= 1, got -3"),
+    ], ids=["seed-negative", "trials-zero", "trials-negative"])
+    def test_bad_flag_exits_2(self, argv, message, capsys):
+        assert main(["grad-check", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {message}"]
+        assert captured.out == ""
 
     def test_run_grad_check_counts(self):
         out = run_grad_check(2, 0)

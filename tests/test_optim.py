@@ -233,7 +233,7 @@ class TestTrain:
         monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
         with pytest.raises(DivergedError, match=r"non-finite training loss \(epoch 1\)") as exc:
             train(params, tiny_task.train, None, LossWeights(), tiny_cfg,
-                  tiny_task.val, SelectionStrategy.NO_GP, weight_hook=hook)
+                  tiny_task.val, SelectionStrategy.NO_GP, sample_weights=hook)
         assert exc.value.epoch == 1
         # the NaN step raised before its parameter update
         assert len(hooked) == per_epoch + 1
@@ -260,25 +260,22 @@ class TestTrain:
             train(params, tiny_task.train, None, LossWeights(), tiny_cfg, None,
                   SelectionStrategy.NO_GP)
 
-    def test_sample_weights_and_weight_hook_exclusive(self, tiny_task, tiny_cfg):
-        params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
-        with pytest.raises(InvalidInputError):
-            train(params, tiny_task.train, None, LossWeights(), tiny_cfg,
-                  tiny_task.val, SelectionStrategy.NO_GP,
-                  weight_hook=lambda nll, group_ids: np.ones(len(nll)),
-                  end_sample_weights=np.ones(len(tiny_task.train)))
-
     def test_sample_weights_checked_at_entry(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
         params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
         n = len(tiny_task.train)
         for sw, error in ((-np.ones(n), InvalidInputError), (np.ones(n - 1), ShapeError)):
             with pytest.raises(error):
                 train(params, tiny_task.train, None, LossWeights(), tiny_cfg,
-                      tiny_task.val, SelectionStrategy.NO_GP, end_sample_weights=sw)
-        # without an end stream there is nothing to weight
-        with pytest.raises(InvalidInputError):
-            train(params, None, tiny_aux, LossWeights(), tiny_cfg, tiny_task.val,
-                  SelectionStrategy.NO_GP, end_sample_weights=np.ones(n), val_aux=tiny_aux_val)
+                      tiny_task.val, SelectionStrategy.NO_GP, sample_weights=sw)
+        # without an end stream there is nothing to weight, fixed or hooked
+        for sw in (np.ones(n), lambda nll, group_ids: np.ones(len(nll))):
+            with pytest.raises(InvalidInputError, match="needs an end stream"):
+                train(params, None, tiny_aux, LossWeights(), tiny_cfg, tiny_task.val,
+                      SelectionStrategy.NO_GP, sample_weights=sw, val_aux=tiny_aux_val)
+        # every run validates on val_data, aux-only runs too
+        with pytest.raises(InvalidInputError, match="validation data must be non-empty"):
+            train(params, None, tiny_aux, LossWeights(), tiny_cfg, None,
+                  SelectionStrategy.NO_GP, val_aux=tiny_aux_val)
         wide = init_params(tiny_task.train.d + 1, None, 0, fro_radius=None)
         with pytest.raises(ShapeError):
             train(wide, tiny_task.train, None, LossWeights(), tiny_cfg,

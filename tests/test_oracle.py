@@ -231,6 +231,15 @@ class TestWorstGroupBound:
         with pytest.raises(InvalidInputError):
             worst_group_error_bound(BoundInputs(**kw))
 
+    @pytest.mark.parametrize("field", ["gamma", "sigma_spur", "eta", "tau", "lam", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_inputs_rejected(self, field, value):
+        # NaN passes every `<= 0` range check, and inf turns the bounds NaN
+        kw = dict(gamma=1.0, sigma_spur=1.0, eta=1.0, tau=0.1, lam=0.1, d_c=2, d_s=1, eps=0.3)
+        kw[field] = value
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+            BoundInputs(**kw)
+
 
 class TestTransferBound:
     def test_limit_at_half(self):
