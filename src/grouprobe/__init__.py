@@ -2,7 +2,7 @@
 linear model with a shared L1-budgeted featurizer, reweighting baselines,
 group-aware evaluation, and analytic oracles."""
 
-from .baselines import FitResult, GroupDroConfig, JttConfig, RunSpec, TaskData, fit
+from .baselines import FitResult, GroupDroConfig, JttConfig, RunSpec, TaskData, fit, fit_lanes
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -37,7 +37,7 @@ from .linmodel import (
     rescale_l1,
 )
 from .objectives import LossEval, LossWeights, multitask_loss
-from .optim import OptimConfig, TrainTrace, heterogeneous_batches, sgd_step, train
+from .optim import Lane, OptimConfig, TrainTrace, heterogeneous_batches, sgd_step, train
 from .oracle import (
     BayesWeightInputs,
     BoundInputs,

@@ -2,7 +2,8 @@
 plain ERM, two-stage upweighting (JTT-style), online group reweighting
 (groupDRO-style, treated as a group-supervised skyline), reconstruction-only
 training, and the regularized multitask trainer.  A `RunSpec` names one
-method and its hyperparameters, and `fit` trains any of them."""
+method and its hyperparameters, and `fit` trains any of them; `fit_lanes`
+trains several compatible runs as the lanes of one training loop."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .evalsel import GroupMetrics, SelectionStrategy, evaluate
 from .linmodel import ModelParams, classify, init_params
 from .objectives import LossWeights
-from .optim import OptimConfig, TrainTrace, train
+from .optim import Lane, OptimConfig, TrainTrace, train
 from .synthgen import N_GROUPS, AuxDataset, LabeledDataset
 
 # Fixed tags for deriving per-role PRNG seeds from one run seed.
@@ -217,8 +218,56 @@ def fit(
 
     Only reg_mtl and aux_only read `aux`, and only aux_only reads `aux_val`.
     The result's config echoes the method, run.optim, the selection, tau,
-    the method's loss weights and its own block.
+    the method's loss weights and its own block.  A diverged run raises
+    `DivergedError` naming run.tag and the seed.
     """
+    return fit_lanes([(run, data, aux, aux_val)], selector)[0]
+
+
+def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset | None]],
+              selector: SelectionStrategy) -> list[FitResult]:
+    """`fit` of each (run, data, aux, aux_val) job, with the jobs trained in
+    lockstep as the lanes of one `optim.train` call; one result per job, in
+    order, each equal to its own `fit` bit for bit.
+
+    The runs must be lane-compatible (see `optim.train`): in practice one
+    method among erm, reg_mtl and aux_only, one batch size and epoch count,
+    one zero pattern of alpha_aux and alpha_reg, and data of one shape.  A
+    group_dro run (a per-step weight hook) trains alone, and so does a jtt
+    run (its stage-2 weights exist only when stage 1 made errors).
+    """
+    prepared = [_lane(run, data, selector, aux, aux_val) for run, data, aux, aux_val in jobs]
+    trained = train([lane for lane, _, _, _ in prepared])
+    results = []
+    for (run, data, _, _), (_, config, extras, diagnostics), (trace, best) in zip(
+            jobs, prepared, trained):
+        if run.method == "group_dro":
+            extras["group_dro"] = {"final_q": [float(v) for v in diagnostics["q_steps"][-1]]}
+        # the checkpoint is the one train() selected; records are one per epoch
+        rec = trace.records[trace.selected_epoch]
+        val_metrics = {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
+        if rec.val_recon_loss is not None:
+            val_metrics["recon_loss"] = rec.val_recon_loss
+        results.append(FitResult(
+            method=run.method,
+            config=config,
+            selected_epoch=trace.selected_epoch,
+            val_metrics=val_metrics,
+            test_metrics=evaluate(best, data.test),
+            final_metrics=evaluate(trace.final_params, data.test),
+            params=best,
+            trace=trace,
+            extras=extras,
+            diagnostics=diagnostics,
+        ))
+    return results
+
+
+def _lane(run: RunSpec, data: TaskData, selector: SelectionStrategy,
+          aux: AuxDataset | None, aux_val: AuxDataset | None) -> tuple[Lane, dict, dict, dict]:
+    """The `optim.train` lane of one `fit` job, with the result's config echo
+    and its extras and diagnostics so far; a jtt run trains its first stage
+    here."""
     method, cfg = run.method, run.optim
     aux_only = method == "aux_only"
     if aux_only:
@@ -238,7 +287,8 @@ def fit(
     sample_weights, extras, diagnostics = None, {}, {}
     if method == "jtt":
         stage1_cfg = replace(cfg, epochs=run.jtt.id_epochs)
-        trace1, _ = train(params, data.train, None, run.weights, stage1_cfg, data.val, selector)
+        [(trace1, _)] = train([Lane(params, data.train, None, run.weights, stage1_cfg, data.val,
+                                    selector, tag=run.tag)])
         wrong = classify(trace1.final_params, data.train.features) != data.train.labels
         err_counts = np.bincount(data.train.group_ids[wrong], minlength=N_GROUPS)
         extras["jtt"] = {
@@ -253,28 +303,8 @@ def fit(
     elif method == "group_dro":
         sample_weights, diagnostics = _group_reweighting(data.train, run.group_dro.group_step)
 
-    trace, best = train(
-        params, None if aux_only else data.train,
-        aux if method in ("reg_mtl", "aux_only") else None,
-        run.weights, cfg, data.val, selector, sample_weights, aux_val if aux_only else None,
-    )
-    if method == "group_dro":
-        extras["group_dro"] = {"final_q": [float(v) for v in diagnostics["q_steps"][-1]]}
-
-    # the checkpoint is the one train() selected; records are one per epoch
-    rec = trace.records[trace.selected_epoch]
-    val_metrics = {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
-    if rec.val_recon_loss is not None:
-        val_metrics["recon_loss"] = rec.val_recon_loss
-    return FitResult(
-        method=method,
-        config=config,
-        selected_epoch=trace.selected_epoch,
-        val_metrics=val_metrics,
-        test_metrics=evaluate(best, data.test),
-        final_metrics=evaluate(trace.final_params, data.test),
-        params=best,
-        trace=trace,
-        extras=extras,
-        diagnostics=diagnostics,
-    )
+    lane = Lane(params, None if aux_only else data.train,
+                aux if method in ("reg_mtl", "aux_only") else None,
+                run.weights, cfg, data.val, selector, sample_weights,
+                aux_val if aux_only else None, tag=run.tag)
+    return lane, config, extras, diagnostics

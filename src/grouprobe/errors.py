@@ -24,11 +24,18 @@ class DegenerateInputError(GrouprobeError, ValueError):
 
 
 class DivergedError(GrouprobeError, RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """Training produced a non-finite loss or gradient.
 
-    def __init__(self, message: str, epoch: int | None = None):
-        super().__init__(message if epoch is None else f"{message} (epoch {epoch})")
-        self.epoch = epoch
+    The message ends with whichever of the run's tag, its seed and the epoch
+    are known, in that order, and the same three are attributes.
+    """
+
+    def __init__(self, message: str, epoch: int | None = None, tag: str | None = None,
+                 seed: int | None = None):
+        where = ", ".join(f"{name} {v}" for name, v in (("run", tag), ("seed", seed), ("epoch", epoch))
+                          if v is not None)
+        super().__init__(f"{message} ({where})" if where else message)
+        self.epoch, self.tag, self.seed = epoch, tag, seed
 
 
 class ConfigError(GrouprobeError, ValueError):

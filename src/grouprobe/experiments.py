@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .baselines import GroupDroConfig, JttConfig, RunSpec, TaskData, fit
+from .baselines import FitResult, GroupDroConfig, JttConfig, RunSpec, TaskData, fit_lanes
 from .errors import ConfigError, DegenerateInputError, GrouprobeError, InvalidSpecError
 from .evalsel import (
     PARETO_CSV_COLUMNS,
@@ -79,9 +79,9 @@ def _expect_keys(d: dict, required: set[str], optional: set[str], where: str) ->
 
 def _check(v, kinds: tuple[type, ...], where: str):
     """`v` if it is a JSON value of one of `kinds`; an integer counts as a
-    float and loads as one, true/false count only as bool, a float must be
-    finite (an integer in a float field too), and an integer in an integer
-    field must fit int64."""
+    float and loads as one, -0.0 loads as 0.0, true/false count only as
+    bool, a float must be finite (an integer in a float field too), and an
+    integer in an integer field must fit int64."""
     # json reads NaN, Infinity and integers past float64; NaN passes range checks
     if type(v) in (int, float) and float in kinds and not abs(v) <= sys.float_info.max:
         got = json.dumps(v) if type(v) is float else f"an integer of {len(str(abs(v)))} digits"
@@ -91,7 +91,8 @@ def _check(v, kinds: tuple[type, ...], where: str):
         raise ConfigError(f"{where} must be an integer of magnitude at most 2**63 - 1, "
                           f"got an integer of {len(str(abs(v)))} digits")
     if type(v) in kinds:
-        return v
+        # -0.0 loads as 0.0: a config has one byte form per number
+        return v + 0.0 if type(v) is float else v
     if type(v) is int and float in kinds:
         return float(v)
     # Python would read JSON true/false as the integers 1 and 0
@@ -275,7 +276,7 @@ def _seed_splits(data: GroupDataSpec, val_spec: GroupDataSpec, test_n_per_group:
 
     Datasets are immutable, so every cell a process runs with the same seed
     and data blocks shares one copy.  The memo holds a few seeds: recipes run
-    five, and a process takes its jobs cell by cell over the seed list.
+    five, and a lane chunk takes its jobs cell by cell over the seed list.
     """
     train_set = sample_group_dataset(data, [seed, _SEED_TRAIN])
     val_set = sample_group_dataset(val_spec, [seed, _SEED_VAL])
@@ -290,14 +291,51 @@ def _seed_splits(data: GroupDataSpec, val_spec: GroupDataSpec, test_n_per_group:
     return TaskData(train_set, val_set, test_set), aux_train, aux_val
 
 
-def _run_cell(cfg: ExperimentConfig, run_idx: int, seed: int, out_dir: str | None) -> dict:
-    """Train one (cell, seed) job and return its run record: the JSON object
-    written to runs/<tag>_seed<seed>.json when out_dir is given."""
+def _lane_key(run: RunSpec):
+    """Cells with equal keys train as lanes of one `optim.train` call: one
+    method among erm, reg_mtl and aux_only (which sets the streams), one
+    batch size and epoch count, and one zero pattern of alpha_aux and
+    alpha_reg.  Within a config every seed's data has one shape.  A jtt or
+    group_dro cell has no key: each of its runs trains alone."""
+    if run.method not in ("erm", "reg_mtl", "aux_only"):
+        return None
+    return (run.method, run.optim.batch_size, run.optim.epochs,
+            run.weights.alpha_aux != 0, run.weights.alpha_reg != 0)
+
+
+def _lane_chunks(cfg: ExperimentConfig, jobs: list[tuple[int, int]],
+                 workers: int) -> list[list[tuple[int, int]]]:
+    """The (cell, seed) jobs grouped by lane key, in order of first job, and
+    each group split into `workers` near-equal contiguous chunks (fewer when
+    it has fewer jobs)."""
+    groups: dict = {}
+    for job in jobs:
+        key = _lane_key(cfg.runs[job[0]])
+        groups.setdefault(job if key is None else key, []).append(job)
+    return [[group[i] for i in part] for group in groups.values()
+            for part in np.array_split(range(len(group)), min(workers, len(group)))]
+
+
+def _run_lanes(cfg: ExperimentConfig, jobs: list[tuple[int, int]], out_dir: str | None) -> list[dict]:
+    """Train a chunk of lane-compatible (cell, seed) jobs as one lane group
+    and return their run records, in job order."""
+    specs = []
+    for run_idx, seed in jobs:
+        run = cfg.runs[run_idx]
+        task, aux_train, aux_val = _seed_splits(cfg.data, cfg.val, cfg.test_n_per_group,
+                                                cfg.test_seed, cfg.aux_reuse_end_features, seed)
+        specs.append((replace(run, optim=replace(run.optim, seed=seed)), task, aux_train, aux_val))
+    results = fit_lanes(specs, cfg.selection)
+    return [_run_cell(cfg, run_idx, seed, result, out_dir)
+            for (run_idx, seed), result in zip(jobs, results)]
+
+
+def _run_cell(cfg: ExperimentConfig, run_idx: int, seed: int, result: FitResult,
+              out_dir: str | None) -> dict:
+    """The run record of one trained (cell, seed) job: the JSON object
+    written to runs/<tag>_seed<seed>.json when out_dir is given, beside the
+    job's trace and parameter files."""
     run = cfg.runs[run_idx]
-    task, aux_train, aux_val = _seed_splits(cfg.data, cfg.val, cfg.test_n_per_group,
-                                            cfg.test_seed, cfg.aux_reuse_end_features, seed)
-    result = fit(replace(run, optim=replace(run.optim, seed=seed)), task, cfg.selection,
-                 aux_train, aux_val)
     try:
         log_ratio = spur_core_log_ratio(result.params.a, cfg.data.d_c, cfg.data.d_s)
     except DegenerateInputError:
@@ -374,9 +412,14 @@ def run_experiment(source, out_dir: str | Path | None):
     A record is the JSON object of one job's runs/<tag>_seed<seed>.json, in
     (cell, seed) order; a summary row maps SUMMARY_COLUMNS to one cell's
     summary.csv text.  When out_dir is given, writes those files plus per-epoch
-    trace CSVs and selected-model parameter JSONs.  Jobs run in a bounded
-    process pool (see n_workers); outputs are keyed by deterministic seeds
-    only, so scheduling never affects results.
+    trace CSVs and selected-model parameter JSONs.
+
+    Jobs are grouped by lane key (see `_lane_key`), and each group is split
+    into n_workers() contiguous chunks; a chunk trains as the lanes of one
+    `optim.train` call, and chunks run in a bounded process pool (serially
+    with one worker).  A lane's outputs equal its run alone bit for bit and
+    are keyed by deterministic seeds only, so neither the grouping nor the
+    scheduling affects results.
     """
     cfg = ExperimentConfig.load(source)
     out = None
@@ -386,13 +429,17 @@ def run_experiment(source, out_dir: str | Path | None):
             (out / sub).mkdir(parents=True, exist_ok=True)
     jobs = [(i, s) for i in range(len(cfg.runs)) for s in cfg.seeds]
     workers = n_workers()
+    chunks = _lane_chunks(cfg, jobs, workers)
     out_str = str(out) if out is not None else None
-    if workers == 1 or len(jobs) == 1:
-        records = [_run_cell(cfg, i, s, out_str) for i, s in jobs]
+    if workers == 1 or len(chunks) == 1:
+        done = [_run_lanes(cfg, chunk, out_str) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(_run_cell, cfg, i, s, out_str) for i, s in jobs]
-            records = [f.result() for f in futures]
+            futures = [ex.submit(_run_lanes, cfg, chunk, out_str) for chunk in chunks]
+            done = [f.result() for f in futures]
+    by_job = {job: record for chunk, records in zip(chunks, done)
+              for job, record in zip(chunk, records)}
+    records = [by_job[job] for job in jobs]
     rows = _summarize(cfg, records)
     if out is not None:
         text = _csv_text(SUMMARY_COLUMNS, [[row[c] for c in SUMMARY_COLUMNS] for row in rows])

@@ -10,20 +10,25 @@ objective on raw minibatch arrays; `optim.train` calls it once per SGD step.
 `multitask_loss` validates a model and its batches, then calls `joint_terms`.
 
 Lanes: the kernels take one parameter set or a stack of R of them.  `a`
-and `w_end` are (d,) or (R, d) and `W_aux` is (d, d) or (R, d, d); the data
-batch has no lane axis and is shared by every lane.  Values and gradients
-come back per lane, with the parameters' leading axis: `joint_terms` gives
-a Python float value (trace CSVs print its repr) and (d,), (d,), (d, d)
-gradients for one set, and (R,), (R, d), (R, d), (R, d, d) arrays for a
-stack.  Lane r of a stacked call equals the one-set call on lane r's
-parameters bit for bit.  Sample weights are shared by every lane; a
-callable weight (the group-DRO hook) needs the loss of a single set and is
-1-D only.
+and `w_end` are (d,) or (R, d) and `W_aux` is (d, d) or (R, d, d).  A data
+batch is (B, d), shared by every lane, or (R, B, d), one batch per lane
+(its per-sample columns are then (R, B)); kernels read the batch size B
+from `shape[-2]`.  Loss weights are one `LossWeights` shared by every lane,
+or a `LaneWeights` of (R,) columns, one weight per lane; the lanes of a
+stack share one zero pattern of alpha_aux and alpha_reg, so each weighted
+term is on for every lane or for none.  Values and gradients come back per
+lane, with the parameters' leading axis: `joint_terms` gives a Python
+float value (trace CSVs print its repr) and (d,), (d,), (d, d) gradients
+for one set, and (R,), (R, d), (R, d), (R, d, d) arrays for a stack.  Lane
+r of a stacked call equals the one-set call on lane r's parameters, batch
+and weights bit for bit.  A callable sample weight (the group-DRO hook)
+needs the loss of a single set and is 1-D only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +49,20 @@ class LossWeights:
         for name in ("alpha_aux", "alpha_reg", "lambda_l2"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be >= 0")
+
+
+class LaneWeights(NamedTuple):
+    """The loss weights of a lane stack as (R,) columns, read like
+    `LossWeights`; lanes share one zero pattern of alpha_aux and alpha_reg."""
+
+    alpha_aux: np.ndarray
+    alpha_reg: np.ndarray
+    lambda_l2: np.ndarray
+
+    @classmethod
+    def stack(cls, weights) -> "LaneWeights":
+        """The columns of a sequence of `LossWeights`, one per lane."""
+        return cls(*(np.array([getattr(w, k) for w in weights]) for k in cls._fields))
 
 
 @dataclass
@@ -86,19 +105,32 @@ def check_sample_weights(weights, n: int) -> np.ndarray | None:
 
 
 def _featurize(X, v):
-    """X * v for one (d,) vector, or (R, n, d) for a stack of R vectors."""
+    """X * v for one (d,) vector, or (R, n, d) for a stack of R vectors,
+    with X shared (n, d) or one batch per lane (R, n, d)."""
     return X * (v if v.ndim == 1 else v[:, None, :])
+
+
+def _scale(c, g):
+    """c * g for a shared weight c, or each lane of g times its entry of a
+    weight column c."""
+    return c * g if not isinstance(c, np.ndarray) else c.reshape(-1, *(1,) * (g.ndim - 1)) * g
+
+
+def _on(c) -> bool:
+    """Whether a weighted term is on: its weight, or its weight column (whose
+    entries share one zero pattern), is nonzero."""
+    return bool(c.any()) if isinstance(c, np.ndarray) else c != 0.0
 
 
 def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=None):
     """BCE data term plus L2 head penalty: (value, grad_a, grad_w_end).
 
-    neg_y is -y and t = (y+1)/2 for labels y in {-1,+1}.  sample_weights is
-    None, an array of per-sample weights, or (one parameter set only) a
-    function from the per-sample losses to such an array, whose result is
-    validated here.
+    neg_y is -y and t = (y+1)/2 for labels y in {-1,+1}; lambda_l2 is a
+    shared weight or an (R,) column.  sample_weights is None, an array of
+    per-sample weights, or (one parameter set only) a function from the
+    per-sample losses to such an array, whose result is validated here.
     """
-    n = X.shape[0]
+    n = X.shape[-2]
     z = np.matvec(H, w_end)
     nll = np.logaddexp(0.0, neg_y * z)
     if callable(sample_weights):
@@ -112,14 +144,14 @@ def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=None):
         data = (sample_weights * nll).sum(axis=-1) / n
         g = sample_weights * r / n
     value = data + 0.5 * lambda_l2 * np.vecdot(w_end, w_end)
-    grad_w_end = np.vecmat(g, H) + lambda_l2 * w_end
+    grad_w_end = np.vecmat(g, H) + _scale(lambda_l2, w_end)
     grad_a = np.vecmat(g, _featurize(X, w_end))
     return value, grad_a, grad_w_end
 
 
 def recon_terms(Xt, H, X0, W_aux):
     """Reconstruction term for H = Xt * a: (value, grad_a, grad_W_aux)."""
-    n = Xt.shape[0]
+    n = Xt.shape[-2]
     R = H @ W_aux - X0  # residual, one row per sample
     value = (R * R).sum(axis=(-2, -1)) / (2.0 * n)
     grad_W_aux = H.mT @ R / n
@@ -130,16 +162,17 @@ def recon_terms(Xt, H, X0, W_aux):
 def penalty_terms(X, H):
     """Activation L1 penalty for H = X * a, the batch mean of |H| / d:
     (value, grad_a), whose subgradient is 0 where an entry of H is 0."""
-    n, d = X.shape
+    n, d = X.shape[-2:]
     value = np.abs(H).sum(axis=(-2, -1)) / (n * d)
     grad_a = (np.sign(H) * X).sum(axis=-2) / (n * d)
     return value, grad_a
 
 
-def joint_terms(a, w_end, W_aux, weights: LossWeights, end=None, aux=None,
+def joint_terms(a, w_end, W_aux, weights: LossWeights | LaneWeights, end=None, aux=None,
                 sample_weights=None) -> LossEval:
     """The training objective on raw minibatch arrays, for one parameter set
-    or a stack of them (see the module docstring).
+    or a stack of them, with shared or per-lane batches and weights (see the
+    module docstring).
 
     `end` is (X, -y, (y+1)/2) of the labeled batch and `aux` is
     (noised, targets) of the reconstruction batch; either may be None, not
@@ -150,6 +183,7 @@ def joint_terms(a, w_end, W_aux, weights: LossWeights, end=None, aux=None,
     zero weight are skipped, and terms are added in that order.
     """
     alpha_aux, alpha_reg = weights.alpha_aux, weights.alpha_reg
+    aux_on, reg_on = _on(alpha_aux), _on(alpha_reg)
     grad_w_end = grad_W_aux = None  # zero unless a term below sets them
     penalized = []  # (X, X * a) of each batch the activation penalty reads
     if end is not None:
@@ -158,22 +192,22 @@ def joint_terms(a, w_end, W_aux, weights: LossWeights, end=None, aux=None,
         value, grad_a, grad_w_end = end_terms(X, H, neg_y, t, w_end, weights.lambda_l2,
                                               sample_weights)
         penalized.append((X, H))
-    if aux is not None and (end is None or alpha_aux != 0.0 or alpha_reg != 0.0):
+    if aux is not None and (end is None or aux_on or reg_on):
         Xt, X0 = aux
         Ht = _featurize(Xt, a)
         if end is None:
             value, grad_a, grad_W_aux = recon_terms(Xt, Ht, X0, W_aux)
-        elif alpha_aux != 0.0:
+        elif aux_on:
             rv, ra, rW = recon_terms(Xt, Ht, X0, W_aux)
             value += alpha_aux * rv
-            grad_a = grad_a + alpha_aux * ra
-            grad_W_aux = alpha_aux * rW
+            grad_a = grad_a + _scale(alpha_aux, ra)
+            grad_W_aux = _scale(alpha_aux, rW)
         penalized.append((Xt, Ht))
-    if alpha_reg != 0.0:
+    if reg_on:
         for Xp, Hp in penalized:
             pv, pa = penalty_terms(Xp, Hp)
             value += alpha_reg * pv
-            grad_a = grad_a + alpha_reg * pa
+            grad_a = grad_a + _scale(alpha_reg, pa)
     return LossEval(float(value) if a.ndim == 1 else value, grad_a,
                     np.zeros(w_end.shape) if grad_w_end is None else grad_w_end,
                     np.zeros(W_aux.shape) if grad_W_aux is None else grad_W_aux)

@@ -1,11 +1,22 @@
 """Projected SGD over the two-task objective, run for a fixed number of
-epochs, with per-epoch validation tracking and checkpoint selection."""
+epochs, with per-epoch validation tracking and checkpoint selection.
+
+`train` is the one training loop.  It runs R >= 1 compatible runs, its
+lanes, in lockstep: each lane keeps its own data, seed, batch schedule,
+loss weights, learning rate and constraint set, and the lanes share one
+stacked loss-and-gradient call per step (see `objectives`), which costs
+little more than one run's.  Each step still makes one `sgd_step` call,
+and each epoch one `heterogeneous_batches` schedule, per lane, both looked
+up on this module; every lane's outputs equal its one-lane run's bit for
+bit.
+"""
 
 from __future__ import annotations
 
 import csv
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,7 +25,15 @@ import numpy as np
 from .errors import DegenerateInputError, DivergedError, InvalidInputError, InvalidSpecError, ShapeError
 from .evalsel import SelectionStrategy, evaluate
 from .linmodel import ModelParams, normalize_frobenius, project_l1, rescale_l1
-from .objectives import LossEval, LossWeights, check_sample_weights, end_stream, joint_terms, multitask_loss
+from .objectives import (
+    LaneWeights,
+    LossEval,
+    LossWeights,
+    check_sample_weights,
+    end_stream,
+    joint_terms,
+    multitask_loss,
+)
 from .synthgen import AuxDataset, LabeledDataset
 
 @dataclass(frozen=True)
@@ -159,122 +178,233 @@ def _selection_metric(record: EpochRecord, selector: SelectionStrategy, aux_only
     return record.val_avg_acc
 
 
-def _gather(columns: tuple, index_batches: list[np.ndarray]) -> tuple:
-    """One epoch of a stream's per-row columns, gathered once in visiting
-    order, so each step reads the next contiguous slice; None stays None."""
-    rows = np.concatenate(index_batches)
-    return tuple(None if c is None else c[rows] for c in columns)
-
-
-def train(
-    params: ModelParams,
-    end_data: LabeledDataset | None,
-    aux_data: AuxDataset | None,
-    weights: LossWeights,
-    cfg: OptimConfig,
-    val_data: LabeledDataset,
-    selector: SelectionStrategy,
-    sample_weights=None,
-    val_aux: AuxDataset | None = None,
-) -> tuple[TrainTrace, ModelParams]:
-    """Run minibatch SGD for cfg.epochs and return (trace, best parameters).
-
-    The best parameters are those of the selected epoch, `trace.selected_epoch`;
-    `trace.final_params` holds the parameters after the last epoch.
-
-    The loss is the joint objective of `objectives.joint_terms` (end BCE +
-    weighted reconstruction + activation penalty); with no aux stream the
-    aux terms use the end batch's activations only, and with no end stream
-    training is pure reconstruction.  Each stream is a tuple of per-row
-    columns built once: `objectives.end_stream` plus the weight column, or
-    (noised, targets).  Each epoch takes one `heterogeneous_batches`
-    schedule and `_gather`s every column once; each step is one
-    `joint_terms` call and one `sgd_step` call on the next slice.
+@dataclass(frozen=True)
+class Lane:
+    """One run's inputs to `train`: start parameters, training streams, loss
+    weights, optimizer settings and checkpoint selection.
 
     `sample_weights` needs an end stream.  It is one fixed weight per row of
     end_data, or a hook `(nll, group_ids) -> weights` called once per step
     with the batch's per-sample losses and group ids (the online group
-    reweighting baseline updates its group distribution there).
+    reweighting baseline updates its group distribution there).  Without an
+    end stream, `val_aux` is required: its reconstruction loss selects the
+    checkpoint.  A lane with a `tag` names its run (tag and seed) in a
+    `DivergedError`.
+    """
 
-    Validation on the non-empty `val_data` (and `val_aux` without an end
-    stream) runs once per epoch after its final step.  The selected
+    params: ModelParams
+    end_data: LabeledDataset | None
+    aux_data: AuxDataset | None
+    weights: LossWeights
+    cfg: OptimConfig
+    val_data: LabeledDataset
+    selector: SelectionStrategy
+    sample_weights: np.ndarray | Callable | None = None
+    val_aux: AuxDataset | None = None
+    tag: str | None = None
+
+
+def _check_lane(lane: Lane) -> None:
+    aux_only = lane.end_data is None
+    if aux_only and lane.aux_data is None:
+        raise InvalidInputError("need at least one data stream")
+    if aux_only and lane.val_aux is None:
+        raise InvalidInputError("aux-only training needs val_aux for checkpoint selection")
+    if lane.val_data is None or len(lane.val_data) == 0:
+        raise InvalidInputError("validation data must be non-empty")
+    if aux_only and lane.sample_weights is not None:
+        raise InvalidInputError("sample weighting needs an end stream")
+    if any(data is not None and data.d != lane.params.d for data in (lane.end_data, lane.aux_data)):
+        raise ShapeError("training data feature dim does not match the model")
+
+
+def _lockstep_key(lane: Lane) -> tuple:
+    # what the lanes of one train() call share: the step schedule's shape,
+    # the stacked arrays' shapes, and the terms and weighting the kernel runs
+    w = lane.weights
+    return (lane.cfg.batch_size, lane.cfg.epochs, lane.params.d,
+            None if lane.end_data is None else len(lane.end_data),
+            None if lane.aux_data is None else len(lane.aux_data),
+            w.alpha_aux != 0.0, w.alpha_reg != 0.0, lane.sample_weights is None)
+
+
+def _stream_columns(lane: Lane) -> tuple[tuple | None, tuple | None]:
+    """A lane's per-row (end, aux) columns: `objectives.end_stream` plus the
+    weight column (the fixed weights, or the group ids for a hook), and
+    (noised, targets); None for a missing stream."""
+    end_columns = aux_columns = None
+    if lane.end_data is not None:
+        sw = lane.sample_weights
+        weight_column = (lane.end_data.group_ids if callable(sw)
+                         else check_sample_weights(sw, len(lane.end_data)))
+        end_columns = (*end_stream(lane.end_data), weight_column)
+    if lane.aux_data is not None:
+        aux_columns = (lane.aux_data.noised, lane.aux_data.targets)
+    return end_columns, aux_columns
+
+
+def _lane_stream(columns: list[tuple | None]) -> tuple[tuple | None, np.ndarray | None]:
+    """One stream's columns over all lanes, and the lanes' row offsets into
+    them: a single lane's own columns with no offsets, or each column's
+    lanes concatenated along its rows with the (R, 1) start row of each
+    lane; (None, None) for a missing stream."""
+    if columns[0] is None:
+        return None, None
+    if len(columns) == 1:
+        return columns[0], None
+    n = len(columns[0][0])
+    stacked = tuple(None if c[0] is None else np.concatenate(c) for c in zip(*columns))
+    return stacked, np.arange(len(columns))[:, None] * n
+
+
+def _gather(columns: tuple | None, offsets: np.ndarray | None, schedules: list[list],
+            slot: int) -> tuple | None:
+    """One epoch of a stream's per-row columns, gathered once in visiting
+    order with one fancy index per column, so each step reads the next
+    contiguous slice: (n_steps * B, ...) for one lane, (R, n_steps * B, ...)
+    for a lane stack (see `_lane_stream`)."""
+    if columns is None:
+        return None
+    rows = [np.concatenate([batch[slot] for batch in batches]) for batches in schedules]
+    index = rows[0] if offsets is None else np.array(rows) + offsets
+    # np.take copies the same rows as c[index], several times faster for 2-D c
+    return tuple(None if c is None else np.take(c, index, axis=0) for c in columns)
+
+
+def _param_arrays(state: list[ModelParams]) -> tuple:
+    """The kernel's parameter arguments: one lane's own arrays, or each block
+    stacked across lanes."""
+    if len(state) == 1:
+        p, = state
+        return p.a, p.w_end, p.W_aux
+    # np.array of a list stacks as np.stack does, for a third of its overhead
+    return (np.array([p.a for p in state]), np.array([p.w_end for p in state]),
+            np.array([p.W_aux for p in state]))
+
+
+def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
+    """Run minibatch SGD for cfg.epochs on R >= 1 lanes in lockstep; return
+    one (trace, best parameters) per lane, in lane order.
+
+    The best parameters are those of the selected epoch, `trace.selected_epoch`;
+    `trace.final_params` holds the parameters after the last epoch.  Each
+    lane trains exactly as it would alone, bit for bit.
+
+    The loss is the joint objective of `objectives.joint_terms` (end BCE +
+    weighted reconstruction + activation penalty); with no aux stream the
+    aux terms use the end batch's activations only, and with no end stream
+    training is pure reconstruction.  Each lane's streams are tuples of
+    per-row columns, built once and, for R > 1, concatenated across lanes.
+    Each epoch, every lane draws its own `heterogeneous_batches` schedule
+    from its own data and seed, and `_gather` reads every column once.  Each
+    step is one `joint_terms` call on the lanes' (R, B, d) batches (a single
+    lane's own (B, d) arrays when R == 1) and one `sgd_step` call per lane
+    with that lane's learning rate and constraint set.
+
+    Lanes must share batch size, epochs, feature dim, stream lengths, the
+    zero pattern of alpha_aux and alpha_reg, and whether sample weights are
+    given; a sample-weight hook trains one lane only.
+
+    A non-finite loss or a failed step raises `DivergedError` for the
+    lowest-index lane that diverged at the earliest step.
+
+    Validation on each lane's non-empty `val_data` (and `val_aux` without an
+    end stream) runs once per epoch after its final step.  The selected
     checkpoint maximizes the selector metric (average or worst-group
     validation accuracy; the negated validation reconstruction loss without
     an end stream), earliest epoch on ties; epochs whose metric is NaN are
     never selected.
     """
-    aux_only = end_data is None
-    if aux_only and aux_data is None:
-        raise InvalidInputError("need at least one data stream")
-    if aux_only and val_aux is None:
-        raise InvalidInputError("aux-only training needs val_aux for checkpoint selection")
-    if val_data is None or len(val_data) == 0:
-        raise InvalidInputError("validation data must be non-empty")
-    if aux_only and sample_weights is not None:
-        raise InvalidInputError("sample weighting needs an end stream")
-    if any(data is not None and data.d != params.d for data in (end_data, aux_data)):
-        raise ShapeError("training data feature dim does not match the model")
-    hook = sample_weights if callable(sample_weights) else None
-    if not aux_only:
-        weight_column = (end_data.group_ids if hook is not None
-                         else check_sample_weights(sample_weights, len(end_data)))
-    end_columns = None if aux_only else (*end_stream(end_data), weight_column)
-    aux_columns = None if aux_data is None else (aux_data.noised, aux_data.targets)
+    if not lanes:
+        raise InvalidInputError("need at least one lane")
+    for lane in lanes:
+        _check_lane(lane)
+    if len({_lockstep_key(lane) for lane in lanes}) > 1:
+        raise InvalidInputError(
+            "lanes must share batch size, epochs, feature dim, stream lengths, the zero "
+            "pattern of alpha_aux and alpha_reg, and whether sample weights are given")
+    single = len(lanes) == 1
+    first = lanes[0]
+    if not single and any(callable(lane.sample_weights) for lane in lanes):
+        raise InvalidInputError("a sample-weight hook trains one lane only")
+    hook = first.sample_weights if callable(first.sample_weights) else None
+    aux_only = first.end_data is None
+    batch_size, epochs = first.cfg.batch_size, first.cfg.epochs
+    driver = max(len(data) for data in (first.end_data, first.aux_data) if data is not None)
 
-    trace = TrainTrace()
-    best_metric = -np.inf
-    best_params = None
+    (end_columns, end_offsets), (aux_columns, aux_offsets) = (
+        _lane_stream(list(c)) for c in zip(*map(_stream_columns, lanes)))
+    weights = first.weights if single else LaneWeights.stack([lane.weights for lane in lanes])
+    names = [{} if lane.tag is None else {"tag": lane.tag, "seed": lane.cfg.seed}
+             for lane in lanes]
+    learning_rates = [lane.cfg.learning_rate for lane in lanes]
+    state = [lane.params for lane in lanes]
+    arrays = _param_arrays(state)
+    # every epoch's steps: the slice of the gathered columns each one reads
+    # (along the rows of a lane stack), and its batch size
+    steps = [(slice(start, start + batch_size) if single
+              else (slice(None), slice(start, start + batch_size)),
+              min(batch_size, driver - start)) for start in range(0, driver, batch_size)]
+    traces = [TrainTrace() for _ in lanes]
+    best_metric = [-np.inf] * len(lanes)
+    best_params = [None] * len(lanes)
 
-    for ep in range(cfg.epochs):
-        batches = list(heterogeneous_batches(end_data, aux_data, cfg.batch_size, [cfg.seed, ep]))
-        if end_columns is not None:
-            X, neg_y, t, w = _gather(end_columns, [ei for ei, _ in batches])
-        if aux_columns is not None:
-            Xt, X0 = _gather(aux_columns, [ai for _, ai in batches])
+    for ep in range(epochs):
+        schedules = [list(heterogeneous_batches(lane.end_data, lane.aux_data, batch_size,
+                                                [lane.cfg.seed, ep]))
+                     for lane in lanes]
+        end_cols = _gather(end_columns, end_offsets, schedules, 0)
+        aux_cols = _gather(aux_columns, aux_offsets, schedules, 1)
+        if end_cols is not None:
+            X, neg_y, t, w = end_cols
+        if aux_cols is not None:
+            Xt, X0 = aux_cols
 
         loss_sum = 0.0
-        seen = 0
-        for ei, ai in batches:
-            size = len(ei) if ei is not None else len(ai)
-            rows = slice(seen, seen + size)
-            seen += size
+        for rows, size in steps:
             end = aux = batch_weights = None
-            if ei is not None:
+            if end_cols is not None:
                 end = (X[rows], neg_y[rows], t[rows])
                 if w is not None:
                     batch_weights = (w[rows] if hook is None
                                      else functools.partial(hook, group_ids=w[rows]))
-            if ai is not None:
+            if aux_cols is not None:
                 aux = (Xt[rows], X0[rows])
-            le = joint_terms(params.a, params.w_end, params.W_aux, weights, end, aux,
-                             batch_weights)
-            if not math.isfinite(le.value):
-                raise DivergedError("non-finite training loss", epoch=ep)
+            le = joint_terms(*arrays, weights, end, aux, batch_weights)
+            lane_evals = ((le,) if single else
+                          map(LossEval, le.value, le.grad_a, le.grad_w_end, le.grad_W_aux))
+            for r, lane_eval in enumerate(lane_evals):
+                if not math.isfinite(lane_eval.value):
+                    raise DivergedError("non-finite training loss", epoch=ep, **names[r])
+                try:
+                    state[r] = sgd_step(state[r], lane_eval, learning_rates[r])
+                except DivergedError as e:
+                    raise DivergedError(str(e), epoch=ep, **names[r]) from None
             loss_sum += le.value * size
-            try:
-                params = sgd_step(params, le, cfg.learning_rate)
-            except DivergedError as e:
-                raise DivergedError(str(e), epoch=ep) from None
+            arrays = _param_arrays(state)
 
-        vm = evaluate(params, val_data)
-        val_recon = (None if val_aux is None
-                     else multitask_loss(params, None, val_aux, LossWeights()).value)
-        rec = EpochRecord(
-            epoch=ep,
-            train_loss=loss_sum / seen,
-            val_avg_acc=vm.avg_acc,
-            val_wg_acc=vm.wg_acc,
-            val_group_acc=vm.per_group_acc,
-            val_recon_loss=val_recon,
-        )
-        trace.records.append(rec)
-
-        metric = _selection_metric(rec, selector, aux_only)
-        if metric > best_metric:
-            best_metric = metric
-            best_params = params.copy()
-            trace.selected_epoch = ep
-    if best_params is None:
-        raise DivergedError("no epoch had a finite selection metric")
-    trace.final_params = params
-    return trace, best_params
+        train_loss = np.atleast_1d(loss_sum / driver).tolist()
+        for r, lane in enumerate(lanes):
+            params = state[r]
+            vm = evaluate(params, lane.val_data)
+            val_recon = (None if lane.val_aux is None
+                         else multitask_loss(params, None, lane.val_aux, LossWeights()).value)
+            rec = EpochRecord(
+                epoch=ep,
+                train_loss=train_loss[r],
+                val_avg_acc=vm.avg_acc,
+                val_wg_acc=vm.wg_acc,
+                val_group_acc=vm.per_group_acc,
+                val_recon_loss=val_recon,
+            )
+            traces[r].records.append(rec)
+            metric = _selection_metric(rec, lane.selector, aux_only)
+            if metric > best_metric[r]:
+                best_metric[r] = metric
+                best_params[r] = params.copy()
+                traces[r].selected_epoch = ep
+    for r, trace in enumerate(traces):
+        if best_params[r] is None:
+            raise DivergedError("no epoch had a finite selection metric", **names[r])
+        trace.final_params = state[r]
+    return list(zip(traces, best_params))

@@ -14,6 +14,7 @@ from grouprobe import (
     InvalidSpecError,
     JttConfig,
     LabeledDataset,
+    Lane,
     LossWeights,
     OptimConfig,
     RunSpec,
@@ -220,8 +221,8 @@ class TestErm:
         weights = LossWeights(lambda_l2=0.5)
         result = fit(spec("erm", tiny_cfg, weights=weights), tiny_task, NO_GP)
         params = init_params(tiny_task.train.d, None, [tiny_cfg.seed, 101])
-        trace, best = train(params, tiny_task.train, None, weights,
-                            tiny_cfg, tiny_task.val, NO_GP)
+        [(trace, best)] = train([Lane(params, tiny_task.train, None, weights,
+                                      tiny_cfg, tiny_task.val, NO_GP)])
         assert np.array_equal(result.params.a, best.a)
         assert np.array_equal(result.params.w_end, best.w_end)
         assert ([r.train_loss for r in result.trace.records]
@@ -264,11 +265,11 @@ class TestJtt:
         result = fit(spec("jtt", tiny_cfg, jtt=JttConfig(2, 1.0)), tiny_task, NO_GP)
         assert result.extras["jtt"]["error_set_size"] > 0  # the interesting branch
         p2 = init_params(tiny_task.train.d, None, [tiny_cfg.seed, 102])
-        trace, best = train(
+        [(trace, best)] = train([Lane(
             p2, tiny_task.train, None, LossWeights(lambda_l2=1.0), tiny_cfg,
             tiny_task.val, NO_GP,
             sample_weights=np.ones(len(tiny_task.train)),
-        )
+        )])
         assert np.array_equal(result.params.w_end, best.w_end)
         assert np.array_equal(result.params.a, best.a)
 
@@ -346,9 +347,9 @@ class TestAuxOnly:
     def test_starts_from_dense_init(self, tiny_task, tiny_aux, tiny_aux_val, monkeypatch):
         starts = []
 
-        def recording_train(params, *args, **kwargs):
-            starts.append(params.copy())
-            return train(params, *args, **kwargs)
+        def recording_train(lanes):
+            starts.extend(lane.params.copy() for lane in lanes)
+            return train(lanes)
 
         monkeypatch.setattr(grouprobe.baselines, "train", recording_train)
         cfg = OptimConfig(learning_rate=0.01, batch_size=16, epochs=1, seed=3)

@@ -139,6 +139,27 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: training diverged"), err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diverged_lane_names_its_run(self, workers, tmp_path, capsys, monkeypatch):
+        """One cell of a lane group diverges: the error names that cell and
+        its first seed, once, and no summary is written."""
+        monkeypatch.setenv("GROUPROBE_WORKERS", workers)
+        doc = tiny_config(seeds=[0, 1])
+        doc["runs"] = [{
+            "tag": tag, "method": "erm", "tau": 0.1,
+            "optim": {"learning_rate": lr, "batch_size": 16, "epochs": 2},
+            "weights": {"lambda_l2": 1.0},
+        } for tag, lr in (("calm", 0.01), ("wild", 1e300), ("steady", 0.001))]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: training diverged: "), err
+        assert err[0].endswith("(run wild, seed 0, epoch 0)"), err
+        assert not (tmp_path / "o" / "summary.csv").exists()
+
     def test_sweep_recipe_not_a_train_choice(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--recipe", "pareto-default", "--out", "x"])
@@ -319,20 +340,22 @@ def test_explicit_zero_momentum_and_patience_write_the_same_bytes(tmp_path):
 
 
 def test_integer_in_number_field_writes_the_same_bytes(tmp_path):
-    """A number field loads as a float, so `1` and `1.0` are one run and
-    every artifact is byte-identical."""
+    """A number field loads as a float, and -0.0 as 0.0, so `1` and `1.0`,
+    and `0`, `0.0` and `-0.0`, are one run and every artifact is
+    byte-identical."""
     outputs = []
-    for one, zero in ((1, 0), (1.0, 0.0)):
+    for i, (one, zero) in enumerate(((1, 0), (1.0, 0.0), (1.0, -0.0))):
         doc = tiny_config(seeds=[0])
         doc["data"].update(sigma2_noise=one)
         erm, mtl = doc["runs"]
         erm["optim"].update(momentum=zero)
         erm["weights"].update(lambda_l2=one)
         mtl.update(tau=one)
-        mtl["weights"].update(alpha_aux=one, alpha_reg=zero)
-        outputs.append(_train_artifacts(doc, tmp_path, type(one).__name__))
-    assert outputs[0] == outputs[1]
+        mtl["weights"].update(alpha_aux=one, alpha_reg=zero, lambda_l2=zero)
+        outputs.append(_train_artifacts(doc, tmp_path, f"out{i}"))
+    assert outputs[0] == outputs[1] == outputs[2]
     assert b'"momentum": 0.0' in outputs[0]["runs/erm_seed0.json"]
+    assert b'"lambda_l2": 0.0' in outputs[0]["runs/mtl_seed0.json"]
 
 
 class TestParetoCommand:

@@ -1,12 +1,18 @@
 import copy
 import csv
+import dis
 import json
+import math
+import types
 
 import numpy as np
 import pytest
 
+import grouprobe.baselines
+import grouprobe.optim
 from grouprobe import (
     ConfigError,
+    DivergedError,
     ExperimentConfig,
     SweepGrid,
     recipe_config,
@@ -354,13 +360,14 @@ class TestSplitMemo:
         """Run one seed of an erm cell and two reg_mtl cells; return the
         task splits and aux sets each cell trained on."""
         seen = []
-        real = experiments.fit
+        real = experiments.fit_lanes
 
-        def recording(run, task, selector, aux=None, aux_val=None):
-            seen.append((task, aux if run.method == "reg_mtl" else None))
-            return real(run, task, selector, aux, aux_val)
+        def recording(jobs, selector):
+            seen.extend((task, aux if run.method == "reg_mtl" else None)
+                        for run, task, aux, _ in jobs)
+            return real(jobs, selector)
 
-        monkeypatch.setattr(experiments, "fit", recording)
+        monkeypatch.setattr(experiments, "fit_lanes", recording)
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
         run_experiment(tiny_config(**{"runs": self.RUNS, "seeds": [0], **overrides}), None)
         assert len(seen) == 3
@@ -383,6 +390,134 @@ class TestSplitMemo:
         assert np.array_equal(test_seed.train.features, base.train.features)
         assert (len(val_size.val), len(base.val)) == (30, 28)
         assert len({id(t) for t in (base, seed, test_seed, val_size)}) == 4
+
+
+class TestLaneGroups:
+    """run_experiment trains lane-compatible (cell, seed) jobs as the lanes
+    of one optim.train call, with no change to any run."""
+
+    # three reg_mtl cells that differ in every per-lane setting (learning
+    # rate, tau and its mode, loss weights) but share the zero pattern of
+    # alpha_aux and alpha_reg, plus a jtt cell, which trains alone
+    RUNS = [
+        {"tag": "mtl_ball", "method": "reg_mtl", "tau": 0.5,
+         "optim": {"learning_rate": 0.01, "batch_size": 16, "epochs": 3},
+         "weights": {"alpha_aux": 1.0, "alpha_reg": 0.1, "lambda_l2": 1.0}},
+        {"tag": "mtl_free", "method": "reg_mtl",
+         "optim": {"learning_rate": 0.05, "batch_size": 16, "epochs": 3},
+         "weights": {"alpha_aux": 2.5, "alpha_reg": 0.5, "lambda_l2": 0.0}},
+        {"tag": "mtl_sphere", "method": "reg_mtl", "tau": 0.2, "l1_boundary": True,
+         "optim": {"learning_rate": 0.001, "batch_size": 16, "epochs": 3},
+         "weights": {"alpha_aux": 0.3, "alpha_reg": 1.0, "lambda_l2": 0.5}},
+        {"tag": "jtt", "method": "jtt",
+         "optim": {"learning_rate": 0.01, "batch_size": 32, "epochs": 3},
+         "weights": {"lambda_l2": 1.0}, "jtt": {"id_epochs": 2, "upweight": 5.0}},
+    ]
+
+    def test_one_step_per_run_step_and_one_schedule_per_run_epoch(self, monkeypatch):
+        """The step and schedule counts a tracer wrapping these two module
+        globals sees are the runs' own, summed: lanes share neither."""
+        optim = grouprobe.optim
+        steps, schedules, lane_counts = [], [], []
+        real_step, real_batches = optim.sgd_step, optim.heterogeneous_batches
+        real_train = grouprobe.baselines.train
+
+        def counting_step(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        def counting_batches(*args, **kwargs):
+            schedules.append(1)
+            return real_batches(*args, **kwargs)
+
+        def counting_train(lanes):
+            lane_counts.append(len(lanes))
+            return real_train(lanes)
+
+        monkeypatch.setattr(optim, "sgd_step", counting_step)
+        monkeypatch.setattr(optim, "heterogeneous_batches", counting_batches)
+        monkeypatch.setattr(grouprobe.baselines, "train", counting_train)
+        monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+        doc = tiny_config(runs=self.RUNS, seeds=[0, 1])
+        run_experiment(doc, None)
+
+        n_train = TINY_DATA["n_maj"] + TINY_DATA["n_min"]
+        run_epochs = [r["optim"]["epochs"] + r.get("jtt", {}).get("id_epochs", 0)
+                      for r in self.RUNS]
+        run_steps = [e * math.ceil(n_train / r["optim"]["batch_size"])
+                     for e, r in zip(run_epochs, self.RUNS)]
+        seeds = len(doc["seeds"])
+        assert len(schedules) == seeds * sum(run_epochs)
+        assert len(steps) == seeds * sum(run_steps)
+        # one lane group of 3 cells x 2 seeds; jtt trains each stage alone
+        assert lane_counts == [6, 1, 1, 1, 1]
+
+        # the loop looks both names up on the module at every use, never
+        # through a local alias or a default argument a wrapper cannot reach
+        names = {"sgd_step", "heterogeneous_batches"}
+        train = optim.train
+        assert not names & {getattr(f, "__name__", None) for f in train.__defaults__ or ()}
+        codes, seen_globals = [train.__code__], set()
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            assert not names & set(code.co_varnames + code.co_cellvars + code.co_freevars)
+            instructions = list(dis.get_instructions(code))
+            for op, after in zip(instructions, instructions[1:]):
+                if op.opname == "LOAD_GLOBAL" and op.argval in names:
+                    seen_globals.add(op.argval)
+                    assert not after.opname.startswith("STORE"), (op.argval, after.opname)
+        assert seen_globals == names
+
+    def test_chunks_are_lane_groups_split_per_worker(self):
+        cfg = ExperimentConfig.load(tiny_config(runs=self.RUNS, seeds=[0, 1, 2]))
+        jobs = [(i, s) for i in range(len(cfg.runs)) for s in cfg.seeds]
+        lanes = [job for job in jobs if job[0] < 3]
+        # serial: one chunk per lane group, each jtt job alone
+        assert experiments._lane_chunks(cfg, jobs, 1) == [lanes, [(3, 0)], [(3, 1)], [(3, 2)]]
+        # two workers: each group in near-equal contiguous halves
+        assert experiments._lane_chunks(cfg, jobs, 2) == [
+            lanes[:5], lanes[5:], [(3, 0)], [(3, 1)], [(3, 2)]]
+        assert experiments._lane_chunks(cfg, jobs, 4)[:4] == [
+            lanes[:3], lanes[3:5], lanes[5:7], lanes[7:]]
+
+    def test_lane_key_separates_what_cannot_share_a_step(self):
+        base = self.RUNS[0]
+        keyed = [dict(base, tag="a"),
+                 dict(base, tag="b", optim=dict(base["optim"], batch_size=32)),
+                 dict(base, tag="c", optim=dict(base["optim"], epochs=4)),
+                 dict(base, tag="d", weights=dict(base["weights"], alpha_reg=0.0)),
+                 dict(base, tag="e", method="erm", weights={"lambda_l2": 1.0})]
+        cfg = ExperimentConfig.load(tiny_config(runs=keyed))
+        assert len({experiments._lane_key(run) for run in cfg.runs}) == 5
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_grouping_does_not_change_outputs(self, workers, tmp_path, monkeypatch):
+        doc = tiny_config(runs=self.RUNS, seeds=[0, 1])
+        monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+        monkeypatch.setattr(experiments, "_lane_key", lambda run: None)  # every job alone
+        _, alone = run_experiment(doc, tmp_path / "alone")
+        monkeypatch.undo()
+        monkeypatch.setenv("GROUPROBE_WORKERS", workers)
+        _, grouped = run_experiment(doc, tmp_path / "grouped")
+        assert grouped == alone
+        files = sorted(p.relative_to(tmp_path / "alone")
+                       for p in (tmp_path / "alone").rglob("*") if p.is_file())
+        assert len(files) == 1 + 3 * len(self.RUNS) * 2
+        for rel in files:
+            assert (tmp_path / "grouped" / rel).read_bytes() == (tmp_path / "alone" / rel).read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_diverged_lane_is_named_through_the_pool(self, monkeypatch):
+        runs = copy.deepcopy(self.RUNS[:3])
+        runs[1]["tau"] = 0.1
+        runs[1]["optim"]["learning_rate"] = 1e300
+        monkeypatch.setenv("GROUPROBE_WORKERS", "2")
+        with pytest.raises(DivergedError) as exc:
+            run_experiment(tiny_config(runs=runs, seeds=[0, 1]), None)
+        # both chunks of the one lane group diverge; the first in job order raises
+        assert (exc.value.tag, exc.value.seed, exc.value.epoch) == ("mtl_free", 0, 0)
+        assert str(exc.value).endswith("(run mtl_free, seed 0, epoch 0)")
 
 
 class TestWorkers:

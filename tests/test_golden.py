@@ -1,8 +1,8 @@
 """Golden-output regression test.
 
-Cut-down copies of four named recipes (one seed, 15 epochs, serial) must
-write artifacts whose sha256 hashes match the ones recorded in
-`golden_sha256.json`.  So must the `grad-check` report at three seeds and
+Cut-down copies of four named recipes (one seed, 15 epochs), run serially
+and with two workers, must write artifacts whose sha256 hashes match the
+ones recorded in `golden_sha256.json`.  So must the `grad-check` report at three seeds and
 the `pareto` front files of a generated 10,000-point sweep file.  A
 refactor that claims unchanged behaviour passes this test unmodified; a
 change that alters outputs on purpose re-records the hashes with
@@ -72,9 +72,12 @@ def artifact_hashes(name: str, out: Path) -> dict[str, str]:
     return hashes
 
 
-@pytest.mark.parametrize("name", RECIPES)
-def test_artifacts_match_golden(name, tmp_path, monkeypatch):
-    monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+# serial, and in a 2-worker pool, where each lane group trains in two chunks
+@pytest.mark.parametrize("workers,name", [
+    pytest.param(workers, name, id=name if workers == "1" else f"{name}-workers{workers}")
+    for workers in ("1", "2") for name in RECIPES])
+def test_artifacts_match_golden(workers, name, tmp_path, monkeypatch):
+    monkeypatch.setenv("GROUPROBE_WORKERS", workers)
     want = json.loads(GOLDEN.read_text())[name]
     got = artifact_hashes(name, tmp_path)
     assert sorted(got) == sorted(want), "artifact file set changed"

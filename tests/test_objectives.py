@@ -17,7 +17,14 @@ from grouprobe import (
     init_params,
     multitask_loss,
 )
-from grouprobe.objectives import _sigmoid, end_terms, joint_terms, penalty_terms, recon_terms
+from grouprobe.objectives import (
+    LaneWeights,
+    _sigmoid,
+    end_terms,
+    joint_terms,
+    penalty_terms,
+    recon_terms,
+)
 from grouprobe.oracle import finite_diff_param_grads
 
 
@@ -408,37 +415,57 @@ def test_training_kernel_matches_term_kernels(case):
 
 @st.composite
 def _lane_case(draw):
+    """A lane stack: R parameter sets, with one batch shared by every lane
+    or one batch per lane, and one LossWeights or per-lane weight columns
+    with one zero pattern of alpha_aux and alpha_reg."""
     d = draw(st.integers(1, 5))
     n = draw(st.sampled_from([1, 7, 8, 9, 64, 256]))
     lanes = draw(st.integers(1, 5))
+    per_lane = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X, Xt, X0 = (rng.uniform(-4.0, 4.0, size=(n, d)) for _ in range(3))
-    y = rng.choice((-1.0, 1.0), size=n)
+    batch = (lanes, n) if per_lane else (n,)
+    X, Xt, X0 = (rng.uniform(-4.0, 4.0, size=batch + (d,)) for _ in range(3))
+    y = rng.choice((-1.0, 1.0), size=batch)
     a = rng.uniform(-4.0, 4.0, size=(lanes, d))
     w_end = rng.uniform(-4.0, 4.0, size=(lanes, d))
     W_aux = rng.uniform(-4.0, 4.0, size=(lanes, d, d))
-    weights = LossWeights(alpha_aux=draw(_WEIGHT), alpha_reg=draw(_WEIGHT),
-                          lambda_l2=draw(_WEIGHT))
+    if draw(st.booleans()):
+        weights = [LossWeights(alpha_aux=draw(_WEIGHT), alpha_reg=draw(_WEIGHT),
+                               lambda_l2=draw(_WEIGHT))] * lanes
+        stacked = weights[0]
+    else:
+        on_aux, on_reg = draw(st.booleans()), draw(st.booleans())
+        weights = [LossWeights(alpha_aux=draw(_WEIGHT.filter(bool)) if on_aux else 0.0,
+                               alpha_reg=draw(_WEIGHT.filter(bool)) if on_reg else 0.0,
+                               lambda_l2=draw(_WEIGHT)) for _ in range(lanes)]
+        stacked = LaneWeights.stack(weights)
     streams = draw(st.sampled_from(["end", "aux", "joint"]))
     end = (X, -y, 0.5 * (y + 1.0)) if streams != "aux" else None
     aux = (Xt, X0) if streams != "end" else None
-    sw = rng.uniform(0.0, 3.0, size=n) if end is not None and draw(st.booleans()) else None
-    return (a, w_end, W_aux), weights, end, aux, sw
+    sw = rng.uniform(0.0, 3.0, size=batch) if end is not None and draw(st.booleans()) else None
+    return (a, w_end, W_aux), (stacked, weights), end, aux, sw, per_lane
 
 
 @given(_lane_case())
 @settings(max_examples=300, deadline=None)
 def test_stacked_lanes_match_single_calls(case):
     """Lane r of a stacked call equals the 1-D call on lane r's parameters,
-    bit for bit, in the value and all three gradients."""
-    (a, w_end, W_aux), weights, end, aux, sw = case
-    got = joint_terms(a, w_end, W_aux, weights, end, aux, sw)
+    batch and weights, bit for bit, in the value and all three gradients."""
+    (a, w_end, W_aux), (stacked, weights), end, aux, sw, per_lane = case
+    got = joint_terms(a, w_end, W_aux, stacked, end, aux, sw)
     lanes = len(a)
     assert got.value.shape == (lanes,)
     assert got.grad_a.shape == got.grad_w_end.shape == a.shape
     assert got.grad_W_aux.shape == W_aux.shape
+
+    def lane(arrays, r):
+        if arrays is None or not per_lane:
+            return arrays
+        return tuple(x[r] for x in arrays) if isinstance(arrays, tuple) else arrays[r]
+
     for r in range(lanes):
-        one = joint_terms(a[r], w_end[r], W_aux[r], weights, end, aux, sw)
+        one = joint_terms(a[r], w_end[r], W_aux[r], weights[r], lane(end, r), lane(aux, r),
+                          lane(sw, r))
         assert type(one.value) is float
         assert got.value[r] == one.value
         for g, h in ((got.grad_a, one.grad_a), (got.grad_w_end, one.grad_w_end),

@@ -12,6 +12,7 @@ from grouprobe import (
     GroupMetrics,
     InvalidInputError,
     InvalidSpecError,
+    Lane,
     LossEval,
     LossWeights,
     OptimConfig,
@@ -167,7 +168,7 @@ class TestTrain:
     def _run(self, task, aux, cfg, tau=0.5, weights=None, selector=SelectionStrategy.NO_GP):
         params = init_params(task.train.d, tau, [cfg.seed, 101])
         weights = weights or LossWeights(alpha_aux=1.0, lambda_l2=1.0)
-        return train(params, task.train, aux, weights, cfg, task.val, selector)
+        return train([Lane(params, task.train, aux, weights, cfg, task.val, selector)])[0]
 
     def test_one_record_per_epoch(self, tiny_task, tiny_aux, tiny_cfg):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
@@ -232,8 +233,8 @@ class TestTrain:
 
         monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
         with pytest.raises(DivergedError, match=r"non-finite training loss \(epoch 1\)") as exc:
-            train(params, tiny_task.train, None, LossWeights(), tiny_cfg,
-                  tiny_task.val, SelectionStrategy.NO_GP, sample_weights=hook)
+            train([Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg,
+                        tiny_task.val, SelectionStrategy.NO_GP, sample_weights=hook)])
         assert exc.value.epoch == 1
         # the NaN step raised before its parameter update
         assert len(hooked) == per_epoch + 1
@@ -251,35 +252,35 @@ class TestTrain:
     def test_aux_only_requires_val_aux(self, tiny_aux, tiny_cfg):
         params = init_params(tiny_aux.d, 1.0, 0)
         with pytest.raises(InvalidInputError):
-            train(params, None, tiny_aux, LossWeights(), tiny_cfg, None,
-                  SelectionStrategy.NO_GP)
+            train([Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, None,
+                        SelectionStrategy.NO_GP)])
 
     def test_end_training_requires_val(self, tiny_task, tiny_cfg):
         params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
         with pytest.raises(InvalidInputError):
-            train(params, tiny_task.train, None, LossWeights(), tiny_cfg, None,
-                  SelectionStrategy.NO_GP)
+            train([Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg, None,
+                        SelectionStrategy.NO_GP)])
 
     def test_sample_weights_checked_at_entry(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
         params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
         n = len(tiny_task.train)
         for sw, error in ((-np.ones(n), InvalidInputError), (np.ones(n - 1), ShapeError)):
             with pytest.raises(error):
-                train(params, tiny_task.train, None, LossWeights(), tiny_cfg,
-                      tiny_task.val, SelectionStrategy.NO_GP, sample_weights=sw)
+                train([Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg,
+                            tiny_task.val, SelectionStrategy.NO_GP, sample_weights=sw)])
         # without an end stream there is nothing to weight, fixed or hooked
         for sw in (np.ones(n), lambda nll, group_ids: np.ones(len(nll))):
             with pytest.raises(InvalidInputError, match="needs an end stream"):
-                train(params, None, tiny_aux, LossWeights(), tiny_cfg, tiny_task.val,
-                      SelectionStrategy.NO_GP, sample_weights=sw, val_aux=tiny_aux_val)
+                train([Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, tiny_task.val,
+                            SelectionStrategy.NO_GP, sample_weights=sw, val_aux=tiny_aux_val)])
         # every run validates on val_data, aux-only runs too
         with pytest.raises(InvalidInputError, match="validation data must be non-empty"):
-            train(params, None, tiny_aux, LossWeights(), tiny_cfg, None,
-                  SelectionStrategy.NO_GP, val_aux=tiny_aux_val)
+            train([Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, None,
+                        SelectionStrategy.NO_GP, val_aux=tiny_aux_val)])
         wide = init_params(tiny_task.train.d + 1, None, 0, fro_radius=None)
         with pytest.raises(ShapeError):
-            train(wide, tiny_task.train, None, LossWeights(), tiny_cfg,
-                  tiny_task.val, SelectionStrategy.NO_GP)
+            train([Lane(wide, tiny_task.train, None, LossWeights(), tiny_cfg,
+                        tiny_task.val, SelectionStrategy.NO_GP)])
 
     def test_trace_csv(self, tiny_task, tiny_aux, tiny_cfg, tmp_path):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
@@ -319,9 +320,9 @@ class TestSelection:
         cfg = OptimConfig(learning_rate=0.01, batch_size=16, epochs=epochs, seed=3)
         params = init_params(task.train.d, 0.5, [3, 101])
         if aux_val is not None:
-            return train(params, None, aux, LossWeights(), cfg, task.val, selector,
-                         val_aux=aux_val)
-        return train(params, task.train, None, LossWeights(), cfg, task.val, selector)
+            return train([Lane(params, None, aux, LossWeights(), cfg, task.val, selector,
+                               val_aux=aux_val)])[0]
+        return train([Lane(params, task.train, None, LossWeights(), cfg, task.val, selector)])[0]
 
     def test_argmax_and_tie(self, tiny_task, tiny_aux, tiny_aux_val, monkeypatch):
         avg = [0.5, 0.9, 0.9, 0.7]
@@ -366,13 +367,13 @@ class TestSelection:
         cfg = OptimConfig(learning_rate=1e-300, batch_size=16, epochs=self.EPOCHS, seed=3)
         for selector in SelectionStrategy:
             params = init_params(tiny_task.train.d, 0.5, [3, 101])
-            trace, _ = train(params, tiny_task.train, tiny_aux, LossWeights(alpha_aux=1.0),
-                             cfg, tiny_task.val, selector)
+            [(trace, _)] = train([Lane(params, tiny_task.train, tiny_aux,
+                                       LossWeights(alpha_aux=1.0), cfg, tiny_task.val, selector)])
             key = "val_avg_acc" if selector is SelectionStrategy.NO_GP else "val_wg_acc"
             assert len({getattr(r, key) for r in trace.records}) == 1
             assert trace.selected_epoch == 0
         params = init_params(tiny_task.train.d, 0.5, [3, 101], l1_boundary=True, dense_init=True)
-        trace, _ = train(params, None, tiny_aux, LossWeights(), cfg, tiny_task.val,
-                         SelectionStrategy.NO_GP, val_aux=tiny_aux_val)
+        [(trace, _)] = train([Lane(params, None, tiny_aux, LossWeights(), cfg, tiny_task.val,
+                                   SelectionStrategy.NO_GP, val_aux=tiny_aux_val)])
         assert len({r.val_recon_loss for r in trace.records}) == 1
         assert trace.selected_epoch == 0
