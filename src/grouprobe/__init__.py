@@ -28,11 +28,8 @@ from .experiments import (
 from .linmodel import (
     ModelParams,
     classify,
-    featurize,
     init_params,
     normalize_frobenius,
-    predict_aux,
-    predict_end,
     project_l1,
     rescale_l1,
 )

@@ -125,9 +125,9 @@ class FitResult:
 
     Test metrics are reported twice: for the selected checkpoint and for the
     final epoch.  Checkpoint selection changes the story for some methods, so
-    both views are always kept.  `extras` is JSON-safe method-specific output
-    (error-set stats, final group weights); `diagnostics` holds bulky
-    in-memory-only arrays such as the full group-weight trajectory.
+    both views are always kept.  `params` is the selected checkpoint; it may
+    be the same object as `trace.final_params`.  `extras` is JSON-safe
+    method-specific output (error-set stats, final group weights).
     """
 
     method: str
@@ -139,7 +139,6 @@ class FitResult:
     params: ModelParams
     trace: TrainTrace
     extras: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,12 +153,11 @@ class FitResult:
 
 
 def _group_reweighting(train_set: LabeledDataset, group_step: float):
-    """The group-DRO weight hook for `optim.train`, and the diagnostics dict
-    it fills with each step's group distribution q and group batch losses."""
+    """The group-DRO weight hook for `optim.train`, and the group
+    distribution q that each call of the hook updates in place."""
     if not (train_set.group_counts() > 0).all():
         raise InvalidInputError("group reweighting requires all four groups in training data")
     q = np.full(N_GROUPS, 1.0 / N_GROUPS)
-    diagnostics = {"q_steps": [], "group_loss_steps": []}
 
     def reweight(nll, group_ids):
         # group losses exclude the L2 penalty: it does not depend on the data
@@ -171,11 +169,9 @@ def _group_reweighting(train_set: LabeledDataset, group_step: float):
         present = counts > 0
         q[present] *= np.exp(group_step * gl[present])
         q[:] = q / q.sum()
-        diagnostics["q_steps"].append(q.copy())
-        diagnostics["group_loss_steps"].append(gl)
         return q[group_ids] * len(group_ids) / counts[group_ids]
 
-    return reweight, diagnostics
+    return reweight, q
 
 
 def fit(
@@ -233,16 +229,15 @@ def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset 
     The runs must be lane-compatible (see `optim.train`): in practice one
     method among erm, reg_mtl and aux_only, one batch size and epoch count,
     one zero pattern of alpha_aux and alpha_reg, and data of one shape.  A
-    group_dro run (a per-step weight hook) trains alone, and so does a jtt
-    run (its stage-2 weights exist only when stage 1 made errors).
+    group_dro run (a per-step weight hook) trains alone.  A result's `params`
+    may be the same object as its `trace.final_params`.
     """
     prepared = [_lane(run, data, selector, aux, aux_val) for run, data, aux, aux_val in jobs]
     trained = train([lane for lane, _, _, _ in prepared])
     results = []
-    for (run, data, _, _), (_, config, extras, diagnostics), (trace, best) in zip(
-            jobs, prepared, trained):
-        if run.method == "group_dro":
-            extras["group_dro"] = {"final_q": [float(v) for v in diagnostics["q_steps"][-1]]}
+    for (run, data, _, _), (_, config, extras, q), (trace, best) in zip(jobs, prepared, trained):
+        if q is not None:
+            extras["group_dro"] = {"final_q": [float(v) for v in q]}
         # the checkpoint is the one train() selected; records are one per epoch
         rec = trace.records[trace.selected_epoch]
         val_metrics = {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
@@ -258,16 +253,16 @@ def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset 
             params=best,
             trace=trace,
             extras=extras,
-            diagnostics=diagnostics,
         ))
     return results
 
 
 def _lane(run: RunSpec, data: TaskData, selector: SelectionStrategy,
-          aux: AuxDataset | None, aux_val: AuxDataset | None) -> tuple[Lane, dict, dict, dict]:
-    """The `optim.train` lane of one `fit` job, with the result's config echo
-    and its extras and diagnostics so far; a jtt run trains its first stage
-    here."""
+          aux: AuxDataset | None, aux_val: AuxDataset | None
+          ) -> tuple[Lane, dict, dict, np.ndarray | None]:
+    """The `optim.train` lane of one `fit` job, with the result's config echo,
+    its extras so far and, for group_dro, the group distribution its hook
+    updates; a jtt run trains its first stage here."""
     method, cfg = run.method, run.optim
     aux_only = method == "aux_only"
     if aux_only:
@@ -284,7 +279,7 @@ def _lane(run: RunSpec, data: TaskData, selector: SelectionStrategy,
                            l1_boundary=run.l1_boundary, dense_init=aux_only)
 
     params = init(_INIT_SEED_TAG)
-    sample_weights, extras, diagnostics = None, {}, {}
+    sample_weights, extras, q = None, {}, None
     if method == "jtt":
         stage1_cfg = replace(cfg, epochs=run.jtt.id_epochs)
         [(trace1, _)] = train([Lane(params, data.train, None, run.weights, stage1_cfg, data.val,
@@ -297,14 +292,14 @@ def _lane(run: RunSpec, data: TaskData, selector: SelectionStrategy,
             "fallback_erm": bool(wrong.sum() == 0),
         }
         params = init(_SECOND_STAGE_SEED_TAG)
-        if wrong.any():  # else nothing to upweight: stage 2 is exactly ERM
-            sw = np.where(wrong, run.jtt.upweight, 1.0)
-            sample_weights = sw / sw.mean()
+        # with no errors every weight is exactly 1.0: stage 2 is plain ERM bit for bit
+        sw = np.where(wrong, run.jtt.upweight, 1.0)
+        sample_weights = sw / sw.mean()
     elif method == "group_dro":
-        sample_weights, diagnostics = _group_reweighting(data.train, run.group_dro.group_step)
+        sample_weights, q = _group_reweighting(data.train, run.group_dro.group_step)
 
     lane = Lane(params, None if aux_only else data.train,
                 aux if method in ("reg_mtl", "aux_only") else None,
                 run.weights, cfg, data.val, selector, sample_weights,
                 aux_val if aux_only else None, tag=run.tag)
-    return lane, config, extras, diagnostics
+    return lane, config, extras, q

@@ -52,6 +52,9 @@ def evaluate(params: ModelParams, data: LabeledDataset) -> GroupMetrics:
     """Hard-label accuracy of the end head, overall and per group."""
     if len(data) == 0:
         raise InvalidInputError("cannot evaluate on an empty dataset")
+    if data.d != params.d:
+        raise ShapeError(f"feature width mismatch: the model has d = {params.d}, "
+                         f"the data d = {data.d}")
     correct = (classify(params, data.features) == data.labels).astype(np.float64)
     sizes = np.bincount(data.group_ids, minlength=N_GROUPS)
     present = sizes > 0

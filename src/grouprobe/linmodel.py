@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +56,6 @@ class ModelParams:
     @property
     def d(self) -> int:
         return self.a.shape[0]
-
-    def copy(self) -> "ModelParams":
-        return replace(self, a=self.a.copy(), w_end=self.w_end.copy(), W_aux=self.W_aux.copy())
 
     def _replace_arrays(self, a: np.ndarray, w_end: np.ndarray, W_aux: np.ndarray) -> "ModelParams":
         # The same constraint set with new float64 arrays of this model's
@@ -147,32 +144,11 @@ def _holds_bool(v) -> bool:
     return isinstance(v, bool) or (isinstance(v, list) and any(map(_holds_bool, v)))
 
 
-def featurize(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the diagonal featurizer: elementwise a * x.
-
-    x may be a single (d,) vector or a batch (..., d).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != a.shape[0]:
-        raise ShapeError(f"trailing dim of x ({x.shape[-1]}) != len(a) ({a.shape[0]})")
-    return x * a
-
-
-def predict_end(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Classification logit(s) w_end . (a * x)."""
-    return featurize(params.a, x) @ params.w_end
-
-
 def classify(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Hard labels in {-1,+1}; the zero logit maps to +1."""
-    z = predict_end(params, x)
+    """Hard labels in {-1,+1} of the end logits w_end . (a * x) of a batch
+    x (..., d); the zero logit maps to +1."""
+    z = (x * params.a) @ params.w_end
     return np.where(z >= 0, 1, -1).astype(np.int64)
-
-
-def predict_aux(params: ModelParams, x_noised: np.ndarray) -> np.ndarray:
-    """Reconstruction W_aux^T (a * x); batched when x is (..., d)."""
-    return featurize(params.a, x_noised) @ params.W_aux
 
 
 def project_l1(v: np.ndarray, tau: float) -> np.ndarray:

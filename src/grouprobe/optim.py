@@ -210,12 +210,14 @@ def _check_lane(lane: Lane) -> None:
         raise InvalidInputError("need at least one data stream")
     if aux_only and lane.val_aux is None:
         raise InvalidInputError("aux-only training needs val_aux for checkpoint selection")
-    if lane.val_data is None or len(lane.val_data) == 0:
+    if lane.val_data is None or len(lane.val_data) == 0 or (
+            lane.val_aux is not None and len(lane.val_aux) == 0):
         raise InvalidInputError("validation data must be non-empty")
     if aux_only and lane.sample_weights is not None:
         raise InvalidInputError("sample weighting needs an end stream")
-    if any(data is not None and data.d != lane.params.d for data in (lane.end_data, lane.aux_data)):
-        raise ShapeError("training data feature dim does not match the model")
+    streams = (lane.end_data, lane.aux_data, lane.val_data, lane.val_aux)
+    if any(data is not None and data.d != lane.params.d for data in streams):
+        raise ShapeError("training or validation data feature dim does not match the model")
 
 
 def _lockstep_key(lane: Lane) -> tuple:
@@ -287,8 +289,9 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     one (trace, best parameters) per lane, in lane order.
 
     The best parameters are those of the selected epoch, `trace.selected_epoch`;
-    `trace.final_params` holds the parameters after the last epoch.  Each
-    lane trains exactly as it would alone, bit for bit.
+    `trace.final_params` holds the parameters after the last epoch, and is
+    the same object as the best parameters when the last epoch is selected.
+    Each lane trains exactly as it would alone, bit for bit.
 
     The loss is the joint objective of `objectives.joint_terms` (end BCE +
     weighted reconstruction + activation penalty); with no aux stream the
@@ -400,8 +403,9 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
             traces[r].records.append(rec)
             metric = _selection_metric(rec, lane.selector, aux_only)
             if metric > best_metric[r]:
+                # sgd_step returns fresh arrays, so no later step touches these
                 best_metric[r] = metric
-                best_params[r] = params.copy()
+                best_params[r] = params
                 traces[r].selected_epoch = ep
     for r, trace in enumerate(traces):
         if best_params[r] is None:

@@ -27,6 +27,7 @@ from grouprobe import (
     train,
 )
 
+from grouprobe.baselines import _group_reweighting
 from test_experiments import tiny_config
 
 NO_GP, VAL_GP = SelectionStrategy.NO_GP, SelectionStrategy.VAL_GP
@@ -280,47 +281,97 @@ class TestJtt:
         p102 = init_params(tiny_task.train.d, None, [tiny_cfg.seed, 102])
         assert not np.array_equal(p101.w_end, p102.w_end)
 
-    def test_empty_error_set_falls_back(self):
+    @staticmethod
+    def _separable():
         # trivially separable task: stage 1 classifies everything correctly
         y = np.array([1, -1, 1, -1] * 8)
         s = np.array([1, -1, -1, 1] * 8)
         g = np.array([0, 1, 2, 3] * 8)
         X = np.column_stack([6.0 * y, 0.1 * s])
         data = LabeledDataset(X, y, s, g)
-        task = TaskData(data, data, data)
-        cfg = OptimConfig(learning_rate=0.5, batch_size=8, epochs=4, seed=0)
+        return TaskData(data, data, data), OptimConfig(learning_rate=0.5, batch_size=8,
+                                                       epochs=4, seed=0)
+
+    def test_empty_error_set_falls_back(self):
+        task, cfg = self._separable()
         result = fit(spec("jtt", cfg, jtt=JttConfig(3, 10.0)), task, NO_GP)
         assert result.extras["jtt"]["fallback_erm"]
         assert result.extras["jtt"]["error_set_size"] == 0
         assert result.test_metrics.avg_acc == 1.0
 
+    def test_empty_error_set_is_unweighted_erm(self):
+        """All-ones stage-2 weights leave every product unchanged, so the run
+        equals an erm lane without sample weights from the stage-2 init."""
+        task, cfg = self._separable()
+        result = fit(spec("jtt", cfg, jtt=JttConfig(3, 10.0)), task, NO_GP)
+        assert result.extras["jtt"]["error_set_size"] == 0
+        p2 = init_params(task.train.d, None, [cfg.seed, 102])
+        [(trace, best)] = train([Lane(p2, task.train, None, L2, cfg, task.val, NO_GP)])
+        assert result.selected_epoch == trace.selected_epoch
+        assert [r.train_loss for r in result.trace.records] == [r.train_loss for r in trace.records]
+        for got, want in ((result.params, best), (result.trace.final_params, trace.final_params)):
+            assert np.array_equal(got.a, want.a)
+            assert np.array_equal(got.w_end, want.w_end)
+            assert np.array_equal(got.W_aux, want.W_aux)
+
 
 class TestGroupDro:
-    def test_q_trajectory_is_exponentiated_update(self, tiny_task, tiny_cfg):
-        result = fit(spec("group_dro", tiny_cfg, group_dro=GroupDroConfig(0.3)),
-                     tiny_task, VAL_GP)
-        q_steps = result.diagnostics["q_steps"]
-        loss_steps = result.diagnostics["group_loss_steps"]
-        assert len(q_steps) == len(loss_steps)
-        eta = 0.3
-        q_prev = np.full(4, 0.25)
-        for q_now, gl in zip(q_steps, loss_steps):
-            assert q_now.min() > 0.0
-            assert q_now.sum() == pytest.approx(1.0, abs=1e-12)
-            present = ~np.isnan(gl)
-            lifted = q_prev.copy()
-            lifted[present] *= np.exp(eta * gl[present])
-            lifted /= lifted.sum()
-            assert np.allclose(q_now, lifted, atol=1e-12)
-            q_prev = q_now
-        final_q = np.array(result.extras["group_dro"]["final_q"])
-        assert np.allclose(final_q, q_steps[-1])
+    ETA = 0.3
 
-    def test_zero_step_keeps_uniform(self, tiny_task, tiny_cfg):
-        result = fit(spec("group_dro", tiny_cfg, group_dro=GroupDroConfig(0.0)),
-                     tiny_task, NO_GP)
-        for q in result.diagnostics["q_steps"]:
+    @staticmethod
+    def _batches(n_steps=30, size=12):
+        """Scripted (nll, group_ids) batches; every third one misses groups 2 and 3."""
+        rng = np.random.default_rng(0)
+        for k in range(n_steps):
+            group_ids = rng.integers(0, 2 if k % 3 == 0 else 4, size=size)
+            yield rng.exponential(size=size), group_ids
+
+    def test_q_trajectory_is_exponentiated_update(self, tiny_task):
+        hook, q = _group_reweighting(tiny_task.train, self.ETA)
+        q_prev = np.full(4, 0.25)
+        assert np.array_equal(q, q_prev)
+        for nll, group_ids in self._batches():
+            weights = hook(nll, group_ids)
+            counts = np.bincount(group_ids, minlength=4)
+            present = counts > 0
+            gl = np.array([nll[group_ids == g].mean() if present[g] else 0.0 for g in range(4)])
+            lifted = q_prev * np.where(present, np.exp(self.ETA * gl), 1.0)
+            lifted /= lifted.sum()
+            assert np.allclose(q, lifted, rtol=0.0, atol=1e-12)
+            assert q.min() > 0.0 and q.sum() == pytest.approx(1.0, abs=1e-12)
+            # each present group's members share its q mass: weights average
+            # q[g] over the group, and the batch total is the present mass
+            per_group = np.bincount(group_ids, weights=weights, minlength=4)
+            assert np.allclose(per_group, q * len(group_ids) * present, rtol=1e-12, atol=0.0)
+            q_prev = q.copy()
+        assert not np.allclose(q, 0.25)
+
+    def test_zero_step_keeps_uniform(self, tiny_task):
+        hook, q = _group_reweighting(tiny_task.train, 0.0)
+        for nll, group_ids in self._batches():
+            hook(nll, group_ids)
             assert np.array_equal(q, np.full(4, 0.25))
+
+    def test_final_q_is_the_hooks_q_after_the_last_step(self, tiny_task, tiny_cfg, monkeypatch):
+        after_step = []
+
+        def recording_reweighting(train_set, group_step):
+            hook, q = _group_reweighting(train_set, group_step)
+
+            def recorded(nll, group_ids):
+                weights = hook(nll, group_ids)
+                after_step.append(q.copy())
+                return weights
+
+            return recorded, q
+
+        monkeypatch.setattr(grouprobe.baselines, "_group_reweighting", recording_reweighting)
+        result = fit(spec("group_dro", tiny_cfg, group_dro=GroupDroConfig(self.ETA)),
+                     tiny_task, VAL_GP)
+        per_epoch = math.ceil(len(tiny_task.train) / tiny_cfg.batch_size)
+        assert len(after_step) == tiny_cfg.epochs * per_epoch
+        assert result.extras["group_dro"]["final_q"] == after_step[-1].tolist()
+        assert not np.allclose(after_step[-1], 0.25)
 
     def test_requires_all_groups(self, tiny_task, tiny_cfg):
         keep = tiny_task.train.group_ids != 3
@@ -348,7 +399,7 @@ class TestAuxOnly:
         starts = []
 
         def recording_train(lanes):
-            starts.extend(lane.params.copy() for lane in lanes)
+            starts.extend(lane.params for lane in lanes)
             return train(lanes)
 
         monkeypatch.setattr(grouprobe.baselines, "train", recording_train)

@@ -469,17 +469,29 @@ def _params_mismatched_shapes(tmp_path):
     return _eval_argv(tmp_path, params=params), ["p.json", "W_aux,(d,d)"]
 
 
+def _params_wider_than_data(tmp_path):
+    params = dict(PARAMS, a=[1.0, 0.5, 0.25], w_end=[1.0, -1.0, 0.5], W_aux=np.eye(3).tolist())
+    return _eval_argv(tmp_path, params=params), ["feature width", "model has d = 3, the data d = 2"]
+
+
+def _params_narrower_than_data(tmp_path):
+    # without a width check a 1-feature model broadcasts over the 2 columns
+    params = dict(PARAMS, a=[1.0], w_end=[1.0], W_aux=[[1.0]])
+    return _eval_argv(tmp_path, params=params), ["feature width", "model has d = 1, the data d = 2"]
+
+
 @pytest.mark.parametrize("make", [
     _pareto_non_numeric, _csv_non_numeric, _npz_not_zip,
     _params_without_fro_radius, _npz_without_features,
     _params_tau_true, _params_boundary_string, _params_bool_array, _params_unknown_key,
     _params_nan_a, _params_inf_tau, _params_int_beyond_float,
     _params_tau_negative, _params_fro_radius_zero, _params_boundary_without_tau,
-    _params_mismatched_shapes,
+    _params_mismatched_shapes, _params_wider_than_data, _params_narrower_than_data,
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_input_file_exits_2(make, tmp_path, capsys):
     """A malformed input file is a usage error with one message naming the
-    file and what is wrong in it, not a traceback and not exit 1."""
+    file and what is wrong in it (for params and data of different feature
+    widths, both widths), not a traceback and not exit 1."""
     argv, names = make(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()

@@ -82,6 +82,13 @@ class TestEvaluate:
         with pytest.raises(InvalidInputError):
             evaluate(_plain_params([1.0, 1.0]), empty)
 
+    def test_feature_width_checked(self, tiny_task):
+        # a 1-feature model would otherwise broadcast over 2-feature rows
+        assert tiny_task.test.d == 2
+        for w in ([1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ShapeError, match=f"the model has d = {len(w)}, the data d = 2"):
+                evaluate(_plain_params(w), tiny_task.test)
+
     def test_wg_below_avg_below_max(self, tiny_task):
         rng = np.random.default_rng(7)
         for _ in range(20):

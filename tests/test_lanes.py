@@ -107,7 +107,7 @@ def reference_train(params, end_data, aux_data, weights, cfg, val_data, selector
         else:
             metric = rec.val_avg_acc
         if metric > best_metric:
-            best_metric, best_params = metric, params.copy()
+            best_metric, best_params = metric, params
             trace.selected_epoch = ep
     if best_params is None:
         raise DivergedError("no epoch had a finite selection metric")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,9 +117,7 @@ class TestEndLoss:
         rng = np.random.default_rng(2)
         params, batch, _ = random_instance(rng, d=4, n=6)
         c = rng.uniform(0.5, 2.0, size=4)
-        scaled = params.copy()
-        scaled.w_end = params.w_end * c
-        scaled.a = params.a / c
+        scaled = replace(params, w_end=params.w_end * c, a=params.a / c)
         assert end_only(scaled, batch).value == pytest.approx(
             end_only(params, batch).value, abs=1e-12
         )

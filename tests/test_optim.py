@@ -8,10 +8,12 @@ import pytest
 
 import grouprobe.optim
 from grouprobe import (
+    AuxDataset,
     DivergedError,
     GroupMetrics,
     InvalidInputError,
     InvalidSpecError,
+    LabeledDataset,
     Lane,
     LossEval,
     LossWeights,
@@ -281,6 +283,34 @@ class TestTrain:
         with pytest.raises(ShapeError):
             train([Lane(wide, tiny_task.train, None, LossWeights(), tiny_cfg,
                         tiny_task.val, SelectionStrategy.NO_GP)])
+
+    def test_validation_sets_checked_at_entry(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg,
+                                              monkeypatch):
+        """A validation set of the wrong width, or an empty val_aux, is
+        refused before the first step, not after a full epoch."""
+        stepped = []
+
+        def counting_step(*args):
+            stepped.append(1)
+            return sgd_step(*args)
+
+        monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
+        val = tiny_task.val
+        wide_val = LabeledDataset(np.column_stack([val.features, val.features[:, :1]]),
+                                  val.labels, val.spurious_attrs, val.group_ids)
+        wide_aux_val = AuxDataset(np.column_stack([tiny_aux_val.noised] * 2),
+                                  np.column_stack([tiny_aux_val.targets] * 2))
+        params = init_params(tiny_task.train.d, 0.5, 0)
+        end = dict(end_data=tiny_task.train, aux_data=None, val_data=wide_val)
+        aux_only = dict(end_data=None, aux_data=tiny_aux, val_data=val, val_aux=wide_aux_val)
+        for streams in (end, aux_only):
+            with pytest.raises(ShapeError, match="validation data feature dim"):
+                train([Lane(params=params, weights=LossWeights(), cfg=tiny_cfg,
+                            selector=SelectionStrategy.NO_GP, **streams)])
+        with pytest.raises(InvalidInputError, match="validation data must be non-empty"):
+            train([Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, val,
+                        SelectionStrategy.NO_GP, val_aux=tiny_aux_val.take(np.arange(0)))])
+        assert stepped == []
 
     def test_trace_csv(self, tiny_task, tiny_aux, tiny_cfg, tmp_path):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
