@@ -3,7 +3,8 @@ plain ERM, two-stage upweighting (JTT-style), online group reweighting
 (groupDRO-style, treated as a group-supervised skyline), reconstruction-only
 training, and the regularized multitask trainer.  A `RunSpec` names one
 method and its hyperparameters, and `fit` trains any of them; `fit_lanes`
-trains several compatible runs as the lanes of one training loop."""
+trains a list of runs through one `optim.train` call, which trains the runs
+that can share a step as the lanes of one loop."""
 
 from __future__ import annotations
 
@@ -222,15 +223,12 @@ def fit(
 
 def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset | None]],
               selector: SelectionStrategy) -> list[FitResult]:
-    """`fit` of each (run, data, aux, aux_val) job, with the jobs trained in
-    lockstep as the lanes of one `optim.train` call; one result per job, in
-    order, each equal to its own `fit` bit for bit.
-
-    The runs must be lane-compatible (see `optim.train`): in practice one
-    method among erm, reg_mtl and aux_only, one batch size and epoch count,
-    one zero pattern of alpha_aux and alpha_reg, and data of one shape.  A
-    group_dro run (a per-step weight hook) trains alone.  A result's `params`
-    may be the same object as its `trace.final_params`.
+    """`fit` of each (run, data, aux, aux_val) job, with the jobs trained
+    through one `optim.train` call, which runs those that can share a step
+    in lockstep; one result per job, in order, each equal to its own `fit`
+    bit for bit.  A jtt job trains its first stage alone, here, and a
+    group_dro job (a per-step weight hook) trains alone.  A result's
+    `params` may be the same object as its `trace.final_params`.
     """
     prepared = [_lane(run, data, selector, aux, aux_val) for run, data, aux, aux_val in jobs]
     trained = train([lane for lane, _, _, _ in prepared])

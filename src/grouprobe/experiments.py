@@ -276,7 +276,8 @@ def _seed_splits(data: GroupDataSpec, val_spec: GroupDataSpec, test_n_per_group:
 
     Datasets are immutable, so every cell a process runs with the same seed
     and data blocks shares one copy.  The memo holds a few seeds: recipes run
-    five, and a lane chunk takes its jobs cell by cell over the seed list.
+    five, and a chunk is a contiguous run of the cell-major job list, so it
+    walks the seed list cell by cell.
     """
     train_set = sample_group_dataset(data, [seed, _SEED_TRAIN])
     val_set = sample_group_dataset(val_spec, [seed, _SEED_VAL])
@@ -291,34 +292,9 @@ def _seed_splits(data: GroupDataSpec, val_spec: GroupDataSpec, test_n_per_group:
     return TaskData(train_set, val_set, test_set), aux_train, aux_val
 
 
-def _lane_key(run: RunSpec):
-    """Cells with equal keys train as lanes of one `optim.train` call: one
-    method among erm, reg_mtl and aux_only (which sets the streams), one
-    batch size and epoch count, and one zero pattern of alpha_aux and
-    alpha_reg.  Within a config every seed's data has one shape.  A jtt or
-    group_dro cell has no key: each of its runs trains alone."""
-    if run.method not in ("erm", "reg_mtl", "aux_only"):
-        return None
-    return (run.method, run.optim.batch_size, run.optim.epochs,
-            run.weights.alpha_aux != 0, run.weights.alpha_reg != 0)
-
-
-def _lane_chunks(cfg: ExperimentConfig, jobs: list[tuple[int, int]],
-                 workers: int) -> list[list[tuple[int, int]]]:
-    """The (cell, seed) jobs grouped by lane key, in order of first job, and
-    each group split into `workers` near-equal contiguous chunks (fewer when
-    it has fewer jobs)."""
-    groups: dict = {}
-    for job in jobs:
-        key = _lane_key(cfg.runs[job[0]])
-        groups.setdefault(job if key is None else key, []).append(job)
-    return [[group[i] for i in part] for group in groups.values()
-            for part in np.array_split(range(len(group)), min(workers, len(group)))]
-
-
 def _run_lanes(cfg: ExperimentConfig, jobs: list[tuple[int, int]], out_dir: str | None) -> list[dict]:
-    """Train a chunk of lane-compatible (cell, seed) jobs as one lane group
-    and return their run records, in job order."""
+    """Train a chunk of (cell, seed) jobs through one `fit_lanes` call and
+    return their run records, in job order."""
     specs = []
     for run_idx, seed in jobs:
         run = cfg.runs[run_idx]
@@ -414,12 +390,13 @@ def run_experiment(source, out_dir: str | Path | None):
     summary.csv text.  When out_dir is given, writes those files plus per-epoch
     trace CSVs and selected-model parameter JSONs.
 
-    Jobs are grouped by lane key (see `_lane_key`), and each group is split
-    into n_workers() contiguous chunks; a chunk trains as the lanes of one
-    `optim.train` call, and chunks run in a bounded process pool (serially
-    with one worker).  A lane's outputs equal its run alone bit for bit and
-    are keyed by deterministic seeds only, so neither the grouping nor the
-    scheduling affects results.
+    The cell-major job list is split into min(n_workers(), number of jobs)
+    near-equal contiguous chunks, and each chunk trains through one
+    `fit_lanes` call, whose `optim.train` runs the jobs that can share a step
+    as lanes of one loop.  Chunks run in a process pool of one process per
+    chunk (serially, as one chunk, with one worker).  A lane's outputs equal
+    its run alone bit for bit and are keyed by deterministic seeds only, so
+    neither the grouping nor the scheduling affects results.
     """
     cfg = ExperimentConfig.load(source)
     out = None
@@ -428,18 +405,19 @@ def run_experiment(source, out_dir: str | Path | None):
         for sub in ("runs", "traces", "params"):
             (out / sub).mkdir(parents=True, exist_ok=True)
     jobs = [(i, s) for i in range(len(cfg.runs)) for s in cfg.seeds]
-    workers = n_workers()
-    chunks = _lane_chunks(cfg, jobs, workers)
+    chunks = [[jobs[i] for i in part]
+              for part in np.array_split(range(len(jobs)), min(n_workers(), len(jobs)))]
     out_str = str(out) if out is not None else None
-    if workers == 1 or len(chunks) == 1:
-        done = [_run_lanes(cfg, chunk, out_str) for chunk in chunks]
+    if len(chunks) == 1:
+        done = [_run_lanes(cfg, chunks[0], out_str)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        # the fork start method starts every worker at the first submit, so
+        # the pool is no larger than the chunk list
+        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
             futures = [ex.submit(_run_lanes, cfg, chunk, out_str) for chunk in chunks]
             done = [f.result() for f in futures]
-    by_job = {job: record for chunk, records in zip(chunks, done)
-              for job, record in zip(chunk, records)}
-    records = [by_job[job] for job in jobs]
+    # contiguous chunks in job order: their records concatenate in job order
+    records = [record for chunk_records in done for record in chunk_records]
     rows = _summarize(cfg, records)
     if out is not None:
         text = _csv_text(SUMMARY_COLUMNS, [[row[c] for c in SUMMARY_COLUMNS] for row in rows])

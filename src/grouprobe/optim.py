@@ -1,9 +1,10 @@
 """Projected SGD over the two-task objective, run for a fixed number of
 epochs, with per-epoch validation tracking and checkpoint selection.
 
-`train` is the one training loop.  It runs R >= 1 compatible runs, its
-lanes, in lockstep: each lane keeps its own data, seed, batch schedule,
-loss weights, learning rate and constraint set, and the lanes share one
+`train` is the one training loop.  It takes any list of runs, its lanes,
+and trains the lanes that can share a step (see `_lockstep_key`) as one
+group, in lockstep: each lane keeps its own data, seed, batch schedule,
+loss weights, learning rate and constraint set, and a group shares one
 stacked loss-and-gradient call per step (see `objectives`), which costs
 little more than one run's.  Each step still makes one `sgd_step` call,
 and each epoch one `heterogeneous_batches` schedule, per lane, both looked
@@ -220,9 +221,13 @@ def _check_lane(lane: Lane) -> None:
         raise ShapeError("training or validation data feature dim does not match the model")
 
 
-def _lockstep_key(lane: Lane) -> tuple:
-    # what the lanes of one train() call share: the step schedule's shape,
-    # the stacked arrays' shapes, and the terms and weighting the kernel runs
+def _lockstep_key(lane: Lane):
+    # what the lanes of one group share: the step schedule's shape, the
+    # stacked arrays' shapes, and the terms and weighting the kernel runs;
+    # a sample-weight hook updates one run's state every step, so its lane
+    # gets a key of its own
+    if callable(lane.sample_weights):
+        return object()
     w = lane.weights
     return (lane.cfg.batch_size, lane.cfg.epochs, lane.params.d,
             None if lane.end_data is None else len(lane.end_data),
@@ -285,31 +290,35 @@ def _param_arrays(state: list[ModelParams]) -> tuple:
 
 
 def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
-    """Run minibatch SGD for cfg.epochs on R >= 1 lanes in lockstep; return
-    one (trace, best parameters) per lane, in lane order.
+    """Run minibatch SGD for cfg.epochs on each of R >= 1 lanes; return one
+    (trace, best parameters) per lane, in lane order.
 
     The best parameters are those of the selected epoch, `trace.selected_epoch`;
     `trace.final_params` holds the parameters after the last epoch, and is
     the same object as the best parameters when the last epoch is selected.
     Each lane trains exactly as it would alone, bit for bit.
 
+    Lanes that share batch size, epochs, feature dim, stream lengths, the
+    zero pattern of alpha_aux and alpha_reg, and whether sample weights are
+    given train as one group, in lockstep; a lane with a sample-weight hook
+    trains alone.  Groups run one after another, in order of their first
+    lane.
+
     The loss is the joint objective of `objectives.joint_terms` (end BCE +
     weighted reconstruction + activation penalty); with no aux stream the
     aux terms use the end batch's activations only, and with no end stream
     training is pure reconstruction.  Each lane's streams are tuples of
-    per-row columns, built once and, for R > 1, concatenated across lanes.
-    Each epoch, every lane draws its own `heterogeneous_batches` schedule
-    from its own data and seed, and `_gather` reads every column once.  Each
-    step is one `joint_terms` call on the lanes' (R, B, d) batches (a single
-    lane's own (B, d) arrays when R == 1) and one `sgd_step` call per lane
-    with that lane's learning rate and constraint set.
+    per-row columns, built once and, in a group of several lanes,
+    concatenated across them.  Each epoch, every lane draws its own
+    `heterogeneous_batches` schedule from its own data and seed, and
+    `_gather` reads every column once.  Each step is one `joint_terms` call
+    on the group's (R, B, d) batches (a single lane's own (B, d) arrays when
+    it trains alone) and one `sgd_step` call per lane with that lane's
+    learning rate and constraint set.
 
-    Lanes must share batch size, epochs, feature dim, stream lengths, the
-    zero pattern of alpha_aux and alpha_reg, and whether sample weights are
-    given; a sample-weight hook trains one lane only.
-
-    A non-finite loss or a failed step raises `DivergedError` for the
-    lowest-index lane that diverged at the earliest step.
+    A non-finite loss or a failed step raises `DivergedError` in the first
+    group with a diverged lane, for its lowest-index lane that diverged at
+    the earliest step.
 
     Validation on each lane's non-empty `val_data` (and `val_aux` without an
     end stream) runs once per epoch after its final step.  The selected
@@ -322,14 +331,20 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
         raise InvalidInputError("need at least one lane")
     for lane in lanes:
         _check_lane(lane)
-    if len({_lockstep_key(lane) for lane in lanes}) > 1:
-        raise InvalidInputError(
-            "lanes must share batch size, epochs, feature dim, stream lengths, the zero "
-            "pattern of alpha_aux and alpha_reg, and whether sample weights are given")
+    groups: dict = {}
+    for r, lane in enumerate(lanes):
+        groups.setdefault(_lockstep_key(lane), []).append(r)
+    results = [None] * len(lanes)
+    for group in groups.values():
+        for r, result in zip(group, _train_group([lanes[r] for r in group])):
+            results[r] = result
+    return results
+
+
+def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
+    """`train` of one group of lanes with one lockstep key, in lockstep."""
     single = len(lanes) == 1
     first = lanes[0]
-    if not single and any(callable(lane.sample_weights) for lane in lanes):
-        raise InvalidInputError("a sample-weight hook trains one lane only")
     hook = first.sample_weights if callable(first.sample_weights) else None
     aux_only = first.end_data is None
     batch_size, epochs = first.cfg.batch_size, first.cfg.epochs

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import grouprobe.optim
 from grouprobe import (
     GroupDataSpec,
     OptimConfig,
@@ -39,6 +40,21 @@ def tiny_aux(tiny_task):
 @pytest.fixture(scope="session")
 def tiny_aux_val(tiny_task):
     return noise_dataset(tiny_task.val, TINY_SPEC.sigma2_noise, [3, 14])
+
+
+@pytest.fixture
+def group_sizes(monkeypatch) -> list[int]:
+    """The size of every lane group `optim.train` runs in the test, in run
+    order."""
+    sizes = []
+    real = grouprobe.optim._train_group
+
+    def recording(lanes):
+        sizes.append(len(lanes))
+        return real(lanes)
+
+    monkeypatch.setattr(grouprobe.optim, "_train_group", recording)
+    return sizes
 
 
 @pytest.fixture

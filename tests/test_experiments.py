@@ -4,11 +4,11 @@ import dis
 import json
 import math
 import types
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-import grouprobe.baselines
 import grouprobe.optim
 from grouprobe import (
     ConfigError,
@@ -392,13 +392,40 @@ class TestSplitMemo:
         assert len({id(t) for t in (base, seed, test_seed, val_size)}) == 4
 
 
+@pytest.fixture
+def inline_pools(monkeypatch) -> list[int]:
+    """Stand in for the process pool with one that runs each job at submit,
+    in this process; returns the pool size each pool was asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 class TestLaneGroups:
-    """run_experiment trains lane-compatible (cell, seed) jobs as the lanes
-    of one optim.train call, with no change to any run."""
+    """run_experiment trains each chunk of (cell, seed) jobs through one
+    optim.train call, which runs the jobs that can share a step as the lanes
+    of one loop, with no change to any run."""
 
     # three reg_mtl cells that differ in every per-lane setting (learning
     # rate, tau and its mode, loss weights) but share the zero pattern of
-    # alpha_aux and alpha_reg, plus a jtt cell, which trains alone
+    # alpha_aux and alpha_reg, plus a jtt cell, whose stage-2 runs share a
+    # group of their own
     RUNS = [
         {"tag": "mtl_ball", "method": "reg_mtl", "tau": 0.5,
          "optim": {"learning_rate": 0.01, "batch_size": 16, "epochs": 3},
@@ -414,13 +441,12 @@ class TestLaneGroups:
          "weights": {"lambda_l2": 1.0}, "jtt": {"id_epochs": 2, "upweight": 5.0}},
     ]
 
-    def test_one_step_per_run_step_and_one_schedule_per_run_epoch(self, monkeypatch):
+    def test_one_step_per_run_step_and_one_schedule_per_run_epoch(self, monkeypatch, group_sizes):
         """The step and schedule counts a tracer wrapping these two module
         globals sees are the runs' own, summed: lanes share neither."""
         optim = grouprobe.optim
-        steps, schedules, lane_counts = [], [], []
+        steps, schedules = [], []
         real_step, real_batches = optim.sgd_step, optim.heterogeneous_batches
-        real_train = grouprobe.baselines.train
 
         def counting_step(*args):
             steps.append(1)
@@ -430,13 +456,8 @@ class TestLaneGroups:
             schedules.append(1)
             return real_batches(*args, **kwargs)
 
-        def counting_train(lanes):
-            lane_counts.append(len(lanes))
-            return real_train(lanes)
-
         monkeypatch.setattr(optim, "sgd_step", counting_step)
         monkeypatch.setattr(optim, "heterogeneous_batches", counting_batches)
-        monkeypatch.setattr(grouprobe.baselines, "train", counting_train)
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
         doc = tiny_config(runs=self.RUNS, seeds=[0, 1])
         run_experiment(doc, None)
@@ -449,54 +470,82 @@ class TestLaneGroups:
         seeds = len(doc["seeds"])
         assert len(schedules) == seeds * sum(run_epochs)
         assert len(steps) == seeds * sum(run_steps)
-        # one lane group of 3 cells x 2 seeds; jtt trains each stage alone
-        assert lane_counts == [6, 1, 1, 1, 1]
+        # each jtt seed's first stage alone, then one lane group of 3 cells
+        # x 2 seeds and one of the 2 jtt second stages
+        assert group_sizes == [1, 1, 6, 2]
+        monkeypatch.undo()
 
-        # the loop looks both names up on the module at every use, never
-        # through a local alias or a default argument a wrapper cannot reach
+        # every function of the module looks both names up on the module at
+        # every use, never through a local alias or a default argument a
+        # wrapper cannot reach, and the step loop loads both
         names = {"sgd_step", "heterogeneous_batches"}
-        train = optim.train
-        assert not names & {getattr(f, "__name__", None) for f in train.__defaults__ or ()}
-        codes, seen_globals = [train.__code__], set()
-        while codes:
-            code = codes.pop()
-            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
-            assert not names & set(code.co_varnames + code.co_cellvars + code.co_freevars)
-            instructions = list(dis.get_instructions(code))
-            for op, after in zip(instructions, instructions[1:]):
-                if op.opname == "LOAD_GLOBAL" and op.argval in names:
-                    seen_globals.add(op.argval)
-                    assert not after.opname.startswith("STORE"), (op.argval, after.opname)
-        assert seen_globals == names
+        functions = []
+        for obj in vars(optim).values():
+            if getattr(obj, "__module__", None) == optim.__name__:
+                members = vars(obj).values() if isinstance(obj, type) else [obj]
+                functions += [f for f in members if isinstance(f, types.FunctionType)]
+        assert optim.train in functions and optim._train_group in functions
+        for function in functions:
+            assert not names & {getattr(f, "__name__", None) for f in function.__defaults__ or ()}
+            codes, seen_globals = [function.__code__], set()
+            while codes:
+                code = codes.pop()
+                codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+                assert not names & set(code.co_varnames + code.co_cellvars + code.co_freevars)
+                instructions = list(dis.get_instructions(code))
+                for op, after in zip(instructions, instructions[1:]):
+                    if op.opname == "LOAD_GLOBAL" and op.argval in names:
+                        seen_globals.add(op.argval)
+                        assert not after.opname.startswith("STORE"), (op.argval, after.opname)
+            if function is optim._train_group:
+                assert seen_globals == names
 
-    def test_chunks_are_lane_groups_split_per_worker(self):
-        cfg = ExperimentConfig.load(tiny_config(runs=self.RUNS, seeds=[0, 1, 2]))
-        jobs = [(i, s) for i in range(len(cfg.runs)) for s in cfg.seeds]
-        lanes = [job for job in jobs if job[0] < 3]
-        # serial: one chunk per lane group, each jtt job alone
-        assert experiments._lane_chunks(cfg, jobs, 1) == [lanes, [(3, 0)], [(3, 1)], [(3, 2)]]
-        # two workers: each group in near-equal contiguous halves
-        assert experiments._lane_chunks(cfg, jobs, 2) == [
-            lanes[:5], lanes[5:], [(3, 0)], [(3, 1)], [(3, 2)]]
-        assert experiments._lane_chunks(cfg, jobs, 4)[:4] == [
-            lanes[:3], lanes[3:5], lanes[5:7], lanes[7:]]
+    @pytest.mark.parametrize("workers, parts", [(1, [12]), (2, [6, 6]), (4, [3, 3, 3, 3]),
+                                                (5, [3, 3, 2, 2, 2])], ids=["1", "2", "4", "5"])
+    def test_jobs_split_into_contiguous_chunks_per_worker(self, workers, parts, monkeypatch,
+                                                          inline_pools):
+        chunks = []
+        real = experiments._run_lanes
 
-    def test_lane_key_separates_what_cannot_share_a_step(self):
+        def recording(cfg, jobs, out_dir):
+            chunks.append(jobs)
+            return real(cfg, jobs, out_dir)
+
+        monkeypatch.setattr(experiments, "_run_lanes", recording)
+        monkeypatch.setenv("GROUPROBE_WORKERS", str(workers))
+        doc = tiny_config(runs=self.RUNS, seeds=[0, 1, 2])
+        _, records = run_experiment(doc, None)
+        jobs = [(i, s) for i in range(len(self.RUNS)) for s in doc["seeds"]]
+        assert [len(chunk) for chunk in chunks] == parts
+        assert [job for chunk in chunks for job in chunk] == jobs
+        assert [(self.RUNS[i]["tag"], s) for i, s in jobs] == [(r["tag"], r["seed"]) for r in records]
+        assert inline_pools == ([] if workers == 1 else [workers])
+
+    def test_pool_is_no_larger_than_the_job_list(self, monkeypatch, inline_pools):
+        monkeypatch.setenv("GROUPROBE_WORKERS", "64")
+        _, records = run_experiment(tiny_config(runs=self.RUNS[:1], seeds=[0, 1]), None)
+        assert inline_pools == [2]
+        assert len(records) == 2
+
+    def test_lane_key_separates_what_cannot_share_a_step(self, monkeypatch, group_sizes):
         base = self.RUNS[0]
         keyed = [dict(base, tag="a"),
                  dict(base, tag="b", optim=dict(base["optim"], batch_size=32)),
                  dict(base, tag="c", optim=dict(base["optim"], epochs=4)),
                  dict(base, tag="d", weights=dict(base["weights"], alpha_reg=0.0)),
                  dict(base, tag="e", method="erm", weights={"lambda_l2": 1.0})]
-        cfg = ExperimentConfig.load(tiny_config(runs=keyed))
-        assert len({experiments._lane_key(run) for run in cfg.runs}) == 5
+        monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+        doc = tiny_config(runs=keyed, seeds=[0, 1])
+        run_experiment(doc, None)
+        assert group_sizes == [len(doc["seeds"])] * 5
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_grouping_does_not_change_outputs(self, workers, tmp_path, monkeypatch):
+    def test_grouping_does_not_change_outputs(self, workers, tmp_path, monkeypatch, group_sizes):
         doc = tiny_config(runs=self.RUNS, seeds=[0, 1])
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
-        monkeypatch.setattr(experiments, "_lane_key", lambda run: None)  # every job alone
+        monkeypatch.setattr(grouprobe.optim, "_lockstep_key", lambda lane: object())  # every lane alone
         _, alone = run_experiment(doc, tmp_path / "alone")
+        assert set(group_sizes) == {1}
         monkeypatch.undo()
         monkeypatch.setenv("GROUPROBE_WORKERS", workers)
         _, grouped = run_experiment(doc, tmp_path / "grouped")
@@ -515,7 +564,7 @@ class TestLaneGroups:
         monkeypatch.setenv("GROUPROBE_WORKERS", "2")
         with pytest.raises(DivergedError) as exc:
             run_experiment(tiny_config(runs=runs, seeds=[0, 1]), None)
-        # both chunks of the one lane group diverge; the first in job order raises
+        # both chunks hold a mtl_free run and diverge; the first in job order raises
         assert (exc.value.tag, exc.value.seed, exc.value.epoch) == ("mtl_free", 0, 0)
         assert str(exc.value).endswith("(run mtl_free, seed 0, epoch 0)")
 

@@ -3,8 +3,9 @@
 `reference_train` is the training loop as it was before lanes: one run, one
 1-D `joint_terms` call and one `sgd_step` call per step, one schedule per
 epoch.  It is kept here, the way `test_io_equivalence.py` keeps the old row
-loops, and every lane of a lane group must match its own reference run bit
-for bit: every epoch record, the selected epoch, and the selected and final
+loops, and every lane of a `train` call, whether it shares its group with
+other lanes or trains alone, must match its own reference run bit for bit:
+every epoch record, the selected epoch, and the selected and final
 parameters.
 """
 
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import grouprobe.optim
@@ -36,7 +37,7 @@ from grouprobe import (
     train,
 )
 from grouprobe.objectives import check_sample_weights, end_stream, joint_terms, multitask_loss
-from grouprobe.optim import EpochRecord, TrainTrace
+from grouprobe.optim import EpochRecord, TrainTrace, _lockstep_key
 
 SPEC = GroupDataSpec(d_c=1, d_s=1, sigma2_core=0.6, sigma2_spur=0.1,
                      n_maj=18, n_min=6, sigma2_noise=1.0)
@@ -136,18 +137,19 @@ def _reference(lane: Lane):
 
 
 @st.composite
-def lane_groups(draw):
-    """R lanes of one method that may share a train() call: each with its
-    own data seed, learning rate, L1 constraint and loss weights, and one
-    zero pattern of alpha_aux and alpha_reg."""
-    method = draw(st.sampled_from(["erm", "reg_mtl", "aux_only"]))
+def lane_groups(draw, weighted=False):
+    """R lanes of one method that share a lockstep key: each with its own
+    data seed, learning rate, L1 constraint and loss weights, and one zero
+    pattern of alpha_aux and alpha_reg.  `weighted=True` draws erm lanes
+    with fixed sample weights."""
+    method = "erm" if weighted else draw(st.sampled_from(["erm", "reg_mtl", "aux_only"]))
     lanes = draw(st.sampled_from([1, 3, 7]))
     batch = draw(st.sampled_from([1, 5, 16, 40]))  # 40 > n: one batch per epoch
     cfg = {"batch_size": batch, "epochs": draw(st.integers(1, 3))}
     selector = draw(st.sampled_from(list(SelectionStrategy)))
     aux_on = method == "reg_mtl" and draw(st.booleans())
     reg_on = method != "erm" and draw(st.booleans())
-    weighted = method == "erm" and draw(st.booleans())
+    weighted = weighted or (method == "erm" and draw(st.booleans()))
     group = []
     for _ in range(lanes):
         seed = draw(st.sampled_from(SEEDS))
@@ -199,16 +201,38 @@ def test_seven_lanes_over_two_seeds_and_each_alone():
         assert_same_run(result, _reference(lane))
 
 
+@st.composite
+def mixed_lanes(draw):
+    """The lanes of 2-3 lane groups with different lockstep keys, one of
+    them with fixed sample weights, shuffled into one list."""
+    groups = [draw(lane_groups(weighted=True))]
+    groups += draw(st.lists(lane_groups(), min_size=1, max_size=2))
+    assume(len({_lockstep_key(group[0]) for group in groups}) == len(groups))
+    return draw(st.permutations([lane for group in groups for lane in group]))
+
+
+@given(mixed_lanes())
+@settings(max_examples=40, deadline=None)
+def test_mixed_lanes_match_reference_runs_in_input_order(lanes):
+    got = train(lanes)
+    assert len(got) == len(lanes)
+    for lane, result in zip(lanes, got):
+        assert_same_run(result, _reference(lane))
+
+
 @pytest.mark.parametrize("change", [
     {"batch": 16},
     {"tau": None, "lr": 0.1, "sample_weights": np.ones(24)},
 ])
-def test_incompatible_lanes_rejected(change):
-    with pytest.raises(InvalidInputError, match="lanes must share"):
-        train([_erm_lane(), _erm_lane(seed=9, **change)])
+def test_incompatible_lanes_train_apart(change, group_sizes):
+    lanes = [_erm_lane(), _erm_lane(seed=9, **change), _erm_lane(lr=0.05)]
+    got = train(lanes)
+    assert group_sizes == [2, 1]
+    for lane, result in zip(lanes, got):
+        assert_same_run(result, _reference(lane))
 
 
-def test_lanes_need_one_zero_pattern_and_no_hook():
+def test_zero_patterns_and_hooks_train_apart(group_sizes):
     train_set, val_set, aux, _ = seed_data(4)
     cfg = OptimConfig(0.01, 8, 1, seed=4)
     params = init_params(train_set.d, 0.5, [4, 101])
@@ -217,12 +241,27 @@ def test_lanes_need_one_zero_pattern_and_no_hook():
         return Lane(params, train_set, aux, LossWeights(**w), cfg, val_set,
                     SelectionStrategy.NO_GP)
 
-    with pytest.raises(InvalidInputError, match="zero pattern"):
-        train([mtl(alpha_aux=1.0), mtl(alpha_aux=1.0, alpha_reg=0.5)])
-    train([mtl(alpha_aux=1.0), mtl(alpha_aux=2.0, lambda_l2=0.5)])  # values may differ
-    hook = lambda nll, group_ids: np.ones(len(nll))  # noqa: E731
-    with pytest.raises(InvalidInputError, match="hook trains one lane only"):
-        train([_erm_lane(sample_weights=hook), _erm_lane(sample_weights=hook)])
+    lanes = [mtl(alpha_aux=1.0), mtl(alpha_aux=1.0, alpha_reg=0.5),
+             mtl(alpha_aux=2.0, lambda_l2=0.5)]  # values may differ within a group
+    for lane, result in zip(lanes, train(lanes)):
+        assert_same_run(result, _reference(lane))
+    assert group_sizes == [2, 1]
+
+    # one hook object on two lanes: each lane trains alone, and the hook
+    # sees one lane's 1-D batch at a time
+    seen = []
+
+    def hook(nll, group_ids):
+        seen.append((nll.shape, group_ids.shape))
+        return np.ones(len(nll))
+
+    group_sizes.clear()
+    lanes = [_erm_lane(sample_weights=hook), _erm_lane(seed=9, sample_weights=hook)]
+    got = train(lanes)
+    assert group_sizes == [1, 1]
+    assert seen and set(seen) == {((8,), (8,))}
+    for lane, result in zip(lanes, got):
+        assert_same_run(result, _reference(lane))
     with pytest.raises(InvalidInputError):
         train([])
 
@@ -267,3 +306,17 @@ def test_nonfinite_loss_of_one_lane_names_it():
     with pytest.raises(DivergedError) as exc:
         train(group)
     assert (exc.value.tag, exc.value.seed) == ("wild", 9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_first_group_with_a_diverged_lane_raises():
+    """Groups run in order of their first lane, so a diverged lane of the
+    first group raises before a lower-index lane of a later group."""
+    wild16 = _erm_lane(seed=9, tau=None, lr=1e300, batch=16, tag="wild16")
+    wild8 = _erm_lane(seed=9, tau=None, lr=1e300, tag="wild8")
+    for lanes, tag in [([_erm_lane(tag="calm"), wild16, wild8], "wild8"),
+                       ([_erm_lane(tag="calm"), wild16, _erm_lane(seed=9, tag="calm2")], "wild16"),
+                       ([wild16, _erm_lane(tag="calm"), wild8], "wild16")]:
+        with pytest.raises(DivergedError) as exc:
+            train(lanes)
+        assert (exc.value.tag, exc.value.seed) == (tag, 9)
