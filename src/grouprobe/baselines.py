@@ -226,9 +226,11 @@ def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset 
     """`fit` of each (run, data, aux, aux_val) job, with the jobs trained
     through one `optim.train` call, which runs those that can share a step
     in lockstep; one result per job, in order, each equal to its own `fit`
-    bit for bit.  A jtt job trains its first stage alone, here, and a
-    group_dro job (a per-step weight hook) trains alone.  A result's
-    `params` may be the same object as its `trace.final_params`.
+    bit for bit.  A jtt job trains its first stage alone, here; its second
+    stage (fixed weights) shares a step with erm jobs of the same shape,
+    whose weights are all ones.  A group_dro job (a per-step weight hook)
+    trains alone.  A result's `params` may be the same object as its
+    `trace.final_params`.
     """
     prepared = [_lane(run, data, selector, aux, aux_val) for run, data, aux, aux_val in jobs]
     trained = train([lane for lane, _, _, _ in prepared])

@@ -34,7 +34,7 @@ from .evalsel import (
 )
 from .objectives import LossWeights
 from .optim import OptimConfig
-from .synthgen import GroupDataSpec, make_balanced_test, noise_dataset, sample_group_dataset
+from .synthgen import GroupDataSpec, LabeledDataset, make_balanced_test, noise_dataset, sample_group_dataset
 
 SCHEMA_VERSION = 1
 
@@ -269,22 +269,15 @@ def n_workers() -> int:
     return w
 
 
-@functools.lru_cache(maxsize=8)
-def _seed_splits(data: GroupDataSpec, val_spec: GroupDataSpec, test_n_per_group: int,
-                 test_seed: int, aux_reuse_end_features: bool, seed: int):
-    """One run seed's (task splits, aux train set, aux val set).
-
-    Datasets are immutable, so every cell a process runs with the same seed
-    and data blocks shares one copy.  The memo holds a few seeds: recipes run
-    five, and a chunk is a contiguous run of the cell-major job list, so it
-    walks the seed list cell by cell.
-    """
+def _seed_splits(cfg: ExperimentConfig, seed: int, test_set: LabeledDataset):
+    """One run seed's (task splits, aux train set, aux val set); every seed
+    shares the config's one test set."""
+    data = cfg.data
     train_set = sample_group_dataset(data, [seed, _SEED_TRAIN])
-    val_set = sample_group_dataset(val_spec, [seed, _SEED_VAL])
-    test_set = make_balanced_test(data, test_n_per_group, test_seed)
+    val_set = sample_group_dataset(cfg.val, [seed, _SEED_VAL])
     base = (
         train_set
-        if aux_reuse_end_features
+        if cfg.aux_reuse_end_features
         else sample_group_dataset(data, [seed, _SEED_AUX_FRESH])
     )
     aux_train = noise_dataset(base, data.sigma2_noise, [seed, _SEED_AUX_NOISE])
@@ -294,13 +287,14 @@ def _seed_splits(data: GroupDataSpec, val_spec: GroupDataSpec, test_n_per_group:
 
 def _run_lanes(cfg: ExperimentConfig, jobs: list[tuple[int, int]], out_dir: str | None) -> list[dict]:
     """Train a chunk of (cell, seed) jobs through one `fit_lanes` call and
-    return their run records, in job order."""
+    return their run records, in job order.  Datasets are immutable, so the
+    chunk draws each seed's splits once and one test set for all seeds."""
+    test_set = make_balanced_test(cfg.data, cfg.test_n_per_group, cfg.test_seed)
+    splits = {seed: _seed_splits(cfg, seed, test_set) for seed in {seed for _, seed in jobs}}
     specs = []
     for run_idx, seed in jobs:
         run = cfg.runs[run_idx]
-        task, aux_train, aux_val = _seed_splits(cfg.data, cfg.val, cfg.test_n_per_group,
-                                                cfg.test_seed, cfg.aux_reuse_end_features, seed)
-        specs.append((replace(run, optim=replace(run.optim, seed=seed)), task, aux_train, aux_val))
+        specs.append((replace(run, optim=replace(run.optim, seed=seed)), *splits[seed]))
     results = fit_lanes(specs, cfg.selection)
     return [_run_cell(cfg, run_idx, seed, result, out_dir)
             for (run_idx, seed), result in zip(jobs, results)]

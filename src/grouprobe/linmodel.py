@@ -20,6 +20,8 @@ from .errors import DegenerateInputError, GrouprobeError, InvalidInputError, Inv
 
 # Slack allowed when checking feasibility of the L1 constraint after projection.
 L1_FEASIBILITY_TOL = 1e-9
+# Standard deviation of the Gaussian draw that initializes w_end.
+W_END_INIT_SCALE = 0.01
 
 
 @dataclass
@@ -217,7 +219,6 @@ def init_params(
     seed,
     fro_radius: float | None = 1.0,
     l1_boundary: bool = False,
-    w_scale: float = 0.01,
     dense_init: bool = False,
 ) -> ModelParams:
     """Standard initialization.
@@ -235,7 +236,7 @@ def init_params(
         raise InvalidSpecError("d must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     a = np.full(d, (tau / d) if tau is not None else 1.0, dtype=np.float64)
-    w_end = rng.normal(0.0, w_scale, size=d)
+    w_end = rng.normal(0.0, W_END_INIT_SCALE, size=d)
     if dense_init:
         W = rng.normal(0.0, 1.0, size=(d, d))
     else:

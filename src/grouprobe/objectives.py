@@ -21,8 +21,10 @@ lane, with the parameters' leading axis: `joint_terms` gives a Python
 float value (trace CSVs print its repr) and (d,), (d,), (d, d) gradients
 for one set, and (R,), (R, d), (R, d), (R, d, d) arrays for a stack.  Lane
 r of a stacked call equals the one-set call on lane r's parameters, batch
-and weights bit for bit.  A callable sample weight (the group-DRO hook)
-needs the loss of a single set and is 1-D only.
+and weights bit for bit.  The end loss is always weighted: sample weights
+default to 1.0, and multiplication by 1.0 is exact, so an unweighted loss is
+the all-ones case bit for bit.  A callable sample weight (the group-DRO
+hook) needs the loss of a single set and is 1-D only.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def check_sample_weights(weights, n: int) -> np.ndarray | None:
-    """Validate optional per-sample weights for n samples; None stays None."""
+def check_sample_weights(weights, n: int) -> np.ndarray:
+    """Validate per-sample weights for n samples; None means all ones."""
     if weights is None:
-        return None
+        return np.ones(n)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ShapeError("sample_weights must match the batch length")
@@ -122,13 +124,13 @@ def _on(c) -> bool:
     return bool(c.any()) if isinstance(c, np.ndarray) else c != 0.0
 
 
-def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=None):
-    """BCE data term plus L2 head penalty: (value, grad_a, grad_w_end).
+def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=1.0):
+    """Weighted BCE data term plus L2 head penalty: (value, grad_a, grad_w_end).
 
     neg_y is -y and t = (y+1)/2 for labels y in {-1,+1}; lambda_l2 is a
-    shared weight or an (R,) column.  sample_weights is None, an array of
-    per-sample weights, or (one parameter set only) a function from the
-    per-sample losses to such an array, whose result is validated here.
+    shared weight or an (R,) column.  sample_weights is 1.0 (unweighted), an
+    array of per-sample weights, or (one parameter set only) a function from
+    the per-sample losses to such an array, whose result is validated here.
     """
     n = X.shape[-2]
     z = np.matvec(H, w_end)
@@ -137,13 +139,8 @@ def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=None):
         sample_weights = check_sample_weights(sample_weights(nll), n)
     # d nll / d z = sigmoid(z) - t
     r = _sigmoid(z) - t
-    if sample_weights is None:
-        data = nll.sum(axis=-1) / n
-        g = r / n
-    else:
-        data = (sample_weights * nll).sum(axis=-1) / n
-        g = sample_weights * r / n
-    value = data + 0.5 * lambda_l2 * np.vecdot(w_end, w_end)
+    g = sample_weights * r / n
+    value = (sample_weights * nll).sum(axis=-1) / n + 0.5 * lambda_l2 * np.vecdot(w_end, w_end)
     grad_w_end = np.vecmat(g, H) + _scale(lambda_l2, w_end)
     grad_a = np.vecmat(g, _featurize(X, w_end))
     return value, grad_a, grad_w_end
@@ -169,7 +166,7 @@ def penalty_terms(X, H):
 
 
 def joint_terms(a, w_end, W_aux, weights: LossWeights | LaneWeights, end=None, aux=None,
-                sample_weights=None) -> LossEval:
+                sample_weights=1.0) -> LossEval:
     """The training objective on raw minibatch arrays, for one parameter set
     or a stack of them, with shared or per-lane batches and weights (see the
     module docstring).

@@ -185,12 +185,12 @@ class Lane:
     weights, optimizer settings and checkpoint selection.
 
     `sample_weights` needs an end stream.  It is one fixed weight per row of
-    end_data, or a hook `(nll, group_ids) -> weights` called once per step
-    with the batch's per-sample losses and group ids (the online group
-    reweighting baseline updates its group distribution there).  Without an
-    end stream, `val_aux` is required: its reconstruction loss selects the
-    checkpoint.  A lane with a `tag` names its run (tag and seed) in a
-    `DivergedError`.
+    end_data (None: all ones, plain ERM), or a hook `(nll, group_ids) ->
+    weights` called once per step with the batch's per-sample losses and
+    group ids (the online group reweighting baseline updates its group
+    distribution there).  Without an end stream, `val_aux` is required: its
+    reconstruction loss selects the checkpoint.  A lane with a `tag` names
+    its run (tag and seed) in a `DivergedError`.
     """
 
     params: ModelParams
@@ -223,7 +223,8 @@ def _check_lane(lane: Lane) -> None:
 
 def _lockstep_key(lane: Lane):
     # what the lanes of one group share: the step schedule's shape, the
-    # stacked arrays' shapes, and the terms and weighting the kernel runs;
+    # stacked arrays' shapes, and the terms the kernel runs; every end
+    # stream carries a weight column, so fixed weights need no clause, but
     # a sample-weight hook updates one run's state every step, so its lane
     # gets a key of its own
     if callable(lane.sample_weights):
@@ -232,13 +233,13 @@ def _lockstep_key(lane: Lane):
     return (lane.cfg.batch_size, lane.cfg.epochs, lane.params.d,
             None if lane.end_data is None else len(lane.end_data),
             None if lane.aux_data is None else len(lane.aux_data),
-            w.alpha_aux != 0.0, w.alpha_reg != 0.0, lane.sample_weights is None)
+            w.alpha_aux != 0.0, w.alpha_reg != 0.0)
 
 
 def _stream_columns(lane: Lane) -> tuple[tuple | None, tuple | None]:
     """A lane's per-row (end, aux) columns: `objectives.end_stream` plus the
-    weight column (the fixed weights, or the group ids for a hook), and
-    (noised, targets); None for a missing stream."""
+    weight column (the fixed weights, all ones without them, or the group
+    ids for a hook), and (noised, targets); None for a missing stream."""
     end_columns = aux_columns = None
     if lane.end_data is not None:
         sw = lane.sample_weights
@@ -260,7 +261,7 @@ def _lane_stream(columns: list[tuple | None]) -> tuple[tuple | None, np.ndarray 
     if len(columns) == 1:
         return columns[0], None
     n = len(columns[0][0])
-    stacked = tuple(None if c[0] is None else np.concatenate(c) for c in zip(*columns))
+    stacked = tuple(np.concatenate(c) for c in zip(*columns))
     return stacked, np.arange(len(columns))[:, None] * n
 
 
@@ -275,7 +276,7 @@ def _gather(columns: tuple | None, offsets: np.ndarray | None, schedules: list[l
     rows = [np.concatenate([batch[slot] for batch in batches]) for batches in schedules]
     index = rows[0] if offsets is None else np.array(rows) + offsets
     # np.take copies the same rows as c[index], several times faster for 2-D c
-    return tuple(None if c is None else np.take(c, index, axis=0) for c in columns)
+    return tuple(np.take(c, index, axis=0) for c in columns)
 
 
 def _param_arrays(state: list[ModelParams]) -> tuple:
@@ -298,11 +299,11 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     the same object as the best parameters when the last epoch is selected.
     Each lane trains exactly as it would alone, bit for bit.
 
-    Lanes that share batch size, epochs, feature dim, stream lengths, the
-    zero pattern of alpha_aux and alpha_reg, and whether sample weights are
-    given train as one group, in lockstep; a lane with a sample-weight hook
-    trains alone.  Groups run one after another, in order of their first
-    lane.
+    Lanes that share batch size, epochs, feature dim, stream lengths and
+    the zero pattern of alpha_aux and alpha_reg train as one group, in
+    lockstep, with fixed sample weights or without (all ones); a lane with
+    a sample-weight hook trains alone.  Groups run one after another, in
+    order of their first lane.
 
     The loss is the joint objective of `objectives.joint_terms` (end BCE +
     weighted reconstruction + activation penalty); with no aux stream the
@@ -383,9 +384,8 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
             end = aux = batch_weights = None
             if end_cols is not None:
                 end = (X[rows], neg_y[rows], t[rows])
-                if w is not None:
-                    batch_weights = (w[rows] if hook is None
-                                     else functools.partial(hook, group_ids=w[rows]))
+                batch_weights = (w[rows] if hook is None
+                                 else functools.partial(hook, group_ids=w[rows]))
             if aux_cols is not None:
                 aux = (Xt[rows], X0[rows])
             le = joint_terms(*arrays, weights, end, aux, batch_weights)

@@ -391,6 +391,23 @@ class TestSplitMemo:
         assert (len(val_size.val), len(base.val)) == (30, 28)
         assert len({id(t) for t in (base, seed, test_seed, val_size)}) == 4
 
+    def test_each_seed_sampled_once_per_chunk(self, monkeypatch):
+        """A serial chunk walks the seeds cell by cell; however many seeds
+        it holds, each is sampled once (train and val sets: the aux set
+        reuses the train features) and the test set once."""
+        calls = {"sample_group_dataset": 0, "make_balanced_test": 0}
+        for name in calls:
+            real = getattr(experiments, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(experiments, name, counting)
+        monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+        run_experiment(tiny_config(runs=self.RUNS, seeds=list(range(9))), None)
+        assert calls == {"sample_group_dataset": 18, "make_balanced_test": 1}
+
 
 @pytest.fixture
 def inline_pools(monkeypatch) -> list[int]:

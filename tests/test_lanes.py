@@ -140,8 +140,9 @@ def _reference(lane: Lane):
 def lane_groups(draw, weighted=False):
     """R lanes of one method that share a lockstep key: each with its own
     data seed, learning rate, L1 constraint and loss weights, and one zero
-    pattern of alpha_aux and alpha_reg.  `weighted=True` draws erm lanes
-    with fixed sample weights."""
+    pattern of alpha_aux and alpha_reg.  Each erm lane draws fixed sample
+    weights or none; `weighted=True` draws erm lanes, the first with fixed
+    sample weights."""
     method = "erm" if weighted else draw(st.sampled_from(["erm", "reg_mtl", "aux_only"]))
     lanes = draw(st.sampled_from([1, 3, 7]))
     batch = draw(st.sampled_from([1, 5, 16, 40]))  # 40 > n: one batch per epoch
@@ -149,9 +150,8 @@ def lane_groups(draw, weighted=False):
     selector = draw(st.sampled_from(list(SelectionStrategy)))
     aux_on = method == "reg_mtl" and draw(st.booleans())
     reg_on = method != "erm" and draw(st.booleans())
-    weighted = weighted or (method == "erm" and draw(st.booleans()))
     group = []
-    for _ in range(lanes):
+    for r in range(lanes):
         seed = draw(st.sampled_from(SEEDS))
         train_set, val_set, aux, aux_val = seed_data(seed)
         mode = draw(st.sampled_from(["free", "ball", "sphere"]))
@@ -163,7 +163,7 @@ def lane_groups(draw, weighted=False):
             alpha_reg=draw(st.sampled_from([0.1, 1.0])) if reg_on else 0.0,
             lambda_l2=draw(st.sampled_from([0.0, 0.5, 1.0])))
         sw = None
-        if weighted:
+        if method == "erm" and ((weighted and r == 0) or draw(st.booleans())):
             sw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
                 0.0, 3.0, size=len(train_set))
         lr = draw(st.sampled_from([0.2, 0.03, 0.001]))
@@ -204,7 +204,8 @@ def test_seven_lanes_over_two_seeds_and_each_alone():
 @st.composite
 def mixed_lanes(draw):
     """The lanes of 2-3 lane groups with different lockstep keys, one of
-    them with fixed sample weights, shuffled into one list."""
+    them erm with fixed sample weights on its first lane (and on any of
+    its others), shuffled into one list."""
     groups = [draw(lane_groups(weighted=True))]
     groups += draw(st.lists(lane_groups(), min_size=1, max_size=2))
     assume(len({_lockstep_key(group[0]) for group in groups}) == len(groups))
@@ -222,12 +223,26 @@ def test_mixed_lanes_match_reference_runs_in_input_order(lanes):
 
 @pytest.mark.parametrize("change", [
     {"batch": 16},
-    {"tau": None, "lr": 0.1, "sample_weights": np.ones(24)},
 ])
 def test_incompatible_lanes_train_apart(change, group_sizes):
     lanes = [_erm_lane(), _erm_lane(seed=9, **change), _erm_lane(lr=0.05)]
     got = train(lanes)
     assert group_sizes == [2, 1]
+    for lane, result in zip(lanes, got):
+        assert_same_run(result, _reference(lane))
+
+
+def test_weighted_and_unweighted_lanes_share_a_group(group_sizes):
+    """Fixed sample weights need no group of their own: a lane without
+    them trains on all-ones weights, so a jtt second stage and erm runs
+    of one shape share a step."""
+    n = len(seed_data(9)[0])
+    upweighted = np.where(np.arange(n) % 5 == 0, 5.0, 1.0)
+    lanes = [_erm_lane(), _erm_lane(seed=9, tau=None, lr=0.1,
+                                    sample_weights=upweighted / upweighted.mean()),
+             _erm_lane(lr=0.05, sample_weights=np.ones(n))]
+    got = train(lanes)
+    assert group_sizes == [3]
     for lane, result in zip(lanes, got):
         assert_same_run(result, _reference(lane))
 

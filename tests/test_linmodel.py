@@ -239,7 +239,7 @@ class TestInitParams:
         assert np.abs(a.W_aux - np.diag(np.diag(a.W_aux))).sum() > 0.1
 
     def test_head_scale(self):
-        p = init_params(500, None, 0, fro_radius=None, w_scale=0.01)
+        p = init_params(500, None, 0, fro_radius=None)
         assert np.abs(p.w_end).max() < 0.1
 
     def test_feasible_on_sphere(self):

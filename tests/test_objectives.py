@@ -20,6 +20,8 @@ from grouprobe import (
 )
 from grouprobe.objectives import (
     LaneWeights,
+    _featurize,
+    _scale,
     _sigmoid,
     end_terms,
     joint_terms,
@@ -64,11 +66,11 @@ def recon_only(params, batch):
 # Each loss term from its own kernel, in model-parameter layout: the
 # term-by-term oracles for the composed objective.
 
-def end_term(params, batch, lambda_l2=0.0, sample_weights=None):
+def end_term(params, batch, lambda_l2=0.0, **sample_weights):
     X = batch.features
     y = batch.labels.astype(np.float64)
     value, grad_a, grad_w_end = end_terms(X, X * params.a, -y, 0.5 * (y + 1.0), params.w_end,
-                                          lambda_l2, sample_weights)
+                                          lambda_l2, **sample_weights)
     return LossEval(float(value), grad_a, grad_w_end, np.zeros((params.d, params.d)))
 
 
@@ -342,6 +344,12 @@ def test_sigmoid_matches_masked_reference(z):
     assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
 
 
+def _weighted(sw):
+    """The sample-weight argument of a kernel call: none (the default, all
+    ones) for sw None, else sw."""
+    return {} if sw is None else {"sample_weights": sw}
+
+
 _VALUE = st.floats(-4.0, 4.0, allow_subnormal=False)
 _WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
 
@@ -379,14 +387,13 @@ def test_training_kernel_matches_term_kernels(case):
     yf = end_batch.labels.astype(np.float64)
     end = (end_batch.features, -yf, 0.5 * (yf + 1.0)) if streams != "aux" else None
     aux = (aux_batch.noised, aux_batch.targets) if streams != "end" else None
-    got = joint_terms(params.a, params.w_end, params.W_aux, w, end, aux,
-                      sw if end is not None else None)
+    got = joint_terms(params.a, params.w_end, params.W_aux, w, end, aux, **_weighted(sw))
 
     if streams == "aux":
         terms = [(1.0, recon_term(params, aux_batch))]
         pens = [aux_batch.noised]
     else:
-        terms = [(1.0, end_term(params, end_batch, w.lambda_l2, sw))]
+        terms = [(1.0, end_term(params, end_batch, w.lambda_l2, **_weighted(sw)))]
         if streams == "joint" and w.alpha_aux != 0.0:
             terms.append((w.alpha_aux, recon_term(params, aux_batch)))
         pens = [end_batch.features] + ([aux_batch.noised] if streams == "joint" else [])
@@ -451,7 +458,7 @@ def test_stacked_lanes_match_single_calls(case):
     """Lane r of a stacked call equals the 1-D call on lane r's parameters,
     batch and weights, bit for bit, in the value and all three gradients."""
     (a, w_end, W_aux), (stacked, weights), end, aux, sw, per_lane = case
-    got = joint_terms(a, w_end, W_aux, stacked, end, aux, sw)
+    got = joint_terms(a, w_end, W_aux, stacked, end, aux, **_weighted(sw))
     lanes = len(a)
     assert got.value.shape == (lanes,)
     assert got.grad_a.shape == got.grad_w_end.shape == a.shape
@@ -464,9 +471,81 @@ def test_stacked_lanes_match_single_calls(case):
 
     for r in range(lanes):
         one = joint_terms(a[r], w_end[r], W_aux[r], weights[r], lane(end, r), lane(aux, r),
-                          lane(sw, r))
+                          **_weighted(lane(sw, r)))
         assert type(one.value) is float
         assert got.value[r] == one.value
         for g, h in ((got.grad_a, one.grad_a), (got.grad_w_end, one.grad_w_end),
                      (got.grad_W_aux, one.grad_W_aux)):
             assert np.array_equal(g[r], h)
+
+
+def _unweighted_end_terms(X, H, neg_y, t, w_end, lambda_l2):
+    """`end_terms` as an unweighted formula: the mean BCE with no weight
+    factor.  The kernel has one weighted formula, and its default weights
+    must reproduce this bit for bit."""
+    n = X.shape[-2]
+    z = np.matvec(H, w_end)
+    nll = np.logaddexp(0.0, neg_y * z)
+    r = _sigmoid(z) - t
+    data = nll.sum(axis=-1) / n
+    g = r / n
+    value = data + 0.5 * lambda_l2 * np.vecdot(w_end, w_end)
+    grad_w_end = np.vecmat(g, H) + _scale(lambda_l2, w_end)
+    grad_a = np.vecmat(g, _featurize(X, w_end))
+    return value, grad_a, grad_w_end
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _end_case(draw):
+    """A 1-D call or an (R, B) lane stack of the end term, with zeroed
+    features, signed-zero heads and logits beyond +-700 among the draws."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 3, 7, 8, 64]))
+    lanes = draw(st.sampled_from([None, 1, 3]))  # None: one parameter set
+    per_lane = lanes is not None and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = (d,) if lanes is None else (lanes, d)
+    batch = (lanes, n) if per_lane else (n,)
+    X = rng.uniform(-4.0, 4.0, size=batch + (d,))
+    zeros = draw(st.sampled_from(["none", "column", "all"]))
+    if zeros == "column":
+        X[..., draw(st.integers(0, d - 1))] = draw(st.sampled_from([0.0, -0.0]))
+    elif zeros == "all":
+        X = rng.choice((0.0, -0.0), size=X.shape)
+    y = rng.choice((-1.0, 1.0), size=batch)
+    a = rng.uniform(-4.0, 4.0, size=params)
+    if draw(st.booleans()):
+        w_end = rng.choice((0.0, -0.0), size=params)
+    else:
+        w_end = rng.uniform(-4.0, 4.0, size=params) * draw(st.sampled_from([1.0, 100.0, 1e4]))
+    lambda_l2 = draw(st.sampled_from([0.0, 0.5]))
+    if lanes is None:
+        weights = LossWeights(lambda_l2=lambda_l2)
+    else:
+        weights = LaneWeights.stack([LossWeights(lambda_l2=draw(st.sampled_from([0.0, 0.5])))
+                                     for _ in range(lanes)])
+    return X, y, a, w_end, weights
+
+
+@given(_end_case())
+@settings(max_examples=300, deadline=None)
+def test_default_weights_match_unweighted_formula(case):
+    """With no sample weights, the end kernel and the training kernel equal
+    the unweighted formula bit for bit, signed zeros included, in the value
+    and all three gradients."""
+    X, y, a, w_end, weights = case
+    neg_y, t = -y, 0.5 * (y + 1.0)
+    H = _featurize(X, a)
+    want = _unweighted_end_terms(X, H, neg_y, t, w_end, weights.lambda_l2)
+    got = end_terms(X, H, neg_y, t, w_end, weights.lambda_l2)
+    assert all(_same_bits(g, h) for g, h in zip(got, want))
+    W_aux = np.zeros(a.shape + a.shape[-1:])
+    le = joint_terms(a, w_end, W_aux, weights, end=(X, neg_y, t))
+    for g, h in zip((le.value, le.grad_a, le.grad_w_end, le.grad_W_aux),
+                    (*want, np.zeros(W_aux.shape))):
+        assert _same_bits(g, h)
