@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, ShapeError
-from .linmodel import ModelParams, classify
+from .linmodel import ModelParams
 from .synthgen import N_GROUPS, LabeledDataset, csv_line_of, read_csv_chunks
 
 
@@ -48,26 +48,38 @@ class GroupMetrics:
         }
 
 
-def evaluate(params: ModelParams, data: LabeledDataset) -> GroupMetrics:
-    """Hard-label accuracy of the end head, overall and per group."""
-    if len(data) == 0:
-        raise InvalidInputError("cannot evaluate on an empty dataset")
-    if data.d != params.d:
-        raise ShapeError(f"feature width mismatch: the model has d = {params.d}, "
-                         f"the data d = {data.d}")
-    correct = (classify(params, data.features) == data.labels).astype(np.float64)
-    sizes = np.bincount(data.group_ids, minlength=N_GROUPS)
+def evaluate(params: ModelParams | tuple, data: LabeledDataset | tuple) -> GroupMetrics:
+    """Hard-label accuracy of the end head (a zero logit is +1), overall and
+    per group, of one model on a LabeledDataset, or of a stack of R models:
+    `params` (a, w_end) as (R, d) arrays, `data` R same-length datasets'
+    (features, labels, group_ids) as (R, n, d), (R, n), (R, n) arrays,
+    unchecked, and each result field with a leading lane axis.  One model
+    is the stack code at R = 1, so lane r of a stack equals its one-model
+    call bit for bit: one matvec for the logits, one bincount over
+    lane-offset group ids for the hits."""
+    if one := isinstance(params, ModelParams):
+        if len(data) == 0:
+            raise InvalidInputError("cannot evaluate on an empty dataset")
+        if data.d != params.d:
+            raise ShapeError(f"feature width mismatch: the model has d = {params.d}, "
+                             f"the data d = {data.d}")
+        params = params.a[None], params.w_end[None]
+        data = data.features[None], data.labels[None], data.group_ids[None]
+    (a, w_end), (X, labels, group_ids) = params, data
+    R, n = labels.shape
+    correct = (np.matvec(X * a[:, None, :], w_end) >= 0) == (labels == 1)
+    lane_groups = (group_ids + np.arange(0, R * N_GROUPS, N_GROUPS)[:, None]).ravel()
+    sizes = np.bincount(lane_groups, minlength=R * N_GROUPS).reshape(R, N_GROUPS)
     present = sizes > 0
     # sums of 0/1 values are exact, so each group's hits / size is its mean
-    hits = np.bincount(data.group_ids, weights=correct, minlength=N_GROUPS)
-    per_group = np.divide(hits, sizes, out=np.full(N_GROUPS, np.nan), where=present)
-    return GroupMetrics(
-        per_group_acc=per_group,
-        group_sizes=sizes,
-        avg_acc=float(correct.mean()),
-        wg_acc=float(per_group[present].min()),
-        all_groups_present=bool(present.all()),
-    )
+    # and the hits' total / n the mean of `correct`
+    hits = np.bincount(lane_groups, weights=correct.ravel(),
+                       minlength=R * N_GROUPS).reshape(R, N_GROUPS)
+    per_group = np.divide(hits, sizes, out=np.full((R, N_GROUPS), np.nan), where=present)
+    avg, wg = hits.sum(axis=1) / n, np.fmin.reduce(per_group, axis=1)  # fmin skips NaN
+    if not one:
+        return GroupMetrics(per_group, sizes, avg, wg, present.all(axis=1))
+    return GroupMetrics(per_group[0], sizes[0], float(avg[0]), float(wg[0]), bool(present.all()))
 
 
 def spur_core_log_ratio(a: np.ndarray, d_c: int, d_s: int) -> float:

@@ -6,7 +6,8 @@ finite differences.
 
 Each term has one array-level kernel (`end_terms`, `recon_terms`,
 `penalty_terms`), and `joint_terms` composes them into the training
-objective on raw minibatch arrays; `optim.train` calls it once per SGD step.
+objective on raw minibatch arrays; `optim.train` calls it once per SGD step,
+and once per epoch for the validation reconstruction loss.
 `multitask_loss` validates a model and its batches, then calls `joint_terms`.
 
 Lanes: the kernels take one parameter set or a stack of R of them.  `a`

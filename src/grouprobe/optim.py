@@ -9,14 +9,15 @@ stacked loss-and-gradient call per step (see `objectives`), which costs
 little more than one run's.  Each step still makes one `sgd_step` call,
 and each epoch one `heterogeneous_batches` schedule, per lane, both looked
 up on this module; every lane's outputs equal its one-lane run's bit for
-bit.
+bit.  Around them a group makes one finiteness check of its loss values
+and gradients per step (`sgd_step` makes none), and one stacked validation
+per epoch.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +34,6 @@ from .objectives import (
     check_sample_weights,
     end_stream,
     joint_terms,
-    multitask_loss,
 )
 from .synthgen import AuxDataset, LabeledDataset
 
@@ -67,17 +67,14 @@ def sgd_step(params: ModelParams, grads: LossEval, lr: float) -> ModelParams:
     """One descent step followed by constraint enforcement.
 
     Order: parameter update, then project `a` back to its L1 set and
-    renormalize W_aux.  Raises DivergedError on a non-finite gradient, or
-    when the step leaves parameters the projection cannot bring back into
-    the constraint set.  Returns fresh parameters in that set, built without
-    re-running the ModelParams checks.
+    renormalize W_aux.  Raises DivergedError when the step leaves parameters
+    the projection cannot bring back into the constraint set, which includes
+    any NaN or +-inf gradient entry: `train` names those in its one check per
+    group step, and here `project_l1` finds no threshold, `rescale_l1` and
+    `normalize_frobenius` scale by a NaN or zero factor that leaves NaN, and
+    `feasible()` rejects a non-finite block.  Returns fresh parameters in
+    that set, built without re-running the ModelParams checks.
     """
-    if not (
-        np.isfinite(grads.grad_a).all()
-        and np.isfinite(grads.grad_w_end).all()
-        and np.isfinite(grads.grad_W_aux).all()
-    ):
-        raise DivergedError("non-finite gradient")
     a = params.a - lr * grads.grad_a
     w_end = params.w_end - lr * grads.grad_w_end
     W_aux = params.W_aux - lr * grads.grad_W_aux
@@ -223,16 +220,16 @@ def _check_lane(lane: Lane) -> None:
 
 def _lockstep_key(lane: Lane):
     # what the lanes of one group share: the step schedule's shape, the
-    # stacked arrays' shapes, and the terms the kernel runs; every end
-    # stream carries a weight column, so fixed weights need no clause, but
-    # a sample-weight hook updates one run's state every step, so its lane
-    # gets a key of its own
+    # stacked arrays' shapes (validation sets included), and the terms the
+    # kernel runs; every end stream carries a weight column, so fixed
+    # weights need no clause, but a sample-weight hook updates one run's
+    # state every step, so its lane gets a key of its own
     if callable(lane.sample_weights):
         return object()
     w = lane.weights
     return (lane.cfg.batch_size, lane.cfg.epochs, lane.params.d,
-            None if lane.end_data is None else len(lane.end_data),
-            None if lane.aux_data is None else len(lane.aux_data),
+            *(None if data is None else len(data)
+              for data in (lane.end_data, lane.aux_data, lane.val_data, lane.val_aux)),
             w.alpha_aux != 0.0, w.alpha_reg != 0.0)
 
 
@@ -290,6 +287,18 @@ def _param_arrays(state: list[ModelParams]) -> tuple:
             np.array([p.W_aux for p in state]))
 
 
+def _finite_lanes(le: LossEval, n_lanes: int) -> tuple[int, str | None]:
+    """The index of the lowest lane whose loss value or gradient has a NaN
+    or +-inf entry, with its failure message; (n_lanes, None) when every
+    entry is finite, found by one check over all lanes' blocks."""
+    blocks = (le.value, le.grad_a, le.grad_w_end, le.grad_W_aux)
+    if np.isfinite(np.concatenate(blocks, axis=None)).all():
+        return n_lanes, None
+    finite = [np.isfinite(np.reshape(b, (n_lanes, -1))).all(axis=1) for b in blocks]
+    r = int(np.logical_and.reduce(finite).argmin())
+    return r, "non-finite gradient" if finite[0][r] else "non-finite training loss"
+
+
 def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     """Run minibatch SGD for cfg.epochs on each of R >= 1 lanes; return one
     (trace, best parameters) per lane, in lane order.
@@ -299,10 +308,10 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     the same object as the best parameters when the last epoch is selected.
     Each lane trains exactly as it would alone, bit for bit.
 
-    Lanes that share batch size, epochs, feature dim, stream lengths and
-    the zero pattern of alpha_aux and alpha_reg train as one group, in
-    lockstep, with fixed sample weights or without (all ones); a lane with
-    a sample-weight hook trains alone.  Groups run one after another, in
+    Lanes that share batch size, epochs, feature dim, training and
+    validation stream lengths and the zero pattern of alpha_aux and
+    alpha_reg train as one group, in lockstep, with fixed sample weights or
+    without (all ones); a lane with a sample-weight hook trains alone.  Groups run one after another, in
     order of their first lane.
 
     The loss is the joint objective of `objectives.joint_terms` (end BCE +
@@ -314,15 +323,18 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     `heterogeneous_batches` schedule from its own data and seed, and
     `_gather` reads every column once.  Each step is one `joint_terms` call
     on the group's (R, B, d) batches (a single lane's own (B, d) arrays when
-    it trains alone) and one `sgd_step` call per lane with that lane's
-    learning rate and constraint set.
+    it trains alone), one finiteness check of all lanes' loss values and
+    gradients, and one `sgd_step` call per lane with that lane's learning
+    rate and constraint set.
 
-    A non-finite loss or a failed step raises `DivergedError` in the first
-    group with a diverged lane, for its lowest-index lane that diverged at
-    the earliest step.
+    A non-finite loss or gradient, or a failed step, raises `DivergedError`
+    in the first group with a diverged lane, for its lowest-index lane that
+    diverged at the earliest step.
 
-    Validation on each lane's non-empty `val_data` (and `val_aux` without an
-    end stream) runs once per epoch after its final step.  The selected
+    Validation on each lane's non-empty `val_data` (and `val_aux`) runs once
+    per epoch after its final step, for the whole group at once: one stacked
+    `evaluate` call and one stacked `joint_terms` reconstruction loss on
+    validation stacks built once per group.  The selected
     checkpoint maximizes the selector metric (average or worst-group
     validation accuracy; the negated validation reconstruction loss without
     an end stream), earliest epoch on ties; epochs whose metric is NaN are
@@ -364,6 +376,11 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     steps = [(slice(start, start + batch_size) if single
               else (slice(None), slice(start, start + batch_size)),
               min(batch_size, driver - start)) for start in range(0, driver, batch_size)]
+    # the lanes' validation columns, stacked once: (R, n_val, ...)
+    val_end = tuple(np.array([getattr(lane.val_data, k) for lane in lanes])
+                    for k in ("features", "labels", "group_ids"))
+    val_aux = None if first.val_aux is None else tuple(
+        np.array([getattr(lane.val_aux, k) for lane in lanes]) for k in ("noised", "targets"))
     traces = [TrainTrace() for _ in lanes]
     best_metric = [-np.inf] * len(lanes)
     best_params = [None] * len(lanes)
@@ -389,38 +406,36 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
             if aux_cols is not None:
                 aux = (Xt[rows], X0[rows])
             le = joint_terms(*arrays, weights, end, aux, batch_weights)
+            n_finite, failure = _finite_lanes(le, len(lanes))
             lane_evals = ((le,) if single else
                           map(LossEval, le.value, le.grad_a, le.grad_w_end, le.grad_W_aux))
-            for r, lane_eval in enumerate(lane_evals):
-                if not math.isfinite(lane_eval.value):
-                    raise DivergedError("non-finite training loss", epoch=ep, **names[r])
+            # the lanes before the first non-finite one step first, so a lane
+            # among them that fails its step is named
+            for r, lane_eval in zip(range(n_finite), lane_evals):
                 try:
                     state[r] = sgd_step(state[r], lane_eval, learning_rates[r])
                 except DivergedError as e:
                     raise DivergedError(str(e), epoch=ep, **names[r]) from None
+            if failure:
+                raise DivergedError(failure, epoch=ep, **names[n_finite])
             loss_sum += le.value * size
             arrays = _param_arrays(state)
 
         train_loss = np.atleast_1d(loss_sum / driver).tolist()
+        stacked = [p[None] for p in arrays] if single else arrays
+        vm = evaluate(stacked[:2], val_end)
+        val_recon = ([None] * len(lanes) if val_aux is None
+                     else joint_terms(*stacked, LossWeights(), None, val_aux).value.tolist())
+        avg_acc, wg_acc = vm.avg_acc.tolist(), vm.wg_acc.tolist()
         for r, lane in enumerate(lanes):
-            params = state[r]
-            vm = evaluate(params, lane.val_data)
-            val_recon = (None if lane.val_aux is None
-                         else multitask_loss(params, None, lane.val_aux, LossWeights()).value)
-            rec = EpochRecord(
-                epoch=ep,
-                train_loss=train_loss[r],
-                val_avg_acc=vm.avg_acc,
-                val_wg_acc=vm.wg_acc,
-                val_group_acc=vm.per_group_acc,
-                val_recon_loss=val_recon,
-            )
+            rec = EpochRecord(ep, train_loss[r], avg_acc[r], wg_acc[r], vm.per_group_acc[r],
+                              val_recon[r])
             traces[r].records.append(rec)
             metric = _selection_metric(rec, lane.selector, aux_only)
             if metric > best_metric[r]:
                 # sgd_step returns fresh arrays, so no later step touches these
                 best_metric[r] = metric
-                best_params[r] = params
+                best_params[r] = state[r]
                 traces[r].selected_epoch = ep
     for r, trace in enumerate(traces):
         if best_params[r] is None:

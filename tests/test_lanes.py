@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from grouprobe import (
     InvalidInputError,
     Lane,
     LossWeights,
+    ModelParams,
     OptimConfig,
     SelectionStrategy,
     evaluate,
@@ -335,3 +337,137 @@ def test_first_group_with_a_diverged_lane_raises():
         with pytest.raises(DivergedError) as exc:
             train(lanes)
         assert (exc.value.tag, exc.value.seed) == (tag, 9)
+
+
+def _corrupting_terms(step, changes):
+    """`joint_terms` whose call number `step` (0-based) returns with the
+    entries `changes` maps (block, lane) to, each written into the last
+    entry of that lane's block."""
+    calls = []
+
+    def terms(*args):
+        le = joint_terms(*args)
+        if len(calls) == step:
+            n_lanes = np.size(le.value)
+            for (block, r), value in changes.items():
+                if block == "value":
+                    le.value[r] = value
+                else:
+                    np.reshape(getattr(le, block), (n_lanes, -1))[r, -1] = value
+        calls.append(1)
+        return le
+    return terms
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("block", ["grad_a", "grad_w_end", "grad_W_aux"])
+def test_nonfinite_gradient_names_its_lane(block, monkeypatch):
+    """One check per group step finds the lowest lane whose gradient or loss
+    is not finite; the lanes before it step first, so an earlier lane that
+    fails its projection at that step is named instead."""
+    group = [_erm_lane(seed=SEEDS[r % 2], tag=f"lane{r}") for r in range(5)]
+    steps_per_epoch = math.ceil(len(seed_data(4)[0]) / 8)
+    k = steps_per_epoch + 2  # the third step of epoch 1
+    for changes, (tag, message) in [
+        ({(block, 2): np.nan, (block, 3): np.inf}, ("lane2", "non-finite gradient")),
+        ({(block, 2): -np.inf, (block, 4): np.nan}, ("lane2", "non-finite gradient")),
+        # lane 1's step to |a| ~ 1e306 swamps tau: its projection finds no threshold
+        ({(block, 2): np.nan, (block, 3): np.nan, ("grad_a", 1): 1e308},
+         ("lane1", "projection failed")),
+        ({("value", 2): np.nan, (block, 2): np.nan, (block, 3): np.inf},
+         ("lane2", "non-finite training loss")),
+        ({("value", 3): np.inf, (block, 2): np.nan}, ("lane2", "non-finite gradient")),
+    ]:
+        monkeypatch.setattr(grouprobe.optim, "joint_terms", _corrupting_terms(k, changes))
+        with pytest.raises(DivergedError) as exc:
+            train(group)
+        assert (exc.value.tag, exc.value.seed, exc.value.epoch) == (tag, 4 if tag == "lane2" else 9, 1)
+        assert str(exc.value).startswith(message)
+    # a lane that trains alone takes the same check
+    monkeypatch.setattr(grouprobe.optim, "joint_terms", _corrupting_terms(k, {(block, 0): np.nan}))
+    with pytest.raises(DivergedError) as exc:
+        train([group[2]])
+    assert str(exc.value) == "non-finite gradient (run lane2, seed 4, epoch 1)"
+
+
+def test_validation_lengths_train_apart(group_sizes):
+    """Validation runs once per group on stacked validation sets, so lanes
+    whose val_data or val_aux lengths differ (or that have val_aux and
+    lack it) train in separate groups, each lane as its reference run."""
+    _, val_set, aux, aux_val = seed_data(9)
+    short_val = val_set.take(np.arange(len(val_set) - 1))
+    cfg = OptimConfig(0.01, 8, 2, seed=9)
+    params = init_params(val_set.d, 0.5, [9, 101], dense_init=True)
+
+    def aux_only(**kw):
+        return replace(Lane(params, None, aux, LossWeights(), cfg, val_set,
+                            SelectionStrategy.NO_GP, val_aux=aux_val), **kw)
+
+    lanes = [_erm_lane(), replace(_erm_lane(seed=9), val_data=short_val),
+             replace(_erm_lane(lr=0.05), val_aux=aux_val), _erm_lane(lr=0.03),
+             aux_only(), aux_only(val_aux=aux_val.take(np.arange(len(aux_val) - 2))),
+             aux_only(val_data=short_val), aux_only(val_data=short_val)]
+    got = train(lanes)
+    assert group_sizes == [2, 1, 1, 1, 1, 2]
+    for lane, result in zip(lanes, got):
+        assert_same_run(result, _reference(lane))
+
+
+@st.composite
+def validation_stacks(draw):
+    """R lanes' (params, val_data, val_aux): each lane's sets are drawn rows
+    of one of two seeds' validation sets, of one length n, some lacking a
+    group; some lanes' logits are exactly 0 (a zero `a` or `w_end` block,
+    signed zeros included)."""
+    R = draw(st.sampled_from([1, 3, 7]))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lanes = []
+    for _ in range(R):
+        _, val_set, _, aux_val = seed_data(draw(st.sampled_from(SEEDS)))
+        missing = draw(st.sampled_from([None, 0, 1, 2, 3]))
+        rows = np.flatnonzero(val_set.group_ids != missing)
+        idx = rng.choice(rows, size=n)
+        a, w_end = rng.normal(size=2), rng.normal(size=2)
+        zero = draw(st.sampled_from([None, "a", "w_end"]))
+        if zero is not None:
+            block = a if zero == "a" else w_end
+            block[:] = rng.choice([0.0, -0.0], size=2)
+        W_aux = rng.normal(size=(2, 2))
+        lanes.append((ModelParams(a, w_end, W_aux / np.linalg.norm(W_aux)),
+                      val_set.take(idx), aux_val.take(idx)))
+    return lanes
+
+
+def _bytes(*values) -> list[bytes]:
+    return [np.asarray(v).tobytes() for v in values]
+
+
+@given(validation_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_validation_matches_one_model_calls(lanes):
+    """The per-epoch validation of a lane group, as `train` runs it: one
+    `evaluate` call and one reconstruction loss on lane stacks.  Lane r
+    equals the one-model `evaluate` and the one-lane validation loss byte
+    for byte: NaN for an absent group, worst group over the present ones,
+    and a zero logit as the label +1."""
+    params, val_data, val_aux = zip(*lanes)
+    a, w_end, W_aux = (np.array([getattr(p, k) for p in params]) for k in ("a", "w_end", "W_aux"))
+    stacks = [np.array([getattr(v, k) for v in val_data])
+              for k in ("features", "labels", "group_ids")]
+    got = evaluate((a, w_end), tuple(stacks))
+    recon = joint_terms(a, w_end, W_aux, LossWeights(), None,
+                        tuple(np.array([getattr(v, k) for v in val_aux])
+                              for k in ("noised", "targets"))).value
+    for r, (p, v, va) in enumerate(lanes):
+        want = evaluate(p, v)
+        assert _bytes(got.per_group_acc[r], got.group_sizes[r], got.avg_acc[r], got.wg_acc[r],
+                      got.all_groups_present[r]) == _bytes(
+            want.per_group_acc, want.group_sizes, want.avg_acc, want.wg_acc,
+            want.all_groups_present)
+        assert _bytes(recon[r]) == _bytes(multitask_loss(p, None, va, LossWeights()).value)
+        present = want.group_sizes > 0
+        assert want.wg_acc == want.per_group_acc[present].min()
+        assert np.isnan(want.per_group_acc[~present]).all()
+        if not (p.a.any() and p.w_end.any()):
+            assert want.avg_acc == (v.labels == 1).mean()

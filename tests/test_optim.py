@@ -25,7 +25,7 @@ from grouprobe import (
     sgd_step,
     train,
 )
-from grouprobe.objectives import multitask_loss
+from grouprobe.objectives import joint_terms
 
 
 class TestOptimConfig:
@@ -158,12 +158,23 @@ class TestSgdStep:
         with pytest.raises(DivergedError, match="infeasible"):
             sgd_step(p, g, 1e15)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_gradient_raises(self):
-        p = init_params(2, None, 0, fro_radius=None)
-        g = self._grads(2)
-        g.grad_a = np.array([np.nan, 0.0])
-        with pytest.raises(DivergedError):
-            sgd_step(p, g, 0.1)
+        """sgd_step makes no finiteness check of its own (train makes it once
+        per group step), yet a NaN or +-inf entry in any gradient block
+        raises in every constraint set: the projection or feasible() catches
+        it."""
+        sets = {"free": dict(tau=None), "ball": dict(tau=1.0),
+                "sphere": dict(tau=1.0, l1_boundary=True)}
+        for (name, kw), fro, block, bad in itertools.product(
+                sets.items(), (None, 1.0), ("grad_a", "grad_w_end", "grad_W_aux"),
+                (np.nan, np.inf, -np.inf)):
+            p = init_params(3, seed=0, fro_radius=fro, **kw)
+            g = self._grads(3)
+            getattr(g, block).flat[-1] = bad
+            with pytest.raises(DivergedError):
+                sgd_step(p, g, 0.1)
+                pytest.fail(f"{name}, fro_radius {fro}: {bad} in {block} stepped")
 
 
 class TestTrain:
@@ -336,17 +347,21 @@ class TestSelection:
         values = iter(script)
 
         def scripted_evaluate(params, data):
+            # the group's one stacked call per epoch, for its one lane
             avg, wg = (0.5, 0.5) if aux_val is not None else next(values)
-            return GroupMetrics(np.full(4, wg), np.full(4, 1), avg, wg, True)
+            return GroupMetrics(np.full((1, 4), wg), np.full((1, 4), 1), np.array([avg]),
+                                np.array([wg]), np.array([True]))
 
-        def scripted_loss(params, end_batch, aux_batch, weights):
-            le = multitask_loss(params, end_batch, aux_batch, weights)
-            if aux_batch is aux_val:
-                le.value = next(values)
+        def scripted_terms(a, w_end, W_aux, weights, end=None, aux=None, sample_weights=1.0):
+            le = joint_terms(a, w_end, W_aux, weights, end, aux, sample_weights)
+            # the validation loss is the call on (1, n_val, d) lane stacks; a
+            # one-lane group's training batches are (B, d)
+            if aux is not None and aux[0].ndim == 3:
+                le.value = np.array([next(values)])
             return le
 
         monkeypatch.setattr(grouprobe.optim, "evaluate", scripted_evaluate)
-        monkeypatch.setattr(grouprobe.optim, "multitask_loss", scripted_loss)
+        monkeypatch.setattr(grouprobe.optim, "joint_terms", scripted_terms)
         cfg = OptimConfig(learning_rate=0.01, batch_size=16, epochs=epochs, seed=3)
         params = init_params(task.train.d, 0.5, [3, 101])
         if aux_val is not None:
