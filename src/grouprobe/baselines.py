@@ -3,8 +3,8 @@ plain ERM, two-stage upweighting (JTT-style), online group reweighting
 (groupDRO-style, treated as a group-supervised skyline), reconstruction-only
 training, and the regularized multitask trainer.  A `RunSpec` names one
 method and its hyperparameters, and `fit` trains any of them; `fit_lanes`
-trains a list of runs through one `optim.train` call, which trains the runs
-that can share a step as the lanes of one loop."""
+trains a list of runs through one `optim.train` call (after one for all JTT
+first stages), which trains the runs that can share a step as lanes."""
 
 from __future__ import annotations
 
@@ -153,11 +153,9 @@ class FitResult:
         }
 
 
-def _group_reweighting(train_set: LabeledDataset, group_step: float):
+def _group_reweighting(group_step: float):
     """The group-DRO weight hook for `optim.train`, and the group
     distribution q that each call of the hook updates in place."""
-    if not (train_set.group_counts() > 0).all():
-        raise InvalidInputError("group reweighting requires all four groups in training data")
     q = np.full(N_GROUPS, 1.0 / N_GROUPS)
 
     def reweight(nll, group_ids):
@@ -226,13 +224,23 @@ def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset 
     """`fit` of each (run, data, aux, aux_val) job, with the jobs trained
     through one `optim.train` call, which runs those that can share a step
     in lockstep; one result per job, in order, each equal to its own `fit`
-    bit for bit.  A jtt job trains its first stage alone, here; its second
-    stage (fixed weights) shares a step with erm jobs of the same shape,
-    whose weights are all ones.  A group_dro job (a per-step weight hook)
-    trains alone.  A result's `params` may be the same object as its
+    bit for bit.  Before it, one more `train` call trains the first stage
+    of every jtt job.  A jtt second stage (fixed weights) and a group_dro
+    job (a per-step weight hook) share a step with erm jobs of the same
+    shape.  A result's `params` may be the same object as its
     `trace.final_params`.
     """
-    prepared = [_lane(run, data, selector, aux, aux_val) for run, data, aux, aux_val in jobs]
+    for run, data, _, _ in jobs:  # refused before any job trains
+        if run.method == "group_dro" and not (data.train.group_counts() > 0).all():
+            raise InvalidInputError("group reweighting requires all four groups in training data")
+    # the first stages: plain ERM for id_epochs from each run's initialization
+    jtt = [(run, data) for run, data, _, _ in jobs if run.method == "jtt"]
+    stage1 = iter(train([Lane(_init(run, data, _INIT_SEED_TAG), data.train, None, run.weights,
+                              replace(run.optim, epochs=run.jtt.id_epochs), data.val, selector,
+                              tag=run.tag) for run, data in jtt]) if jtt else [])
+    prepared = [_lane(run, data, selector, aux, aux_val,
+                      next(stage1)[0].final_params if run.method == "jtt" else None)
+                for run, data, aux, aux_val in jobs]
     trained = train([lane for lane, _, _, _ in prepared])
     results = []
     for (run, data, _, _), (_, config, extras, q), (trace, best) in zip(jobs, prepared, trained):
@@ -257,12 +265,18 @@ def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset 
     return results
 
 
+def _init(run: RunSpec, data: TaskData, tag: int) -> ModelParams:
+    return init_params(data.train.d, run.tau, [run.optim.seed, tag],
+                       l1_boundary=run.l1_boundary, dense_init=run.method == "aux_only")
+
+
 def _lane(run: RunSpec, data: TaskData, selector: SelectionStrategy,
-          aux: AuxDataset | None, aux_val: AuxDataset | None
+          aux: AuxDataset | None, aux_val: AuxDataset | None,
+          stage1_params: ModelParams | None
           ) -> tuple[Lane, dict, dict, np.ndarray | None]:
     """The `optim.train` lane of one `fit` job, with the result's config echo,
     its extras so far and, for group_dro, the group distribution its hook
-    updates; a jtt run trains its first stage here."""
+    updates; a jtt job's lane is its second stage, after `stage1_params`."""
     method, cfg = run.method, run.optim
     aux_only = method == "aux_only"
     if aux_only:
@@ -274,29 +288,22 @@ def _lane(run: RunSpec, data: TaskData, selector: SelectionStrategy,
         **(asdict(block) if block else {}),
     }
 
-    def init(tag: int):
-        return init_params(data.train.d, run.tau, [cfg.seed, tag],
-                           l1_boundary=run.l1_boundary, dense_init=aux_only)
-
-    params = init(_INIT_SEED_TAG)
+    # a jtt second stage restarts from a draw of its own
+    params = _init(run, data, _SECOND_STAGE_SEED_TAG if method == "jtt" else _INIT_SEED_TAG)
     sample_weights, extras, q = None, {}, None
     if method == "jtt":
-        stage1_cfg = replace(cfg, epochs=run.jtt.id_epochs)
-        [(trace1, _)] = train([Lane(params, data.train, None, run.weights, stage1_cfg, data.val,
-                                    selector, tag=run.tag)])
-        wrong = classify(trace1.final_params, data.train.features) != data.train.labels
+        wrong = classify(stage1_params, data.train.features) != data.train.labels
         err_counts = np.bincount(data.train.group_ids[wrong], minlength=N_GROUPS)
         extras["jtt"] = {
             "error_set_size": int(wrong.sum()),
             "error_group_counts": [int(v) for v in err_counts],
             "fallback_erm": bool(wrong.sum() == 0),
         }
-        params = init(_SECOND_STAGE_SEED_TAG)
         # with no errors every weight is exactly 1.0: stage 2 is plain ERM bit for bit
         sw = np.where(wrong, run.jtt.upweight, 1.0)
         sample_weights = sw / sw.mean()
     elif method == "group_dro":
-        sample_weights, q = _group_reweighting(data.train, run.group_dro.group_step)
+        sample_weights, q = _group_reweighting(run.group_dro.group_step)
 
     lane = Lane(params, None if aux_only else data.train,
                 aux if method in ("reg_mtl", "aux_only") else None,

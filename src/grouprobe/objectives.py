@@ -7,7 +7,7 @@ finite differences.
 Each term has one array-level kernel (`end_terms`, `recon_terms`,
 `penalty_terms`), and `joint_terms` composes them into the training
 objective on raw minibatch arrays; `optim.train` calls it once per SGD step,
-and once per epoch for the validation reconstruction loss.
+and `recon_value`, the reconstruction value alone, once per epoch to validate.
 `multitask_loss` validates a model and its batches, then calls `joint_terms`.
 
 Lanes: the kernels take one parameter set or a stack of R of them.  `a`
@@ -25,7 +25,7 @@ r of a stacked call equals the one-set call on lane r's parameters, batch
 and weights bit for bit.  The end loss is always weighted: sample weights
 default to 1.0, and multiplication by 1.0 is exact, so an unweighted loss is
 the all-ones case bit for bit.  A callable sample weight (the group-DRO
-hook) needs the loss of a single set and is 1-D only.
+hook) maps the per-sample losses, (B,) or (R, B), to weights of that shape.
 """
 
 from __future__ import annotations
@@ -102,12 +102,12 @@ def check_sample_weights(weights, n: int) -> np.ndarray:
 #
 # The kernels trust their inputs: shapes agree, batches are non-empty, and
 # the caller has computed the featurizer output H = X * a once for every
-# term that reads it (see `_featurize`).  Every product over the batch axis
+# term that reads it (see `featurize`).  Every product over the batch axis
 # is a matvec, vecmat or matmul and every batch sum is over trailing axes,
 # so a leading lane axis rides along without changing any float operation.
 
 
-def _featurize(X, v):
+def featurize(X, v):
     """X * v for one (d,) vector, or (R, n, d) for a stack of R vectors,
     with X shared (n, d) or one batch per lane (R, n, d)."""
     return X * (v if v.ndim == 1 else v[:, None, :])
@@ -130,28 +130,33 @@ def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=1.0):
 
     neg_y is -y and t = (y+1)/2 for labels y in {-1,+1}; lambda_l2 is a
     shared weight or an (R,) column.  sample_weights is 1.0 (unweighted), an
-    array of per-sample weights, or (one parameter set only) a function from
-    the per-sample losses to such an array, whose result is validated here.
+    array of per-sample weights shaped like neg_y, or a function from the
+    per-sample losses to such an array, which the caller checks.
     """
     n = X.shape[-2]
     z = np.matvec(H, w_end)
     nll = np.logaddexp(0.0, neg_y * z)
     if callable(sample_weights):
-        sample_weights = check_sample_weights(sample_weights(nll), n)
+        sample_weights = sample_weights(nll)
     # d nll / d z = sigmoid(z) - t
     r = _sigmoid(z) - t
     g = sample_weights * r / n
     value = (sample_weights * nll).sum(axis=-1) / n + 0.5 * lambda_l2 * np.vecdot(w_end, w_end)
     grad_w_end = np.vecmat(g, H) + _scale(lambda_l2, w_end)
-    grad_a = np.vecmat(g, _featurize(X, w_end))
+    grad_a = np.vecmat(g, featurize(X, w_end))
     return value, grad_a, grad_w_end
+
+
+def recon_value(H, X0, W_aux):
+    """Reconstruction term for H = Xt * a, no gradients: (value, residual)."""
+    R = H @ W_aux - X0
+    return (R * R).sum(axis=(-2, -1)) / (2.0 * H.shape[-2]), R
 
 
 def recon_terms(Xt, H, X0, W_aux):
     """Reconstruction term for H = Xt * a: (value, grad_a, grad_W_aux)."""
     n = Xt.shape[-2]
-    R = H @ W_aux - X0  # residual, one row per sample
-    value = (R * R).sum(axis=(-2, -1)) / (2.0 * n)
+    value, R = recon_value(H, X0, W_aux)
     grad_W_aux = H.mT @ R / n
     grad_a = ((R @ W_aux.mT) * Xt).sum(axis=-2) / n
     return value, grad_a, grad_W_aux
@@ -186,13 +191,13 @@ def joint_terms(a, w_end, W_aux, weights: LossWeights | LaneWeights, end=None, a
     penalized = []  # (X, X * a) of each batch the activation penalty reads
     if end is not None:
         X, neg_y, t = end
-        H = _featurize(X, a)
+        H = featurize(X, a)
         value, grad_a, grad_w_end = end_terms(X, H, neg_y, t, w_end, weights.lambda_l2,
                                               sample_weights)
         penalized.append((X, H))
     if aux is not None and (end is None or aux_on or reg_on):
         Xt, X0 = aux
-        Ht = _featurize(Xt, a)
+        Ht = featurize(Xt, a)
         if end is None:
             value, grad_a, grad_W_aux = recon_terms(Xt, Ht, X0, W_aux)
         elif aux_on:

@@ -3,15 +3,16 @@ epochs, with per-epoch validation tracking and checkpoint selection.
 
 `train` is the one training loop.  It takes any list of runs, its lanes,
 and trains the lanes that can share a step (see `_lockstep_key`) as one
-group, in lockstep: each lane keeps its own data, seed, batch schedule,
-loss weights, learning rate and constraint set, and a group shares one
-stacked loss-and-gradient call per step (see `objectives`), which costs
-little more than one run's.  Each step still makes one `sgd_step` call,
-and each epoch one `heterogeneous_batches` schedule, per lane, both looked
-up on this module; every lane's outputs equal its one-lane run's bit for
-bit.  Around them a group makes one finiteness check of its loss values
-and gradients per step (`sgd_step` makes none), and one stacked validation
-per epoch.
+group, in lockstep, a lone lane as a group of one: each lane keeps its own
+data, seed, batch schedule, sample weights or weight hook, loss weights,
+learning rate and constraint set, and a group shares one stacked
+loss-and-gradient call per step (see `objectives`), which costs little
+more than one run's.  Each step still makes one `sgd_step` call, and each
+epoch one `heterogeneous_batches` schedule, per lane, both looked up on
+this module; every lane's outputs equal its one-lane run's bit for bit.
+Around them a group makes one finiteness check of its loss values and
+gradients per step (`sgd_step` makes none), and one stacked validation per
+epoch.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .linmodel import ModelParams, normalize_frobenius, project_l1, rescale_l1
 from .objectives import (
     LaneWeights,
     LossEval,
-    LossWeights,
     check_sample_weights,
     end_stream,
+    featurize,
     joint_terms,
+    recon_value,
 )
 from .synthgen import AuxDataset, LabeledDataset
 
@@ -183,9 +185,9 @@ class Lane:
 
     `sample_weights` needs an end stream.  It is one fixed weight per row of
     end_data (None: all ones, plain ERM), or a hook `(nll, group_ids) ->
-    weights` called once per step with the batch's per-sample losses and
-    group ids (the online group reweighting baseline updates its group
-    distribution there).  Without an end stream, `val_aux` is required: its
+    weights` called once per step with this lane's per-sample losses and
+    group ids.  A hook holds one lane's state, such as the group-DRO group
+    distribution.  Without an end stream, `val_aux` is required: its
     reconstruction loss selects the checkpoint.  A lane with a `tag` names
     its run (tag and seed) in a `DivergedError`.
     """
@@ -213,6 +215,8 @@ def _check_lane(lane: Lane) -> None:
         raise InvalidInputError("validation data must be non-empty")
     if aux_only and lane.sample_weights is not None:
         raise InvalidInputError("sample weighting needs an end stream")
+    if not aux_only and not callable(lane.sample_weights):
+        check_sample_weights(lane.sample_weights, len(lane.end_data))
     streams = (lane.end_data, lane.aux_data, lane.val_data, lane.val_aux)
     if any(data is not None and data.d != lane.params.d for data in streams):
         raise ShapeError("training or validation data feature dim does not match the model")
@@ -221,11 +225,7 @@ def _check_lane(lane: Lane) -> None:
 def _lockstep_key(lane: Lane):
     # what the lanes of one group share: the step schedule's shape, the
     # stacked arrays' shapes (validation sets included), and the terms the
-    # kernel runs; every end stream carries a weight column, so fixed
-    # weights need no clause, but a sample-weight hook updates one run's
-    # state every step, so its lane gets a key of its own
-    if callable(lane.sample_weights):
-        return object()
+    # kernel runs; sample weights, fixed or a hook, need no clause
     w = lane.weights
     return (lane.cfg.batch_size, lane.cfg.epochs, lane.params.d,
             *(None if data is None else len(data)
@@ -234,57 +234,47 @@ def _lockstep_key(lane: Lane):
 
 
 def _stream_columns(lane: Lane) -> tuple[tuple | None, tuple | None]:
-    """A lane's per-row (end, aux) columns: `objectives.end_stream` plus the
-    weight column (the fixed weights, all ones without them, or the group
-    ids for a hook), and (noised, targets); None for a missing stream."""
+    """A lane's per-row (end, aux) columns: `objectives.end_stream`, the
+    fixed weights (all ones without them or with a hook) and the group ids,
+    and (noised, targets); None for a missing stream."""
     end_columns = aux_columns = None
     if lane.end_data is not None:
-        sw = lane.sample_weights
-        weight_column = (lane.end_data.group_ids if callable(sw)
-                         else check_sample_weights(sw, len(lane.end_data)))
-        end_columns = (*end_stream(lane.end_data), weight_column)
+        sw = None if callable(lane.sample_weights) else lane.sample_weights
+        end_columns = (*end_stream(lane.end_data), check_sample_weights(sw, len(lane.end_data)),
+                       lane.end_data.group_ids)
     if lane.aux_data is not None:
         aux_columns = (lane.aux_data.noised, lane.aux_data.targets)
     return end_columns, aux_columns
 
 
-def _lane_stream(columns: list[tuple | None]) -> tuple[tuple | None, np.ndarray | None]:
-    """One stream's columns over all lanes, and the lanes' row offsets into
-    them: a single lane's own columns with no offsets, or each column's
-    lanes concatenated along its rows with the (R, 1) start row of each
-    lane; (None, None) for a missing stream."""
-    if columns[0] is None:
-        return None, None
-    if len(columns) == 1:
-        return columns[0], None
-    n = len(columns[0][0])
-    stacked = tuple(np.concatenate(c) for c in zip(*columns))
-    return stacked, np.arange(len(columns))[:, None] * n
-
-
-def _gather(columns: tuple | None, offsets: np.ndarray | None, schedules: list[list],
-            slot: int) -> tuple | None:
-    """One epoch of a stream's per-row columns, gathered once in visiting
-    order with one fancy index per column, so each step reads the next
-    contiguous slice: (n_steps * B, ...) for one lane, (R, n_steps * B, ...)
-    for a lane stack (see `_lane_stream`)."""
+def _gather(columns: tuple | None, schedules: list[list], slot: int) -> tuple | None:
+    """One epoch of a stream's per-row columns, each with the R lanes' rows
+    concatenated, gathered once in visiting order with one fancy index per
+    column, so each step reads the next contiguous slice of each lane's
+    row: (R, n_steps * B, ...)."""
     if columns is None:
         return None
-    rows = [np.concatenate([batch[slot] for batch in batches]) for batches in schedules]
-    index = rows[0] if offsets is None else np.array(rows) + offsets
+    index = np.array([np.concatenate([batch[slot] for batch in batches])
+                      for batches in schedules])
+    index += np.arange(len(index))[:, None] * (len(columns[0]) // len(index))  # lane offsets
     # np.take copies the same rows as c[index], several times faster for 2-D c
     return tuple(np.take(c, index, axis=0) for c in columns)
 
 
 def _param_arrays(state: list[ModelParams]) -> tuple:
-    """The kernel's parameter arguments: one lane's own arrays, or each block
-    stacked across lanes."""
-    if len(state) == 1:
-        p, = state
-        return p.a, p.w_end, p.W_aux
+    """The kernel's parameter arguments: each block stacked across lanes."""
     # np.array of a list stacks as np.stack does, for a third of its overhead
     return (np.array([p.a for p in state]), np.array([p.w_end for p in state]),
             np.array([p.W_aux for p in state]))
+
+
+def _hook_rows(hooks: list[Callable | None], weights: np.ndarray, group_ids: np.ndarray,
+               nll: np.ndarray) -> np.ndarray:
+    """A step's (R, B) sample weights in a group with a hook lane: that
+    lane's hook on its row of losses and group ids, checked here, and every
+    other lane's fixed row."""
+    return np.array([w if hook is None else check_sample_weights(hook(row, g), len(row))
+                     for hook, w, g, row in zip(hooks, weights, group_ids, nll)])
 
 
 def _finite_lanes(le: LossEval, n_lanes: int) -> tuple[int, str | None]:
@@ -310,9 +300,9 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
 
     Lanes that share batch size, epochs, feature dim, training and
     validation stream lengths and the zero pattern of alpha_aux and
-    alpha_reg train as one group, in lockstep, with fixed sample weights or
-    without (all ones); a lane with a sample-weight hook trains alone.  Groups run one after another, in
-    order of their first lane.
+    alpha_reg train as one group, in lockstep, whatever their sample weights
+    (fixed, none or a hook).  Groups, of one lane or more, run one after
+    another, in order of their first lane.
 
     The loss is the joint objective of `objectives.joint_terms` (end BCE +
     weighted reconstruction + activation penalty); with no aux stream the
@@ -322,10 +312,9 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     concatenated across them.  Each epoch, every lane draws its own
     `heterogeneous_batches` schedule from its own data and seed, and
     `_gather` reads every column once.  Each step is one `joint_terms` call
-    on the group's (R, B, d) batches (a single lane's own (B, d) arrays when
-    it trains alone), one finiteness check of all lanes' loss values and
-    gradients, and one `sgd_step` call per lane with that lane's learning
-    rate and constraint set.
+    on the group's (R, B, d) batches, one finiteness check of all lanes'
+    loss values and gradients, and one `sgd_step` call per lane with that
+    lane's learning rate and constraint set; `_hook_rows` runs the hooks.
 
     A non-finite loss or gradient, or a failed step, raises `DivergedError`
     in the first group with a diverged lane, for its lowest-index lane that
@@ -333,8 +322,8 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
 
     Validation on each lane's non-empty `val_data` (and `val_aux`) runs once
     per epoch after its final step, for the whole group at once: one stacked
-    `evaluate` call and one stacked `joint_terms` reconstruction loss on
-    validation stacks built once per group.  The selected
+    `evaluate` call and one stacked `recon_value` reconstruction loss (no
+    gradients) on validation stacks built once per group.  The selected
     checkpoint maximizes the selector metric (average or worst-group
     validation accuracy; the negated validation reconstruction loss without
     an end stream), earliest epoch on ties; epochs whose metric is NaN are
@@ -356,26 +345,25 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
 
 def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     """`train` of one group of lanes with one lockstep key, in lockstep."""
-    single = len(lanes) == 1
     first = lanes[0]
-    hook = first.sample_weights if callable(first.sample_weights) else None
+    hooks = [lane.sample_weights if callable(lane.sample_weights) else None for lane in lanes]
     aux_only = first.end_data is None
     batch_size, epochs = first.cfg.batch_size, first.cfg.epochs
-    driver = max(len(data) for data in (first.end_data, first.aux_data) if data is not None)
+    epoch_rows = max(len(data) for data in (first.end_data, first.aux_data) if data is not None)
 
-    (end_columns, end_offsets), (aux_columns, aux_offsets) = (
-        _lane_stream(list(c)) for c in zip(*map(_stream_columns, lanes)))
-    weights = first.weights if single else LaneWeights.stack([lane.weights for lane in lanes])
+    # each stream's columns with the lanes' rows concatenated
+    end_columns, aux_columns = (None if c[0] is None else tuple(map(np.concatenate, zip(*c)))
+                                for c in zip(*map(_stream_columns, lanes)))
+    weights = LaneWeights.stack([lane.weights for lane in lanes])
     names = [{} if lane.tag is None else {"tag": lane.tag, "seed": lane.cfg.seed}
              for lane in lanes]
     learning_rates = [lane.cfg.learning_rate for lane in lanes]
     state = [lane.params for lane in lanes]
     arrays = _param_arrays(state)
-    # every epoch's steps: the slice of the gathered columns each one reads
-    # (along the rows of a lane stack), and its batch size
-    steps = [(slice(start, start + batch_size) if single
-              else (slice(None), slice(start, start + batch_size)),
-              min(batch_size, driver - start)) for start in range(0, driver, batch_size)]
+    # every epoch's steps: the slice of each lane's gathered columns that
+    # one reads, and its batch size
+    steps = [((slice(None), slice(start, start + batch_size)), min(batch_size, epoch_rows - start))
+             for start in range(0, epoch_rows, batch_size)]
     # the lanes' validation columns, stacked once: (R, n_val, ...)
     val_end = tuple(np.array([getattr(lane.val_data, k) for lane in lanes])
                     for k in ("features", "labels", "group_ids"))
@@ -389,10 +377,10 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
         schedules = [list(heterogeneous_batches(lane.end_data, lane.aux_data, batch_size,
                                                 [lane.cfg.seed, ep]))
                      for lane in lanes]
-        end_cols = _gather(end_columns, end_offsets, schedules, 0)
-        aux_cols = _gather(aux_columns, aux_offsets, schedules, 1)
+        end_cols = _gather(end_columns, schedules, 0)
+        aux_cols = _gather(aux_columns, schedules, 1)
         if end_cols is not None:
-            X, neg_y, t, w = end_cols
+            X, neg_y, t, w, g = end_cols
         if aux_cols is not None:
             Xt, X0 = aux_cols
 
@@ -401,14 +389,13 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
             end = aux = batch_weights = None
             if end_cols is not None:
                 end = (X[rows], neg_y[rows], t[rows])
-                batch_weights = (w[rows] if hook is None
-                                 else functools.partial(hook, group_ids=w[rows]))
+                batch_weights = (functools.partial(_hook_rows, hooks, w[rows], g[rows])
+                                 if any(hooks) else w[rows])
             if aux_cols is not None:
                 aux = (Xt[rows], X0[rows])
             le = joint_terms(*arrays, weights, end, aux, batch_weights)
             n_finite, failure = _finite_lanes(le, len(lanes))
-            lane_evals = ((le,) if single else
-                          map(LossEval, le.value, le.grad_a, le.grad_w_end, le.grad_W_aux))
+            lane_evals = map(LossEval, le.value, le.grad_a, le.grad_w_end, le.grad_W_aux)
             # the lanes before the first non-finite one step first, so a lane
             # among them that fails its step is named
             for r, lane_eval in zip(range(n_finite), lane_evals):
@@ -421,11 +408,11 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
             loss_sum += le.value * size
             arrays = _param_arrays(state)
 
-        train_loss = np.atleast_1d(loss_sum / driver).tolist()
-        stacked = [p[None] for p in arrays] if single else arrays
-        vm = evaluate(stacked[:2], val_end)
+        train_loss = (loss_sum / epoch_rows).tolist()
+        a, w_end, W_aux = arrays
+        vm = evaluate((a, w_end), val_end)
         val_recon = ([None] * len(lanes) if val_aux is None
-                     else joint_terms(*stacked, LossWeights(), None, val_aux).value.tolist())
+                     else recon_value(featurize(val_aux[0], a), val_aux[1], W_aux)[0].tolist())
         avg_acc, wg_acc = vm.avg_acc.tolist(), vm.wg_acc.tolist()
         for r, lane in enumerate(lanes):
             rec = EpochRecord(ep, train_loss[r], avg_acc[r], wg_acc[r], vm.per_group_acc[r],

@@ -22,6 +22,7 @@ from grouprobe import (
     TaskData,
     evaluate,
     fit,
+    fit_lanes,
     init_params,
     sgd_step,
     train,
@@ -327,7 +328,7 @@ class TestGroupDro:
             yield rng.exponential(size=size), group_ids
 
     def test_q_trajectory_is_exponentiated_update(self, tiny_task):
-        hook, q = _group_reweighting(tiny_task.train, self.ETA)
+        hook, q = _group_reweighting(self.ETA)
         q_prev = np.full(4, 0.25)
         assert np.array_equal(q, q_prev)
         for nll, group_ids in self._batches():
@@ -347,7 +348,7 @@ class TestGroupDro:
         assert not np.allclose(q, 0.25)
 
     def test_zero_step_keeps_uniform(self, tiny_task):
-        hook, q = _group_reweighting(tiny_task.train, 0.0)
+        hook, q = _group_reweighting(0.0)
         for nll, group_ids in self._batches():
             hook(nll, group_ids)
             assert np.array_equal(q, np.full(4, 0.25))
@@ -355,8 +356,8 @@ class TestGroupDro:
     def test_final_q_is_the_hooks_q_after_the_last_step(self, tiny_task, tiny_cfg, monkeypatch):
         after_step = []
 
-        def recording_reweighting(train_set, group_step):
-            hook, q = _group_reweighting(train_set, group_step)
+        def recording_reweighting(group_step):
+            hook, q = _group_reweighting(group_step)
 
             def recorded(nll, group_ids):
                 weights = hook(nll, group_ids)
@@ -373,12 +374,25 @@ class TestGroupDro:
         assert result.extras["group_dro"]["final_q"] == after_step[-1].tolist()
         assert not np.allclose(after_step[-1], 0.25)
 
-    def test_requires_all_groups(self, tiny_task, tiny_cfg):
+    def test_requires_all_groups(self, tiny_task, tiny_cfg, monkeypatch):
+        stepped = []
+
+        def counting_step(*args):
+            stepped.append(1)
+            return sgd_step(*args)
+
+        monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
         keep = tiny_task.train.group_ids != 3
         pruned = tiny_task.train.take(np.flatnonzero(keep))
         task = TaskData(pruned, tiny_task.val, tiny_task.test)
+        dro = spec("group_dro", tiny_cfg, group_dro=GroupDroConfig(0.1))
         with pytest.raises(InvalidInputError):
-            fit(spec("group_dro", tiny_cfg, group_dro=GroupDroConfig(0.1)), task, VAL_GP)
+            fit(dro, task, VAL_GP)
+        # refused before any job trains, jtt first stages included
+        jtt = spec("jtt", tiny_cfg, jtt=JttConfig(2, 5.0))
+        with pytest.raises(InvalidInputError, match="all four groups"):
+            fit_lanes([(jtt, tiny_task, None, None), (dro, task, None, None)], VAL_GP)
+        assert stepped == []
 
 
 class TestAuxOnly:

@@ -441,8 +441,8 @@ class TestLaneGroups:
 
     # three reg_mtl cells that differ in every per-lane setting (learning
     # rate, tau and its mode, loss weights) but share the zero pattern of
-    # alpha_aux and alpha_reg, plus a jtt cell, whose stage-2 runs share a
-    # group of their own
+    # alpha_aux and alpha_reg, plus a jtt cell, whose first stages train in
+    # a `train` call of their own and whose second stages share a group
     RUNS = [
         {"tag": "mtl_ball", "method": "reg_mtl", "tau": 0.5,
          "optim": {"learning_rate": 0.01, "batch_size": 16, "epochs": 3},
@@ -487,9 +487,9 @@ class TestLaneGroups:
         seeds = len(doc["seeds"])
         assert len(schedules) == seeds * sum(run_epochs)
         assert len(steps) == seeds * sum(run_steps)
-        # each jtt seed's first stage alone, then one lane group of 3 cells
-        # x 2 seeds and one of the 2 jtt second stages
-        assert group_sizes == [1, 1, 6, 2]
+        # both jtt seeds' first stages in one group, then one lane group of
+        # 3 cells x 2 seeds and one of the 2 jtt second stages
+        assert group_sizes == [2, 6, 2]
         monkeypatch.undo()
 
         # every function of the module looks both names up on the module at
@@ -556,9 +556,27 @@ class TestLaneGroups:
         run_experiment(doc, None)
         assert group_sizes == [len(doc["seeds"])] * 5
 
+    def test_baselines_recipe_groups(self, monkeypatch, group_sizes):
+        """The `baselines` recipe cut to one epoch: the jtt first stages of
+        its 5 seeds, then erm, jtt second stages and group_dro together,
+        then reg_mtl."""
+        doc = recipe_config("baselines")
+        for run in doc["runs"]:
+            run["optim"]["epochs"] = 1
+            if "jtt" in run:
+                run["jtt"]["id_epochs"] = 1
+        monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+        run_experiment(doc, None)
+        assert group_sizes == [5, 15, 5]
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_grouping_does_not_change_outputs(self, workers, tmp_path, monkeypatch, group_sizes):
-        doc = tiny_config(runs=self.RUNS, seeds=[0, 1])
+        # a group_dro cell of the jtt cell's shape joins its second stages
+        runs = self.RUNS + [
+            {"tag": "dro", "method": "group_dro",
+             "optim": {"learning_rate": 0.01, "batch_size": 32, "epochs": 3},
+             "weights": {"lambda_l2": 1.0}, "group_dro": {"group_step": 0.05}}]
+        doc = tiny_config(runs=runs, seeds=[0, 1])
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
         monkeypatch.setattr(grouprobe.optim, "_lockstep_key", lambda lane: object())  # every lane alone
         _, alone = run_experiment(doc, tmp_path / "alone")
@@ -569,7 +587,7 @@ class TestLaneGroups:
         assert grouped == alone
         files = sorted(p.relative_to(tmp_path / "alone")
                        for p in (tmp_path / "alone").rglob("*") if p.is_file())
-        assert len(files) == 1 + 3 * len(self.RUNS) * 2
+        assert len(files) == 1 + 3 * len(runs) * 2
         for rel in files:
             assert (tmp_path / "grouped" / rel).read_bytes() == (tmp_path / "alone" / rel).read_bytes()
 

@@ -23,6 +23,10 @@ from hypothesis import strategies as st
 import grouprobe.optim
 from grouprobe import (
     DivergedError,
+    GroupDroConfig,
+    JttConfig,
+    RunSpec,
+    TaskData,
     GroupDataSpec,
     InvalidInputError,
     Lane,
@@ -30,7 +34,10 @@ from grouprobe import (
     ModelParams,
     OptimConfig,
     SelectionStrategy,
+    classify,
     evaluate,
+    fit,
+    fit_lanes,
     heterogeneous_batches,
     init_params,
     noise_dataset,
@@ -38,7 +45,15 @@ from grouprobe import (
     sgd_step,
     train,
 )
-from grouprobe.objectives import check_sample_weights, end_stream, joint_terms, multitask_loss
+from grouprobe.baselines import _group_reweighting
+from grouprobe.objectives import (
+    check_sample_weights,
+    end_stream,
+    featurize,
+    joint_terms,
+    multitask_loss,
+    recon_value,
+)
 from grouprobe.optim import EpochRecord, TrainTrace, _lockstep_key
 
 SPEC = GroupDataSpec(d_c=1, d_s=1, sigma2_core=0.6, sigma2_spur=0.1,
@@ -249,7 +264,7 @@ def test_weighted_and_unweighted_lanes_share_a_group(group_sizes):
         assert_same_run(result, _reference(lane))
 
 
-def test_zero_patterns_and_hooks_train_apart(group_sizes):
+def test_zero_patterns_train_apart_and_hooks_share_a_group(group_sizes):
     train_set, val_set, aux, _ = seed_data(4)
     cfg = OptimConfig(0.01, 8, 1, seed=4)
     params = init_params(train_set.d, 0.5, [4, 101])
@@ -264,8 +279,8 @@ def test_zero_patterns_and_hooks_train_apart(group_sizes):
         assert_same_run(result, _reference(lane))
     assert group_sizes == [2, 1]
 
-    # one hook object on two lanes: each lane trains alone, and the hook
-    # sees one lane's 1-D batch at a time
+    # hook lanes share a group with the other lanes of their shape, and each
+    # step calls each hook lane's hook on that lane's own 1-D row
     seen = []
 
     def hook(nll, group_ids):
@@ -273,14 +288,117 @@ def test_zero_patterns_and_hooks_train_apart(group_sizes):
         return np.ones(len(nll))
 
     group_sizes.clear()
-    lanes = [_erm_lane(sample_weights=hook), _erm_lane(seed=9, sample_weights=hook)]
+    lanes = [_erm_lane(sample_weights=hook), _erm_lane(seed=9),
+             _erm_lane(seed=9, sample_weights=hook)]
     got = train(lanes)
-    assert group_sizes == [1, 1]
-    assert seen and set(seen) == {((8,), (8,))}
+    assert group_sizes == [3]
+    steps_per_epoch = math.ceil(len(train_set) / 8)
+    assert seen == [((8,), (8,))] * (2 * 2 * steps_per_epoch)
     for lane, result in zip(lanes, got):
         assert_same_run(result, _reference(lane))
     with pytest.raises(InvalidInputError):
         train([])
+
+
+def _dro_lanes():
+    """Group-DRO lanes over two seeds, each with a reweighting hook (and a
+    group distribution q) of its own, between erm lanes with and without
+    fixed sample weights; and each hook's q."""
+    n = len(seed_data(9)[0])
+    hooks = [_group_reweighting(step) for step in (0.3, 0.3, 0.0)]
+    lanes = [_erm_lane(tag="dro4", sample_weights=hooks[0][0]),
+             _erm_lane(tag="erm"),
+             _erm_lane(seed=9, tau=None, lr=0.1, tag="dro9", sample_weights=hooks[1][0]),
+             _erm_lane(seed=9, lr=0.05, sample_weights=np.linspace(0.5, 2.0, n)),
+             _erm_lane(seed=9, tau=0.1, lr=0.03, tag="flat9", sample_weights=hooks[2][0])]
+    return lanes, [q for _, q in hooks]
+
+
+def test_group_dro_lanes_match_reference_runs(group_sizes):
+    """Hook lanes train in one group with erm lanes; each lane equals its
+    reference run, and each hook's q ends where its reference run's does."""
+    lanes, qs = _dro_lanes()
+    got = train(lanes)
+    assert group_sizes == [len(lanes)]
+    ref_lanes, ref_qs = _dro_lanes()
+    for lane, result in zip(ref_lanes, got):
+        assert_same_run(result, _reference(lane))
+    assert _bytes(*qs) == _bytes(*ref_qs)
+    assert not np.allclose(qs[0], 0.25) and np.array_equal(qs[2], np.full(4, 0.25))
+
+
+def test_diverging_hook_lane_is_named(group_sizes):
+    """A hook lane whose weights turn NaN in epoch 1 is named by tag, seed
+    and epoch; the group's other hook and erm lanes do not fail."""
+    per_epoch = math.ceil(len(seed_data(9)[0]) / 8)
+    calls = []
+
+    def nan_from_epoch_1(nll, group_ids):
+        calls.append(1)
+        return np.full(len(nll), 1.0 if len(calls) <= per_epoch else np.nan)
+
+    lanes, _ = _dro_lanes()
+    lanes.insert(3, _erm_lane(seed=9, tag="bad", sample_weights=nan_from_epoch_1))
+    with pytest.raises(DivergedError) as exc:
+        train(lanes)
+    assert group_sizes == [len(lanes)]
+    assert (exc.value.tag, exc.value.seed, exc.value.epoch) == ("bad", 9, 1)
+    assert str(exc.value) == "non-finite training loss (run bad, seed 9, epoch 1)"
+    assert len(calls) == per_epoch + 1
+
+
+def _task(seed: int) -> TaskData:
+    train_set, val_set, _, _ = seed_data(seed)
+    return TaskData(train_set, val_set, val_set)
+
+
+def _reference_jtt(run: RunSpec, data: TaskData, selector):
+    """A jtt run as two reference runs: plain ERM for id_epochs from the
+    tag-101 draw, then the error set upweighted from the tag-102 draw."""
+    cfg = run.optim
+
+    def init(tag):
+        return init_params(data.train.d, run.tau, [cfg.seed, tag])
+
+    trace1, _ = reference_train(init(101), data.train, None, run.weights,
+                                replace(cfg, epochs=run.jtt.id_epochs), data.val, selector)
+    wrong = classify(trace1.final_params, data.train.features) != data.train.labels
+    sw = np.where(wrong, run.jtt.upweight, 1.0)
+    return reference_train(init(102), data.train, None, run.weights, cfg, data.val, selector,
+                           sw / sw.mean()), int(wrong.sum())
+
+
+def test_jtt_jobs_through_fit_lanes(group_sizes):
+    """Every jtt job's first stage trains in one `train` call before the
+    main one, whose groups hold the second stages with erm and group-DRO
+    jobs; each result equals its reference runs and its own `fit`."""
+    l2 = LossWeights(lambda_l2=1.0)
+
+    def cfg(seed, lr=0.2):
+        return OptimConfig(learning_rate=lr, batch_size=8, epochs=3, seed=seed)
+
+    # at these rates a first stage's final and selected epochs err on
+    # different training points
+    runs = [RunSpec("jtt", "jtt", cfg(seed), l2, tau=0.5, jtt=JttConfig(2, 5.0)) for seed in SEEDS]
+    runs += [RunSpec("erm", "erm", cfg(4), l2),
+             RunSpec("jtt_long", "jtt", cfg(4, lr=0.5), l2, tau=0.5, jtt=JttConfig(3, 3.0)),
+             RunSpec("dro", "group_dro", cfg(9), l2, tau=0.5, group_dro=GroupDroConfig(0.2))]
+    selector = SelectionStrategy.VAL_GP
+    jobs = [(run, _task(run.optim.seed), None, None) for run in runs]
+    results = fit_lanes(jobs, selector)
+    # the two id_epochs=2 first stages, the id_epochs=3 one, then every
+    # second stage with the erm and group_dro jobs
+    assert group_sizes == [2, 1, len(runs)]
+    for (run, data, _, _), result in zip(jobs, results):
+        got = (result.trace, result.params)
+        if run.method == "jtt":
+            want, errors = _reference_jtt(run, data, selector)
+            assert_same_run(got, want)
+            assert result.extras["jtt"]["error_set_size"] == errors > 0
+        own = fit(run, data, selector)
+        assert_same_run(got, (own.trace, own.params))
+        assert result.to_json_dict() == own.to_json_dict()
+    assert results[-1].extras["group_dro"]["final_q"] != [0.25] * 4
 
 
 def test_lowest_lane_diverged_at_the_earliest_step_raises(monkeypatch):
@@ -456,9 +574,8 @@ def test_stacked_validation_matches_one_model_calls(lanes):
     stacks = [np.array([getattr(v, k) for v in val_data])
               for k in ("features", "labels", "group_ids")]
     got = evaluate((a, w_end), tuple(stacks))
-    recon = joint_terms(a, w_end, W_aux, LossWeights(), None,
-                        tuple(np.array([getattr(v, k) for v in val_aux])
-                              for k in ("noised", "targets"))).value
+    Xt, X0 = (np.array([getattr(v, k) for v in val_aux]) for k in ("noised", "targets"))
+    recon, _ = recon_value(featurize(Xt, a), X0, W_aux)
     for r, (p, v, va) in enumerate(lanes):
         want = evaluate(p, v)
         assert _bytes(got.per_group_acc[r], got.group_sizes[r], got.avg_acc[r], got.wg_acc[r],

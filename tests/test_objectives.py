@@ -20,7 +20,7 @@ from grouprobe import (
 )
 from grouprobe.objectives import (
     LaneWeights,
-    _featurize,
+    featurize,
     _scale,
     _sigmoid,
     end_terms,
@@ -491,7 +491,7 @@ def _unweighted_end_terms(X, H, neg_y, t, w_end, lambda_l2):
     g = r / n
     value = data + 0.5 * lambda_l2 * np.vecdot(w_end, w_end)
     grad_w_end = np.vecmat(g, H) + _scale(lambda_l2, w_end)
-    grad_a = np.vecmat(g, _featurize(X, w_end))
+    grad_a = np.vecmat(g, featurize(X, w_end))
     return value, grad_a, grad_w_end
 
 
@@ -540,7 +540,7 @@ def test_default_weights_match_unweighted_formula(case):
     and all three gradients."""
     X, y, a, w_end, weights = case
     neg_y, t = -y, 0.5 * (y + 1.0)
-    H = _featurize(X, a)
+    H = featurize(X, a)
     want = _unweighted_end_terms(X, H, neg_y, t, w_end, weights.lambda_l2)
     got = end_terms(X, H, neg_y, t, w_end, weights.lambda_l2)
     assert all(_same_bits(g, h) for g, h in zip(got, want))

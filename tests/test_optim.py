@@ -25,7 +25,7 @@ from grouprobe import (
     sgd_step,
     train,
 )
-from grouprobe.objectives import joint_terms
+from grouprobe.objectives import recon_value
 
 
 class TestOptimConfig:
@@ -274,13 +274,27 @@ class TestTrain:
             train([Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg, None,
                         SelectionStrategy.NO_GP)])
 
-    def test_sample_weights_checked_at_entry(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
+    def test_sample_weights_checked_at_entry(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg,
+                                             monkeypatch):
+        stepped = []
+
+        def counting_step(*args):
+            stepped.append(1)
+            return sgd_step(*args)
+
+        monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
         params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
         n = len(tiny_task.train)
         for sw, error in ((-np.ones(n), InvalidInputError), (np.ones(n - 1), ShapeError)):
+            bad = Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg,
+                       tiny_task.val, SelectionStrategy.NO_GP, sample_weights=sw)
             with pytest.raises(error):
-                train([Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg,
-                            tiny_task.val, SelectionStrategy.NO_GP, sample_weights=sw)])
+                train([bad])
+            # a bad lane in a later group is refused before the first group trains
+            with pytest.raises(error):
+                train([replace(bad, sample_weights=None, cfg=replace(tiny_cfg, batch_size=8)),
+                       bad])
+        assert stepped == []
         # without an end stream there is nothing to weight, fixed or hooked
         for sw in (np.ones(n), lambda nll, group_ids: np.ones(len(nll))):
             with pytest.raises(InvalidInputError, match="needs an end stream"):
@@ -352,16 +366,13 @@ class TestSelection:
             return GroupMetrics(np.full((1, 4), wg), np.full((1, 4), 1), np.array([avg]),
                                 np.array([wg]), np.array([True]))
 
-        def scripted_terms(a, w_end, W_aux, weights, end=None, aux=None, sample_weights=1.0):
-            le = joint_terms(a, w_end, W_aux, weights, end, aux, sample_weights)
-            # the validation loss is the call on (1, n_val, d) lane stacks; a
-            # one-lane group's training batches are (B, d)
-            if aux is not None and aux[0].ndim == 3:
-                le.value = np.array([next(values)])
-            return le
+        def scripted_recon(H, X0, W_aux):
+            # the validation loss, the group's one call per epoch
+            _, residual = recon_value(H, X0, W_aux)
+            return np.array([next(values)]), residual
 
         monkeypatch.setattr(grouprobe.optim, "evaluate", scripted_evaluate)
-        monkeypatch.setattr(grouprobe.optim, "joint_terms", scripted_terms)
+        monkeypatch.setattr(grouprobe.optim, "recon_value", scripted_recon)
         cfg = OptimConfig(learning_rate=0.01, batch_size=16, epochs=epochs, seed=3)
         params = init_params(task.train.d, 0.5, [3, 101])
         if aux_val is not None:
