@@ -16,7 +16,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .evalsel import GroupMetrics, SelectionStrategy, evaluate
 from .linmodel import ModelParams, classify, init_params
 from .objectives import LossWeights
-from .optim import Lane, OptimConfig, TrainTrace, train
+from .optim import Lane, OptimConfig, TrainTrace, _check_lane, train
 from .synthgen import N_GROUPS, AuxDataset, LabeledDataset
 
 # Fixed tags for deriving per-role PRNG seeds from one run seed.
@@ -126,9 +126,9 @@ class FitResult:
 
     Test metrics are reported twice: for the selected checkpoint and for the
     final epoch.  Checkpoint selection changes the story for some methods, so
-    both views are always kept.  `params` is the selected checkpoint; it may
-    be the same object as `trace.final_params`.  `extras` is JSON-safe
-    method-specific output (error-set stats, final group weights).
+    both views are always kept.  `params` is the selected checkpoint, and
+    `val_metrics` its row of the trace's validation columns.  `extras` is
+    JSON-safe method-specific output (error-set stats, final group weights).
     """
 
     method: str
@@ -225,36 +225,39 @@ def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset 
     through one `optim.train` call, which runs those that can share a step
     in lockstep; one result per job, in order, each equal to its own `fit`
     bit for bit.  Before it, one more `train` call trains the first stage
-    of every jtt job.  A jtt second stage (fixed weights) and a group_dro
-    job (a per-step weight hook) share a step with erm jobs of the same
-    shape.  A result's `params` may be the same object as its
-    `trace.final_params`.
+    of every jtt job, after every other job's lane has been checked, so a
+    bad job is refused before any lane trains.  A jtt second stage (fixed
+    weights) and a group_dro job (a per-step weight hook) share a step with
+    erm jobs of the same shape.
     """
     for run, data, _, _ in jobs:  # refused before any job trains
         if run.method == "group_dro" and not (data.train.group_counts() > 0).all():
             raise InvalidInputError("group reweighting requires all four groups in training data")
-    # the first stages: plain ERM for id_epochs from each run's initialization
-    jtt = [(run, data) for run, data, _, _ in jobs if run.method == "jtt"]
-    stage1 = iter(train([Lane(_init(run, data, _INIT_SEED_TAG), data.train, None, run.weights,
-                              replace(run.optim, epochs=run.jtt.id_epochs), data.val, selector,
-                              tag=run.tag) for run, data in jtt]) if jtt else [])
-    prepared = [_lane(run, data, selector, aux, aux_val,
-                      next(stage1)[0].final_params if run.method == "jtt" else None)
+    # every lane but the jtt second stages, which need their first stage
+    prepared = [None if run.method == "jtt" else _lane(run, data, selector, aux, aux_val)
                 for run, data, aux, aux_val in jobs]
+    for job in filter(None, prepared):
+        _check_lane(job[0])
+    # the first stages: plain ERM for id_epochs from each run's initialization
+    jtt = [(r, run, data) for r, (run, data, _, _) in enumerate(jobs) if run.method == "jtt"]
+    stage1 = train([Lane(_init(run, data, _INIT_SEED_TAG), data.train, None, run.weights,
+                         replace(run.optim, epochs=run.jtt.id_epochs), data.val, selector,
+                         tag=run.tag) for _, run, data in jtt]) if jtt else []
+    for (r, run, data), (trace, _) in zip(jtt, stage1):
+        prepared[r] = _lane(run, data, selector, None, None, trace.final_params)
     trained = train([lane for lane, _, _, _ in prepared])
     results = []
     for (run, data, _, _), (_, config, extras, q), (trace, best) in zip(jobs, prepared, trained):
         if q is not None:
             extras["group_dro"] = {"final_q": [float(v) for v in q]}
-        # the checkpoint is the one train() selected; records are one per epoch
-        rec = trace.records[trace.selected_epoch]
-        val_metrics = {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
-        if rec.val_recon_loss is not None:
-            val_metrics["recon_loss"] = rec.val_recon_loss
+        e = trace.selected_epoch
+        val_metrics = {"avg_acc": float(trace.val_avg_acc[e]), "wg_acc": float(trace.val_wg_acc[e])}
+        if trace.val_recon_loss is not None:
+            val_metrics["recon_loss"] = float(trace.val_recon_loss[e])
         results.append(FitResult(
             method=run.method,
             config=config,
-            selected_epoch=trace.selected_epoch,
+            selected_epoch=e,
             val_metrics=val_metrics,
             test_metrics=evaluate(best, data.test),
             final_metrics=evaluate(trace.final_params, data.test),
@@ -272,7 +275,7 @@ def _init(run: RunSpec, data: TaskData, tag: int) -> ModelParams:
 
 def _lane(run: RunSpec, data: TaskData, selector: SelectionStrategy,
           aux: AuxDataset | None, aux_val: AuxDataset | None,
-          stage1_params: ModelParams | None
+          stage1_params: ModelParams | None = None
           ) -> tuple[Lane, dict, dict, np.ndarray | None]:
     """The `optim.train` lane of one `fit` job, with the result's config echo,
     its extras so far and, for group_dro, the group distribution its hook

@@ -12,7 +12,8 @@ epoch one `heterogeneous_batches` schedule, per lane, both looked up on
 this module; every lane's outputs equal its one-lane run's bit for bit.
 Around them a group makes one finiteness check of its loss values and
 gradients per step (`sgd_step` makes none), and one stacked validation per
-epoch.
+epoch, whose values fill row `ep` of (epochs, R) arrays; checkpoint
+selection is one argmax over them after the last epoch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import csv
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .objectives import (
     joint_terms,
     recon_value,
 )
-from .synthgen import AuxDataset, LabeledDataset
+from .synthgen import N_GROUPS, AuxDataset, LabeledDataset
 
 @dataclass(frozen=True)
 class OptimConfig:
@@ -139,43 +140,30 @@ def heterogeneous_batches(
 
 
 @dataclass
-class EpochRecord:
-    epoch: int
-    train_loss: float
-    val_avg_acc: float
-    val_wg_acc: float
-    val_group_acc: np.ndarray
-    val_recon_loss: float | None = None
-
-
-@dataclass
 class TrainTrace:
-    """Per-epoch records plus the selected epoch and the last epoch's parameters."""
+    """One lane's per-epoch columns, row `ep` for epoch ep: (epochs,)
+    arrays, (epochs, 4) for `val_group_acc` (NaN for a group absent from
+    val_data), `val_recon_loss` None without val_aux; plus the selected
+    epoch and the last epoch's parameters."""
 
-    records: list[EpochRecord] = field(default_factory=list)
-    selected_epoch: int = -1
-    final_params: ModelParams | None = None
+    train_loss: np.ndarray
+    val_avg_acc: np.ndarray
+    val_wg_acc: np.ndarray
+    val_group_acc: np.ndarray
+    val_recon_loss: np.ndarray | None
+    selected_epoch: int
+    final_params: ModelParams
 
     CSV_HEADER = ["epoch", "train_loss", "val_avg_acc", "val_wg_acc", "g0", "g1", "g2", "g3"]
 
     def to_csv(self, path: str | Path) -> None:
+        table = np.column_stack([self.train_loss, self.val_avg_acc, self.val_wg_acc,
+                                 self.val_group_acc])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(self.CSV_HEADER)
-            for r in self.records:
-                row = [r.epoch, repr(r.train_loss), repr(r.val_avg_acc), repr(r.val_wg_acc)]
-                row += [repr(float(v)) for v in r.val_group_acc]
-                w.writerow(row)
-
-
-def _selection_metric(record: EpochRecord, selector: SelectionStrategy, aux_only: bool) -> float:
-    if aux_only:
-        # classification metrics are meaningless without a trained end head;
-        # pick the checkpoint with the lowest validation reconstruction error
-        return -record.val_recon_loss
-    if selector is SelectionStrategy.VAL_GP:
-        return record.val_wg_acc
-    return record.val_avg_acc
+            # tolist() gives Python floats, which csv writes as their repr
+            w.writerows([ep, *row] for ep, row in enumerate(table.tolist()))
 
 
 @dataclass(frozen=True)
@@ -294,9 +282,9 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     (trace, best parameters) per lane, in lane order.
 
     The best parameters are those of the selected epoch, `trace.selected_epoch`;
-    `trace.final_params` holds the parameters after the last epoch, and is
-    the same object as the best parameters when the last epoch is selected.
-    Each lane trains exactly as it would alone, bit for bit.
+    `trace.final_params` holds the parameters after the last epoch, and the
+    trace's columns hold one row per epoch (see `TrainTrace`).  Each lane
+    trains exactly as it would alone, bit for bit.
 
     Lanes that share batch size, epochs, feature dim, training and
     validation stream lengths and the zero pattern of alpha_aux and
@@ -323,11 +311,14 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     Validation on each lane's non-empty `val_data` (and `val_aux`) runs once
     per epoch after its final step, for the whole group at once: one stacked
     `evaluate` call and one stacked `recon_value` reconstruction loss (no
-    gradients) on validation stacks built once per group.  The selected
-    checkpoint maximizes the selector metric (average or worst-group
-    validation accuracy; the negated validation reconstruction loss without
-    an end stream), earliest epoch on ties; epochs whose metric is NaN are
-    never selected.
+    gradients) on validation stacks built once per group, which fills row
+    `ep` of (epochs, R) columns; each epoch's stacked parameters are kept.
+    After the last epoch one argmax over the (epochs, R) selector metric
+    (average or worst-group validation accuracy per lane; the negated
+    validation reconstruction loss without an end stream) picks every
+    lane's checkpoint, earliest epoch on ties; epochs whose metric is NaN
+    are never selected, and the lowest lane with no other epoch raises
+    `DivergedError`.
     """
     if not lanes:
         raise InvalidInputError("need at least one lane")
@@ -369,9 +360,13 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
                     for k in ("features", "labels", "group_ids"))
     val_aux = None if first.val_aux is None else tuple(
         np.array([getattr(lane.val_aux, k) for lane in lanes]) for k in ("noised", "targets"))
-    traces = [TrainTrace() for _ in lanes]
-    best_metric = [-np.inf] * len(lanes)
-    best_params = [None] * len(lanes)
+    # row `ep` of each per-epoch column is epoch ep, as is history[ep], its
+    # stacked parameter blocks
+    R = len(lanes)
+    train_loss, avg_acc, wg_acc = np.empty((3, epochs, R))
+    group_acc = np.empty((epochs, R, N_GROUPS))
+    recon = None if val_aux is None else np.empty((epochs, R))
+    history = []
 
     for ep in range(epochs):
         schedules = [list(heterogeneous_batches(lane.end_data, lane.aux_data, batch_size,
@@ -394,7 +389,7 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
             if aux_cols is not None:
                 aux = (Xt[rows], X0[rows])
             le = joint_terms(*arrays, weights, end, aux, batch_weights)
-            n_finite, failure = _finite_lanes(le, len(lanes))
+            n_finite, failure = _finite_lanes(le, R)
             lane_evals = map(LossEval, le.value, le.grad_a, le.grad_w_end, le.grad_W_aux)
             # the lanes before the first non-finite one step first, so a lane
             # among them that fails its step is named
@@ -408,24 +403,24 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
             loss_sum += le.value * size
             arrays = _param_arrays(state)
 
-        train_loss = (loss_sum / epoch_rows).tolist()
+        history.append(arrays)  # fresh arrays each step: no later step writes them
         a, w_end, W_aux = arrays
         vm = evaluate((a, w_end), val_end)
-        val_recon = ([None] * len(lanes) if val_aux is None
-                     else recon_value(featurize(val_aux[0], a), val_aux[1], W_aux)[0].tolist())
-        avg_acc, wg_acc = vm.avg_acc.tolist(), vm.wg_acc.tolist()
-        for r, lane in enumerate(lanes):
-            rec = EpochRecord(ep, train_loss[r], avg_acc[r], wg_acc[r], vm.per_group_acc[r],
-                              val_recon[r])
-            traces[r].records.append(rec)
-            metric = _selection_metric(rec, lane.selector, aux_only)
-            if metric > best_metric[r]:
-                # sgd_step returns fresh arrays, so no later step touches these
-                best_metric[r] = metric
-                best_params[r] = state[r]
-                traces[r].selected_epoch = ep
-    for r, trace in enumerate(traces):
-        if best_params[r] is None:
-            raise DivergedError("no epoch had a finite selection metric", **names[r])
-        trace.final_params = state[r]
-    return list(zip(traces, best_params))
+        train_loss[ep] = loss_sum / epoch_rows
+        avg_acc[ep], wg_acc[ep], group_acc[ep] = vm.avg_acc, vm.wg_acc, vm.per_group_acc
+        if recon is not None:
+            recon[ep] = recon_value(featurize(val_aux[0], a), val_aux[1], W_aux)[0]
+
+    # each lane's checkpoint: the earliest epoch of greatest metric, where
+    # fmax maps NaN to -inf, and a -inf epoch is never selected
+    val_gp = [lane.selector is SelectionStrategy.VAL_GP for lane in lanes]
+    metric = np.fmax(-recon if aux_only else np.where(val_gp, wg_acc, avg_acc), -np.inf)
+    unselectable = np.isneginf(metric.max(axis=0))
+    if unselectable.any():
+        raise DivergedError("no epoch had a finite selection metric",
+                            **names[unselectable.argmax()])
+    selected = metric.argmax(axis=0).tolist()
+    return [(TrainTrace(train_loss[:, r], avg_acc[:, r], wg_acc[:, r], group_acc[:, r],
+                        None if recon is None else recon[:, r], ep, state[r]),
+             state[r]._replace_arrays(*(block[r] for block in history[ep])))
+            for r, ep in enumerate(selected)]

@@ -141,7 +141,7 @@ class TestFitResultContract:
             assert result.config["method"] == name
             assert 0 <= result.selected_epoch < tiny_cfg.epochs
             assert result.params.feasible()
-            assert len(result.trace.records) <= tiny_cfg.epochs
+            assert len(result.trace.train_loss) == tiny_cfg.epochs
             assert 0.0 <= result.test_metrics.avg_acc <= 1.0
             assert 0.0 <= result.final_metrics.avg_acc <= 1.0
 
@@ -177,8 +177,10 @@ class TestFitResultContract:
         assert np.array_equal(result.params.w_end, selected.w_end)
         assert np.array_equal(result.params.W_aux, selected.W_aux)
         assert result.test_metrics.avg_acc == evaluate(selected, tiny_task.test).avg_acc
-        rec = result.trace.records[result.selected_epoch]
-        assert result.val_metrics == {"avg_acc": rec.val_avg_acc, "wg_acc": rec.val_wg_acc}
+        e = result.selected_epoch
+        assert result.val_metrics == {"avg_acc": result.trace.val_avg_acc[e],
+                                      "wg_acc": result.trace.val_wg_acc[e]}
+        assert all(type(v) is float for v in result.val_metrics.values())
 
 # (run arguments besides the optimizer config, selection rule) per method
 _METHODS = {
@@ -227,8 +229,7 @@ class TestErm:
                                       tiny_cfg, tiny_task.val, NO_GP)])
         assert np.array_equal(result.params.a, best.a)
         assert np.array_equal(result.params.w_end, best.w_end)
-        assert ([r.train_loss for r in result.trace.records]
-                == [r.train_loss for r in trace.records])
+        assert result.trace.train_loss.tobytes() == trace.train_loss.tobytes()
 
     def test_budget_flag_passes_through(self, tiny_task, tiny_cfg, monkeypatch):
         steps = []
@@ -250,7 +251,7 @@ class TestErm:
         given = fit(spec("erm", tiny_cfg), tiny_task, NO_GP, tiny_aux, tiny_aux_val)
         assert np.array_equal(plain.params.a, given.params.a)
         assert np.array_equal(plain.params.w_end, given.params.w_end)
-        assert given.trace.records[0].val_recon_loss is None
+        assert given.trace.val_recon_loss is None
 
 
 class TestJtt:
@@ -309,7 +310,7 @@ class TestJtt:
         p2 = init_params(task.train.d, None, [cfg.seed, 102])
         [(trace, best)] = train([Lane(p2, task.train, None, L2, cfg, task.val, NO_GP)])
         assert result.selected_epoch == trace.selected_epoch
-        assert [r.train_loss for r in result.trace.records] == [r.train_loss for r in trace.records]
+        assert result.trace.train_loss.tobytes() == trace.train_loss.tobytes()
         for got, want in ((result.params, best), (result.trace.final_params, trace.final_params)):
             assert np.array_equal(got.a, want.a)
             assert np.array_equal(got.w_end, want.w_end)
@@ -405,7 +406,7 @@ class TestAuxOnly:
 
     def test_selects_min_val_recon(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
         result = fit(aux_only(tiny_cfg), tiny_task, NO_GP, tiny_aux, tiny_aux_val)
-        recons = [r.val_recon_loss for r in result.trace.records]
+        recons = result.trace.val_recon_loss.tolist()
         assert result.val_metrics["recon_loss"] == min(recons)
         assert result.selected_epoch == int(np.argmin(recons))
 

@@ -5,8 +5,9 @@
 epoch.  It is kept here, the way `test_io_equivalence.py` keeps the old row
 loops, and every lane of a `train` call, whether it shares its group with
 other lanes or trains alone, must match its own reference run bit for bit:
-every epoch record, the selected epoch, and the selected and final
-parameters.
+every per-epoch trace column, the selected epoch, and the selected and
+final parameters.  The reference selects its checkpoint epoch by epoch, by
+the scalar rule `metric > best`, not by `train`'s argmax.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import grouprobe.optim
 from grouprobe import (
+    AuxDataset,
     DivergedError,
     GroupDroConfig,
     JttConfig,
@@ -34,6 +36,7 @@ from grouprobe import (
     ModelParams,
     OptimConfig,
     SelectionStrategy,
+    ShapeError,
     classify,
     evaluate,
     fit,
@@ -54,13 +57,15 @@ from grouprobe.objectives import (
     multitask_loss,
     recon_value,
 )
-from grouprobe.optim import EpochRecord, TrainTrace, _lockstep_key
+from grouprobe.optim import TrainTrace, _lockstep_key
 
 SPEC = GroupDataSpec(d_c=1, d_s=1, sigma2_core=0.6, sigma2_spur=0.1,
                      n_maj=18, n_min=6, sigma2_noise=1.0)
 VAL_SPEC = GroupDataSpec(d_c=1, d_s=1, sigma2_core=0.6, sigma2_spur=0.1,
                          n_maj=8, n_min=4, sigma2_noise=1.0)
 SEEDS = (4, 9)
+# TrainTrace's per-epoch columns
+TRACE_COLUMNS = ("train_loss", "val_avg_acc", "val_wg_acc", "val_group_acc", "val_recon_loss")
 
 
 @functools.cache
@@ -84,8 +89,8 @@ def reference_train(params, end_data, aux_data, weights, cfg, val_data, selector
         end_columns = (*end_stream(end_data), weight_column)
     aux_columns = None if aux_data is None else (aux_data.noised, aux_data.targets)
 
-    trace = TrainTrace()
-    best_metric, best_params = -np.inf, None
+    columns = {k: [] for k in TRACE_COLUMNS}
+    best_metric, best_params, selected = -np.inf, None, -1
     for ep in range(cfg.epochs):
         batches = list(heterogeneous_batches(end_data, aux_data, cfg.batch_size, [cfg.seed, ep]))
         if not aux_only:
@@ -116,33 +121,34 @@ def reference_train(params, end_data, aux_data, weights, cfg, val_data, selector
         vm = evaluate(params, val_data)
         val_recon = (None if val_aux is None
                      else multitask_loss(params, None, val_aux, LossWeights()).value)
-        rec = EpochRecord(ep, loss_sum / seen, vm.avg_acc, vm.wg_acc, vm.per_group_acc, val_recon)
-        trace.records.append(rec)
+        for key, value in zip(columns, (loss_sum / seen, vm.avg_acc, vm.wg_acc,
+                                        vm.per_group_acc, val_recon)):
+            columns[key].append(value)
         if aux_only:
-            metric = -rec.val_recon_loss
+            metric = -val_recon
         elif selector is SelectionStrategy.VAL_GP:
-            metric = rec.val_wg_acc
+            metric = vm.wg_acc
         else:
-            metric = rec.val_avg_acc
+            metric = vm.avg_acc
         if metric > best_metric:
-            best_metric, best_params = metric, params
-            trace.selected_epoch = ep
+            best_metric, best_params, selected = metric, params, ep
     if best_params is None:
         raise DivergedError("no epoch had a finite selection metric")
-    trace.final_params = params
+    trace = TrainTrace(**{k: None if v[0] is None else np.array(v) for k, v in columns.items()},
+                       selected_epoch=selected, final_params=params)
     return trace, best_params
 
 
 def assert_same_run(got, want):
     (trace, best), (ref_trace, ref_best) = got, want
     assert trace.selected_epoch == ref_trace.selected_epoch
-    assert len(trace.records) == len(ref_trace.records)
-    for rec, ref in zip(trace.records, ref_trace.records):
-        assert type(rec.train_loss) is float
-        assert (rec.epoch, rec.train_loss, rec.val_avg_acc, rec.val_recon_loss) == (
-            ref.epoch, ref.train_loss, ref.val_avg_acc, ref.val_recon_loss)
-        assert rec.val_wg_acc == ref.val_wg_acc
-        assert np.array_equal(rec.val_group_acc, ref.val_group_acc, equal_nan=True)
+    for key in TRACE_COLUMNS:
+        got_column, want_column = getattr(trace, key), getattr(ref_trace, key)
+        assert (got_column is None) == (want_column is None), key
+        if want_column is not None:
+            assert got_column.dtype == want_column.dtype == np.float64, key
+            assert got_column.shape == want_column.shape, key
+            assert got_column.tobytes() == want_column.tobytes(), key
     for p, q in ((best, ref_best), (trace.final_params, ref_trace.final_params)):
         for block in ("a", "w_end", "W_aux"):
             assert np.array_equal(getattr(p, block), getattr(q, block)), block
@@ -156,15 +162,14 @@ def _reference(lane: Lane):
 @st.composite
 def lane_groups(draw, weighted=False):
     """R lanes of one method that share a lockstep key: each with its own
-    data seed, learning rate, L1 constraint and loss weights, and one zero
-    pattern of alpha_aux and alpha_reg.  Each erm lane draws fixed sample
-    weights or none; `weighted=True` draws erm lanes, the first with fixed
-    sample weights."""
+    data seed, learning rate, L1 constraint, loss weights and checkpoint
+    selector, and one zero pattern of alpha_aux and alpha_reg.  Each erm
+    lane draws fixed sample weights or none; `weighted=True` draws erm
+    lanes, the first with fixed sample weights."""
     method = "erm" if weighted else draw(st.sampled_from(["erm", "reg_mtl", "aux_only"]))
     lanes = draw(st.sampled_from([1, 3, 7]))
     batch = draw(st.sampled_from([1, 5, 16, 40]))  # 40 > n: one batch per epoch
     cfg = {"batch_size": batch, "epochs": draw(st.integers(1, 3))}
-    selector = draw(st.sampled_from(list(SelectionStrategy)))
     aux_on = method == "reg_mtl" and draw(st.booleans())
     reg_on = method != "erm" and draw(st.booleans())
     group = []
@@ -187,7 +192,8 @@ def lane_groups(draw, weighted=False):
         group.append(Lane(
             params, None if method == "aux_only" else train_set,
             None if method == "erm" else aux, weights,
-            OptimConfig(learning_rate=lr, seed=seed, **cfg), val_set, selector, sw,
+            OptimConfig(learning_rate=lr, seed=seed, **cfg), val_set,
+            draw(st.sampled_from(list(SelectionStrategy))), sw,
             aux_val if method == "aux_only" else None))
     return group
 
@@ -260,6 +266,24 @@ def test_weighted_and_unweighted_lanes_share_a_group(group_sizes):
              _erm_lane(lr=0.05, sample_weights=np.ones(n))]
     got = train(lanes)
     assert group_sizes == [3]
+    for lane, result in zip(lanes, got):
+        assert_same_run(result, _reference(lane))
+
+
+def test_each_lane_selects_by_its_own_selector(group_sizes):
+    """The lockstep key has no selector clause, so VAL_GP and NO_GP lanes
+    share a group, and each lane's checkpoint follows its own selector.  At
+    this rate lane 0's average and worst-group accuracies peak at different
+    epochs."""
+    def lane(seed, selector):
+        lane = _erm_lane(seed=seed, lr=0.5, tau=10.0, batch=5)
+        return replace(lane, cfg=replace(lane.cfg, epochs=6), selector=selector)
+
+    lanes = [lane(4, SelectionStrategy.NO_GP), lane(4, SelectionStrategy.VAL_GP),
+             lane(9, SelectionStrategy.NO_GP)]
+    got = train(lanes)
+    assert group_sizes == [3]
+    assert [trace.selected_epoch for trace, _ in got[:2]] == [2, 1]
     for lane, result in zip(lanes, got):
         assert_same_run(result, _reference(lane))
 
@@ -399,6 +423,29 @@ def test_jtt_jobs_through_fit_lanes(group_sizes):
         assert_same_run(got, (own.trace, own.params))
         assert result.to_json_dict() == own.to_json_dict()
     assert results[-1].extras["group_dro"]["final_q"] != [0.25] * 4
+
+
+def test_bad_job_refused_before_any_first_stage_trains(monkeypatch):
+    """fit_lanes checks every other job's lane before it trains the jtt
+    first stages: a reg_mtl job whose aux set is too wide for its task
+    raises ShapeError before any step."""
+    stepped = []
+
+    def counting_step(*args):
+        stepped.append(1)
+        return sgd_step(*args)
+
+    monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
+    cfg = OptimConfig(learning_rate=0.1, batch_size=8, epochs=2, seed=4)
+    task, aux = _task(4), seed_data(4)[2]
+    wide = AuxDataset(np.column_stack([aux.noised, aux.noised[:, :1]]),
+                      np.column_stack([aux.targets, aux.targets[:, :1]]))
+    jobs = [(RunSpec("jtt", "jtt", cfg, tau=0.5, jtt=JttConfig(2)), task, None, None),
+            (RunSpec("mtl", "reg_mtl", cfg, LossWeights(alpha_aux=1.0), tau=0.5), task, wide,
+             None)]
+    with pytest.raises(ShapeError):
+        fit_lanes(jobs, SelectionStrategy.NO_GP)
+    assert stepped == []
 
 
 def test_lowest_lane_diverged_at_the_earliest_step_raises(monkeypatch):

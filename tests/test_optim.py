@@ -185,12 +185,15 @@ class TestTrain:
 
     def test_one_record_per_epoch(self, tiny_task, tiny_aux, tiny_cfg):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
-        assert len(trace.records) == tiny_cfg.epochs
-        assert [r.epoch for r in trace.records] == list(range(tiny_cfg.epochs))
+        epochs = tiny_cfg.epochs
+        for column in (trace.train_loss, trace.val_avg_acc, trace.val_wg_acc):
+            assert column.shape == (epochs,)
+        assert trace.val_group_acc.shape == (epochs, 4)
+        assert trace.val_recon_loss is None  # no val_aux
 
     def test_selected_checkpoint_is_argmax(self, tiny_task, tiny_aux, tiny_cfg):
         trace, best = self._run(tiny_task, tiny_aux, tiny_cfg)
-        series = [r.val_avg_acc for r in trace.records]
+        series = trace.val_avg_acc.tolist()
         # the selected record holds the maximum, and no earlier epoch does
         assert series[trace.selected_epoch] == max(series)
         assert trace.selected_epoch == series.index(max(series))
@@ -207,7 +210,7 @@ class TestTrain:
         assert np.array_equal(b1.a, b2.a)
         assert np.array_equal(b1.w_end, b2.w_end)
         assert np.array_equal(b1.W_aux, b2.W_aux)
-        assert [r.train_loss for r in t1.records] == [r.train_loss for r in t2.records]
+        assert t1.train_loss.tobytes() == t2.train_loss.tobytes()
 
     def test_feasibility_every_epoch(self, tiny_task, tiny_aux, tiny_cfg, monkeypatch):
         # checked after every step, which is stricter than every epoch
@@ -228,7 +231,7 @@ class TestTrain:
 
     def test_all_losses_finite(self, tiny_task, tiny_aux, tiny_cfg):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
-        assert all(math.isfinite(r.train_loss) for r in trace.records)
+        assert np.isfinite(trace.train_loss).all()
 
     def test_nonfinite_loss_raises(self, tiny_task, tiny_cfg, monkeypatch):
         # a weight hook that turns the loss NaN from the second epoch on
@@ -346,7 +349,7 @@ class TestTrain:
         assert len(lines) == 1 + tiny_cfg.epochs
         first = lines[1].split(",")
         assert first[0] == "0"
-        assert float(first[1]) == pytest.approx(trace.records[0].train_loss)
+        assert first[1] == repr(float(trace.train_loss[0]))
 
 
 class TestSelection:
@@ -417,6 +420,28 @@ class TestSelection:
             self._fit(tiny_task, tiny_aux, tiny_aux_val, SelectionStrategy.NO_GP, monkeypatch,
                       [nan] * self.EPOCHS)
 
+    def test_lowest_unselectable_lane_is_named(self, tiny_task, monkeypatch):
+        """In a 3-lane group whose lanes 1 and 2 have no finite metric in any
+        epoch, the error names lane 1 by tag and seed."""
+        nan = float("nan")
+        # each epoch's (avg, wg) accuracy per lane: lane 0 finite throughout
+        avg, wg = np.array([0.5, nan, nan]), np.array([0.4, 0.6, nan])
+
+        def scripted_evaluate(params, data):
+            return GroupMetrics(np.full((3, 4), 0.5), np.ones((3, 4)), avg, wg,
+                                np.ones(3, dtype=bool))
+
+        monkeypatch.setattr(grouprobe.optim, "evaluate", scripted_evaluate)
+        lanes = []
+        for r, selector in enumerate([SelectionStrategy.NO_GP] * 2 + [SelectionStrategy.VAL_GP]):
+            cfg = OptimConfig(learning_rate=0.01, batch_size=16, epochs=self.EPOCHS, seed=3 + r)
+            lanes.append(Lane(init_params(tiny_task.train.d, 0.5, [cfg.seed, 101]), tiny_task.train,
+                              None, LossWeights(), cfg, tiny_task.val, selector, tag=f"lane{r}"))
+        with pytest.raises(DivergedError) as exc:
+            train(lanes)
+        assert (exc.value.tag, exc.value.seed, exc.value.epoch) == ("lane1", 4, None)
+        assert str(exc.value) == "no epoch had a finite selection metric (run lane1, seed 4)"
+
     def test_ties_pick_earliest_epoch(self, tiny_task, tiny_aux, tiny_aux_val):
         # a step this small leaves every parameter bit unchanged, so every
         # epoch ties exactly on the real validation metrics
@@ -426,10 +451,10 @@ class TestSelection:
             [(trace, _)] = train([Lane(params, tiny_task.train, tiny_aux,
                                        LossWeights(alpha_aux=1.0), cfg, tiny_task.val, selector)])
             key = "val_avg_acc" if selector is SelectionStrategy.NO_GP else "val_wg_acc"
-            assert len({getattr(r, key) for r in trace.records}) == 1
+            assert len(set(getattr(trace, key).tolist())) == 1
             assert trace.selected_epoch == 0
         params = init_params(tiny_task.train.d, 0.5, [3, 101], l1_boundary=True, dense_init=True)
         [(trace, _)] = train([Lane(params, None, tiny_aux, LossWeights(), cfg, tiny_task.val,
                                    SelectionStrategy.NO_GP, val_aux=tiny_aux_val)])
-        assert len({r.val_recon_loss for r in trace.records}) == 1
+        assert len(set(trace.val_recon_loss.tolist())) == 1
         assert trace.selected_epoch == 0
