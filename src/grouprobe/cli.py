@@ -24,7 +24,7 @@ from .experiments import (
     run_sweep,
 )
 from .linmodel import ModelParams, init_params
-from .objectives import LossWeights, end_stream, joint_terms, multitask_loss
+from .objectives import LaneWeights, LossWeights, end_stream, joint_terms, multitask_loss
 from .oracle import BoundInputs, finite_diff_param_grads, transfer_core_mass_lower_bound, worst_group_error_bound
 from .synthgen import (
     AuxDataset,
@@ -185,8 +185,9 @@ def run_grad_check(trials: int, seed: int) -> dict:
         for w, e, x in cases:
             le = multitask_loss(params, e, x, w)
             streams = (None if e is None else end, None if x is None else aux)
+            lw = LaneWeights.stack([w])  # columns of one entry: every probe shares them
             fa, fw, fW = finite_diff_param_grads(
-                lambda a, w_end, W_aux: joint_terms(a, w_end, W_aux, w, *streams).value, params)
+                lambda a, w_end, W_aux: joint_terms(a, w_end, W_aux, lw, *streams).value, params)
             for got, want in ((le.grad_a, fa), (le.grad_w_end, fw), (le.grad_W_aux, fW)):
                 err = np.abs(got - want) / np.maximum(np.abs(want), 1e-2)
                 worst = max(worst, float(err.max()))

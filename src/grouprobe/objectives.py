@@ -8,24 +8,24 @@ Each term has one array-level kernel (`end_terms`, `recon_terms`,
 `penalty_terms`), and `joint_terms` composes them into the training
 objective on raw minibatch arrays; `optim.train` calls it once per SGD step,
 and `recon_value`, the reconstruction value alone, once per epoch to validate.
-`multitask_loss` validates a model and its batches, then calls `joint_terms`.
+`multitask_loss`, the one-model entry, validates a model and its batches,
+then calls `joint_terms` on a stack of that one model.
 
-Lanes: the kernels take one parameter set or a stack of R of them.  `a`
-and `w_end` are (d,) or (R, d) and `W_aux` is (d, d) or (R, d, d).  A data
-batch is (B, d), shared by every lane, or (R, B, d), one batch per lane
-(its per-sample columns are then (R, B)); kernels read the batch size B
-from `shape[-2]`.  Loss weights are one `LossWeights` shared by every lane,
-or a `LaneWeights` of (R,) columns, one weight per lane; the lanes of a
-stack share one zero pattern of alpha_aux and alpha_reg, so each weighted
-term is on for every lane or for none.  Values and gradients come back per
-lane, with the parameters' leading axis: `joint_terms` gives a Python
-float value (trace CSVs print its repr) and (d,), (d,), (d, d) gradients
-for one set, and (R,), (R, d), (R, d), (R, d, d) arrays for a stack.  Lane
-r of a stacked call equals the one-set call on lane r's parameters, batch
-and weights bit for bit.  The end loss is always weighted: sample weights
-default to 1.0, and multiplication by 1.0 is exact, so an unweighted loss is
-the all-ones case bit for bit.  A callable sample weight (the group-DRO
-hook) maps the per-sample losses, (B,) or (R, B), to weights of that shape.
+Lanes: the kernels take a stack of R parameter sets, `a` and `w_end` (R, d)
+and `W_aux` (R, d, d), and give one value and one gradient per lane, with
+that leading axis: (R,), (R, d), (R, d), (R, d, d).  A data batch is (B, d),
+shared by every lane, or (R, B, d), one batch per lane (its per-sample
+columns are then (R, B)); a shared batch broadcasts against the lane axis,
+and kernels read the batch size B from `shape[-2]`.  Loss weights are a
+`LaneWeights` of (R,) columns, one weight per lane (columns of one entry
+are shared by every lane); the lanes of a stack share one zero pattern of
+alpha_aux and alpha_reg, so each weighted term is on for every lane or for
+none.  Lane r of a call equals the R = 1 call on lane r's parameters,
+batch and weights, bit for bit.  The end loss is always weighted: sample
+weights default to 1.0, and multiplication by 1.0 is exact, so an
+unweighted loss is the all-ones case bit for bit.  A callable sample weight
+(the group-DRO hook) maps the (R, B) per-sample losses to weights that
+broadcast against them.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class LaneWeights(NamedTuple):
 
 @dataclass
 class LossEval:
-    """A loss value and its gradients in model-parameter layout; for a
-    stack of parameter sets, one value and one gradient per lane."""
+    """A loss value and its gradients in model-parameter layout: of one
+    model, or one value and one gradient per lane of a stack."""
 
     value: float | np.ndarray
     grad_a: np.ndarray
@@ -104,34 +104,29 @@ def check_sample_weights(weights, n: int) -> np.ndarray:
 # the caller has computed the featurizer output H = X * a once for every
 # term that reads it (see `featurize`).  Every product over the batch axis
 # is a matvec, vecmat or matmul and every batch sum is over trailing axes,
-# so a leading lane axis rides along without changing any float operation.
+# so lane r of a stack runs the float operations of the R = 1 call on it.
 
 
 def featurize(X, v):
-    """X * v for one (d,) vector, or (R, n, d) for a stack of R vectors,
-    with X shared (n, d) or one batch per lane (R, n, d)."""
-    return X * (v if v.ndim == 1 else v[:, None, :])
+    """X * v for a stack of R vectors v (R, d): (R, n, d), with X shared
+    (n, d) or one batch per lane (R, n, d)."""
+    return X * v[:, None, :]
 
 
 def _scale(c, g):
-    """c * g for a shared weight c, or each lane of g times its entry of a
-    weight column c."""
-    return c * g if not isinstance(c, np.ndarray) else c.reshape(-1, *(1,) * (g.ndim - 1)) * g
-
-
-def _on(c) -> bool:
-    """Whether a weighted term is on: its weight, or its weight column (whose
-    entries share one zero pattern), is nonzero."""
-    return bool(c.any()) if isinstance(c, np.ndarray) else c != 0.0
+    """Each lane of g times its entry of the weight column c."""
+    return c.reshape(-1, *(1,) * (g.ndim - 1)) * g
 
 
 def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=1.0):
-    """Weighted BCE data term plus L2 head penalty: (value, grad_a, grad_w_end).
+    """Weighted BCE data term plus L2 head penalty of R lanes: (value,
+    grad_a, grad_w_end), (R,), (R, d) and (R, d).
 
-    neg_y is -y and t = (y+1)/2 for labels y in {-1,+1}; lambda_l2 is a
-    shared weight or an (R,) column.  sample_weights is 1.0 (unweighted), an
-    array of per-sample weights shaped like neg_y, or a function from the
-    per-sample losses to such an array, which the caller checks.
+    H = X * a is (R, B, d).  neg_y is -y and t = (y+1)/2 for labels y in
+    {-1,+1}, (B,) or (R, B); lambda_l2 is an (R,) column.
+    sample_weights is 1.0 (unweighted), an array of per-sample weights shaped
+    like neg_y, or a function from the (R, B) per-sample losses to weights
+    that broadcast against them, which the caller checks.
     """
     n = X.shape[-2]
     z = np.matvec(H, w_end)
@@ -171,11 +166,11 @@ def penalty_terms(X, H):
     return value, grad_a
 
 
-def joint_terms(a, w_end, W_aux, weights: LossWeights | LaneWeights, end=None, aux=None,
+def joint_terms(a, w_end, W_aux, weights: LaneWeights, end=None, aux=None,
                 sample_weights=1.0) -> LossEval:
-    """The training objective on raw minibatch arrays, for one parameter set
-    or a stack of them, with shared or per-lane batches and weights (see the
-    module docstring).
+    """The training objective on raw minibatch arrays for a stack of R
+    parameter sets, with shared or per-lane batches, per-lane weight columns,
+    and an (R,) value and (R, ...) gradients (see the module docstring).
 
     `end` is (X, -y, (y+1)/2) of the labeled batch and `aux` is
     (noised, targets) of the reconstruction batch; either may be None, not
@@ -186,7 +181,7 @@ def joint_terms(a, w_end, W_aux, weights: LossWeights | LaneWeights, end=None, a
     zero weight are skipped, and terms are added in that order.
     """
     alpha_aux, alpha_reg = weights.alpha_aux, weights.alpha_reg
-    aux_on, reg_on = _on(alpha_aux), _on(alpha_reg)
+    aux_on, reg_on = alpha_aux.any(), alpha_reg.any()
     grad_w_end = grad_W_aux = None  # zero unless a term below sets them
     penalized = []  # (X, X * a) of each batch the activation penalty reads
     if end is not None:
@@ -211,8 +206,7 @@ def joint_terms(a, w_end, W_aux, weights: LossWeights | LaneWeights, end=None, a
             pv, pa = penalty_terms(Xp, Hp)
             value += alpha_reg * pv
             grad_a = grad_a + _scale(alpha_reg, pa)
-    return LossEval(float(value) if a.ndim == 1 else value, grad_a,
-                    np.zeros(w_end.shape) if grad_w_end is None else grad_w_end,
+    return LossEval(value, grad_a, np.zeros(w_end.shape) if grad_w_end is None else grad_w_end,
                     np.zeros(W_aux.shape) if grad_W_aux is None else grad_W_aux)
 
 
@@ -229,7 +223,8 @@ def multitask_loss(params: ModelParams, end_batch: LabeledDataset | None,
                    aux_batch: AuxDataset | None, weights: LossWeights,
                    end_sample_weights=None) -> LossEval:
     """The joint objective of one model on dataset batches: validated here,
-    computed by `joint_terms`.
+    computed by `joint_terms` on the stack of this one model, and returned
+    with a Python float value and (d,), (d,), (d, d) gradients.
 
     With an end batch: end BCE (log(1 + exp(-y z)) in log-sum-exp form, any
     per-sample weights scaling it) + lambda_l2/2 ||w_end||^2 + alpha_aux *
@@ -257,4 +252,6 @@ def multitask_loss(params: ModelParams, end_batch: LabeledDataset | None,
         end = end_stream(end_batch)
         w = check_sample_weights(end_sample_weights, len(end_batch))
     aux = None if aux_batch is None else (aux_batch.noised, aux_batch.targets)
-    return joint_terms(params.a, params.w_end, params.W_aux, weights, end, aux, w)
+    le = joint_terms(params.a[None], params.w_end[None], params.W_aux[None],
+                     LaneWeights.stack([weights]), end, aux, w)
+    return LossEval(float(le.value[0]), le.grad_a[0], le.grad_w_end[0], le.grad_W_aux[0])

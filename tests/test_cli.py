@@ -537,6 +537,24 @@ class TestBoundCommand:
         assert captured.out == ""
 
 
+# The recorded `max_relative_error` text of `json.dumps(run_grad_check(20, seed))`
+# for seeds 0-11, the only field of those reports that differs between seeds
+GRAD_CHECK_ERRORS = (
+    "5.577434179001445e-07",
+    "1.3906531150462874e-07",
+    "2.873895045552022e-07",
+    "1.848836156219391e-07",
+    "1.0774235739564092e-07",
+    "1.0207582392188219e-07",
+    "1.2901904309177784e-07",
+    "6.014231326498254e-08",
+    "1.321328178816028e-07",
+    "9.342158895433994e-08",
+    "1.4411867255148536e-07",
+    "4.4178244179224335e-08",
+)
+
+
 class TestGradCheckCommand:
     def test_passes(self, capsys):
         assert main(["grad-check", "--trials", "3", "--seed", "1"]) == 0
@@ -560,6 +578,14 @@ class TestGradCheckCommand:
         out = run_grad_check(2, 0)
         # 3 losses x 3 parameter blocks per trial
         assert out["gradient_blocks_checked"] == 2 * 9
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_report_text_is_pinned(self, seed):
+        """The report prints as recorded, to the last digit of its largest
+        relative error."""
+        want = ('{"trials": 20, "gradient_blocks_checked": 180, "max_relative_error": '
+                f'{GRAD_CHECK_ERRORS[seed]}, "pass": true}}')
+        assert json.dumps(run_grad_check(20, seed)) == want
 
 
 class TestArgparseBehavior:

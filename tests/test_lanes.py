@@ -1,13 +1,14 @@
 """Lane groups of `optim.train` against the per-run loop they replaced.
 
 `reference_train` is the training loop as it was before lanes: one run, one
-1-D `joint_terms` call and one `sgd_step` call per step, one schedule per
-epoch.  It is kept here, the way `test_io_equivalence.py` keeps the old row
-loops, and every lane of a `train` call, whether it shares its group with
-other lanes or trains alone, must match its own reference run bit for bit:
-every per-epoch trace column, the selected epoch, and the selected and
-final parameters.  The reference selects its checkpoint epoch by epoch, by
-the scalar rule `metric > best`, not by `train`'s argmax.
+`joint_terms` call on that run alone, a stack of one lane, and one
+`sgd_step` call per step, one schedule per epoch.  It is kept here, the way
+`test_io_equivalence.py` keeps the old row loops, and every lane of a
+`train` call, whether it shares its group with other lanes or trains alone,
+must match its own reference run bit for bit: every per-epoch trace column,
+the selected epoch, and the selected and final parameters.  The reference
+selects its checkpoint epoch by epoch, by the scalar rule `metric > best`,
+not by `train`'s argmax.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from grouprobe import (
     GroupDataSpec,
     InvalidInputError,
     Lane,
+    LossEval,
     LossWeights,
     ModelParams,
     OptimConfig,
@@ -50,6 +52,7 @@ from grouprobe import (
 )
 from grouprobe.baselines import _group_reweighting
 from grouprobe.objectives import (
+    LaneWeights,
     check_sample_weights,
     end_stream,
     featurize,
@@ -63,6 +66,9 @@ SPEC = GroupDataSpec(d_c=1, d_s=1, sigma2_core=0.6, sigma2_spur=0.1,
                      n_maj=18, n_min=6, sigma2_noise=1.0)
 VAL_SPEC = GroupDataSpec(d_c=1, d_s=1, sigma2_core=0.6, sigma2_spur=0.1,
                          n_maj=8, n_min=4, sigma2_noise=1.0)
+# `lane_groups` validates on 60 rows, where a lane's average and worst-group
+# accuracies peak at different epochs far more often than on 12
+LONG_VAL_SPEC = replace(VAL_SPEC, n_maj=40, n_min=20)
 SEEDS = (4, 9)
 # TrainTrace's per-epoch columns
 TRACE_COLUMNS = ("train_loss", "val_avg_acc", "val_wg_acc", "val_group_acc", "val_recon_loss")
@@ -78,6 +84,12 @@ def seed_data(seed: int):
             noise_dataset(val_set, 1.0, [seed, 14]))
 
 
+@functools.cache
+def long_val_data(seed: int):
+    """The 60-row validation set of a seed."""
+    return sample_group_dataset(LONG_VAL_SPEC, [seed, 15])
+
+
 def reference_train(params, end_data, aux_data, weights, cfg, val_data, selector,
                     sample_weights=None, val_aux=None):
     """One run of projected SGD, step by step, as `train` ran before lanes."""
@@ -88,6 +100,7 @@ def reference_train(params, end_data, aux_data, weights, cfg, val_data, selector
                          else check_sample_weights(sample_weights, len(end_data)))
         end_columns = (*end_stream(end_data), weight_column)
     aux_columns = None if aux_data is None else (aux_data.noised, aux_data.targets)
+    lane_weights = LaneWeights.stack([weights])
 
     columns = {k: [] for k in TRACE_COLUMNS}
     best_metric, best_params, selected = -np.inf, None, -1
@@ -108,16 +121,19 @@ def reference_train(params, end_data, aux_data, weights, cfg, val_data, selector
             if ei is not None:
                 end = (X[rows], neg_y[rows], t[rows])
                 if w is not None:
+                    # the hook sees the run's own row of losses
                     batch_weights = (w[rows] if hook is None
-                                     else functools.partial(hook, group_ids=w[rows]))
+                                     else lambda nll, g=w[rows]: hook(nll[0], group_ids=g))
             if ai is not None:
                 aux = (Xt[rows], X0[rows])
-            le = joint_terms(params.a, params.w_end, params.W_aux, weights, end, aux,
-                             batch_weights)
-            if not math.isfinite(le.value):
+            le = joint_terms(params.a[None], params.w_end[None], params.W_aux[None], lane_weights,
+                             end, aux, batch_weights)
+            value = float(le.value[0])
+            if not math.isfinite(value):
                 raise DivergedError("non-finite training loss", epoch=ep)
-            loss_sum += le.value * size
-            params = sgd_step(params, le, cfg.learning_rate)
+            loss_sum += value * size
+            params = sgd_step(params, LossEval(value, le.grad_a[0], le.grad_w_end[0],
+                                               le.grad_W_aux[0]), cfg.learning_rate)
         vm = evaluate(params, val_data)
         val_recon = (None if val_aux is None
                      else multitask_loss(params, None, val_aux, LossWeights()).value)
@@ -165,17 +181,19 @@ def lane_groups(draw, weighted=False):
     data seed, learning rate, L1 constraint, loss weights and checkpoint
     selector, and one zero pattern of alpha_aux and alpha_reg.  Each erm
     lane draws fixed sample weights or none; `weighted=True` draws erm
-    lanes, the first with fixed sample weights."""
+    lanes, the first with fixed sample weights.  The lanes validate on 60
+    rows for 4-8 epochs, so that their average and worst-group accuracies
+    often peak at different epochs and each lane's selector matters."""
     method = "erm" if weighted else draw(st.sampled_from(["erm", "reg_mtl", "aux_only"]))
     lanes = draw(st.sampled_from([1, 3, 7]))
     batch = draw(st.sampled_from([1, 5, 16, 40]))  # 40 > n: one batch per epoch
-    cfg = {"batch_size": batch, "epochs": draw(st.integers(1, 3))}
+    cfg = {"batch_size": batch, "epochs": draw(st.integers(4, 8))}
     aux_on = method == "reg_mtl" and draw(st.booleans())
     reg_on = method != "erm" and draw(st.booleans())
     group = []
     for r in range(lanes):
         seed = draw(st.sampled_from(SEEDS))
-        train_set, val_set, aux, aux_val = seed_data(seed)
+        train_set, _, aux, aux_val = seed_data(seed)
         mode = draw(st.sampled_from(["free", "ball", "sphere"]))
         tau = None if mode == "free" else draw(st.sampled_from([0.1, 0.5, 10.0]))
         params = init_params(train_set.d, tau, [seed, 101], l1_boundary=mode == "sphere",
@@ -188,11 +206,11 @@ def lane_groups(draw, weighted=False):
         if method == "erm" and ((weighted and r == 0) or draw(st.booleans())):
             sw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
                 0.0, 3.0, size=len(train_set))
-        lr = draw(st.sampled_from([0.2, 0.03, 0.001]))
+        lr = draw(st.sampled_from([0.5, 0.2, 0.03, 0.001]))
         group.append(Lane(
             params, None if method == "aux_only" else train_set,
             None if method == "erm" else aux, weights,
-            OptimConfig(learning_rate=lr, seed=seed, **cfg), val_set,
+            OptimConfig(learning_rate=lr, seed=seed, **cfg), long_val_data(seed),
             draw(st.sampled_from(list(SelectionStrategy))), sw,
             aux_val if method == "aux_only" else None))
     return group

@@ -63,26 +63,39 @@ def recon_only(params, batch):
     return multitask_loss(params, None, batch, LossWeights())
 
 
-# Each loss term from its own kernel, in model-parameter layout: the
-# term-by-term oracles for the composed objective.
+def one_lane(params):
+    """A model's (a, w_end, W_aux) as a stack of one lane."""
+    return params.a[None], params.w_end[None], params.W_aux[None]
+
+
+def lane_zero(le):
+    """Lane 0 of a stacked LossEval, in model-parameter layout."""
+    return LossEval(le.value[0], le.grad_a[0], le.grad_w_end[0], le.grad_W_aux[0])
+
+
+# Each loss term from its own kernel, called on the model as a stack of one
+# lane and returned in model-parameter layout: the term-by-term oracles for
+# the composed objective.
 
 def end_term(params, batch, lambda_l2=0.0, **sample_weights):
     X = batch.features
     y = batch.labels.astype(np.float64)
-    value, grad_a, grad_w_end = end_terms(X, X * params.a, -y, 0.5 * (y + 1.0), params.w_end,
-                                          lambda_l2, **sample_weights)
-    return LossEval(float(value), grad_a, grad_w_end, np.zeros((params.d, params.d)))
+    a, w_end, _ = one_lane(params)
+    value, grad_a, grad_w_end = end_terms(X, featurize(X, a), -y, 0.5 * (y + 1.0), w_end,
+                                          np.array([lambda_l2]), **sample_weights)
+    return LossEval(float(value[0]), grad_a[0], grad_w_end[0], np.zeros((params.d, params.d)))
 
 
 def recon_term(params, batch):
     Xt = batch.noised
-    value, grad_a, grad_W_aux = recon_terms(Xt, Xt * params.a, batch.targets, params.W_aux)
-    return LossEval(float(value), grad_a, np.zeros(params.d), grad_W_aux)
+    a, _, W_aux = one_lane(params)
+    value, grad_a, grad_W_aux = recon_terms(Xt, featurize(Xt, a), batch.targets, W_aux)
+    return LossEval(float(value[0]), grad_a[0], np.zeros(params.d), grad_W_aux[0])
 
 
 def penalty_term(params, X):
-    value, grad_a = penalty_terms(X, X * params.a)
-    return LossEval(float(value), grad_a, np.zeros(params.d), np.zeros((params.d, params.d)))
+    value, grad_a = penalty_terms(X, featurize(X, params.a[None]))
+    return LossEval(float(value[0]), grad_a[0], np.zeros(params.d), np.zeros((params.d, params.d)))
 
 
 class TestEndLoss:
@@ -254,8 +267,8 @@ class TestMultitask:
             params, _, aux_batch = random_instance(rng)
             w = LossWeights(alpha_aux=1.7, alpha_reg=alpha_reg, lambda_l2=0.4)
             got = multitask_loss(params, None, aux_batch, w)
-            want = joint_terms(params.a, params.w_end, params.W_aux, w, end=None,
-                               aux=(aux_batch.noised, aux_batch.targets))
+            want = lane_zero(joint_terms(*one_lane(params), LaneWeights.stack([w]), end=None,
+                                         aux=(aux_batch.noised, aux_batch.targets)))
             assert got.value == want.value
             for g, h in ((got.grad_a, want.grad_a), (got.grad_w_end, want.grad_w_end),
                          (got.grad_W_aux, want.grad_W_aux)):
@@ -387,7 +400,8 @@ def test_training_kernel_matches_term_kernels(case):
     yf = end_batch.labels.astype(np.float64)
     end = (end_batch.features, -yf, 0.5 * (yf + 1.0)) if streams != "aux" else None
     aux = (aux_batch.noised, aux_batch.targets) if streams != "end" else None
-    got = joint_terms(params.a, params.w_end, params.W_aux, w, end, aux, **_weighted(sw))
+    got = lane_zero(joint_terms(*one_lane(params), LaneWeights.stack([w]), end, aux,
+                                **_weighted(sw)))
 
     if streams == "aux":
         terms = [(1.0, recon_term(params, aux_batch))]
@@ -419,11 +433,25 @@ def test_training_kernel_matches_term_kernels(case):
             assert np.array_equal(g, h)
 
 
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _row_normalized(nll):
+    """A sample-weight hook that reads every loss of its lane's row: each
+    row's 1 + loss, divided by that row's mean."""
+    w = 1.0 + nll
+    return w / w.mean(axis=-1, keepdims=True)
+
+
 @st.composite
 def _lane_case(draw):
-    """A lane stack: R parameter sets, with one batch shared by every lane
-    or one batch per lane, and one LossWeights or per-lane weight columns
-    with one zero pattern of alpha_aux and alpha_reg."""
+    """A stack of R lanes: R parameter sets; one batch shared by every lane
+    or one batch per lane; loss weights as (R,) columns of distinct nonzero
+    entries, each of alpha_aux and alpha_reg on for every lane or for none,
+    or as columns of one entry shared by every lane; and no sample weights,
+    fixed ones, or a hook."""
     d = draw(st.integers(1, 5))
     n = draw(st.sampled_from([1, 7, 8, 9, 64, 256]))
     lanes = draw(st.integers(1, 5))
@@ -436,47 +464,49 @@ def _lane_case(draw):
     w_end = rng.uniform(-4.0, 4.0, size=(lanes, d))
     W_aux = rng.uniform(-4.0, 4.0, size=(lanes, d, d))
     if draw(st.booleans()):
-        weights = [LossWeights(alpha_aux=draw(_WEIGHT), alpha_reg=draw(_WEIGHT),
-                               lambda_l2=draw(_WEIGHT))] * lanes
-        stacked = weights[0]
+        weights = LaneWeights.stack([LossWeights(alpha_aux=draw(_WEIGHT), alpha_reg=draw(_WEIGHT),
+                                                 lambda_l2=draw(_WEIGHT))])
     else:
-        on_aux, on_reg = draw(st.booleans()), draw(st.booleans())
-        weights = [LossWeights(alpha_aux=draw(_WEIGHT.filter(bool)) if on_aux else 0.0,
-                               alpha_reg=draw(_WEIGHT.filter(bool)) if on_reg else 0.0,
-                               lambda_l2=draw(_WEIGHT)) for _ in range(lanes)]
-        stacked = LaneWeights.stack(weights)
+        distinct = st.lists(st.floats(0.1, 5.0), min_size=lanes, max_size=lanes, unique=True)
+        weights = LaneWeights(*(np.array(draw(distinct)) if on else np.zeros(lanes)
+                                for on in (draw(st.booleans()), draw(st.booleans()), True)))
     streams = draw(st.sampled_from(["end", "aux", "joint"]))
     end = (X, -y, 0.5 * (y + 1.0)) if streams != "aux" else None
     aux = (Xt, X0) if streams != "end" else None
-    sw = rng.uniform(0.0, 3.0, size=batch) if end is not None and draw(st.booleans()) else None
-    return (a, w_end, W_aux), (stacked, weights), end, aux, sw, per_lane
+    sw = None
+    if end is not None:
+        sw = draw(st.sampled_from([None, "fixed", _row_normalized]))
+        if sw == "fixed":
+            sw = rng.uniform(0.0, 3.0, size=draw(st.sampled_from([(n,), (lanes, n)])))
+    return (a, w_end, W_aux), weights, end, aux, sw, per_lane
 
 
 @given(_lane_case())
 @settings(max_examples=300, deadline=None)
 def test_stacked_lanes_match_single_calls(case):
-    """Lane r of a stacked call equals the 1-D call on lane r's parameters,
-    batch and weights, bit for bit, in the value and all three gradients."""
-    (a, w_end, W_aux), (stacked, weights), end, aux, sw, per_lane = case
-    got = joint_terms(a, w_end, W_aux, stacked, end, aux, **_weighted(sw))
-    lanes = len(a)
+    """Lanes do not affect each other: lane r of an R-lane call equals the
+    R = 1 call on lane r's parameters, batch, weight columns and sample
+    weights, bit for bit, in the value and all three gradients."""
+    params, weights, end, aux, sw, per_lane = case
+    got = joint_terms(*params, weights, end, aux, **_weighted(sw))
+    lanes = len(params[0])
     assert got.value.shape == (lanes,)
-    assert got.grad_a.shape == got.grad_w_end.shape == a.shape
-    assert got.grad_W_aux.shape == W_aux.shape
+    assert got.grad_a.shape == got.grad_w_end.shape == params[0].shape
+    assert got.grad_W_aux.shape == params[2].shape
 
-    def lane(arrays, r):
-        if arrays is None or not per_lane:
-            return arrays
-        return tuple(x[r] for x in arrays) if isinstance(arrays, tuple) else arrays[r]
+    def lane(x, r, stacked):
+        """Lane r's part of x as a stack of one, when x is stacked."""
+        return x[r:r + 1] if stacked else x
 
     for r in range(lanes):
-        one = joint_terms(a[r], w_end[r], W_aux[r], weights[r], lane(end, r), lane(aux, r),
-                          **_weighted(lane(sw, r)))
-        assert type(one.value) is float
-        assert got.value[r] == one.value
-        for g, h in ((got.grad_a, one.grad_a), (got.grad_w_end, one.grad_w_end),
-                     (got.grad_W_aux, one.grad_W_aux)):
-            assert np.array_equal(g[r], h)
+        one = joint_terms(
+            *(lane(p, r, True) for p in params),
+            LaneWeights(*(lane(c, r, len(c) == lanes) for c in weights)),
+            *(None if b is None else tuple(lane(x, r, per_lane) for x in b) for b in (end, aux)),
+            **_weighted(sw if callable(sw) or sw is None else lane(sw, r, sw.ndim == 2)))
+        for g, h in zip((got.value, got.grad_a, got.grad_w_end, got.grad_W_aux),
+                        (one.value, one.grad_a, one.grad_w_end, one.grad_W_aux)):
+            assert _same_bits(g[r:r + 1], h)
 
 
 def _unweighted_end_terms(X, H, neg_y, t, w_end, lambda_l2):
@@ -495,21 +525,16 @@ def _unweighted_end_terms(X, H, neg_y, t, w_end, lambda_l2):
     return value, grad_a, grad_w_end
 
 
-def _same_bits(got, want) -> bool:
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 @st.composite
 def _end_case(draw):
-    """A 1-D call or an (R, B) lane stack of the end term, with zeroed
+    """An (R, B) lane stack of the end term, R = 1 or 3, with zeroed
     features, signed-zero heads and logits beyond +-700 among the draws."""
     d = draw(st.integers(1, 4))
     n = draw(st.sampled_from([1, 3, 7, 8, 64]))
-    lanes = draw(st.sampled_from([None, 1, 3]))  # None: one parameter set
-    per_lane = lanes is not None and draw(st.booleans())
+    lanes = draw(st.sampled_from([1, 3]))
+    per_lane = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = (d,) if lanes is None else (lanes, d)
+    params = (lanes, d)
     batch = (lanes, n) if per_lane else (n,)
     X = rng.uniform(-4.0, 4.0, size=batch + (d,))
     zeros = draw(st.sampled_from(["none", "column", "all"]))
@@ -523,12 +548,8 @@ def _end_case(draw):
         w_end = rng.choice((0.0, -0.0), size=params)
     else:
         w_end = rng.uniform(-4.0, 4.0, size=params) * draw(st.sampled_from([1.0, 100.0, 1e4]))
-    lambda_l2 = draw(st.sampled_from([0.0, 0.5]))
-    if lanes is None:
-        weights = LossWeights(lambda_l2=lambda_l2)
-    else:
-        weights = LaneWeights.stack([LossWeights(lambda_l2=draw(st.sampled_from([0.0, 0.5])))
-                                     for _ in range(lanes)])
+    weights = LaneWeights.stack([LossWeights(lambda_l2=draw(st.sampled_from([0.0, 0.5])))
+                                 for _ in range(lanes)])
     return X, y, a, w_end, weights
 
 
