@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     except DivergedError as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return 1
-    except (GrouprobeError, OSError, json.JSONDecodeError) as e:
+    except (GrouprobeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -429,31 +430,45 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 SWEEP_AXES = ("alpha_aux", "alpha_reg", "tau", "learning_rate", "batch_size")
 
-# Valid run-field values; a sweep value replaces its field in one of them,
-# so the constructor range-checks it under the name the sweep gives it.
-_SWEEP_PROBES = (OptimConfig(learning_rate=1.0, batch_size=1, epochs=1), LossWeights())
+# The run block each sweep key sets ("": the run itself)
+_SWEEP_BLOCKS = {"method": "", "tau": "", "l1_boundary": "", "epochs": "optim", "patience": "optim",
+                 "momentum": "optim", "learning_rate": "optim", "batch_size": "optim",
+                 "lambda_l2": "weights", "alpha_aux": "weights", "alpha_reg": "weights"}
+# A valid run's sweep keys, which the sweep's method, base and each grid
+# point replace; a key that none sets takes its run default
+_SWEEP_RUN = {"method": "reg_mtl", "tau": 1.0, "epochs": 500, "learning_rate": 1.0, "batch_size": 1,
+              "lambda_l2": 1.0}
 
 
-def _sweep_value(key: str, v, kinds: tuple[type, ...], where: str) -> None:
-    """Check one `base` or `grid` value of a sweep: its type, then its range."""
-    _check(v, kinds, where)
-    if key == "tau" and v <= 0:
+def _sweep_run(tag: str, values: dict) -> dict:
+    """The run document of sweep keys `values`, each in its block."""
+    run = {"tag": tag, "optim": {}, "weights": {}}
+    for k, v in values.items():
+        (run[_SWEEP_BLOCKS[k]] if _SWEEP_BLOCKS[k] else run)[k] = v
+    return run
+
+
+def _sweep_value(skeleton: dict, key: str, v, where: str):
+    """Sweep value `v` of `key` as the run parser loads it into the valid run
+    `skeleton`; a parse error is named `where`."""
+    # a grid tau goes into the cell's Pareto tag: a number, never null
+    if key == "tau" and not _check(v, (float,), where) > 0:
         raise ConfigError(f"{where}: tau must be positive")
-    for probe in _SWEEP_PROBES:
-        if key in _fields(type(probe)):
-            try:
-                replace(probe, **{key: v})
-            except GrouprobeError as e:
-                raise ConfigError(f"{where}: {e}") from None
+    try:
+        run = _run_spec(_sweep_run("probe", {**skeleton, key: v}), "run")
+    except ConfigError as e:
+        raise ConfigError(re.sub(r"^run[\w.]*", where, str(e))) from None
+    return {**vars(run.optim), **vars(run.weights), **vars(run)}[key]
 
 
 @dataclass(frozen=True)
 class SweepGrid:
     """Cartesian product over the five sweep axes around a base config.
 
-    `cells` lists the grid points, the last axis varying fastest; `config`
-    is the grid as an experiment, one run per cell tagged `cell0000`,
-    `cell0001`, ... in that order, validated like any other config.
+    `cells` lists the grid points as loaded, the last axis varying fastest;
+    `config` is the grid as an experiment, one run per cell tagged
+    `cell0000`, `cell0001`, ... in that order, validated like any other
+    config.  A `base` or grid value is checked alone, in a valid run.
     """
 
     cells: tuple[dict, ...]
@@ -463,41 +478,25 @@ class SweepGrid:
     def from_json_dict(cls, d: dict) -> "SweepGrid":
         _expect_keys(d, {"schema", "name", "data", "val", "test", "selection", "seeds", "grid"},
                      {"method", "base", "aux"}, "sweep config")
-        method = d.get("method", "reg_mtl")
-        if method not in ("reg_mtl", "erm"):
-            raise ConfigError("sweeps support methods 'reg_mtl' and 'erm'")
-        # base and grid values take the types of the run fields they set, but
-        # a grid tau is a number: it goes into the grid point's Pareto tag
-        kinds = {k: v[0] for c in (OptimConfig, LossWeights, RunSpec) for k, v in _fields(c).items()}
-        kinds["tau"] = (float,)
-        base = d.get("base", {})
-        _expect_keys(base, set(), {"epochs", "patience", "momentum", "lambda_l2", "l1_boundary"},
-                     "base")
-        for k, v in base.items():
-            _sweep_value(k, v, kinds[k], f"base.{k}")
-        grid = d["grid"]
+        skeleton = dict(_SWEEP_RUN)
+        if "method" in d:  # first, so that a bad method is not named after a base key
+            skeleton["method"] = _sweep_value(_SWEEP_RUN, "method", d["method"], "method")
+        base, grid = d.get("base", {}), d["grid"]
+        _expect_keys(base, set(), _SWEEP_BLOCKS.keys() - {"method", *SWEEP_AXES}, "base")
+        base = {k: _sweep_value(skeleton, k, v, f"base.{k}") for k, v in base.items()}
         _expect_keys(grid, set(SWEEP_AXES), set(), "grid")
+        axes = []
         for axis in SWEEP_AXES:
-            vals = grid[axis]
-            if not isinstance(vals, list) or not vals:
+            if not isinstance(grid[axis], list) or not grid[axis]:
                 raise ConfigError(f"grid.{axis} must be a non-empty list")
-            for i, v in enumerate(vals):
-                _sweep_value(axis, v, kinds[axis], f"grid.{axis}[{i}]")
-                if method == "erm" and axis in ("alpha_aux", "alpha_reg") and v != 0:
-                    raise ConfigError(f"grid.{axis}[{i}]: erm does not take aux loss weights")
-        cells = tuple(dict(zip(SWEEP_AXES, combo))
-                      for combo in itertools.product(*(grid[a] for a in SWEEP_AXES)))
-        optim = {"epochs": 500, **{k: v for k, v in base.items()
-                                   if k in ("epochs", "patience", "momentum")}}
-        runs = [{
-            "tag": f"cell{idx:04d}",
-            "method": method,
-            "tau": cell["tau"],
-            "l1_boundary": base.get("l1_boundary", False),
-            "optim": dict(optim, learning_rate=cell["learning_rate"], batch_size=cell["batch_size"]),
-            "weights": {"alpha_aux": cell["alpha_aux"], "alpha_reg": cell["alpha_reg"],
-                        "lambda_l2": base.get("lambda_l2", 1.0)},
-        } for idx, cell in enumerate(cells)]
+            axes.append([])
+            for i, v in enumerate(grid[axis]):
+                v = _sweep_value(skeleton, axis, v, f"grid.{axis}[{i}]")
+                if v in axes[-1]:
+                    raise ConfigError(f"grid.{axis}[{i}] repeats grid.{axis}[{axes[-1].index(v)}]")
+                axes[-1].append(v)
+        cells = tuple(dict(zip(SWEEP_AXES, combo)) for combo in itertools.product(*axes))
+        runs = [_sweep_run(f"cell{i:04d}", {**skeleton, **base, **cell}) for i, cell in enumerate(cells)]
         shared = {k: v for k, v in d.items() if k not in ("method", "base", "grid")}
         return cls(cells, ExperimentConfig.from_json_dict({**shared, "runs": runs}))
 

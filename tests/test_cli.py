@@ -499,6 +499,26 @@ def test_malformed_input_file_exits_2(make, tmp_path, capsys):
     assert all(name in err[0] for name in names), err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{bad}.json", "--out", "{out}"],
+    ["sweep", "--grid", "{bad}.json", "--out", "{out}"],
+    ["eval", "--params", "{bad}.json", "--data", "{good}.csv"],
+    ["eval", "--params", "{good}.json", "--data", "{bad}.csv"],
+    ["pareto", "--input", "{bad}.csv", "--front", "{out}"],
+], ids=["train-config", "sweep-grid", "eval-params", "eval-data", "pareto-input"])
+def test_non_utf8_input_exits_2(argv, tmp_path, capsys):
+    """An input file that is not UTF-8 text is a usage error with one
+    message, not a UnicodeDecodeError traceback and not exit 1."""
+    for name, text in (("bad.json", b"\xff\xfe"), ("bad.csv", b"\xff\xfe"),
+                       ("good.json", json.dumps(PARAMS).encode()), ("good.csv", DATA_CSV.encode())):
+        (tmp_path / name).write_bytes(text)
+    paths = {"bad": tmp_path / "bad", "good": tmp_path / "good", "out": tmp_path / "out"}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "decode" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 class TestBoundCommand:
     BASE = ["bound", "--gamma", "1", "--sigma-spur", "1", "--eta", "1",
             "--tau", "0.1", "--lam", "0.1", "--dc", "1", "--ds", "1"]

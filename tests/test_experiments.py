@@ -14,6 +14,8 @@ from grouprobe import (
     ConfigError,
     DivergedError,
     ExperimentConfig,
+    GroupDroConfig,
+    JttConfig,
     SweepGrid,
     recipe_config,
     run_experiment,
@@ -659,7 +661,14 @@ class TestSweep:
         (lambda d: d["base"].update(epochs=3.0), r"base\.epochs must be an integer"),
         (lambda d: d["grid"].update(batch_size=[16, 32.0]), r"grid\.batch_size\[1\] must be an"),
         (lambda d: d["grid"].update(tau=[None]), r"grid\.tau\[0\] must be a number, got null"),
-    ], ids=["l1_boundary-string", "epochs-float", "batch-float", "tau-null"])
+        (lambda d: d["base"].update(lambda_l2="1"), r'base\.lambda_l2 must be a number, got "1"$'),
+        (lambda d: d["grid"].update(alpha_aux=[0.5, "1"]),
+         r'grid\.alpha_aux\[1\] must be a number, got "1"$'),
+        (lambda d: d["grid"].update(learning_rate=["0.01"]),
+         r'grid\.learning_rate\[0\] must be a number, got "0\.01"$'),
+        (lambda d: d.update(method=3), "method must be a string, got 3$"),
+    ], ids=["l1_boundary-string", "epochs-float", "batch-float", "tau-null", "lambda-string",
+            "alpha_aux-string", "lr-string", "method-number"])
     def test_rejects_values_of_the_wrong_type(self, breaker, field):
         with pytest.raises(ConfigError, match=f"^{field}"):
             SweepGrid.load(_edited(tiny_sweep(), breaker))
@@ -674,8 +683,15 @@ class TestSweep:
         (lambda d: d["base"].update(momentum=1.0),
          r"base\.momentum: momentum must be 0: training is plain SGD"),
         (lambda d: d["base"].update(lambda_l2=-1.0), r"base\.lambda_l2: lambda_l2 must be >= 0"),
+        (lambda d: d["base"].update(patience=3),
+         r"base\.patience: patience must be 0: training has no early stopping"),
+        (lambda d: d["grid"].update(alpha_aux=[0.5, -1.0]), r"grid\.alpha_aux\[1\]: alpha_aux must be >= 0"),
+        (lambda d: d.update(method="aux_only"),
+         r"grid\.alpha_aux\[0\]: aux_only ignores alpha_aux; leave it at 0"),
+        (lambda d: d.update(method="boosting"), r"method: method must be one of \(.*\), got 'boosting'"),
     ], ids=["lr-zero", "batch-zero", "tau-negative", "alpha-negative", "epochs-zero",
-            "momentum-one", "lambda-negative"])
+            "momentum-one", "lambda-negative", "patience-three", "alpha_aux-negative",
+            "aux_only-alpha_aux", "method-unknown"])
     def test_range_errors_name_the_sweep_field(self, breaker, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SweepGrid.load(_edited(tiny_sweep(), breaker))
@@ -696,6 +712,46 @@ class TestSweep:
         doc["grid"][axis] = [0.0, 0.5]
         with pytest.raises(ConfigError, match=rf"^grid\.{axis}\[1\]: erm does not take aux loss weights$"):
             SweepGrid.load(doc)
+
+    def test_cells_hold_loaded_values(self):
+        doc = tiny_sweep()
+        doc["grid"].update(alpha_reg=[-0.0], tau=[1])
+        grid = SweepGrid.load(doc)
+        for cell, run in zip(grid.cells, grid.config.runs, strict=True):
+            assert type(cell["tau"]) is float and cell["tau"] == run.tau == 1.0
+            assert math.copysign(1.0, cell["alpha_reg"]) == 1.0 and run.weights.alpha_reg == 0.0
+            assert (cell["learning_rate"], cell["batch_size"]) == (run.optim.learning_rate,
+                                                                   run.optim.batch_size)
+
+    @pytest.mark.parametrize("axis,values,message", [
+        ("batch_size", [16, 32, 16], r"grid\.batch_size\[2\] repeats grid\.batch_size\[0\]"),
+        ("tau", [1, 1.0], r"grid\.tau\[1\] repeats grid\.tau\[0\]"),
+        ("alpha_reg", [0.0, -0.0], r"grid\.alpha_reg\[1\] repeats grid\.alpha_reg\[0\]"),
+    ], ids=["batch", "int-and-float", "signed-zero"])
+    def test_rejects_repeated_grid_values(self, axis, values, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SweepGrid.load(_edited(tiny_sweep(), lambda d: d["grid"].update({axis: values})))
+
+    @pytest.mark.parametrize("method,epochs,block", [
+        ("jtt", 3, JttConfig(id_epochs=1, upweight=5.0)),
+        ("jtt", 25, JttConfig(id_epochs=2, upweight=5.0)),
+        ("group_dro", 3, GroupDroConfig()),
+    ], ids=["jtt-3", "jtt-25", "group_dro"])
+    def test_method_block_defaults_as_in_a_run(self, method, epochs, block):
+        doc = tiny_sweep(method=method)
+        doc["base"]["epochs"] = epochs
+        doc["grid"]["alpha_aux"] = [0.0]
+        runs = SweepGrid.load(doc).config.runs
+        assert {r.method for r in runs} == {method} and {getattr(r, method) for r in runs} == {block}
+
+    def test_run_jtt_sweep(self, monkeypatch):
+        monkeypatch.setenv("GROUPROBE_WORKERS", "1")
+        doc = tiny_sweep(method="jtt")
+        doc["base"]["epochs"] = 1
+        doc["grid"]["alpha_aux"] = [0.0]
+        rows, front = run_sweep(doc, None)
+        assert [r["method"] for r in rows] == ["jtt", "jtt"]
+        assert front and all(r in rows for r in front)
 
     def test_run_sweep(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
