@@ -21,6 +21,7 @@ from .evalsel import (
 from .experiments import (
     ExperimentConfig,
     SweepGrid,
+    read_params,
     recipe_config,
     run_experiment,
     run_sweep,

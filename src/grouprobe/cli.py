@@ -19,11 +19,12 @@ from .experiments import (
     RECIPES,
     SWEEP_RECIPES,
     atomic_via_tmp,
+    read_params,
     recipe_config,
     run_experiment,
     run_sweep,
 )
-from .linmodel import ModelParams, init_params
+from .linmodel import init_params
 from .objectives import LaneWeights, LossWeights, end_stream, joint_terms, multitask_loss
 from .oracle import BoundInputs, finite_diff_param_grads, transfer_core_mass_lower_bound, worst_group_error_bound
 from .synthgen import (
@@ -102,7 +103,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params = ModelParams.load_json(args.params)
+    params = read_params(args.params)
     path = Path(args.data)
     data = LabeledDataset.from_npz(path) if path.suffix == ".npz" else LabeledDataset.from_csv(path)
     metrics = evaluate(params, data)
@@ -264,7 +265,7 @@ def main(argv=None) -> int:
     except DivergedError as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return 1
-    except (GrouprobeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (GrouprobeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -39,4 +39,4 @@ class DivergedError(GrouprobeError, RuntimeError):
 
 
 class ConfigError(GrouprobeError, ValueError):
-    """An experiment config file failed schema validation."""
+    """A config, sweep grid or model-params file is not JSON or fails validation."""

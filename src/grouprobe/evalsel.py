@@ -128,8 +128,8 @@ PARETO_CSV_COLUMNS = ["avg_acc", "wg_acc", "method", "alpha_aux", "alpha_reg", "
 def write_pareto_csv(avg: np.ndarray, wg: np.ndarray, tags: list[list[str]], idx,
                      path: str | Path) -> None:
     """Write the rows `idx` of Pareto columns (as `read_pareto_csv` returns
-    them) in the fixed column order; each row's tag cells are text."""
-    with open(path, "w", newline="") as fh:
+    them) in the fixed column order; each row's tag cells are UTF-8 text."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(PARETO_CSV_COLUMNS)
         w.writerows([repr(float(avg[i])), repr(float(wg[i])), *tags[i]] for i in idx)

@@ -1,10 +1,10 @@
-"""Config-driven experiment and sweep runner.
+"""Config-driven experiment and sweep runner, and the model-params file format.
 
 Configs are single JSON documents with a versioned `schema` field; unknown
-keys anywhere are hard errors so typos cannot silently change a run, and each
-value must have the JSON type of the dataclass field it sets.  Every
-artifact write is temp-and-rename, runs are deterministic per (config, seed),
-and summary files are byte-identical across reruns.
+keys anywhere (params files included) are hard errors so typos cannot
+silently change a run, and each value must have the JSON type of the
+dataclass field it sets.  Every artifact write is temp-and-rename, runs are
+deterministic per (config, seed), and summary files are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .evalsel import (
     write_front_gnuplot,
     write_pareto_csv,
 )
+from .linmodel import ModelParams
 from .objectives import LossWeights
 from .optim import OptimConfig
 from .synthgen import GroupDataSpec, LabeledDataset, make_balanced_test, noise_dataset, sample_group_dataset
@@ -62,6 +63,15 @@ def atomic_via_tmp(path: str | Path, writer) -> None:
 
 # -- config parsing --------------------------------------------------------
 
+
+def _read_json(path: str | Path):
+    """The JSON document in UTF-8 file `path`, or a ConfigError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, too deep, or too many digits
+        raise ConfigError(f"{path}: {e}") from None
+
+
 # How an error names each JSON value type a config field can take
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", dict: "a JSON object", type(None): "null"}
@@ -82,7 +92,16 @@ def _check(v, kinds: tuple[type, ...], where: str):
     """`v` if it is a JSON value of one of `kinds`; an integer counts as a
     float and loads as one, -0.0 loads as 0.0, true/false count only as
     bool, a float must be finite (an integer in a float field too), and an
-    integer in an integer field must fit int64."""
+    integer in an integer field must fit int64.  An np.ndarray is a JSON
+    array (nested for a matrix) of finite numbers, as float64, -0.0 kept."""
+    if kinds == (np.ndarray,):
+        try:  # numpy would read true/false as 1 and 0, and a string as its number
+            arr = np.array(v, dtype=np.float64) if _numbers(v) else None
+        except (ValueError, OverflowError) as e:  # ragged, or an integer past float64
+            raise ConfigError(f"{where} must be an array of finite numbers ({e})") from None
+        if arr is None or not np.isfinite(arr).all():
+            raise ConfigError(f"{where} must be an array of finite numbers, got {json.dumps(v)}")
+        return arr
     # json reads NaN, Infinity and integers past float64; NaN passes range checks
     if type(v) in (int, float) and float in kinds and not abs(v) <= sys.float_info.max:
         got = json.dumps(v) if type(v) is float else f"an integer of {len(str(abs(v)))} digits"
@@ -100,6 +119,11 @@ def _check(v, kinds: tuple[type, ...], where: str):
     as_number = type(v) is bool and (int in kinds or float in kinds)
     want = "a number" if as_number else " or ".join(_KIND_NAMES[k] for k in kinds)
     raise ConfigError(f"{where} must be {want}, got {json.dumps(v, default=repr)}")
+
+
+def _numbers(v) -> bool:
+    # a JSON array of arrays and numbers, at any depth, without true/false
+    return type(v) is list and all(type(x) in (int, float) or _numbers(x) for x in v)
 
 
 @functools.cache
@@ -138,12 +162,8 @@ def _block(cls, d: dict, where: str, defaults: dict | None = None, **fixed):
 
 
 def _parse_seeds(seeds) -> tuple[int, ...]:
-    # JSON true/false arrive as bools, which Python counts as ints
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)
-    ):
+    # type(): JSON true/false arrive as bools, which Python counts as ints
+    if not isinstance(seeds, list) or not seeds or not all(type(s) is int and s >= 0 for s in seeds):
         raise ConfigError("seeds must be a non-empty list of non-negative integers")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
@@ -154,9 +174,7 @@ def _load(cls, source):
     """A `cls` config from an instance, a JSON document or a JSON file path."""
     if isinstance(source, cls):
         return source
-    if isinstance(source, dict):
-        return cls.from_json_dict(source)
-    return cls.from_json_dict(json.loads(Path(source).read_text()))
+    return cls.from_json_dict(source if isinstance(source, dict) else _read_json(source))
 
 
 def _run_spec(d: dict, where: str) -> RunSpec:
@@ -253,6 +271,28 @@ class ExperimentConfig:
     load = classmethod(_load)
 
 
+# -- model params files ------------------------------------------------------
+
+
+def params_json(p: ModelParams) -> str:
+    """The text of `p`'s params file; it holds `l1_boundary` only when true."""
+    d = {"a": p.a.tolist(), "w_end": p.w_end.tolist(), "W_aux": p.W_aux.tolist(), "tau": p.tau,
+         "fro_radius": p.fro_radius, **({"l1_boundary": True} if p.l1_boundary else {})}
+    return json.dumps(d, indent=1) + "\n"
+
+
+def read_params(path: str | Path) -> ModelParams:
+    """The `ModelParams` of params file `path`, checked as a config block is.
+    Errors name the file; constructor errors keep their types."""
+    d = _read_json(path)
+    kinds = _fields(ModelParams)
+    try:
+        _expect_keys(d, {"a", "w_end", "W_aux", "tau", "fro_radius"}, {"l1_boundary"}, "model params")
+        return ModelParams(**{k: _check(v, kinds[k][0], f"model params.{k}") for k, v in d.items()})
+    except GrouprobeError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
 # -- execution ---------------------------------------------------------------
 
 
@@ -319,7 +359,7 @@ def _run_cell(cfg: ExperimentConfig, run_idx: int, seed: int, result: FitResult,
         text = json.dumps(record, indent=1) + "\n"
         atomic_via_tmp(out / "runs" / f"{stem}.json", lambda p: p.write_text(text))
         atomic_via_tmp(out / "traces" / f"{stem}.csv", result.trace.to_csv)
-        atomic_via_tmp(out / "params" / f"{stem}.json", result.params.save_json)
+        atomic_via_tmp(out / "params" / f"{stem}.json", lambda p: p.write_text(params_json(result.params)))
     return record
 
 

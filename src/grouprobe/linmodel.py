@@ -9,14 +9,12 @@ W_aux.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, GrouprobeError, InvalidInputError, InvalidSpecError, ShapeError
+from .errors import DegenerateInputError, InvalidSpecError, ShapeError
 
 # Slack allowed when checking feasibility of the L1 constraint after projection.
 L1_FEASIBILITY_TOL = 1e-9
@@ -86,64 +84,6 @@ class ModelParams:
         if self.fro_radius is None:
             return bool(np.isfinite(self.W_aux).all())
         return abs(_fro_norm(self.W_aux) - self.fro_radius) <= 1e-9 * max(1.0, self.fro_radius)
-
-    # -- JSON round trip ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "a": self.a.tolist(),
-            "w_end": self.w_end.tolist(),
-            "W_aux": self.W_aux.tolist(),
-            "tau": self.tau,
-            "fro_radius": self.fro_radius,
-        }
-        if self.l1_boundary:
-            out["l1_boundary"] = True
-        return out
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=1) + "\n")
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ModelParams":
-        if not isinstance(d, dict):
-            raise InvalidInputError("model params must be a JSON object")
-        missing = [k for k in ("a", "w_end", "W_aux", "tau", "fro_radius") if k not in d]
-        if missing:
-            raise InvalidInputError(f"model params lack keys {missing}")
-        unknown = sorted(set(d) - {"a", "w_end", "W_aux", "tau", "fro_radius", "l1_boundary"})
-        if unknown:
-            raise InvalidInputError(f"model params: unknown keys {unknown}")
-        # Python and numpy would read JSON true/false as the numbers 1 and 0
-        for k in ("a", "w_end", "W_aux", "tau", "fro_radius"):
-            if _holds_bool(d[k]):
-                raise InvalidInputError(f"model params: {k} must be numeric, got true/false")
-        try:
-            arrays = {k: np.array(d[k], dtype=np.float64) for k in ("a", "w_end", "W_aux")}
-        except (TypeError, ValueError, OverflowError) as e:
-            raise InvalidInputError(f"model params: non-numeric array entry ({e})") from None
-        if any(d[k] is not None and not isinstance(d[k], (int, float)) for k in ("tau", "fro_radius")):
-            raise InvalidInputError("model params: tau and fro_radius must be numbers or null")
-        # Python's json reads NaN and Infinity
-        bad = [k for k in ("a", "w_end", "W_aux") if not np.isfinite(arrays[k]).all()]
-        bad += [k for k in ("tau", "fro_radius") if isinstance(d[k], float) and not math.isfinite(d[k])]
-        if bad:
-            raise InvalidInputError(f"model params: non-finite values in {bad}")
-        boundary = d.get("l1_boundary", False)
-        if not isinstance(boundary, bool):
-            raise InvalidInputError(f"model params: l1_boundary must be true or false, got {boundary!r}")
-        return cls(**arrays, tau=d["tau"], fro_radius=d["fro_radius"], l1_boundary=boundary)
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "ModelParams":
-        try:
-            return cls.from_json_dict(json.loads(Path(path).read_text()))
-        except GrouprobeError as e:
-            raise type(e)(f"{path}: {e}") from None
-
-
-def _holds_bool(v) -> bool:
-    return isinstance(v, bool) or (isinstance(v, list) and any(map(_holds_bool, v)))
 
 
 def classify(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -89,10 +89,14 @@ def read_csv_chunks(path: str | Path, kind: str, dtypes_of):
     header); their cells convert as Python int()/float() do.  A row whose
     cell count differs from the header's, or a bad cell, raises
     InvalidInputError naming the file and the line of the first one, after
-    the rows before it are yielded: a caller's check of them comes first."""
-    with open(path, newline="") as fh:
+    the rows before it are yielded: a caller's check of them comes first.
+    The file is read as UTF-8, and a line that is not UTF-8 is such an error."""
+    with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
-        header = next(r, None)
+        try:
+            header = next(r, None)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         dtypes = None if header is None else dtypes_of(header)
         if dtypes is None:
             raise InvalidInputError(f"{path}: unrecognized {kind} CSV header: {header!r}")
@@ -104,6 +108,8 @@ def read_csv_chunks(path: str | Path, kind: str, dtypes_of):
                 rows.extend(itertools.islice(r, _CSV_CHUNK_ROWS))
             except csv.Error as e:
                 err = InvalidInputError(f"{path}, line {r.line_num}: {e}")
+            except UnicodeDecodeError:
+                err = _not_utf8(path)
             try:
                 arrays = _columns(rows, width, dtypes)
             except (ValueError, OverflowError):
@@ -138,11 +144,21 @@ def _first_bad_row(path, rows, done, width, dtypes) -> tuple[int, InvalidInputEr
             return k, InvalidInputError(f"{path}, line {csv_line_of(path, done + k)}: {e}")
 
 
+def _not_utf8(path) -> InvalidInputError:
+    # error path: decoding runs ahead of the rows, so decode line by line
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return InvalidInputError(f"{path}, line {n}: {e}")
+
+
 def csv_line_of(path: str | Path, k: int) -> int:
     """The line of a CSV file that its data row `k` (0-based, after the
     header) ends on; a quoted cell may span lines, so the reader counts them.
     For error paths: it reads the file again from the start."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
         for _ in zip(range(k + 2), r):
             pass

@@ -435,7 +435,7 @@ def _params_bool_array(tmp_path):
 
 
 def _params_nan_a(tmp_path):
-    return _eval_argv(tmp_path, params=dict(PARAMS, a=[float("nan"), 0.05])), ["p.json", "'a'"]
+    return _eval_argv(tmp_path, params=dict(PARAMS, a=[float("nan"), 0.05])), ["p.json", "model params.a"]
 
 
 def _params_inf_tau(tmp_path):
@@ -499,24 +499,59 @@ def test_malformed_input_file_exits_2(make, tmp_path, capsys):
     assert all(name in err[0] for name in names), err[0]
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--config", "{bad}.json", "--out", "{out}"],
-    ["sweep", "--grid", "{bad}.json", "--out", "{out}"],
-    ["eval", "--params", "{bad}.json", "--data", "{good}.csv"],
-    ["eval", "--params", "{good}.json", "--data", "{bad}.csv"],
-    ["pareto", "--input", "{bad}.csv", "--front", "{out}"],
-], ids=["train-config", "sweep-grid", "eval-params", "eval-data", "pareto-input"])
-def test_non_utf8_input_exits_2(argv, tmp_path, capsys):
-    """An input file that is not UTF-8 text is a usage error with one
-    message, not a UnicodeDecodeError traceback and not exit 1."""
-    for name, text in (("bad.json", b"\xff\xfe"), ("bad.csv", b"\xff\xfe"),
+BAD_INPUT_ARGV = {
+    "train-config": ["train", "--config", "{bad}.json", "--out", "{out}"],
+    "sweep-grid": ["sweep", "--grid", "{bad}.json", "--out", "{out}"],
+    "eval-params": ["eval", "--params", "{bad}.json", "--data", "{good}.csv"],
+    "eval-data": ["eval", "--params", "{good}.json", "--data", "{bad}.csv"],
+    "pareto-input": ["pareto", "--input", "{bad}.csv", "--front", "{out}"],
+}
+
+
+def _bad_input_error(argv, bad_text: bytes, tmp_path, capsys) -> tuple[str, str]:
+    """Run `argv` with its `{bad}` file holding `bad_text`: it must exit 2
+    without output, with one `error:` line.  Returns that line and the bad
+    file's path."""
+    for name, text in (("bad.json", bad_text), ("bad.csv", bad_text),
                        ("good.json", json.dumps(PARAMS).encode()), ("good.csv", DATA_CSV.encode())):
         (tmp_path / name).write_bytes(text)
     paths = {"bad": tmp_path / "bad", "good": tmp_path / "good", "out": tmp_path / "out"}
-    assert main([a.format(**paths) for a in argv]) == 2
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "decode" in err[0], err
+    assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "out").exists()
+    return err[0], next(a for a in argv if a.startswith(str(paths["bad"])))
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT_ARGV.values(), ids=BAD_INPUT_ARGV)
+def test_non_utf8_input_exits_2(argv, tmp_path, capsys):
+    """An input file that is not UTF-8 text is a usage error with one
+    message naming the file, not a UnicodeDecodeError traceback and not
+    exit 1."""
+    err, bad = _bad_input_error(argv, b"\xff\xfe", tmp_path, capsys)
+    assert bad in err and "decode" in err, err
+
+
+@pytest.mark.parametrize("which", ["train-config", "sweep-grid", "eval-params"])
+def test_non_json_input_exits_2(which, tmp_path, capsys):
+    """A config, grid or params file that is not JSON is named with the
+    parser's message."""
+    err, bad = _bad_input_error(BAD_INPUT_ARGV[which], b"a = 1\n", tmp_path, capsys)
+    assert err.startswith(f"error: {bad}: Expecting value: line 1 column 1"), err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tau", float("nan")), ("tau", True), ("tau", HUGE_INT),
+    ("W_aux", [[1.0, 0.0], [0.0, True]]), ("w_end", [1.0, float("inf")]),
+], ids=["tau-nan", "tau-true", "tau-huge-int", "W_aux-nested-true", "w_end-inf"])
+def test_bad_params_value_names_file_and_field(field, value, tmp_path, capsys):
+    """A params value of the wrong JSON kind is refused by the config
+    parser's rules, in one line naming the file and the field."""
+    assert main(_eval_argv(tmp_path, params=dict(PARAMS, **{field: value}))) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: {tmp_path / 'p.json'}: model params.{field} must be "), err
 
 
 class TestBoundCommand:
@@ -633,10 +668,16 @@ def test_console_script_smoke():
         0.11507, abs=5e-6)
 
 
-def test_python_dash_m():
+def _module_env() -> dict:
+    # the environment of a `python -m grouprobe` child that imports this tree
     env = dict(os.environ)
     src = str(Path(grouprobe.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m():
+    env = _module_env()
     proc = subprocess.run(
         [sys.executable, "-m", "grouprobe", "bound", "--gamma", "1", "--sigma-spur", "1",
          "--eta", "1", "--tau", "0.1", "--lam", "0.1", "--dc", "1", "--ds", "1"],
@@ -645,3 +686,28 @@ def test_python_dash_m():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["worst_group_error_bound"] == pytest.approx(
         0.11507, abs=5e-6)
+
+
+@pytest.mark.parametrize("command", ["train", "pareto"])
+def test_utf8_input_under_ascii_locale(command, tmp_path):
+    """Inputs are read, and Pareto tags written, as UTF-8 whatever the
+    locale: under the C locale, with Python's UTF-8 mode off, a config whose
+    name is not ASCII trains, and a Pareto tag that is not ASCII is kept."""
+    if command == "train":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(tiny_config(seeds=[0]), name="expérience"), ensure_ascii=False),
+                       encoding="utf-8")
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    else:
+        points = tmp_path / "points.csv"
+        points.write_text(",".join(PARETO_CSV_COLUMNS) + "\n0.9,0.5,méthode,1,1,0.1,0.01,64\n",
+                          encoding="utf-8")
+        argv = ["pareto", "--input", str(points), "--front", str(tmp_path / "front.csv")]
+    env = dict(_module_env(), LC_ALL="C")
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "grouprobe", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    if command == "train":
+        assert (tmp_path / "out" / "summary.csv").exists()
+    else:
+        assert "méthode" in (tmp_path / "front.csv").read_text(encoding="utf-8")

@@ -113,3 +113,32 @@ def test_demo_and_readme_imports_exist(name):
     source = readme_python() if name == "README.md" else (ROOT / "demos" / name).read_text()
     assert grouprobe_imports(source), "no grouprobe import found"
     assert missing_names(source) == []
+
+
+def json_readers(source: str) -> list[str]:
+    """Each `json.load`/`json.loads` call in `source`, and each import of
+    either name from json, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append((node.lineno, f"json.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [(node.lineno, f"from json import {alias.name}")
+                      for alias in node.names if alias.name in ("load", "loads")]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_scanner_flags_json_readers():
+    src = ("import json\nx = json.loads('1')\njson.dumps(x)\nf = json.load\n"
+           "from json import dumps, loads as parse\n")
+    assert json_readers(src) == ["line 2: json.loads", "line 4: json.load",
+                                 "line 5: from json import loads"]
+
+
+@pytest.mark.parametrize("path", [p for p in ALL_MODULES if p.name != "experiments.py"],
+                         ids=lambda p: p.name)
+def test_json_is_read_only_by_experiments(path):
+    """Every JSON input goes through experiments' one reader, which reads
+    UTF-8 and names the file in its errors."""
+    assert json_readers(path.read_text()) == []

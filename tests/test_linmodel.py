@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grouprobe import (
+    ConfigError,
     DegenerateInputError,
-    InvalidInputError,
     InvalidSpecError,
     ModelParams,
     ShapeError,
@@ -16,8 +17,10 @@ from grouprobe import (
     init_params,
     normalize_frobenius,
     project_l1,
+    read_params,
     rescale_l1,
 )
+from grouprobe.experiments import params_json
 
 
 def brute_force_project_2d(v: np.ndarray, tau: float, n_grid: int = 20001) -> np.ndarray:
@@ -199,19 +202,32 @@ class TestModelParams:
         p = init_params(3, 0.7, 123, l1_boundary=True)
         p.w_end = np.array([0.1, -1.0 / 3.0, 7.25e-9])
         path = tmp_path / "params.json"
-        p.save_json(path)
-        q = ModelParams.load_json(path)
+        path.write_text(params_json(p))
+        q = read_params(path)
         assert np.array_equal(p.a, q.a)
         assert np.array_equal(p.w_end, q.w_end)
         assert np.array_equal(p.W_aux, q.W_aux)
         assert q.tau == p.tau and q.fro_radius == p.fro_radius
         assert q.l1_boundary is True
 
-    def test_json_unknown_key_rejected(self):
-        d = init_params(2, 0.7, 1).to_json_dict()
+    def test_json_rewrite_is_byte_identical(self, tmp_path):
+        # -0.0 in an array is kept, and an integer entry loads as a float
+        path = tmp_path / "params.json"
+        path.write_text('{"a": [1, -0.0], "w_end": [-0.0, 2.5], "W_aux": [[0.6, -0.0], [0.0, 0.8]], '
+                        '"tau": null, "fro_radius": 1.0}')
+        p = read_params(path)
+        assert np.signbit(p.a[1]) and np.signbit(p.w_end[0]) and np.signbit(p.W_aux[0, 1])
+        assert p.a.dtype == p.w_end.dtype == p.W_aux.dtype == np.float64
+        path.write_text(params_json(p))
+        assert params_json(read_params(path)) == path.read_text()
+
+    def test_json_unknown_key_rejected(self, tmp_path):
+        d = json.loads(params_json(init_params(2, 0.7, 1)))
         d["l1_boundry"] = True
-        with pytest.raises(InvalidInputError, match="l1_boundry"):
-            ModelParams.from_json_dict(d)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match="l1_boundry"):
+            read_params(path)
 
 
 class TestInitParams:

@@ -218,6 +218,18 @@ class TestLabeledDataset:
         msg = str(err.value)
         assert msg.startswith(f"{path}, line {line}: ") and what in msg, msg
 
+    @pytest.mark.parametrize("lines_before,line", [(0, 1), (2, 3), (600, 601)],
+                             ids=["header", "row", "past-the-first-decoded-block"])
+    def test_csv_not_utf8_names_file_and_line(self, tmp_path, lines_before, line):
+        # the reader decodes 8 KB ahead of its rows; 600 rows are about 8.4 KB
+        path = tmp_path / "data.csv"
+        text = (CSV_HEADER + CSV_ROW * lines_before).splitlines(keepends=True)[:lines_before]
+        path.write_bytes("".join(text).encode() + b"1,1,0,0.5,\xff\xfe\n" + CSV_ROW.encode() * 600)
+        with pytest.raises(InvalidInputError) as err:
+            LabeledDataset.from_csv(path)
+        msg = str(err.value)
+        assert msg.startswith(f"{path}, line {line}: 'utf-8' codec can't decode byte 0xff"), msg
+
     def test_csv_field_over_reader_limit(self, tmp_path):
         # the csv module's own limit: was a csv.Error traceback
         path = tmp_path / "data.csv"
