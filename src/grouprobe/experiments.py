@@ -54,10 +54,15 @@ _SEED_AUX_VAL_NOISE = 14
 
 def atomic_via_tmp(path: str | Path, writer) -> None:
     """Call writer(tmp_path) on a temp file in the same directory, then
-    rename it into place."""
+    rename it into place.  If the writer raises, the temp file is removed
+    and the writer's error propagates."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
+    try:
+        writer(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

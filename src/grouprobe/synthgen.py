@@ -95,6 +95,8 @@ def read_csv_chunks(path: str | Path, kind: str, dtypes_of):
         r = csv.reader(fh)
         try:
             header = next(r, None)
+        except csv.Error as e:
+            raise InvalidInputError(f"{path}, line {r.line_num}: {e}") from None
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
         dtypes = None if header is None else dtypes_of(header)

@@ -405,6 +405,12 @@ def _csv_non_numeric(tmp_path):
     return _eval_argv(tmp_path, data=DATA_CSV + "1,1,0,0.5,nope\n"), ["d.csv", "line 4"]
 
 
+def _csv_header_field_too_large(tmp_path):
+    # past the csv module's 131,072-character field limit
+    data = "y,s,group,x0," + "x" * 200_000 + "\n" + DATA_CSV.split("\n", 1)[1]
+    return _eval_argv(tmp_path, data=data), ["d.csv", "line 1", "field larger than field limit"]
+
+
 def _npz_not_zip(tmp_path):
     return _eval_argv(tmp_path, data_name="d.npz", data="y,s,group\n"), ["d.npz", "not an .npz"]
 
@@ -481,7 +487,7 @@ def _params_narrower_than_data(tmp_path):
 
 
 @pytest.mark.parametrize("make", [
-    _pareto_non_numeric, _csv_non_numeric, _npz_not_zip,
+    _pareto_non_numeric, _csv_non_numeric, _csv_header_field_too_large, _npz_not_zip,
     _params_without_fro_radius, _npz_without_features,
     _params_tau_true, _params_boundary_string, _params_bool_array, _params_unknown_key,
     _params_nan_a, _params_inf_tau, _params_int_beyond_float,

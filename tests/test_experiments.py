@@ -322,6 +322,24 @@ class TestRunExperiment:
             assert r == json.loads(text)
             assert json.dumps(r, indent=1) + "\n" == text
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        """A writer that raises after writing part of its file leaves neither
+        `<name>.tmp` nor a new file, the old file untouched, and its own
+        error propagates."""
+        path = tmp_path / "front.csv"
+        path.write_text("old\n")
+        error = UnicodeEncodeError("ascii", "\u00e9", 0, 1, "ordinal not in range(128)")
+
+        def writer(tmp):
+            tmp.write_text("partial")
+            raise error
+
+        with pytest.raises(UnicodeEncodeError) as exc:
+            experiments.atomic_via_tmp(path, writer)
+        assert exc.value is error
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["front.csv"]
+        assert path.read_text() == "old\n"
+
     def test_no_out_dir(self, monkeypatch):
         monkeypatch.setenv("GROUPROBE_WORKERS", "1")
         rows, records = run_experiment(tiny_config(), None)

@@ -8,7 +8,8 @@
 must match its own reference run bit for bit: every per-epoch trace column,
 the selected epoch, and the selected and final parameters.  The reference
 selects its checkpoint epoch by epoch, by the scalar rule `metric > best`,
-not by `train`'s argmax.
+not by `train`'s argmax, and draws every schedule afresh, past the cache
+that `train`'s lanes of one seed and stream lengths share.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,8 +173,10 @@ def assert_same_run(got, want):
 
 
 def _reference(lane: Lane):
-    return reference_train(lane.params, lane.end_data, lane.aux_data, lane.weights, lane.cfg,
-                           lane.val_data, lane.selector, lane.sample_weights, lane.val_aux)
+    uncached = grouprobe.optim._index_schedule.__wrapped__
+    with mock.patch.object(grouprobe.optim, "_index_schedule", uncached):
+        return reference_train(lane.params, lane.end_data, lane.aux_data, lane.weights, lane.cfg,
+                               lane.val_data, lane.selector, lane.sample_weights, lane.val_aux)
 
 
 @st.composite
@@ -239,6 +243,22 @@ def test_seven_lanes_over_two_seeds_and_each_alone():
              for r in range(7)]
     for lane, result in zip(group, train(group)):
         assert_same_run(result, train([lane])[0])
+        assert_same_run(result, _reference(lane))
+
+
+def test_lanes_of_one_seed_draw_each_schedule_once():
+    """Lanes of one seed and stream lengths draw each epoch's schedule once,
+    in their group and in a later group of another batch size, and each
+    still equals its reference run, which draws its own."""
+    grouprobe.optim._index_schedule.cache_clear()
+    lanes = [_erm_lane(lr=0.01 * (r + 1), tau=(None, 0.1, 0.5)[r % 3], batch=(8, 8, 8, 5, 5)[r])
+             for r in range(5)]
+    got = train(lanes)
+    info = grouprobe.optim._index_schedule.cache_info()
+    # an end stream over 2 epochs; per epoch 1 draw, then 2 hits in the
+    # first group and 2 in the second
+    assert (info.misses, info.hits) == (2, 8)
+    for lane, result in zip(lanes, got):
         assert_same_run(result, _reference(lane))
 
 

@@ -97,18 +97,39 @@ class TestBatches:
     @pytest.mark.parametrize("n_end, n_aux, batch", [(80, 10, 16), (10, 80, 7), (80, 80, 32)])
     def test_same_draws_as_lazy_index_streams(self, tiny_task, tiny_aux, n_end, n_aux, batch):
         # reference: endless streams that reshuffle whenever a pass completes,
-        # each batch taking the next indices from both
+        # each batch taking the next indices from both; for an int and a list
+        # seed, the second call reads the draws the first one cached
         def stream(n, seed_seq):
             rng = np.random.default_rng(seed_seq)
             while True:
                 yield from rng.permutation(n)
 
         end, aux = tiny_task.train.take(np.arange(n_end)), tiny_aux.take(np.arange(n_aux))
-        end_ref, aux_ref = (stream(n, c) for n, c in
-                            zip((n_end, n_aux), np.random.SeedSequence([4, 2]).spawn(2)))
-        for ei, ai in heterogeneous_batches(end, aux, batch, [4, 2]):
-            assert ei.tolist() == list(itertools.islice(end_ref, len(ei)))
-            assert ai.tolist() == list(itertools.islice(aux_ref, len(ai)))
+        for seed in (7, 7, [4, 2], [4, 2]):
+            end_ref, aux_ref = (stream(n, c) for n, c in
+                                zip((n_end, n_aux), np.random.SeedSequence(seed).spawn(2)))
+            for ei, ai in heterogeneous_batches(end, aux, batch, seed):
+                assert ei.tolist() == list(itertools.islice(end_ref, len(ei)))
+                assert ai.tolist() == list(itertools.islice(aux_ref, len(ai)))
+
+    def test_cached_schedule_is_shared_read_only(self, tiny_task, tiny_aux):
+        first = list(heterogeneous_batches(tiny_task.train, tiny_aux, 16, [3, 1]))
+        again = list(heterogeneous_batches(tiny_task.train, tiny_aux, 16, (3, 1)))
+        for (e1, a1), (e2, a2) in zip(first, again, strict=True):
+            # one draw per stream, its slices handed to both calls
+            assert np.shares_memory(e1, e2) and np.shares_memory(a1, a2)
+            for idx in (e1, a1):
+                with pytest.raises(ValueError, match="read-only"):
+                    idx[0] = 0
+        schedule = grouprobe.optim._index_schedule(10, 25, (3, 1), 0)
+        assert schedule is grouprobe.optim._index_schedule(10, 25, (3, 1), 0)
+        with pytest.raises(ValueError, match="read-only"):
+            schedule[:] = 0
+
+    def test_seed_none_refused(self, tiny_task):
+        # SeedSequence(None) draws fresh entropy, which a cached draw would not
+        with pytest.raises(TypeError):
+            list(heterogeneous_batches(tiny_task.train, None, 16, None))
 
     def test_is_a_generator_function(self):
         # bench/tracer.py wraps it as a generator and counts one per epoch
