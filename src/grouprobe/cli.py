@@ -18,6 +18,7 @@ from .evalsel import evaluate, front_indices, read_pareto_csv, write_front_gnupl
 from .experiments import (
     RECIPES,
     SWEEP_RECIPES,
+    _check,
     atomic_via_tmp,
     read_params,
     recipe_config,
@@ -77,7 +78,15 @@ def _at_least(flag: str, value: int, low: int) -> int:
     return value
 
 
+def _int64(args, *flags: str) -> None:
+    # sizes become numpy shapes, which stop at int64, as config integers do
+    for flag in flags:
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None:
+            _check(value, (int,), flag)
+
+
 def cmd_generate(args) -> int:
+    _int64(args, "--dc", "--ds", "--n-maj", "--n-min", "--balanced")
     spec = _spec_from_args(args)
     seed = _at_least("--seed", args.seed, 0)
     data = (sample_group_dataset(spec, seed) if args.balanced is None
@@ -129,6 +138,7 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    _int64(args, "--dc", "--ds")
     inp = BoundInputs(
         gamma=args.gamma, sigma_spur=args.sigma_spur, eta=args.eta,
         tau=args.tau, lam=args.lam, d_c=args.dc, d_s=args.ds, eps=args.eps,

@@ -57,33 +57,30 @@ class ModelParams:
     def d(self) -> int:
         return self.a.shape[0]
 
-    def _replace_arrays(self, a: np.ndarray, w_end: np.ndarray, W_aux: np.ndarray) -> "ModelParams":
-        # The same constraint set with new float64 arrays of this model's
-        # shapes (an SGD step's output): skips the constructor's checks.
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, a=a, w_end=w_end, W_aux=W_aux)
-        return out
-
     def feasible(self, tol: float = L1_FEASIBILITY_TOL) -> bool:
-        """True when every entry is finite and both norm constraints hold up
-        to `tol`.
+        """`in_constraint_set` of this model's own arrays."""
+        return in_constraint_set(self, self.a, self.w_end, self.W_aux, tol)
 
-        A norm that passes its bound is finite, so a constrained block needs
-        no separate finiteness pass.
-        """
-        if self.tau is None:
-            if not np.isfinite(self.a).all():
-                return False
-        else:
-            l1 = np.abs(self.a).sum()
-            slack = tol * max(1.0, self.tau)
-            if not (abs(l1 - self.tau) <= slack if self.l1_boundary else l1 <= self.tau + slack):
-                return False
-        if not np.isfinite(self.w_end).all():
+
+def in_constraint_set(params: ModelParams, a: np.ndarray, w_end: np.ndarray, W_aux: np.ndarray,
+                      tol: float = L1_FEASIBILITY_TOL) -> bool:
+    """True when every entry of (a, w_end, W_aux) is finite and the norm
+    constraints of `params` (tau, l1_boundary, fro_radius; its arrays are
+    not read) hold up to `tol`.  A norm that passes its bound is finite, so
+    a constrained block needs no separate finiteness pass."""
+    if params.tau is None:
+        if not np.isfinite(a).all():
             return False
-        if self.fro_radius is None:
-            return bool(np.isfinite(self.W_aux).all())
-        return abs(_fro_norm(self.W_aux) - self.fro_radius) <= 1e-9 * max(1.0, self.fro_radius)
+    else:
+        l1 = np.abs(a).sum()
+        slack = tol * max(1.0, params.tau)
+        if not (abs(l1 - params.tau) <= slack if params.l1_boundary else l1 <= params.tau + slack):
+            return False
+    if not np.isfinite(w_end).all():
+        return False
+    if params.fro_radius is None:
+        return bool(np.isfinite(W_aux).all())
+    return abs(_fro_norm(W_aux) - params.fro_radius) <= 1e-9 * max(1.0, params.fro_radius)
 
 
 def classify(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -1,22 +1,14 @@
 """Projected SGD over the two-task objective, run for a fixed number of
 epochs, with per-epoch validation tracking and checkpoint selection.
 
-`train` is the one training loop.  It takes any list of runs, its lanes,
-and trains the lanes that can share a step (see `_lockstep_key`) as one
-group, in lockstep, a lone lane as a group of one: each lane keeps its own
-data, seed, batch schedule, sample weights or weight hook, loss weights,
-learning rate and constraint set, and a group shares one stacked
-loss-and-gradient call per step (see `objectives`), which costs little
-more than one run's.  Each step still makes one `sgd_step` call, and each
-epoch one `heterogeneous_batches` schedule, per lane, both looked up on
-this module; every lane's outputs equal its one-lane run's bit for bit.
-A stream's index draw with the same rows, length, seed and stream is made
-once and shared read-only (see `_index_schedule`), so lanes with one seed
-and stream lengths, in one group or in later ones, draw it once.
-Around them a group makes one finiteness check of its loss values and
-gradients per step (`sgd_step` makes none), and one stacked validation per
-epoch, whose values fill row `ep` of (epochs, R) arrays; checkpoint
-selection is one argmax over them after the last epoch.
+`train` is the one training loop.  It trains the lanes (runs) that can
+share a step (see `_lockstep_key`) as one group, in lockstep: one stacked
+loss-and-gradient call per step (see `objectives`), one `sgd_step` call per
+lane-step and one `heterogeneous_batches` schedule per lane-epoch, both
+looked up on this module.  A group's parameters are three stacks, (R, d)
+`a`, (R, d) `w_end` and (R, d, d) `W_aux`, from entry to exit: a lane's
+`ModelParams` is read when it enters and built again only for its results.
+Every lane's outputs equal its one-lane run's bit for bit.
 """
 
 from __future__ import annotations
@@ -25,14 +17,14 @@ import csv
 import functools
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateInputError, DivergedError, InvalidInputError, InvalidSpecError, ShapeError
 from .evalsel import SelectionStrategy, evaluate
-from .linmodel import ModelParams, normalize_frobenius, project_l1, rescale_l1
+from .linmodel import ModelParams, in_constraint_set, normalize_frobenius, project_l1, rescale_l1
 from .objectives import (
     LaneWeights,
     LossEval,
@@ -70,22 +62,22 @@ class OptimConfig:
             raise InvalidSpecError("seed must be a non-negative integer")
 
 
-def sgd_step(params: ModelParams, grads: LossEval, lr: float) -> ModelParams:
-    """One descent step followed by constraint enforcement.
+def sgd_step(params: ModelParams, arrays: tuple, grads: tuple, lr: float) -> tuple:
+    """One lane's descent step followed by constraint enforcement: fresh
+    (a, w_end, W_aux) from the lane's rows `arrays` and gradient rows
+    `grads`, which are not written.  Of `params` only the constraint set
+    (tau, l1_boundary, fro_radius) is read.
 
-    Order: parameter update, then project `a` back to its L1 set and
-    renormalize W_aux.  Raises DivergedError when the step leaves parameters
-    the projection cannot bring back into the constraint set, which includes
-    any NaN or +-inf gradient entry: `train` names those in its one check per
-    group step, and here `project_l1` finds no threshold, `rescale_l1` and
-    `normalize_frobenius` scale by a NaN or zero factor that leaves NaN, and
-    `feasible()` rejects a non-finite block.  Returns fresh parameters in
-    that set, built without re-running the ModelParams checks.
+    Order: update, project `a` back to its L1 set and renormalize W_aux,
+    check.  Raises DivergedError when the step leaves arrays the projection
+    cannot bring back into the set, which includes any NaN or +-inf gradient
+    entry: `train` names those in its one check per group step, and here
+    `project_l1` finds no threshold, `rescale_l1` and `normalize_frobenius`
+    scale by a NaN or zero factor that leaves NaN, and `in_constraint_set`
+    rejects a non-finite block.
     """
-    a = params.a - lr * grads.grad_a
-    w_end = params.w_end - lr * grads.grad_w_end
-    W_aux = params.W_aux - lr * grads.grad_W_aux
-
+    (a, w_end, W_aux), (grad_a, grad_w_end, grad_W_aux) = arrays, grads
+    a, w_end, W_aux = a - lr * grad_a, w_end - lr * grad_w_end, W_aux - lr * grad_W_aux
     try:
         if params.tau is not None:
             a = rescale_l1(a, params.tau) if params.l1_boundary else project_l1(a, params.tau)
@@ -93,10 +85,9 @@ def sgd_step(params: ModelParams, grads: LossEval, lr: float) -> ModelParams:
             W_aux = normalize_frobenius(W_aux, params.fro_radius)
     except DegenerateInputError as e:
         raise DivergedError(f"projection failed: {e}") from None
-    out = params._replace_arrays(a, w_end, W_aux)
-    if not out.feasible():
+    if not in_constraint_set(params, a, w_end, W_aux):
         raise DivergedError("parameters infeasible after projection")
-    return out
+    return a, w_end, W_aux
 
 
 @functools.lru_cache(maxsize=64)
@@ -267,13 +258,6 @@ def _gather(columns: tuple | None, schedules: list[list], slot: int) -> tuple | 
     return tuple(np.take(c, index, axis=0) for c in columns)
 
 
-def _param_arrays(state: list[ModelParams]) -> tuple:
-    """The kernel's parameter arguments: each block stacked across lanes."""
-    # np.array of a list stacks as np.stack does, for a third of its overhead
-    return (np.array([p.a for p in state]), np.array([p.w_end for p in state]),
-            np.array([p.W_aux for p in state]))
-
-
 def _hook_rows(hooks: list[Callable | None], weights: np.ndarray, group_ids: np.ndarray,
                nll: np.ndarray) -> np.ndarray:
     """A step's (R, B) sample weights in a group with a hook lane: that
@@ -321,8 +305,11 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     or another, is made once and shared read-only), and `_gather` reads
     every column once.  Each step is one `joint_terms` call on the group's
     (R, B, d) batches, one finiteness check of all lanes' loss values and
-    gradients, and one `sgd_step` call per lane with that lane's learning
-    rate and constraint set; `_hook_rows` runs the hooks.
+    gradients, and one `sgd_step` call per lane, with its learning rate and
+    constraint set, on its rows of the group's (R, d) `a`, (R, d) `w_end`
+    and (R, d, d) `W_aux` stacks, written back in place.  The stacks are the
+    parameters from entry to exit: `ModelParams` are built only for the
+    results.  `_hook_rows` runs the hooks.
 
     A non-finite loss or gradient, or a failed step, raises `DivergedError`
     in the first group with a diverged lane, for its lowest-index lane that
@@ -332,7 +319,7 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     per epoch after its final step, for the whole group at once: one stacked
     `evaluate` call and one stacked `recon_value` reconstruction loss (no
     gradients) on validation stacks built once per group, which fills row
-    `ep` of (epochs, R) columns; each epoch's stacked parameters are kept.
+    `ep` of (epochs, R) columns; a copy of each epoch's stacks is kept.
     After the last epoch one argmax over the (epochs, R) selector metric
     (average or worst-group validation accuracy per lane; the negated
     validation reconstruction loss without an end stream) picks every
@@ -369,8 +356,9 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     names = [{} if lane.tag is None else {"tag": lane.tag, "seed": lane.cfg.seed}
              for lane in lanes]
     learning_rates = [lane.cfg.learning_rate for lane in lanes]
-    state = [lane.params for lane in lanes]
-    arrays = _param_arrays(state)
+    # the only parameter state: row r of each stack is lane r's, stepped in place
+    a, w_end, W_aux = (np.array([getattr(lane.params, k) for lane in lanes])
+                       for k in ("a", "w_end", "W_aux"))
     # every epoch's steps: the slice of each lane's gathered columns that
     # one reads, and its batch size
     steps = [((slice(None), slice(start, start + batch_size)), min(batch_size, epoch_rows - start))
@@ -380,8 +368,7 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
                     for k in ("features", "labels", "group_ids"))
     val_aux = None if first.val_aux is None else tuple(
         np.array([getattr(lane.val_aux, k) for lane in lanes]) for k in ("noised", "targets"))
-    # row `ep` of each per-epoch column is epoch ep, as is history[ep], its
-    # stacked parameter blocks
+    # row ep of each per-epoch column, and history[ep], hold epoch ep's values
     R = len(lanes)
     train_loss, avg_acc, wg_acc = np.empty((3, epochs, R))
     group_acc = np.empty((epochs, R, N_GROUPS))
@@ -408,23 +395,22 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
                                  if any(hooks) else w[rows])
             if aux_cols is not None:
                 aux = (Xt[rows], X0[rows])
-            le = joint_terms(*arrays, weights, end, aux, batch_weights)
+            le = joint_terms(a, w_end, W_aux, weights, end, aux, batch_weights)
             n_finite, failure = _finite_lanes(le, R)
-            lane_evals = map(LossEval, le.value, le.grad_a, le.grad_w_end, le.grad_W_aux)
             # the lanes before the first non-finite one step first, so a lane
             # among them that fails its step is named
-            for r, lane_eval in zip(range(n_finite), lane_evals):
+            for r in range(n_finite):
                 try:
-                    state[r] = sgd_step(state[r], lane_eval, learning_rates[r])
+                    a[r], w_end[r], W_aux[r] = sgd_step(
+                        lanes[r].params, (a[r], w_end[r], W_aux[r]),
+                        (le.grad_a[r], le.grad_w_end[r], le.grad_W_aux[r]), learning_rates[r])
                 except DivergedError as e:
                     raise DivergedError(str(e), epoch=ep, **names[r]) from None
             if failure:
                 raise DivergedError(failure, epoch=ep, **names[n_finite])
             loss_sum += le.value * size
-            arrays = _param_arrays(state)
 
-        history.append(arrays)  # fresh arrays each step: no later step writes them
-        a, w_end, W_aux = arrays
+        history.append((a.copy(), w_end.copy(), W_aux.copy()))
         vm = evaluate((a, w_end), val_end)
         train_loss[ep] = loss_sum / epoch_rows
         avg_acc[ep], wg_acc[ep], group_acc[ep] = vm.avg_acc, vm.wg_acc, vm.per_group_acc
@@ -440,7 +426,12 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
         raise DivergedError("no epoch had a finite selection metric",
                             **names[unselectable.argmax()])
     selected = metric.argmax(axis=0).tolist()
+
+    def lane_params(r, a, w_end, W_aux):
+        return replace(lanes[r].params, a=a[r], w_end=w_end[r], W_aux=W_aux[r])
+
     return [(TrainTrace(train_loss[:, r], avg_acc[:, r], wg_acc[:, r], group_acc[:, r],
-                        None if recon is None else recon[:, r], ep, state[r]),
-             state[r]._replace_arrays(*(block[r] for block in history[ep])))
+                        None if recon is None else recon[:, r], ep,
+                        lane_params(r, a, w_end, W_aux)),
+             lane_params(r, *history[ep]))
             for r, ep in enumerate(selected)]

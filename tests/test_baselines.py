@@ -165,8 +165,10 @@ class TestFitResultContract:
         monkeypatch.setattr(grouprobe.optim, "sgd_step", recording_step)
         result = fit(spec("erm", tiny_cfg), tiny_task, NO_GP)
         final = result.trace.final_params
-        assert np.array_equal(final.a, last_step[0].a)
-        assert np.array_equal(final.w_end, last_step[0].w_end)
+        a, w_end, W_aux = last_step[0]
+        assert np.array_equal(final.a, a)
+        assert np.array_equal(final.w_end, w_end)
+        assert np.array_equal(final.W_aux, W_aux)
         assert result.final_metrics.avg_acc == evaluate(final, tiny_task.test).avg_acc
         # epochs draw their batches from [seed, epoch], so a run cut short
         # after the selected epoch ends on exactly the selected parameters
@@ -236,7 +238,7 @@ class TestErm:
 
         def checked_step(*args):
             out = sgd_step(*args)
-            steps.append(np.abs(out.a).sum())
+            steps.append(np.abs(out[0]).sum())
             return out
 
         monkeypatch.setattr(grouprobe.optim, "sgd_step", checked_step)

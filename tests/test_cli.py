@@ -82,6 +82,23 @@ class TestGenerate:
         assert err == ["error: --seed must be >= 0, got -1"], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [2**63, -(10**400)], ids=["2**63", "-10**400"])
+    @pytest.mark.parametrize("flag", ["--dc", "--ds", "--n-maj", "--n-min", "--balanced"])
+    def test_size_past_int64_exits_2(self, flag, value, tmp_path, capsys):
+        # only sizes past int64, which fail before anything is allocated
+        out = tmp_path / "g.csv"
+        argv = ["generate", *GEN_FLAGS, "--seed", "0", "--out", str(out)]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(value)
+        else:
+            argv += [flag, str(value)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            f"error: {flag} must be an integer of magnitude at most 2**63 - 1, "
+            f"got an integer of {len(str(abs(value)))} digits"]
+        assert captured.out == "" and not out.exists()
+
     def test_incomplete_custom_spec(self, tmp_path, capsys):
         code = main(["generate", "--dc", "1", "--seed", "0",
                      "--out", str(tmp_path / "x.csv")])
@@ -597,6 +614,18 @@ class TestBoundCommand:
         assert len(err) == 1 and err[0] == f"error: {flag[2:]} must be finite, got {value}", err
         assert captured.out == ""
 
+
+    @pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
+    @pytest.mark.parametrize("flag", ["--dc", "--ds"])
+    def test_size_past_int64_exits_2(self, flag, value, capsys):
+        argv = list(self.BASE)
+        argv[argv.index(flag) + 1] = str(value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            f"error: {flag} must be an integer of magnitude at most 2**63 - 1, "
+            f"got an integer of {len(str(value))} digits"]
+        assert captured.out == ""
 
 # The recorded `max_relative_error` text of `json.dumps(run_grad_check(20, seed))`
 # for seeds 0-11, the only field of those reports that differs between seeds

@@ -35,7 +35,6 @@ from grouprobe import (
     GroupDataSpec,
     InvalidInputError,
     Lane,
-    LossEval,
     LossWeights,
     ModelParams,
     OptimConfig,
@@ -134,8 +133,10 @@ def reference_train(params, end_data, aux_data, weights, cfg, val_data, selector
             if not math.isfinite(value):
                 raise DivergedError("non-finite training loss", epoch=ep)
             loss_sum += value * size
-            params = sgd_step(params, LossEval(value, le.grad_a[0], le.grad_w_end[0],
-                                               le.grad_W_aux[0]), cfg.learning_rate)
+            a, w_end, W_aux = sgd_step(params, (params.a, params.w_end, params.W_aux),
+                                       (le.grad_a[0], le.grad_w_end[0], le.grad_W_aux[0]),
+                                       cfg.learning_rate)
+            params = replace(params, a=a, w_end=w_end, W_aux=W_aux)
         vm = evaluate(params, val_data)
         val_recon = (None if val_aux is None
                      else multitask_loss(params, None, val_aux, LossWeights()).value)
@@ -244,6 +245,30 @@ def test_seven_lanes_over_two_seeds_and_each_alone():
     for lane, result in zip(group, train(group)):
         assert_same_run(result, train([lane])[0])
         assert_same_run(result, _reference(lane))
+
+
+def test_returned_parameters_own_their_memory(group_sizes):
+    """No two returned parameter blocks share memory, across lanes and
+    between a lane's selected and final parameters, and none shares memory
+    with a lane's input parameters, which keep their values: the group's
+    steps write rows of stacks of its own."""
+    group = []
+    for r in range(4):
+        lane = _erm_lane(seed=SEEDS[r % 2], lr=0.1 * (r + 1), tau=(None, 0.5)[r % 2])
+        group.append(replace(lane, cfg=replace(lane.cfg, epochs=4),
+                             val_data=long_val_data(SEEDS[r % 2])))
+    given = [getattr(lane.params, k) for lane in group for k in ("a", "w_end", "W_aux")]
+    before = [x.copy() for x in given]
+    results = train(group)
+    assert group_sizes == [4]
+    # two lanes select the last epoch, whose stacks are also the final ones
+    assert [trace.selected_epoch for trace, _ in results] == [0, 3, 2, 3]
+    returned = [getattr(p, k) for trace, best in results for p in (best, trace.final_params)
+                for k in ("a", "w_end", "W_aux")]
+    for i, x in enumerate(returned):
+        for y in returned[i + 1:] + given:
+            assert not np.shares_memory(x, y)
+    assert all(np.array_equal(x, x0) for x, x0 in zip(given, before, strict=True))
 
 
 def test_lanes_of_one_seed_draw_each_schedule_once():
@@ -496,12 +521,12 @@ def test_lowest_lane_diverged_at_the_earliest_step_raises(monkeypatch):
     def failing(fail_at):
         calls = []
 
-        def step(params, grads, lr):
+        def step(*args):
             calls.append(1)
             at = divmod(len(calls) - 1, per_step)  # (step, lane)
             if at in fail_at:
                 raise DivergedError("boom")
-            return sgd_step(params, grads, lr)
+            return sgd_step(*args)
         return step
 
     steps_per_epoch = math.ceil(len(seed_data(4)[0]) / 8)

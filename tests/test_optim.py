@@ -15,7 +15,6 @@ from grouprobe import (
     InvalidSpecError,
     LabeledDataset,
     Lane,
-    LossEval,
     LossWeights,
     OptimConfig,
     SelectionStrategy,
@@ -25,6 +24,7 @@ from grouprobe import (
     sgd_step,
     train,
 )
+from grouprobe.linmodel import in_constraint_set
 from grouprobe.objectives import recon_value
 
 
@@ -144,58 +144,66 @@ class TestBatches:
             list(heterogeneous_batches(tiny_task.train, None, 0, 0))
 
 
+def _rows(p):
+    return p.a, p.w_end, p.W_aux
+
+
 class TestSgdStep:
     def _grads(self, d, scale=1.0):
-        return LossEval(0.0, np.full(d, scale), np.full(d, -scale), np.full((d, d), scale))
+        return np.full(d, scale), np.full(d, -scale), np.full((d, d), scale)
 
     def test_plain_step(self):
+        # of params only the constraint set is read: the step is on `arrays`
         p, g = init_params(2, None, 0, fro_radius=None), self._grads(2)
-        q = sgd_step(p, g, 0.1)
-        # no constraint set: exactly params - lr * grads, block by block
-        assert np.array_equal(q.a, p.a - 0.1 * g.grad_a)
-        assert np.array_equal(q.w_end, p.w_end - 0.1 * g.grad_w_end)
-        assert np.array_equal(q.W_aux, p.W_aux - 0.1 * g.grad_W_aux)
+        arrays = _rows(init_params(2, None, 1, fro_radius=None, dense_init=True))
+        ins = [x.copy() for x in arrays]
+        q = sgd_step(p, arrays, g, 0.1)
+        # no constraint set: exactly arrays - lr * grads, block by block
+        for got, x, grad in zip(q, arrays, g, strict=True):
+            assert np.array_equal(got, x - 0.1 * grad)
+        # the input rows are not written
+        assert all(np.array_equal(x, x0) for x, x0 in zip(arrays, ins))
 
     def test_ball_projection_applied(self):
         p = init_params(2, 1.0, 0)
-        q = sgd_step(p, self._grads(2, scale=-1.0), 5.0)
-        assert np.abs(q.a).sum() <= 1.0 + 1e-9
-        assert q.feasible()
+        q = sgd_step(p, _rows(p), self._grads(2, scale=-1.0), 5.0)
+        assert np.abs(q[0]).sum() <= 1.0 + 1e-9
+        assert in_constraint_set(p, *q)
+        assert replace(p, a=q[0], w_end=q[1], W_aux=q[2]).feasible()
 
     def test_sphere_rescale_applied(self):
         p = init_params(2, 1.0, 0, l1_boundary=True)
-        q = sgd_step(p, self._grads(2), 0.3)
-        assert abs(np.abs(q.a).sum() - 1.0) < 1e-9
+        a, _, _ = sgd_step(p, _rows(p), self._grads(2), 0.3)
+        assert abs(np.abs(a).sum() - 1.0) < 1e-9
 
     def test_fro_radius_maintained(self):
         p = init_params(3, 1.0, 1)
-        q = sgd_step(p, self._grads(3), 0.5)
-        assert abs(np.linalg.norm(q.W_aux) - 1.0) < 1e-9
+        _, _, W_aux = sgd_step(p, _rows(p), self._grads(3), 0.5)
+        assert abs(np.linalg.norm(W_aux) - 1.0) < 1e-9
 
     def test_infeasible_projection_raises(self):
         # a step to |a| ~ 1e15 projects to L1 norm 0.125, above tau = 0.1
         p = init_params(2, 0.1, 0)
-        g = LossEval(0.0, np.array([-1.0, 0.0]), np.zeros(2), np.zeros((2, 2)))
+        g = (np.array([-1.0, 0.0]), np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(DivergedError, match="infeasible"):
-            sgd_step(p, g, 1e15)
+            sgd_step(p, _rows(p), g, 1e15)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_gradient_raises(self):
         """sgd_step makes no finiteness check of its own (train makes it once
         per group step), yet a NaN or +-inf entry in any gradient block
-        raises in every constraint set: the projection or feasible() catches
-        it."""
+        raises in every constraint set: the projection or the feasibility
+        check catches it."""
         sets = {"free": dict(tau=None), "ball": dict(tau=1.0),
                 "sphere": dict(tau=1.0, l1_boundary=True)}
         for (name, kw), fro, block, bad in itertools.product(
-                sets.items(), (None, 1.0), ("grad_a", "grad_w_end", "grad_W_aux"),
-                (np.nan, np.inf, -np.inf)):
+                sets.items(), (None, 1.0), range(3), (np.nan, np.inf, -np.inf)):
             p = init_params(3, seed=0, fro_radius=fro, **kw)
             g = self._grads(3)
-            getattr(g, block).flat[-1] = bad
+            g[block].flat[-1] = bad
             with pytest.raises(DivergedError):
-                sgd_step(p, g, 0.1)
-                pytest.fail(f"{name}, fro_radius {fro}: {bad} in {block} stepped")
+                sgd_step(p, _rows(p), g, 0.1)
+                pytest.fail(f"{name}, fro_radius {fro}: {bad} in gradient block {block} stepped")
 
 
 class TestTrain:
@@ -237,9 +245,10 @@ class TestTrain:
         # checked after every step, which is stricter than every epoch
         stepped = []
 
-        def checked_step(*args):
-            out = sgd_step(*args)
-            assert out.feasible() and np.abs(out.a).sum() <= 0.2 + 1e-9
+        def checked_step(params, *args):
+            out = sgd_step(params, *args)
+            assert params.tau == 0.2 and in_constraint_set(params, *out)
+            assert np.abs(out[0]).sum() <= 0.2 + 1e-9
             stepped.append(out)
             return out
 
@@ -247,8 +256,9 @@ class TestTrain:
         trace, best = self._run(tiny_task, tiny_aux, tiny_cfg, tau=0.2)
         per_epoch = math.ceil(len(tiny_task.train) / tiny_cfg.batch_size)
         assert len(stepped) == tiny_cfg.epochs * per_epoch
-        assert trace.final_params is stepped[-1]
-        assert best.feasible()
+        assert all(np.array_equal(x, y) for x, y in zip(_rows(trace.final_params), stepped[-1],
+                                                         strict=True))
+        assert trace.final_params.feasible() and best.feasible()
 
     def test_all_losses_finite(self, tiny_task, tiny_aux, tiny_cfg):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)
