@@ -16,7 +16,7 @@ from .errors import InvalidInputError, InvalidSpecError
 from .evalsel import GroupMetrics, SelectionStrategy, evaluate
 from .linmodel import ModelParams, classify, init_params
 from .objectives import LossWeights
-from .optim import Lane, OptimConfig, TrainTrace, _check_lane, train
+from .optim import Lane, OptimConfig, TrainTrace, train
 from .synthgen import N_GROUPS, AuxDataset, LabeledDataset
 
 # Fixed tags for deriving per-role PRNG seeds from one run seed.
@@ -225,10 +225,10 @@ def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset 
     through one `optim.train` call, which runs those that can share a step
     in lockstep; one result per job, in order, each equal to its own `fit`
     bit for bit.  Before it, one more `train` call trains the first stage
-    of every jtt job, after every other job's lane has been checked, so a
-    bad job is refused before any lane trains.  A jtt second stage (fixed
-    weights) and a group_dro job (a per-step weight hook) share a step with
-    erm jobs of the same shape.
+    of every jtt job, after every other job's `Lane` is built; a `Lane`
+    checks itself when built, so a bad job is refused before any lane
+    trains.  A jtt second stage (fixed weights) and a group_dro job (a
+    per-step weight hook) share a step with erm jobs of the same shape.
     """
     for run, data, _, _ in jobs:  # refused before any job trains
         if run.method == "group_dro" and not (data.train.group_counts() > 0).all():
@@ -236,8 +236,6 @@ def fit_lanes(jobs: list[tuple[RunSpec, TaskData, AuxDataset | None, AuxDataset 
     # every lane but the jtt second stages, which need their first stage
     prepared = [None if run.method == "jtt" else _lane(run, data, selector, aux, aux_val)
                 for run, data, aux, aux_val in jobs]
-    for job in filter(None, prepared):
-        _check_lane(job[0])
     # the first stages: plain ERM for id_epochs from each run's initialization
     jtt = [(r, run, data) for r, (run, data, _, _) in enumerate(jobs) if run.method == "jtt"]
     stage1 = train([Lane(_init(run, data, _INIT_SEED_TAG), data.train, None, run.weights,

@@ -52,9 +52,7 @@ def _add_generate(sub):
     p.add_argument("--balanced", type=int, metavar="N_PER_GROUP",
                    help="draw a group-balanced set instead of the train split")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "npz"), default=None,
-                   help="default: inferred from the --out suffix")
+    p.add_argument("--out", required=True, help="an .npz suffix writes NPZ, any other CSV")
 
 
 def _spec_from_args(args) -> GroupDataSpec:
@@ -92,7 +90,7 @@ def cmd_generate(args) -> int:
     data = (sample_group_dataset(spec, seed) if args.balanced is None
             else make_balanced_test(spec, args.balanced, seed))
     out = Path(args.out)
-    fmt = args.format or ("npz" if out.suffix == ".npz" else "csv")
+    fmt = "npz" if out.suffix == ".npz" else "csv"
     atomic_via_tmp(out, data.to_csv if fmt == "csv" else data.to_npz)
     print(f"wrote {len(data)} rows ({fmt}) to {out}")
     return 0

@@ -40,8 +40,10 @@ from .synthgen import GroupDataSpec, LabeledDataset, make_balanced_test, noise_d
 
 SCHEMA_VERSION = 1
 
-# Per-role child seeds derived from the run seed, so data, corruption, and
-# initialization draws never share a stream.
+# Per-role seed entropy [seed, tag] for the data and corruption draws.  Not
+# disjoint from the batch schedules: a split draws group g from child g of
+# its entropy, and epoch ep's schedule from children 0 and 1 of [seed, ep],
+# so epochs 10, 11 and 13 reuse streams of the splits drawn here.
 _SEED_TRAIN = 10
 _SEED_VAL = 11
 _SEED_AUX_NOISE = 12

@@ -28,6 +28,7 @@ from .linmodel import ModelParams, in_constraint_set, normalize_frobenius, proje
 from .objectives import (
     LaneWeights,
     LossEval,
+    LossWeights,
     check_sample_weights,
     end_stream,
     featurize,
@@ -180,13 +181,15 @@ class Lane:
     """One run's inputs to `train`: start parameters, training streams, loss
     weights, optimizer settings and checkpoint selection.
 
-    `sample_weights` needs an end stream.  It is one fixed weight per row of
-    end_data (None: all ones, plain ERM), or a hook `(nll, group_ids) ->
-    weights` called once per step with this lane's per-sample losses and
-    group ids.  A hook holds one lane's state, such as the group-DRO group
-    distribution.  Without an end stream, `val_aux` is required: its
-    reconstruction loss selects the checkpoint.  A lane with a `tag` names
-    its run (tag and seed) in a `DivergedError`.
+    `sample_weights` needs an end stream.  It is one fixed, finite weight
+    per row of end_data (None: all ones, plain ERM), kept as the checked
+    float64 column, or a hook `(nll, group_ids) -> weights` called once per
+    step with this lane's per-sample losses and group ids.  A hook holds one
+    lane's state, such as the group-DRO group distribution.  Without an end
+    stream, `val_aux` is required: its reconstruction loss selects the
+    checkpoint.  A lane with a `tag` names its run (tag and seed) in a
+    `DivergedError`.  A lane checks itself when it is built: bad inputs
+    raise `InvalidInputError` or `ShapeError` there, before any lane trains.
     """
 
     params: ModelParams
@@ -200,23 +203,28 @@ class Lane:
     val_aux: AuxDataset | None = None
     tag: str | None = None
 
-
-def _check_lane(lane: Lane) -> None:
-    aux_only = lane.end_data is None
-    if aux_only and lane.aux_data is None:
-        raise InvalidInputError("need at least one data stream")
-    if aux_only and lane.val_aux is None:
-        raise InvalidInputError("aux-only training needs val_aux for checkpoint selection")
-    if lane.val_data is None or len(lane.val_data) == 0 or (
-            lane.val_aux is not None and len(lane.val_aux) == 0):
-        raise InvalidInputError("validation data must be non-empty")
-    if aux_only and lane.sample_weights is not None:
-        raise InvalidInputError("sample weighting needs an end stream")
-    if not aux_only and not callable(lane.sample_weights):
-        check_sample_weights(lane.sample_weights, len(lane.end_data))
-    streams = (lane.end_data, lane.aux_data, lane.val_data, lane.val_aux)
-    if any(data is not None and data.d != lane.params.d for data in streams):
-        raise ShapeError("training or validation data feature dim does not match the model")
+    def __post_init__(self):
+        aux_only = self.end_data is None
+        if aux_only and self.aux_data is None:
+            raise InvalidInputError("need at least one data stream")
+        if aux_only and self.val_aux is None:
+            raise InvalidInputError("aux-only training needs val_aux for checkpoint selection")
+        if self.val_data is None or len(self.val_data) == 0 or (
+                self.val_aux is not None and len(self.val_aux) == 0):
+            raise InvalidInputError("validation data must be non-empty")
+        if aux_only and self.sample_weights is not None:
+            raise InvalidInputError("sample weighting needs an end stream")
+        fixed = self.sample_weights is not None and not callable(self.sample_weights)
+        if fixed:
+            object.__setattr__(self, "sample_weights",
+                               check_sample_weights(self.sample_weights, len(self.end_data)))
+        streams = (self.end_data, self.aux_data, self.val_data, self.val_aux)
+        if any(data is not None and data.d != self.params.d for data in streams):
+            raise ShapeError("training or validation data feature dim does not match the model")
+        if any(data is not None and len(data) == 0 for data in (self.end_data, self.aux_data)):
+            raise InvalidInputError("cannot batch an empty dataset")
+        if fixed and not np.isfinite(self.sample_weights).all():
+            raise InvalidInputError("sample_weights must be finite")
 
 
 def _lockstep_key(lane: Lane):
@@ -236,9 +244,9 @@ def _stream_columns(lane: Lane) -> tuple[tuple | None, tuple | None]:
     and (noised, targets); None for a missing stream."""
     end_columns = aux_columns = None
     if lane.end_data is not None:
-        sw = None if callable(lane.sample_weights) else lane.sample_weights
-        end_columns = (*end_stream(lane.end_data), check_sample_weights(sw, len(lane.end_data)),
-                       lane.end_data.group_ids)
+        sw = lane.sample_weights
+        column = np.ones(len(lane.end_data)) if sw is None or callable(sw) else sw
+        end_columns = (*end_stream(lane.end_data), column, lane.end_data.group_ids)
     if lane.aux_data is not None:
         aux_columns = (lane.aux_data.noised, lane.aux_data.targets)
     return end_columns, aux_columns
@@ -311,7 +319,8 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     parameters from entry to exit: `ModelParams` are built only for the
     results.  `_hook_rows` runs the hooks.
 
-    A non-finite loss or gradient, or a failed step, raises `DivergedError`
+    Each lane checked its inputs when it was built (see `Lane`).  A
+    non-finite loss or gradient, or a failed step, raises `DivergedError`
     in the first group with a diverged lane, for its lowest-index lane that
     diverged at the earliest step.
 
@@ -329,8 +338,6 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     """
     if not lanes:
         raise InvalidInputError("need at least one lane")
-    for lane in lanes:
-        _check_lane(lane)
     groups: dict = {}
     for r, lane in enumerate(lanes):
         groups.setdefault(_lockstep_key(lane), []).append(r)

@@ -10,6 +10,7 @@ worst-group error target under transfer).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -18,11 +19,6 @@ import numpy as np
 from .errors import DegenerateInputError, DivergedError, InvalidInputError, ShapeError
 from .linmodel import ModelParams
 
-# Bisection bracket for the inverse CDF: |x| <= 40 covers every p that is
-# representable as a double strictly inside (0, 1).
-_PPF_BRACKET = 40.0
-_PPF_XTOL = 1e-12
-
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
@@ -30,21 +26,14 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_cdf_inv(p: float) -> float:
-    """Inverse standard normal CDF by bisection on normal_cdf.
-
-    Accurate to about 1e-12 in x; requires p strictly inside (0, 1).
+    """Inverse standard normal CDF, `statistics.NormalDist().inv_cdf`
+    (Wichura's AS241): within a few ulp of the root of normal_cdf(x) = p,
+    far tails included; requires p strictly inside (0, 1).
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise InvalidInputError("p must be strictly inside (0, 1)")
-    lo, hi = -_PPF_BRACKET, _PPF_BRACKET
-    while hi - lo > _PPF_XTOL:
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return statistics.NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)

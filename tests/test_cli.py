@@ -43,6 +43,16 @@ class TestGenerate:
         assert main(["generate", *GEN_FLAGS, "--seed", "5", "--out", str(out)]) == 0
         assert len(LabeledDataset.from_npz(out)) == 24
 
+    @pytest.mark.parametrize("fmt,name", [("csv", "data.npz"), ("npz", "data.csv")])
+    def test_format_flag_is_rejected(self, tmp_path, fmt, name):
+        # the --out suffix alone picks the format, by eval --data's rule, so
+        # no file can be written that eval would refuse
+        out = tmp_path / name
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *GEN_FLAGS, "--seed", "5", "--out", str(out), "--format", fmt])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_balanced(self, tmp_path):
         out = tmp_path / "bal.csv"
         assert main(["generate", *GEN_FLAGS, "--balanced", "10",

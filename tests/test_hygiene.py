@@ -2,12 +2,15 @@
 src/grouprobe imports only the standard library, numpy and its own package,
 and uses each name it imports.  `__init__.py` is skipped by the unused-name
 check because its imports are the package's re-exports.  Every name the
-demos and the README's Python code import from grouprobe must exist."""
+demos and the README's Python code import from grouprobe must exist, and
+the type hints of every dataclass it exports resolve."""
 
 import ast
+import dataclasses
 import importlib
 import re
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -142,3 +145,16 @@ def test_json_is_read_only_by_experiments(path):
     """Every JSON input goes through experiments' one reader, which reads
     UTF-8 and names the file in its errors."""
     assert json_readers(path.read_text()) == []
+
+
+EXPORTED_DATACLASSES = sorted(name for name, obj in vars(importlib.import_module("grouprobe")).items()
+                              if isinstance(obj, type) and dataclasses.is_dataclass(obj))
+
+
+@pytest.mark.parametrize("name", EXPORTED_DATACLASSES)
+def test_exported_dataclass_hints_resolve(name):
+    """Every annotation names something its module can see, so
+    typing.get_type_hints (and any tool built on it) reads each field."""
+    cls = getattr(importlib.import_module("grouprobe"), name)
+    hints = typing.get_type_hints(cls)
+    assert {f.name for f in dataclasses.fields(cls)} <= hints.keys()

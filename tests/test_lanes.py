@@ -511,6 +511,26 @@ def test_bad_job_refused_before_any_first_stage_trains(monkeypatch):
     assert stepped == []
 
 
+def test_empty_aux_job_refused_before_any_lane_trains(monkeypatch):
+    """A reg_mtl job whose aux set has no rows is refused when its lane is
+    built, before the erm job in an earlier group takes a step."""
+    stepped = []
+
+    def counting_step(*args):
+        stepped.append(1)
+        return sgd_step(*args)
+
+    monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
+    cfg = OptimConfig(learning_rate=0.1, batch_size=8, epochs=2, seed=4)
+    task, aux = _task(4), seed_data(4)[2]
+    jobs = [(RunSpec("erm", "erm", cfg, tau=0.5), task, None, None),
+            (RunSpec("mtl", "reg_mtl", cfg, LossWeights(alpha_aux=1.0), tau=0.5), task,
+             aux.take(np.arange(0)), None)]
+    with pytest.raises(InvalidInputError, match="cannot batch an empty dataset"):
+        fit_lanes(jobs, SelectionStrategy.NO_GP)
+    assert stepped == []
+
+
 def test_lowest_lane_diverged_at_the_earliest_step_raises(monkeypatch):
     """Each step calls sgd_step once per lane, in lane order; a lane that
     fails at an earlier step raises before any lane that fails later, and

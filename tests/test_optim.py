@@ -298,15 +298,14 @@ class TestTrain:
 
     def test_aux_only_requires_val_aux(self, tiny_aux, tiny_cfg):
         params = init_params(tiny_aux.d, 1.0, 0)
-        with pytest.raises(InvalidInputError):
-            train([Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, None,
-                        SelectionStrategy.NO_GP)])
+        with pytest.raises(InvalidInputError, match="needs val_aux"):
+            Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, None, SelectionStrategy.NO_GP)
 
     def test_end_training_requires_val(self, tiny_task, tiny_cfg):
         params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
-        with pytest.raises(InvalidInputError):
-            train([Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg, None,
-                        SelectionStrategy.NO_GP)])
+        with pytest.raises(InvalidInputError, match="validation data must be non-empty"):
+            Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg, None,
+                 SelectionStrategy.NO_GP)
 
     def test_sample_weights_checked_at_entry(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg,
                                              monkeypatch):
@@ -319,41 +318,67 @@ class TestTrain:
         monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
         params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
         n = len(tiny_task.train)
-        for sw, error in ((-np.ones(n), InvalidInputError), (np.ones(n - 1), ShapeError)):
-            bad = Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg,
-                       tiny_task.val, SelectionStrategy.NO_GP, sample_weights=sw)
+
+        def end_lane(sw, cfg=tiny_cfg):
+            return Lane(params, tiny_task.train, None, LossWeights(), cfg, tiny_task.val,
+                        SelectionStrategy.NO_GP, sample_weights=sw)
+
+        first_group = end_lane(None, replace(tiny_cfg, batch_size=8))
+        # a NaN or inf weight is bad input, not a diverged run
+        nan, inf = (np.where(np.arange(n) == 3, bad, 1.0) for bad in (np.nan, np.inf))
+        for sw, error in ((-np.ones(n), InvalidInputError), (np.ones(n - 1), ShapeError),
+                          (nan, InvalidInputError), (inf, InvalidInputError)):
             with pytest.raises(error):
-                train([bad])
+                end_lane(sw)
             # a bad lane in a later group is refused before the first group trains
             with pytest.raises(error):
-                train([replace(bad, sample_weights=None, cfg=replace(tiny_cfg, batch_size=8)),
-                       bad])
+                train([first_group, end_lane(sw)])
         assert stepped == []
         # without an end stream there is nothing to weight, fixed or hooked
         for sw in (np.ones(n), lambda nll, group_ids: np.ones(len(nll))):
             with pytest.raises(InvalidInputError, match="needs an end stream"):
-                train([Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, tiny_task.val,
-                            SelectionStrategy.NO_GP, sample_weights=sw, val_aux=tiny_aux_val)])
+                Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, tiny_task.val,
+                     SelectionStrategy.NO_GP, sample_weights=sw, val_aux=tiny_aux_val)
         # every run validates on val_data, aux-only runs too
         with pytest.raises(InvalidInputError, match="validation data must be non-empty"):
-            train([Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, None,
-                        SelectionStrategy.NO_GP, val_aux=tiny_aux_val)])
+            Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, None,
+                 SelectionStrategy.NO_GP, val_aux=tiny_aux_val)
         wide = init_params(tiny_task.train.d + 1, None, 0, fro_radius=None)
         with pytest.raises(ShapeError):
-            train([Lane(wide, tiny_task.train, None, LossWeights(), tiny_cfg,
-                        tiny_task.val, SelectionStrategy.NO_GP)])
+            Lane(wide, tiny_task.train, None, LossWeights(), tiny_cfg, tiny_task.val,
+                 SelectionStrategy.NO_GP)
 
-    def test_validation_sets_checked_at_entry(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg,
-                                              monkeypatch):
+    def test_empty_training_stream_refused_when_built(self, tiny_task, tiny_aux, tiny_aux_val,
+                                                      tiny_cfg):
+        params = init_params(tiny_task.train.d, 0.5, 0)
+        no_rows = np.arange(0)
+        for end, aux, val_aux in ((tiny_task.train.take(no_rows), None, None),
+                                  (tiny_task.train, tiny_aux.take(no_rows), None),
+                                  (None, tiny_aux.take(no_rows), tiny_aux_val)):
+            with pytest.raises(InvalidInputError, match="cannot batch an empty dataset"):
+                Lane(params, end, aux, LossWeights(alpha_aux=1.0), tiny_cfg, tiny_task.val,
+                     SelectionStrategy.NO_GP, val_aux=val_aux)
+
+    def test_fixed_weights_kept_as_the_checked_column(self, tiny_task, tiny_cfg):
+        params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
+
+        def lane(sw):
+            return Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg, tiny_task.val,
+                        SelectionStrategy.NO_GP, sample_weights=sw)
+
+        ints = (np.arange(len(tiny_task.train)) % 2 + 1).tolist()
+        kept = lane(ints).sample_weights
+        assert kept.dtype == np.float64 and kept.tolist() == ints
+        assert lane(None).sample_weights is None
+
+        def hook(nll, group_ids):
+            return np.ones(len(nll))
+
+        assert lane(hook).sample_weights is hook
+
+    def test_validation_sets_checked_at_entry(self, tiny_task, tiny_aux, tiny_aux_val, tiny_cfg):
         """A validation set of the wrong width, or an empty val_aux, is
-        refused before the first step, not after a full epoch."""
-        stepped = []
-
-        def counting_step(*args):
-            stepped.append(1)
-            return sgd_step(*args)
-
-        monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
+        refused when the lane is built, not after a full epoch."""
         val = tiny_task.val
         wide_val = LabeledDataset(np.column_stack([val.features, val.features[:, :1]]),
                                   val.labels, val.spurious_attrs, val.group_ids)
@@ -364,12 +389,11 @@ class TestTrain:
         aux_only = dict(end_data=None, aux_data=tiny_aux, val_data=val, val_aux=wide_aux_val)
         for streams in (end, aux_only):
             with pytest.raises(ShapeError, match="validation data feature dim"):
-                train([Lane(params=params, weights=LossWeights(), cfg=tiny_cfg,
-                            selector=SelectionStrategy.NO_GP, **streams)])
+                Lane(params=params, weights=LossWeights(), cfg=tiny_cfg,
+                     selector=SelectionStrategy.NO_GP, **streams)
         with pytest.raises(InvalidInputError, match="validation data must be non-empty"):
-            train([Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, val,
-                        SelectionStrategy.NO_GP, val_aux=tiny_aux_val.take(np.arange(0)))])
-        assert stepped == []
+            Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, val, SelectionStrategy.NO_GP,
+                 val_aux=tiny_aux_val.take(np.arange(0)))
 
     def test_trace_csv(self, tiny_task, tiny_aux, tiny_cfg, tmp_path):
         trace, _ = self._run(tiny_task, tiny_aux, tiny_cfg)

@@ -29,6 +29,20 @@ def mp_ncdf(x) -> mpmath.mpf:
     return mpmath.ncdf(mpmath.mpf(repr(float(x))))
 
 
+def mp_ncdf_root(p: float) -> float:
+    """The root of ncdf(x) = p for the exact double p, by bisection on
+    [-40, 0] after mapping p > 1/2 to the lower tail (1 - p is exact in
+    mpf)."""
+    q, sign = mpmath.mpf(p), 1
+    if q > 0.5:
+        q, sign = 1 - q, -1
+    lo, hi = mpmath.mpf(-40), mpmath.mpf(0)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mpmath.ncdf(mid) < q else (lo, mid)
+    return sign * float((lo + hi) / 2)
+
+
 class TestNormalCdf:
     def test_against_mpmath(self):
         for x in [-8.0, -3.5, -1.2, -0.3, 0.0, 0.7, 2.0, 5.5, 9.0]:
@@ -47,9 +61,10 @@ class TestNormalCdf:
             assert normal_cdf(normal_cdf_inv(p)) == pytest.approx(p, abs=1e-10)
 
     def test_inverse_against_mpmath(self):
-        for p in [0.01, 0.1, 0.25, 0.5, 0.9, 0.975]:
-            ref = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(repr(p)) - 1))
-            assert normal_cdf_inv(p) == pytest.approx(ref, abs=1e-10)
+        # the far tails too: 1 - 2**-53 is the largest double below 1 and
+        # 5e-324 the smallest above 0
+        for p in [0.01, 0.1, 0.25, 0.5, 0.9, 0.975, 1 - 1e-10, 1 - 2**-53, 5e-324]:
+            assert normal_cdf_inv(p) == pytest.approx(mp_ncdf_root(p), rel=1e-14, abs=1e-15)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.3])
     def test_inverse_domain(self, p):
