@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 training divergence, 2 configuration or usage error.
+Exit codes: 0 success, 1 diverged training or a failed `grad-check`, 2
+configuration or usage error.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _grad_check_instance(rng: np.random.Generator):
     g = np.where(y > 0, 0, 1)
     end_batch = LabeledDataset(X, y, s, g)
     aux_batch = AuxDataset(away_from_zero((n, d)), rng.normal(size=(n, d)))
-    params = init_params(d, None, int(rng.integers(2**31)), fro_radius=None)
+    params = init_params(d, None, int(rng.integers(2**31)))
     params.a = away_from_zero(d)
     params.w_end = rng.normal(size=d)
     params.W_aux = rng.normal(size=(d, d))

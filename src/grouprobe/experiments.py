@@ -43,11 +43,10 @@ SCHEMA_VERSION = 1
 # Per-role seed entropy [seed, tag] for the data and corruption draws.  Not
 # disjoint from the batch schedules: a split draws group g from child g of
 # its entropy, and epoch ep's schedule from children 0 and 1 of [seed, ep],
-# so epochs 10, 11 and 13 reuse streams of the splits drawn here.
+# so epochs 10 and 11 reuse streams of the splits drawn here.
 _SEED_TRAIN = 10
 _SEED_VAL = 11
 _SEED_AUX_NOISE = 12
-_SEED_AUX_FRESH = 13
 _SEED_AUX_VAL_NOISE = 14
 
 
@@ -113,7 +112,8 @@ def _check(v, kinds: tuple[type, ...], where: str):
     if type(v) in (int, float) and float in kinds and not abs(v) <= sys.float_info.max:
         got = json.dumps(v) if type(v) is float else f"an integer of {len(str(abs(v)))} digits"
         raise ConfigError(f"{where} must be a finite number, got {got}")
-    # integer fields become numpy sizes and seeds, which stop at int64
+    # integer fields are held to int64, where numpy sizes stop; a seed needs
+    # no bound (the run seeds, which _parse_seeds reads, have none)
     if type(v) is int and int in kinds and abs(v) > 2**63 - 1:
         raise ConfigError(f"{where} must be an integer of magnitude at most 2**63 - 1, "
                           f"got an integer of {len(str(abs(v)))} digits")
@@ -221,14 +221,6 @@ class _HeldOut:
 
 
 @dataclass(frozen=True)
-class _AuxBlock:
-    """The `aux` block: reconstruct noised copies of the end task's training
-    inputs, or of a fresh draw from the same distribution."""
-
-    reuse_end_features: bool = True
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     name: str
     data: GroupDataSpec
@@ -238,12 +230,11 @@ class ExperimentConfig:
     selection: SelectionStrategy
     seeds: tuple[int, ...]
     runs: tuple[RunSpec, ...]
-    aux_reuse_end_features: bool = True
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         _expect_keys(d, {"schema", "name", "data", "val", "test", "selection", "seeds", "runs"},
-                     {"aux"}, "config")
+                     set(), "config")
         if _check(d["schema"], (int,), "schema") != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema {d['schema']!r}; this build reads {SCHEMA_VERSION}")
         data = _block(GroupDataSpec, d["data"], "data")
@@ -251,7 +242,6 @@ class ExperimentConfig:
         shape = {k: v for k, v in vars(data).items() if k not in ("n_maj", "n_min")}
         val = _block(GroupDataSpec, d["val"], "val", **shape)
         test = _block(_HeldOut, d["test"], "test")
-        aux = _block(_AuxBlock, d.get("aux", {}), "aux")
         sel = d["selection"]
         if sel not in ("val_gp", "no_gp"):
             raise ConfigError(f"selection must be 'val_gp' or 'no_gp', got {sel!r}")
@@ -272,7 +262,6 @@ class ExperimentConfig:
             selection=SelectionStrategy(sel),
             seeds=seeds,
             runs=runs,
-            aux_reuse_end_features=aux.reuse_end_features,
         )
 
     load = classmethod(_load)
@@ -318,17 +307,13 @@ def n_workers() -> int:
 
 
 def _seed_splits(cfg: ExperimentConfig, seed: int, test_set: LabeledDataset):
-    """One run seed's (task splits, aux train set, aux val set); every seed
-    shares the config's one test set."""
+    """One run seed's (task splits, aux train set, aux val set): the aux sets
+    are noised copies of the end task's own train and val inputs.  Every
+    seed shares the config's one test set."""
     data = cfg.data
     train_set = sample_group_dataset(data, [seed, _SEED_TRAIN])
     val_set = sample_group_dataset(cfg.val, [seed, _SEED_VAL])
-    base = (
-        train_set
-        if cfg.aux_reuse_end_features
-        else sample_group_dataset(data, [seed, _SEED_AUX_FRESH])
-    )
-    aux_train = noise_dataset(base, data.sigma2_noise, [seed, _SEED_AUX_NOISE])
+    aux_train = noise_dataset(train_set, data.sigma2_noise, [seed, _SEED_AUX_NOISE])
     aux_val = noise_dataset(val_set, data.sigma2_noise, [seed, _SEED_AUX_VAL_NOISE])
     return TaskData(train_set, val_set, test_set), aux_train, aux_val
 
@@ -524,7 +509,7 @@ class SweepGrid:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepGrid":
         _expect_keys(d, {"schema", "name", "data", "val", "test", "selection", "seeds", "grid"},
-                     {"method", "base", "aux"}, "sweep config")
+                     {"method", "base"}, "sweep config")
         skeleton = dict(_SWEEP_RUN)
         if "method" in d:  # first, so that a bad method is not named after a base key
             skeleton["method"] = _sweep_value(_SWEEP_RUN, "method", d["method"], "method")
@@ -599,17 +584,6 @@ def _recipe(name: str, selection: str, **body) -> dict:
             "seeds": list(BENCH_SEEDS), **body}
 
 
-def _reg_mtl_runs() -> list[dict]:
-    # the multitask rows of table2, and the cells fig5 plots
-    return [{
-        "tag": f"reg_mtl_tau{tau:g}",
-        "method": "reg_mtl",
-        "tau": tau,
-        "optim": dict(_BENCH_OPTIM, learning_rate=0.01),
-        "weights": {"alpha_aux": 10.0, "alpha_reg": 0.0, "lambda_l2": 1.0},
-    } for tau in (0.1, 10.0)]
-
-
 def recipe_table2() -> dict:
     """Low/high featurizer budget, end-task-only vs regularized multitask.
 
@@ -619,14 +593,21 @@ def recipe_table2() -> dict:
     actually plays out, and their cell values are read from the final-epoch
     columns.  The summary carries both views for every row.
     """
-    runs = [{
+    end_only = [{
         "tag": f"end_only_tau{tau:g}",
         "method": "erm",
         "tau": tau,
         "optim": dict(_BENCH_OPTIM),
         "weights": {"lambda_l2": 1.0},
     } for tau in (0.1, 10.0)]
-    return _recipe("table2", "no_gp", runs=runs + _reg_mtl_runs())
+    reg_mtl = [{
+        "tag": f"reg_mtl_tau{tau:g}",
+        "method": "reg_mtl",
+        "tau": tau,
+        "optim": dict(_BENCH_OPTIM, learning_rate=0.01),
+        "weights": {"alpha_aux": 10.0, "alpha_reg": 0.0, "lambda_l2": 1.0},
+    } for tau in (0.1, 10.0)]
+    return _recipe("table2", "no_gp", runs=end_only + reg_mtl)
 
 
 def recipe_fig3() -> dict:
@@ -645,11 +626,6 @@ def recipe_fig3() -> dict:
                     "weights": {},
                 })
     return _recipe("fig3", "no_gp", runs=runs)
-
-
-def recipe_fig5() -> dict:
-    """The two multitask cells whose learned halfspaces are worth plotting."""
-    return _recipe("fig5", "no_gp", runs=_reg_mtl_runs())
 
 
 def recipe_baselines() -> dict:
@@ -714,7 +690,6 @@ def recipe_pareto_default() -> dict:
 RECIPES = {
     "table2": recipe_table2,
     "fig3": recipe_fig3,
-    "fig5": recipe_fig5,
     "baselines": recipe_baselines,
     "pareto-default": recipe_pareto_default,
 }

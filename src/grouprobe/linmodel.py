@@ -3,8 +3,8 @@
 The featurizer is elementwise: h = a * x.  A linear end head scores
 classification logits w_end . h; a matrix aux head reconstructs inputs as
 W_aux^T h.  Capacity is controlled by an L1 constraint on `a` (a ball by
-default, optionally the exact sphere) and a Frobenius-norm constraint on
-W_aux.
+default, optionally the exact sphere), and W_aux is held at a fixed
+Frobenius norm, 1 unless a model sets another.
 """
 
 from __future__ import annotations
@@ -28,15 +28,15 @@ class ModelParams:
 
     tau is the L1 budget for `a` (None disables the constraint).  When
     l1_boundary is set, `a` is rescaled to the sphere ||a||_1 == tau after
-    every step instead of projected into the ball.  fro_radius is the
-    Frobenius norm W_aux is renormalized to (None disables).
+    every step instead of projected into the ball.  fro_radius (positive)
+    is the Frobenius norm W_aux is renormalized to after every step.
     """
 
     a: np.ndarray
     w_end: np.ndarray
     W_aux: np.ndarray
     tau: float | None = None
-    fro_radius: float | None = 1.0
+    fro_radius: float = 1.0
     l1_boundary: bool = False
 
     def __post_init__(self):
@@ -48,8 +48,8 @@ class ModelParams:
             raise ShapeError("expected a,(d,), w_end,(d,), W_aux,(d,d)")
         if self.tau is not None and self.tau <= 0:
             raise InvalidSpecError("tau must be positive when set")
-        if self.fro_radius is not None and self.fro_radius <= 0:
-            raise InvalidSpecError("fro_radius must be positive when set")
+        if self.fro_radius <= 0:
+            raise InvalidSpecError("fro_radius must be positive")
         if self.l1_boundary and self.tau is None:
             raise InvalidSpecError("l1_boundary requires tau")
 
@@ -57,29 +57,27 @@ class ModelParams:
     def d(self) -> int:
         return self.a.shape[0]
 
-    def feasible(self, tol: float = L1_FEASIBILITY_TOL) -> bool:
+    def feasible(self) -> bool:
         """`in_constraint_set` of this model's own arrays."""
-        return in_constraint_set(self, self.a, self.w_end, self.W_aux, tol)
+        return in_constraint_set(self, self.a, self.w_end, self.W_aux)
 
 
-def in_constraint_set(params: ModelParams, a: np.ndarray, w_end: np.ndarray, W_aux: np.ndarray,
-                      tol: float = L1_FEASIBILITY_TOL) -> bool:
+def in_constraint_set(params: ModelParams, a: np.ndarray, w_end: np.ndarray, W_aux: np.ndarray) -> bool:
     """True when every entry of (a, w_end, W_aux) is finite and the norm
     constraints of `params` (tau, l1_boundary, fro_radius; its arrays are
-    not read) hold up to `tol`.  A norm that passes its bound is finite, so
-    a constrained block needs no separate finiteness pass."""
+    not read) hold up to L1_FEASIBILITY_TOL, relative to bounds above 1.
+    A norm that passes its bound is finite, so a constrained block needs no
+    separate finiteness pass."""
     if params.tau is None:
         if not np.isfinite(a).all():
             return False
     else:
         l1 = np.abs(a).sum()
-        slack = tol * max(1.0, params.tau)
+        slack = L1_FEASIBILITY_TOL * max(1.0, params.tau)
         if not (abs(l1 - params.tau) <= slack if params.l1_boundary else l1 <= params.tau + slack):
             return False
     if not np.isfinite(w_end).all():
         return False
-    if params.fro_radius is None:
-        return bool(np.isfinite(W_aux).all())
     return abs(_fro_norm(W_aux) - params.fro_radius) <= 1e-9 * max(1.0, params.fro_radius)
 
 
@@ -154,7 +152,6 @@ def init_params(
     d: int,
     tau: float | None,
     seed,
-    fro_radius: float | None = 1.0,
     l1_boundary: bool = False,
     dense_init: bool = False,
 ) -> ModelParams:
@@ -162,12 +159,13 @@ def init_params(
 
     a starts uniform at tau/d per coordinate (all-ones when unconstrained),
     which lies inside the ball and exactly on the sphere.  w_end is small
-    Gaussian.  W_aux starts at the identity scaled to fro_radius: a neutral
-    reconstruction warm start whose basin of attraction is then set by the
-    data statistics rather than by an arbitrary dense draw.  With dense_init
-    the warm start is instead a seeded dense Gaussian matrix; reconstruction
-    then has no preferred coordinate pairing at step 0, so when several
-    allocations of `a` are feasible the one reached depends on the draw.
+    Gaussian.  W_aux starts at the identity scaled to the default
+    fro_radius, Frobenius norm 1: a neutral reconstruction warm start whose
+    basin of attraction is then set by the data statistics rather than by
+    an arbitrary dense draw.  With dense_init the warm start is instead a
+    seeded dense Gaussian matrix at the same norm; reconstruction then has
+    no preferred coordinate pairing at step 0, so when several allocations
+    of `a` are feasible the one reached depends on the draw.
     """
     if d < 1:
         raise InvalidSpecError("d must be >= 1")
@@ -178,7 +176,5 @@ def init_params(
         W = rng.normal(0.0, 1.0, size=(d, d))
     else:
         W = np.eye(d)
-    if fro_radius is not None:
-        W = normalize_frobenius(W, fro_radius)
-    return ModelParams(a=a, w_end=w_end, W_aux=W, tau=tau,
-                       fro_radius=fro_radius, l1_boundary=l1_boundary)
+    return ModelParams(a=a, w_end=w_end, W_aux=normalize_frobenius(W), tau=tau,
+                       l1_boundary=l1_boundary)

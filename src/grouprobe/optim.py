@@ -82,8 +82,7 @@ def sgd_step(params: ModelParams, arrays: tuple, grads: tuple, lr: float) -> tup
     try:
         if params.tau is not None:
             a = rescale_l1(a, params.tau) if params.l1_boundary else project_l1(a, params.tau)
-        if params.fro_radius is not None:
-            W_aux = normalize_frobenius(W_aux, params.fro_radius)
+        W_aux = normalize_frobenius(W_aux, params.fro_radius)
     except DegenerateInputError as e:
         raise DivergedError(f"projection failed: {e}") from None
     if not in_constraint_set(params, a, w_end, W_aux):
@@ -342,9 +341,12 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     for r, lane in enumerate(lanes):
         groups.setdefault(_lockstep_key(lane), []).append(r)
     results = [None] * len(lanes)
-    for group in groups.values():
-        for r, result in zip(group, _train_group([lanes[r] for r in group])):
-            results[r] = result
+    # a diverging step overflows; the DivergedError it raises names the
+    # failure, so numpy's warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in groups.values():
+            for r, result in zip(group, _train_group([lanes[r] for r in group])):
+                results[r] = result
     return results
 
 

@@ -109,6 +109,13 @@ class TestGenerate:
             f"got an integer of {len(str(abs(value)))} digits"]
         assert captured.out == "" and not out.exists()
 
+    def test_unknown_spec_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert main(["generate", "--spec", "fig5", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown recipe 'fig5'"), err
+        assert not out.exists()
+
     def test_incomplete_custom_spec(self, tmp_path, capsys):
         code = main(["generate", "--dc", "1", "--seed", "0",
                      "--out", str(tmp_path / "x.csv")])
@@ -138,7 +145,6 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_exits_1(self, tmp_path, capsys):
         doc = tiny_config(seeds=[0])
         doc["runs"] = [{
@@ -151,7 +157,6 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "diverged" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("method,alpha_aux", [("erm", 0.0), ("reg_mtl", 10.0)])
     def test_projection_divergence_exits_1(self, method, alpha_aux, tmp_path, capsys):
         doc = tiny_config(seeds=[0])
@@ -166,7 +171,6 @@ class TestTrain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: training diverged"), err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_diverged_lane_names_its_run(self, workers, tmp_path, capsys, monkeypatch):
         """One cell of a lane group diverges: the error names that cell and
@@ -191,6 +195,36 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--recipe", "pareto-default", "--out", "x"])
         assert exc.value.code == 2
+
+    def test_unknown_recipe_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--recipe", "fig5", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "argument --recipe: invalid choice: 'fig5'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_divergence_writes_one_stderr_line(self, workers, tmp_path):
+        """A diverged run prints its one error line and no numpy warnings,
+        serially and from pool workers; a subprocess, since pytest's warning
+        capture would hide the warnings from capsys."""
+        doc = tiny_config(seeds=[0, 1])
+        doc["runs"] = [{
+            "tag": "big", "method": "erm",
+            "optim": {"learning_rate": 1e300, "batch_size": 16, "epochs": 2},
+            "weights": {"lambda_l2": 1.0},
+        }]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        env = dict(_module_env(), GROUPROBE_WORKERS=workers)
+        proc = subprocess.run(
+            [sys.executable, "-m", "grouprobe", "train", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: training diverged: non-finite training loss (run big, seed 0, epoch 0)"]
 
 
 class TestEvalCommand:
@@ -259,6 +293,16 @@ def _config_error(command, doc, tmp_path, capsys) -> str:
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "out").exists()
     return err[0]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_aux_block_exits_2(command, tmp_path, capsys):
+    """The aux task always reconstructs noised copies of the end task's own
+    inputs, so neither a config nor a sweep has an `aux` block."""
+    doc = (tiny_config if command == "train" else tiny_sweep)(
+        seeds=[0], aux={"reuse_end_features": True})
+    where = "config" if command == "train" else "sweep config"
+    assert _config_error(command, doc, tmp_path, capsys) == f"error: unknown keys ['aux'] in {where}"
 
 
 def _jtt_run(doc):
@@ -577,7 +621,9 @@ def test_non_json_input_exits_2(which, tmp_path, capsys):
 @pytest.mark.parametrize("field,value", [
     ("tau", float("nan")), ("tau", True), ("tau", HUGE_INT),
     ("W_aux", [[1.0, 0.0], [0.0, True]]), ("w_end", [1.0, float("inf")]),
-], ids=["tau-nan", "tau-true", "tau-huge-int", "W_aux-nested-true", "w_end-inf"])
+    ("fro_radius", None),
+], ids=["tau-nan", "tau-true", "tau-huge-int", "W_aux-nested-true", "w_end-inf",
+        "fro_radius-null"])
 def test_bad_params_value_names_file_and_field(field, value, tmp_path, capsys):
     """A params value of the wrong JSON kind is refused by the config
     parser's rules, in one line naming the file and the field."""

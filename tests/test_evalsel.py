@@ -28,8 +28,7 @@ from grouprobe.synthgen import N_GROUPS, YS_OF_GROUP
 def _plain_params(w):
     w = np.asarray(w, dtype=np.float64)
     d = len(w)
-    return ModelParams(a=np.ones(d), w_end=w, W_aux=np.eye(d),
-                       tau=None, fro_radius=None)
+    return ModelParams(a=np.ones(d), w_end=w, W_aux=np.eye(d), tau=None)
 
 
 class TestEvaluate:

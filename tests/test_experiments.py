@@ -149,11 +149,10 @@ class TestConfigParsing:
     # each of these loaded, coerced to another value
     @pytest.mark.parametrize("breaker,field", [
         (lambda d: d["runs"][1].update(l1_boundary="false"), r"runs\[1\]\.l1_boundary"),
-        (lambda d: d.update(aux={"reuse_end_features": "no"}), r"aux\.reuse_end_features"),
         (lambda d: d["test"].update(seed=1.5), r"test\.seed"),
         (lambda d: d["test"].update(n_per_group=25.9), r"test\.n_per_group"),
         (lambda d: d.update(schema=True), "schema"),
-    ], ids=["l1_boundary-string", "aux-flag-string", "test-seed-float",
+    ], ids=["l1_boundary-string", "test-seed-float",
             "test-size-float", "schema-true"])
     def test_rejects_coercible_values(self, breaker, field):
         with pytest.raises(ConfigError, match=f"^{field} must be "):
@@ -218,14 +217,14 @@ class TestConfigParsing:
 
 class TestRecipes:
     def test_catalogue(self):
-        assert set(RECIPES) == {"table2", "fig3", "fig5", "baselines", "pareto-default"}
+        assert set(RECIPES) == {"table2", "fig3", "baselines", "pareto-default"}
         assert SWEEP_RECIPES == {"pareto-default"}
 
     def test_unknown_recipe(self):
         with pytest.raises(ConfigError):
             recipe_config("table9")
 
-    @pytest.mark.parametrize("name", ["table2", "fig3", "fig5", "baselines"])
+    @pytest.mark.parametrize("name", ["table2", "fig3", "baselines"])
     def test_training_recipes_parse(self, name):
         cfg = ExperimentConfig.load(recipe_config(name))
         assert cfg.name == name
@@ -611,7 +610,6 @@ class TestLaneGroups:
         for rel in files:
             assert (tmp_path / "grouped" / rel).read_bytes() == (tmp_path / "alone" / rel).read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_diverged_lane_is_named_through_the_pool(self, monkeypatch):
         runs = copy.deepcopy(self.RUNS[:3])
         runs[1]["tau"] = 0.1
@@ -713,11 +711,6 @@ class TestSweep:
     def test_range_errors_name_the_sweep_field(self, breaker, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             SweepGrid.load(_edited(tiny_sweep(), breaker))
-
-    def test_aux_block_passes_through(self):
-        grid = SweepGrid.load(tiny_sweep(aux={"reuse_end_features": False}))
-        assert grid.config.aux_reuse_end_features is False
-        assert SweepGrid.load(tiny_sweep()).config.aux_reuse_end_features is True
 
     def test_boolean_flag_still_accepted(self):
         grid = SweepGrid.load(_edited(tiny_sweep(), lambda d: d["base"].update(l1_boundary=True)))

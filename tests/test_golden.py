@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from grouprobe import experiments
 from grouprobe.cli import main, run_grad_check
 from grouprobe.evalsel import PARETO_CSV_COLUMNS
 from grouprobe.experiments import SWEEP_RECIPES, recipe_config, run_experiment, run_sweep
@@ -70,6 +71,10 @@ def artifact_hashes(name: str, out: Path) -> dict[str, str]:
         if path.is_file() and _covered(rel):
             hashes[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
     return hashes
+
+
+def test_every_named_recipe_has_golden_hashes():
+    assert set(RECIPES) == set(experiments.RECIPES)
 
 
 # serial, and in a 2-worker pool, where each lane group trains in two chunks

@@ -562,7 +562,6 @@ def test_lowest_lane_diverged_at_the_earliest_step_raises(monkeypatch):
         assert str(exc.value) == f"boom (run {tag}, seed 4, epoch {epoch})"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_nonfinite_loss_of_one_lane_names_it():
     # lr 1e300 with no L1 constraint: the first step lands at ~1e298, and
     # the loss of the next step overflows
@@ -573,7 +572,6 @@ def test_nonfinite_loss_of_one_lane_names_it():
     assert (exc.value.tag, exc.value.seed) == ("wild", 9)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_first_group_with_a_diverged_lane_raises():
     """Groups run in order of their first lane, so a diverged lane of the
     first group raises before a lower-index lane of a later group."""
@@ -607,7 +605,6 @@ def _corrupting_terms(step, changes):
     return terms
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("block", ["grad_a", "grad_w_end", "grad_W_aux"])
 def test_nonfinite_gradient_names_its_lane(block, monkeypatch):
     """One check per group step finds the lowest lane whose gradient or loss

@@ -153,7 +153,7 @@ class TestNormalizeFrobenius:
 
 class TestForward:
     def test_classify_elementwise_featurizer(self):
-        p = ModelParams(a=[2.0, -1.0], w_end=[1.0, 1.0], W_aux=np.eye(2), fro_radius=None)
+        p = ModelParams(a=[2.0, -1.0], w_end=[1.0, 1.0], W_aux=np.eye(2))
         X = np.array([[1.0, 3.0], [0.5, -2.0]])
         # h = a * x = [[2, -3], [1, 2]], so the logits w_end . h are -1 and 3
         assert classify(p, X).tolist() == [-1, 1]
@@ -162,7 +162,7 @@ class TestForward:
         rng = np.random.default_rng(5)
         for _ in range(50):
             d = int(rng.integers(1, 8))
-            p = init_params(d, None, int(rng.integers(2**31)), fro_radius=None)
+            p = init_params(d, None, int(rng.integers(2**31)))
             p.a = rng.normal(size=d)
             p.w_end = rng.normal(size=d)
             X = rng.normal(size=(7, d))
@@ -171,7 +171,7 @@ class TestForward:
             assert np.array_equal(classify(p, X)[clear], np.where(fused >= 0, 1, -1)[clear])
 
     def test_classify_zero_logit_positive(self):
-        p = init_params(2, None, 0, fro_radius=None)
+        p = init_params(2, None, 0)
         p.a = np.zeros(2)
         labels = classify(p, np.ones((3, 2)))
         assert labels.tolist() == [1, 1, 1]
@@ -237,7 +237,7 @@ class TestInitParams:
         assert abs(np.abs(p.a).sum() - 2.0) < 1e-12
 
     def test_unconstrained_starts_at_ones(self):
-        p = init_params(3, None, 9, fro_radius=None)
+        p = init_params(3, None, 9)
         assert np.array_equal(p.a, np.ones(3))
 
     def test_recon_head_identity_warm_start(self):
@@ -255,7 +255,7 @@ class TestInitParams:
         assert np.abs(a.W_aux - np.diag(np.diag(a.W_aux))).sum() > 0.1
 
     def test_head_scale(self):
-        p = init_params(500, None, 0, fro_radius=None)
+        p = init_params(500, None, 0)
         assert np.abs(p.w_end).max() < 0.1
 
     def test_feasible_on_sphere(self):
@@ -267,9 +267,10 @@ class TestInitParams:
             init_params(0, 1.0, 0)
 
 
-def _feasible_reference(p: ModelParams, tol: float) -> bool:
+def _feasible_reference(p: ModelParams) -> bool:
     """ModelParams.feasible as first written: a finiteness pass over every
     entry, then the two norm bounds."""
+    tol = 1e-9
     ok = np.isfinite(p.a).all() and np.isfinite(p.w_end).all() and np.isfinite(p.W_aux).all()
     if not ok:
         return False
@@ -279,8 +280,7 @@ def _feasible_reference(p: ModelParams, tol: float) -> bool:
             ok = ok and abs(l1 - p.tau) <= tol * max(1.0, p.tau)
         else:
             ok = ok and l1 <= p.tau + tol * max(1.0, p.tau)
-    if p.fro_radius is not None:
-        ok = ok and abs(np.linalg.norm(p.W_aux) - p.fro_radius) <= 1e-9 * max(1.0, p.fro_radius)
+    ok = ok and abs(np.linalg.norm(p.W_aux) - p.fro_radius) <= 1e-9 * max(1.0, p.fro_radius)
     return bool(ok)
 
 
@@ -299,22 +299,20 @@ def _params_case(draw):
     W = draw(arrays(np.float64, (d, d), elements=_ENTRY))
     tau = draw(st.sampled_from([None, 0.1, 1.0, 10.0, 1e300]))
     boundary = tau is not None and draw(st.booleans())
-    fro = draw(st.sampled_from([None, 1.0, 0.5, 3.0]))
+    fro = draw(st.sampled_from([1.0, 0.5, 3.0]))
     with np.errstate(all="ignore"):
         l1, norm = np.abs(a).sum(), np.linalg.norm(W)
         scale = draw(_SCALE)
         if tau is not None and scale is not None and np.isfinite(l1) and l1 > 0:
             a = a * (tau / l1) * scale
         scale = draw(_SCALE)
-        if fro is not None and scale is not None and np.isfinite(norm) and norm > 0:
+        if scale is not None and np.isfinite(norm) and norm > 0:
             W = W * (fro / norm) * scale
-    p = ModelParams(a=a, w_end=w_end, W_aux=W, tau=tau, fro_radius=fro, l1_boundary=boundary)
-    return p, draw(st.sampled_from([1e-9, 0.0, 1e-3]))
+    return ModelParams(a=a, w_end=w_end, W_aux=W, tau=tau, fro_radius=fro, l1_boundary=boundary)
 
 
 @given(_params_case())
 @settings(max_examples=600, deadline=None)
-def test_feasible_matches_reference_formula(case):
-    p, tol = case
+def test_feasible_matches_reference_formula(p):
     with np.errstate(all="ignore"):
-        assert p.feasible(tol) is _feasible_reference(p, tol)
+        assert p.feasible() is _feasible_reference(p)

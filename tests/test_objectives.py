@@ -47,7 +47,7 @@ def random_instance(rng, d=None, n=None):
     g = np.where(y > 0, 0, 1)
     end_batch = LabeledDataset(X, y, s, g)
     aux_batch = AuxDataset(away_from_zero(rng, (n, d)), rng.normal(size=(n, d)))
-    params = init_params(d, None, int(rng.integers(2**31)), fro_radius=None)
+    params = init_params(d, None, int(rng.integers(2**31)))
     params.a = away_from_zero(rng, d)
     params.w_end = rng.normal(size=d)
     params.W_aux = rng.normal(size=(d, d))
@@ -101,7 +101,7 @@ def penalty_term(params, X):
 
 class TestEndLoss:
     def test_hand_value_single_sample(self):
-        params = init_params(2, None, 0, fro_radius=None)
+        params = init_params(2, None, 0)
         params.a = np.array([1.0, 1.0])
         params.w_end = np.array([0.5, -0.25])
         X = np.array([[2.0, 4.0]])
@@ -112,7 +112,7 @@ class TestEndLoss:
         assert abs(out.value - expect) < 1e-15
 
     def test_l2_penalty_added(self):
-        params = init_params(2, None, 3, fro_radius=None)
+        params = init_params(2, None, 3)
         X = np.array([[0.3, -0.2], [1.0, 0.4]])
         batch = LabeledDataset(X, [1, -1], [1, -1], [0, 1])
         base = end_only(params, batch, 0.0).value
@@ -120,7 +120,7 @@ class TestEndLoss:
         assert abs(pen - base - 1.0 * float(params.w_end @ params.w_end)) < 1e-15
 
     def test_stable_at_extreme_logits(self):
-        params = init_params(1, None, 0, fro_radius=None)
+        params = init_params(1, None, 0)
         params.a = np.array([1.0])
         params.w_end = np.array([1.0])
         batch = LabeledDataset(np.array([[1e4], [-1e4]]), [-1, 1], [-1, 1], [1, 0])
@@ -159,7 +159,7 @@ class TestEndLoss:
         assert heavy.value - pen == pytest.approx(3.0 * (plain.value - pen), rel=1e-12)
 
     def test_rejects_empty_and_mismatched(self):
-        params = init_params(2, None, 0, fro_radius=None)
+        params = init_params(2, None, 0)
         batch = LabeledDataset(np.ones((1, 3)), [1], [1], [0])
         with pytest.raises(ShapeError):
             end_only(params, batch)
@@ -171,7 +171,7 @@ class TestEndLoss:
 
 class TestReconLoss:
     def test_zero_iff_exact(self):
-        params = init_params(2, None, 0, fro_radius=None)
+        params = init_params(2, None, 0)
         params.a = np.ones(2)
         params.W_aux = np.eye(2)
         X = np.array([[1.0, -2.0], [0.5, 3.0]])
@@ -181,7 +181,7 @@ class TestReconLoss:
         assert recon_only(params, off).value > 0.0
 
     def test_hand_value(self):
-        params = init_params(1, None, 0, fro_radius=None)
+        params = init_params(1, None, 0)
         params.a = np.array([2.0])
         params.W_aux = np.array([[3.0]])
         batch = AuxDataset(np.array([[1.0]]), np.array([[4.0]]))
@@ -189,19 +189,19 @@ class TestReconLoss:
         assert recon_only(params, batch).value == pytest.approx(2.0, abs=1e-15)
 
     def test_rejects_empty(self):
-        params = init_params(2, None, 0, fro_radius=None)
+        params = init_params(2, None, 0)
         with pytest.raises(InvalidInputError):
             recon_only(params, AuxDataset(np.ones((2, 2)), np.ones((2, 2))).take(np.array([], dtype=np.int64)))
 
     def test_rejects_mismatched(self):
-        params = init_params(2, None, 0, fro_radius=None)
+        params = init_params(2, None, 0)
         with pytest.raises(ShapeError):
             recon_only(params, AuxDataset(np.ones((2, 3)), np.ones((2, 3))))
 
 
 class TestActivationPenalty:
     def test_hand_value(self):
-        params = init_params(2, None, 0, fro_radius=None)
+        params = init_params(2, None, 0)
         params.a = np.array([1.0, -2.0])
         X = np.array([[3.0, 1.0], [0.0, -1.0]])
         # per-row L1 of a*x: |3| + |-2| = 5 and |0| + |2| = 2; mean/d = 7/4
@@ -209,7 +209,7 @@ class TestActivationPenalty:
         assert out.value == pytest.approx(7.0 / 4.0, abs=1e-15)
 
     def test_zero_subgradient_at_kink(self):
-        params = init_params(2, None, 0, fro_radius=None)
+        params = init_params(2, None, 0)
         params.a = np.array([0.0, 1.0])
         X = np.array([[5.0, 1.0]])
         out = penalty_term(params, X)
@@ -276,7 +276,7 @@ class TestMultitask:
                 assert np.array_equal(g, h)
 
     def test_needs_a_batch(self):
-        params = init_params(2, None, 0, fro_radius=None)
+        params = init_params(2, None, 0)
         with pytest.raises(InvalidInputError):
             multitask_loss(params, None, None, LossWeights())
 
@@ -381,7 +381,6 @@ def _kernel_case(draw):
         a=draw(arrays(np.float64, d, elements=_VALUE)),
         w_end=draw(arrays(np.float64, d, elements=_VALUE)),
         W_aux=draw(arrays(np.float64, (d, d), elements=_VALUE)),
-        fro_radius=None,
     )
     weights = LossWeights(alpha_aux=draw(_WEIGHT), alpha_reg=draw(_WEIGHT),
                           lambda_l2=draw(_WEIGHT))

@@ -24,7 +24,7 @@ from grouprobe import (
     sgd_step,
     train,
 )
-from grouprobe.linmodel import in_constraint_set
+from grouprobe.linmodel import in_constraint_set, normalize_frobenius
 from grouprobe.objectives import recon_value
 
 
@@ -154,13 +154,16 @@ class TestSgdStep:
 
     def test_plain_step(self):
         # of params only the constraint set is read: the step is on `arrays`
-        p, g = init_params(2, None, 0, fro_radius=None), self._grads(2)
-        arrays = _rows(init_params(2, None, 1, fro_radius=None, dense_init=True))
+        p, g = init_params(2, None, 0), self._grads(2)
+        arrays = _rows(init_params(2, None, 1, dense_init=True))
         ins = [x.copy() for x in arrays]
         q = sgd_step(p, arrays, g, 0.1)
-        # no constraint set: exactly arrays - lr * grads, block by block
-        for got, x, grad in zip(q, arrays, g, strict=True):
-            assert np.array_equal(got, x - 0.1 * grad)
+        # no L1 budget: exactly arrays - lr * grads for a and w_end, and
+        # W_aux's step renormalized to the unit Frobenius sphere
+        want = [x - 0.1 * grad for x, grad in zip(arrays, g, strict=True)]
+        want[2] = normalize_frobenius(want[2])
+        for got, x in zip(q, want, strict=True):
+            assert np.array_equal(got, x)
         # the input rows are not written
         assert all(np.array_equal(x, x0) for x, x0 in zip(arrays, ins))
 
@@ -196,14 +199,14 @@ class TestSgdStep:
         check catches it."""
         sets = {"free": dict(tau=None), "ball": dict(tau=1.0),
                 "sphere": dict(tau=1.0, l1_boundary=True)}
-        for (name, kw), fro, block, bad in itertools.product(
-                sets.items(), (None, 1.0), range(3), (np.nan, np.inf, -np.inf)):
-            p = init_params(3, seed=0, fro_radius=fro, **kw)
+        for (name, kw), block, bad in itertools.product(
+                sets.items(), range(3), (np.nan, np.inf, -np.inf)):
+            p = init_params(3, seed=0, **kw)
             g = self._grads(3)
             g[block].flat[-1] = bad
             with pytest.raises(DivergedError):
                 sgd_step(p, _rows(p), g, 0.1)
-                pytest.fail(f"{name}, fro_radius {fro}: {bad} in gradient block {block} stepped")
+                pytest.fail(f"{name}: {bad} in gradient block {block} stepped")
 
 
 class TestTrain:
@@ -266,7 +269,7 @@ class TestTrain:
 
     def test_nonfinite_loss_raises(self, tiny_task, tiny_cfg, monkeypatch):
         # a weight hook that turns the loss NaN from the second epoch on
-        params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
+        params = init_params(tiny_task.train.d, None, 0)
         per_epoch = math.ceil(len(tiny_task.train) / tiny_cfg.batch_size)
         hooked, stepped = [], []
 
@@ -287,7 +290,6 @@ class TestTrain:
         assert len(hooked) == per_epoch + 1
         assert len(stepped) == per_epoch
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize("tau,alpha_aux", [(0.1, 0.0), (0.1, 10.0), (10.0, 10.0)])
     def test_huge_learning_rate_raises_diverged(self, tiny_task, tiny_aux, tau, alpha_aux):
         # the step swamps tau in float64, so the L1 projection cannot hold
@@ -302,7 +304,7 @@ class TestTrain:
             Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, None, SelectionStrategy.NO_GP)
 
     def test_end_training_requires_val(self, tiny_task, tiny_cfg):
-        params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
+        params = init_params(tiny_task.train.d, None, 0)
         with pytest.raises(InvalidInputError, match="validation data must be non-empty"):
             Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg, None,
                  SelectionStrategy.NO_GP)
@@ -316,7 +318,7 @@ class TestTrain:
             return sgd_step(*args)
 
         monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
-        params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
+        params = init_params(tiny_task.train.d, None, 0)
         n = len(tiny_task.train)
 
         def end_lane(sw, cfg=tiny_cfg):
@@ -343,7 +345,7 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match="validation data must be non-empty"):
             Lane(params, None, tiny_aux, LossWeights(), tiny_cfg, None,
                  SelectionStrategy.NO_GP, val_aux=tiny_aux_val)
-        wide = init_params(tiny_task.train.d + 1, None, 0, fro_radius=None)
+        wide = init_params(tiny_task.train.d + 1, None, 0)
         with pytest.raises(ShapeError):
             Lane(wide, tiny_task.train, None, LossWeights(), tiny_cfg, tiny_task.val,
                  SelectionStrategy.NO_GP)
@@ -360,7 +362,7 @@ class TestTrain:
                      SelectionStrategy.NO_GP, val_aux=val_aux)
 
     def test_fixed_weights_kept_as_the_checked_column(self, tiny_task, tiny_cfg):
-        params = init_params(tiny_task.train.d, None, 0, fro_radius=None)
+        params = init_params(tiny_task.train.d, None, 0)
 
         def lane(sw):
             return Lane(params, tiny_task.train, None, LossWeights(), tiny_cfg, tiny_task.val,

@@ -171,7 +171,7 @@ class TestFiniteDiff:
 
     def test_param_grads_on_quadratic(self):
         p = ModelParams(a=np.array([1.0, -2.0]), w_end=np.array([0.5, 0.0]),
-                        W_aux=np.arange(4.0).reshape(2, 2), tau=None, fro_radius=None)
+                        W_aux=np.arange(4.0).reshape(2, 2), tau=None)
 
         def loss(a, w_end, W_aux):
             return np.vecdot(a, a) + np.vecdot(w_end, w_end) + (W_aux ** 2).sum(axis=(-2, -1))
@@ -310,7 +310,7 @@ class TestTransferBound:
 def test_param_grads_evaluate_all_probes_in_one_call():
     d = 3
     p = ModelParams(a=np.arange(1.0, 4.0), w_end=np.ones(d), W_aux=np.eye(d),
-                    tau=None, fro_radius=None)
+                    tau=None)
     calls = []
 
     def values(a, w_end, W_aux):
