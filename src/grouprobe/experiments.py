@@ -94,12 +94,13 @@ def _expect_keys(d: dict, required: set[str], optional: set[str], where: str) ->
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
-def _check(v, kinds: tuple[type, ...], where: str):
+def _check(v, kinds: tuple[type, ...], where: str, bounded: bool = True):
     """`v` if it is a JSON value of one of `kinds`; an integer counts as a
     float and loads as one, -0.0 loads as 0.0, true/false count only as
     bool, a float must be finite (an integer in a float field too), and an
-    integer in an integer field must fit int64.  An np.ndarray is a JSON
-    array (nested for a matrix) of finite numbers, as float64, -0.0 kept."""
+    integer in an integer field must fit int64 when `bounded`.  An
+    np.ndarray is a JSON array (nested for a matrix) of finite numbers, as
+    float64, -0.0 kept."""
     if kinds == (np.ndarray,):
         try:  # numpy would read true/false as 1 and 0, and a string as its number
             arr = np.array(v, dtype=np.float64) if _numbers(v) else None
@@ -112,9 +113,9 @@ def _check(v, kinds: tuple[type, ...], where: str):
     if type(v) in (int, float) and float in kinds and not abs(v) <= sys.float_info.max:
         got = json.dumps(v) if type(v) is float else f"an integer of {len(str(abs(v)))} digits"
         raise ConfigError(f"{where} must be a finite number, got {got}")
-    # integer fields are held to int64, where numpy sizes stop; a seed needs
-    # no bound (the run seeds, which _parse_seeds reads, have none)
-    if type(v) is int and int in kinds and abs(v) > 2**63 - 1:
+    # integer fields are held to int64, where numpy sizes stop; a seed is
+    # SeedSequence entropy and needs no bound
+    if bounded and type(v) is int and int in kinds and abs(v) > 2**63 - 1:
         raise ConfigError(f"{where} must be an integer of magnitude at most 2**63 - 1, "
                           f"got an integer of {len(str(abs(v)))} digits")
     if type(v) in kinds:
@@ -150,11 +151,12 @@ def _fields(cls) -> dict[str, tuple[tuple[type, ...], bool]]:
 def _values(cls, d: dict, where: str, fixed=(), defaults=()) -> dict:
     """`d` as checked config block `where` of keyword arguments to `cls`: its
     keys are the fields not in `fixed`, required unless the field has a
-    default or is in `defaults`, and each value is `_check`ed."""
+    default or is in `defaults`, and each value is `_check`ed, a `seed` with
+    no upper bound, as the run seeds have none."""
     spec = _fields(cls)
     keys = spec.keys() - set(fixed)
     _expect_keys(d, {k for k in keys if spec[k][1] and k not in defaults}, keys, where)
-    return {k: _check(v, spec[k][0], f"{where}.{k}") for k, v in d.items()}
+    return {k: _check(v, spec[k][0], f"{where}.{k}", bounded=k != "seed") for k, v in d.items()}
 
 
 def _block(cls, d: dict, where: str, defaults: dict | None = None, **fixed):
@@ -293,7 +295,8 @@ def read_params(path: str | Path) -> ModelParams:
 
 
 def n_workers() -> int:
-    """Bounded pool size; the GROUPROBE_WORKERS env var overrides the default."""
+    """Bounded worker count, the calling process included; the
+    GROUPROBE_WORKERS env var overrides the default."""
     env = os.environ.get("GROUPROBE_WORKERS")
     if env is None:
         return min(os.cpu_count() or 1, 4)
@@ -420,8 +423,10 @@ def run_experiment(source, out_dir: str | Path | None):
     The cell-major job list is split into min(n_workers(), number of jobs)
     near-equal contiguous chunks, and each chunk trains through one
     `fit_lanes` call, whose `optim.train` runs the jobs that can share a step
-    as lanes of one loop.  Chunks run in a process pool of one process per
-    chunk (serially, as one chunk, with one worker).  A lane's outputs equal
+    as lanes of one loop.  The first chunk trains in the calling process
+    while a process pool of one process per other chunk trains the rest (one
+    worker makes one chunk and no pool).  When chunks diverge, the error of
+    the first of them in job order is raised.  A lane's outputs equal
     its run alone bit for bit and are keyed by deterministic seeds only, so
     neither the grouping nor the scheduling affects results.
     """
@@ -438,11 +443,12 @@ def run_experiment(source, out_dir: str | Path | None):
     if len(chunks) == 1:
         done = [_run_lanes(cfg, chunks[0], out_str)]
     else:
-        # the fork start method starts every worker at the first submit, so
-        # the pool is no larger than the chunk list
-        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-            futures = [ex.submit(_run_lanes, cfg, chunk, out_str) for chunk in chunks]
-            done = [f.result() for f in futures]
+        # chunk 0 trains here while the pool, one worker per other chunk (fork
+        # starts them all at the first submit), trains the rest; chunk 0's
+        # error, first in job order, is the one raised
+        with ProcessPoolExecutor(max_workers=len(chunks) - 1) as ex:
+            futures = [ex.submit(_run_lanes, cfg, chunk, out_str) for chunk in chunks[1:]]
+            done = [_run_lanes(cfg, chunks[0], out_str)] + [f.result() for f in futures]
     # contiguous chunks in job order: their records concatenate in job order
     records = [record for chunk_records in done for record in chunk_records]
     rows = _summarize(cfg, records)

@@ -10,6 +10,7 @@ Frobenius norm, 1 unless a model sets another.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,11 @@ class ModelParams:
         d = self.a.shape[0]
         if self.a.ndim != 1 or self.w_end.shape != (d,) or self.W_aux.shape != (d, d):
             raise ShapeError("expected a,(d,), w_end,(d,), W_aux,(d,d)")
-        if self.tau is not None and self.tau <= 0:
-            raise InvalidSpecError("tau must be positive when set")
+        if self.tau is not None:
+            _check_real("tau", self.tau)
+            if self.tau <= 0:
+                raise InvalidSpecError("tau must be positive when set")
+        _check_real("fro_radius", self.fro_radius)
         if self.fro_radius <= 0:
             raise InvalidSpecError("fro_radius must be positive")
         if self.l1_boundary and self.tau is None:
@@ -60,6 +64,12 @@ class ModelParams:
     def feasible(self) -> bool:
         """`in_constraint_set` of this model's own arrays."""
         return in_constraint_set(self, self.a, self.w_end, self.W_aux)
+
+
+def _check_real(name: str, v) -> None:
+    # a bool is an int to Python, but neither it nor a string is a radius
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidSpecError(f"{name} must be a real number, got {v!r}")
 
 
 def in_constraint_set(params: ModelParams, a: np.ndarray, w_end: np.ndarray, W_aux: np.ndarray) -> bool:

@@ -1,8 +1,10 @@
 import copy
 import csv
 import dis
+import functools
 import json
 import math
+import os
 import types
 from concurrent.futures import Future
 
@@ -165,6 +167,20 @@ class TestConfigParsing:
         doc["test"].update(n_per_group=2**63 - 1)
         cfg = ExperimentConfig.load(doc)
         assert cfg.data.n_maj == 2**63 - 2 and cfg.test_n_per_group == 2**63 - 1
+
+    def test_test_seed_has_no_upper_bound(self):
+        # a seed is SeedSequence entropy, as the run seeds are
+        doc = tiny_config(runs=tiny_config()["runs"][:1], seeds=[2**64 + 5])
+        doc["test"]["seed"] = 2**64
+        doc["runs"][0]["optim"]["epochs"] = 1
+        cfg = ExperimentConfig.load(doc)
+        assert (cfg.test_seed, cfg.seeds) == (2**64, (2**64 + 5,))
+        test = experiments.make_balanced_test(cfg.data, cfg.test_n_per_group, cfg.test_seed)
+        assert len(test) == 4 * 25
+        assert not np.array_equal(
+            test.features, experiments.make_balanced_test(cfg.data, 25, 2**64 + 1).features)
+        _, records = run_experiment(doc, None)
+        assert [(r["tag"], r["seed"]) for r in records] == [("erm", 2**64 + 5)]
 
     def test_values_kept_as_written(self):
         doc = _edited(tiny_config(), lambda d: d["runs"][1]["optim"].update(learning_rate=1))
@@ -428,6 +444,16 @@ class TestSplitMemo:
         assert calls == {"sample_group_dataset": 18, "make_balanced_test": 1}
 
 
+_RUN_LANES = experiments._run_lanes
+
+
+def _logging_run_lanes(log, cfg, jobs, out_dir):
+    # module level, so that the pool can pickle it: appends "<pid> <jobs>"
+    with open(log, "a") as f:
+        f.write(f"{os.getpid()} {len(jobs)}\n")
+    return _RUN_LANES(cfg, jobs, out_dir)
+
+
 @pytest.fixture
 def inline_pools(monkeypatch) -> list[int]:
     """Stand in for the process pool with one that runs each job at submit,
@@ -479,7 +505,12 @@ class TestLaneGroups:
 
     def test_one_step_per_run_step_and_one_schedule_per_run_epoch(self, monkeypatch, group_sizes):
         """The step and schedule counts a tracer wrapping these two module
-        globals sees are the runs' own, summed: lanes share neither."""
+        globals sees are the runs' own, summed: lanes share neither.  The
+        benchmark's traced pass (`_trace_consistency` in bench/run.py)
+        counts these same `optim.sgd_step` and `heterogeneous_batches`
+        calls as its SGD steps and epochs, so a step that makes no per-lane
+        `sgd_step` call reads as a wrong count there until that count
+        changes."""
         optim = grouprobe.optim
         steps, schedules = [], []
         real_step, real_batches = optim.sgd_step, optim.heterogeneous_batches
@@ -540,6 +571,8 @@ class TestLaneGroups:
                                                 (5, [3, 3, 2, 2, 2])], ids=["1", "2", "4", "5"])
     def test_jobs_split_into_contiguous_chunks_per_worker(self, workers, parts, monkeypatch,
                                                           inline_pools):
+        """One chunk per worker; the first trains in this process and the
+        pool, one process smaller, takes the rest."""
         chunks = []
         real = experiments._run_lanes
 
@@ -552,16 +585,34 @@ class TestLaneGroups:
         doc = tiny_config(runs=self.RUNS, seeds=[0, 1, 2])
         _, records = run_experiment(doc, None)
         jobs = [(i, s) for i in range(len(self.RUNS)) for s in doc["seeds"]]
+        # the inline pool trains each submitted chunk at once, before the
+        # first chunk: order the chunks by their first job
+        chunks.sort(key=lambda chunk: chunk[0])
         assert [len(chunk) for chunk in chunks] == parts
         assert [job for chunk in chunks for job in chunk] == jobs
         assert [(self.RUNS[i]["tag"], s) for i, s in jobs] == [(r["tag"], r["seed"]) for r in records]
-        assert inline_pools == ([] if workers == 1 else [workers])
+        assert inline_pools == ([] if workers == 1 else [workers - 1])
 
     def test_pool_is_no_larger_than_the_job_list(self, monkeypatch, inline_pools):
         monkeypatch.setenv("GROUPROBE_WORKERS", "64")
         _, records = run_experiment(tiny_config(runs=self.RUNS[:1], seeds=[0, 1]), None)
-        assert inline_pools == [2]
+        assert inline_pools == [1]
         assert len(records) == 2
+
+    def test_first_chunk_trains_in_the_calling_process(self, tmp_path, monkeypatch):
+        """At 2 workers on the real pool, one chunk trains here and the
+        other in a forked worker."""
+        log = tmp_path / "pids.txt"
+        monkeypatch.setattr(experiments, "_run_lanes", functools.partial(_logging_run_lanes, log))
+        monkeypatch.setenv("GROUPROBE_WORKERS", "2")
+        doc = tiny_config(runs=self.RUNS[:1], seeds=[0, 1, 2])
+        _, records = run_experiment(doc, None)
+        assert [r["seed"] for r in records] == [0, 1, 2]
+        calls = dict(line.split() for line in log.read_text().splitlines())
+        assert len(calls) == 2
+        # the first chunk, which array_split makes the larger, trains here
+        assert calls.pop(str(os.getpid())) == "2"
+        assert list(calls.values()) == ["1"]
 
     def test_lane_key_separates_what_cannot_share_a_step(self, monkeypatch, group_sizes):
         base = self.RUNS[0]
@@ -620,6 +671,39 @@ class TestLaneGroups:
         # both chunks hold a mtl_free run and diverge; the first in job order raises
         assert (exc.value.tag, exc.value.seed, exc.value.epoch) == ("mtl_free", 0, 0)
         assert str(exc.value).endswith("(run mtl_free, seed 0, epoch 0)")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("diverged, named", [((0,), "a"), ((3,), "d"), ((0, 3), "a")],
+                             ids=["first-chunk", "last-chunk", "both-chunks"])
+    def test_diverged_run_named_by_its_chunk(self, diverged, named, workers, monkeypatch):
+        """Four erm runs of one seed share a lane group; 2 workers cut them
+        into chunks [a, b], trained here, and [c, d], trained in a worker.
+        The first chunk in job order with a diverged run names it."""
+        runs = [{"tag": tag, "method": "erm",
+                 "optim": {"learning_rate": 1e300 if i in diverged else 0.01,
+                           "batch_size": 16, "epochs": 2},
+                 "weights": {"lambda_l2": 1.0}} for i, tag in enumerate("abcd")]
+        monkeypatch.setenv("GROUPROBE_WORKERS", workers)
+        with pytest.raises(DivergedError) as exc:
+            run_experiment(tiny_config(runs=runs, seeds=[0]), None)
+        assert (exc.value.tag, exc.value.seed, exc.value.epoch) == (named, 0, 0)
+        assert str(exc.value).endswith(f"(run {named}, seed 0, epoch 0)")
+
+    @pytest.mark.parametrize("workers, named", [("1", "C"), ("2", "B")])
+    def test_diverged_run_named_depends_on_the_worker_count(self, workers, named, monkeypatch):
+        """Serially, C shares A's lane group, which trains before B's.  At 2
+        workers, the chunk [A, B] trains B's group and reports it before
+        the worker's chunk [C] is read."""
+        doc = recipe_config("table2")
+        template = {k: v for k, v in doc["runs"][0].items() if k != "tau"}
+        doc["runs"] = [dict(template, tag=tag, optim=dict(template["optim"], learning_rate=lr,
+                                                          batch_size=batch, epochs=3))
+                       for tag, lr, batch in (("A", 1e-3, 64), ("B", 1e300, 32), ("C", 1e300, 64))]
+        doc["seeds"] = [0]
+        monkeypatch.setenv("GROUPROBE_WORKERS", workers)
+        with pytest.raises(DivergedError) as exc:
+            run_experiment(doc, None)
+        assert str(exc.value) == f"non-finite training loss (run {named}, seed 0, epoch 0)"
 
 
 class TestWorkers:

@@ -1,8 +1,8 @@
 """Golden-output regression test.
 
 Cut-down copies of four named recipes (one seed, 15 epochs), run serially
-and with two workers, must write artifacts whose sha256 hashes match the
-ones recorded in `golden_sha256.json`.  So must the `grad-check` report at three seeds and
+and with two and three workers, must write artifacts whose sha256 hashes
+match the ones recorded in `golden_sha256.json`.  So must the `grad-check` report at three seeds and
 the `pareto` front files of a generated 10,000-point sweep file.  A
 refactor that claims unchanged behaviour passes this test unmodified; a
 change that alters outputs on purpose re-records the hashes with
@@ -77,10 +77,11 @@ def test_every_named_recipe_has_golden_hashes():
     assert set(RECIPES) == set(experiments.RECIPES)
 
 
-# serial, and in a 2-worker pool, where each lane group trains in two chunks
+# serial, and at 2 and 3 workers, where each lane group trains in two or
+# three chunks: the first in this process, the others in pool processes
 @pytest.mark.parametrize("workers,name", [
     pytest.param(workers, name, id=name if workers == "1" else f"{name}-workers{workers}")
-    for workers in ("1", "2") for name in RECIPES])
+    for workers in ("1", "2", "3") for name in RECIPES])
 def test_artifacts_match_golden(workers, name, tmp_path, monkeypatch):
     monkeypatch.setenv("GROUPROBE_WORKERS", workers)
     want = json.loads(GOLDEN.read_text())[name]

@@ -192,6 +192,18 @@ class TestModelParams:
         with pytest.raises(InvalidSpecError):
             ModelParams(np.ones(2), np.ones(2), np.eye(2), tau=None, l1_boundary=True)
 
+    @pytest.mark.parametrize("field, value", [("tau", "0.1"), ("fro_radius", None), ("tau", True),
+                                              ("fro_radius", False), ("fro_radius", "1")],
+                             ids=["tau-string", "fro_radius-None", "tau-bool", "fro_radius-bool",
+                                  "fro_radius-string"])
+    def test_non_number_constraint_fields_named(self, field, value):
+        with pytest.raises(InvalidSpecError, match=f"^{field} must be a real number, got {value!r}$"):
+            ModelParams(np.ones(2), np.ones(2), np.eye(2), **{field: value})
+
+    def test_number_types_accepted(self):
+        p = ModelParams(np.ones(2), np.ones(2), np.eye(2), tau=2, fro_radius=np.float32(0.5))
+        assert (p.tau, p.fro_radius) == (2, 0.5)
+
     def test_feasible(self):
         p = init_params(3, 1.5, 0)
         assert p.feasible()
