@@ -159,12 +159,18 @@ def _group_reweighting(group_step: float):
     q = np.full(N_GROUPS, 1.0 / N_GROUPS)
 
     def reweight(nll, group_ids):
-        # group losses exclude the L2 penalty: it does not depend on the data
+        # group losses exclude the L2 penalty: it does not depend on the data.
+        # A stable sort lays each group's losses out contiguously in row
+        # order, so each mean is over the values, in the order, that the
+        # mask nll[group_ids == g] would pick
         gl = np.full(N_GROUPS, np.nan)
         counts = np.bincount(group_ids, minlength=N_GROUPS)
-        for g in range(N_GROUPS):
-            if counts[g]:
-                gl[g] = nll[group_ids == g].mean()
+        by_group = nll[np.argsort(group_ids, kind="stable")]
+        start = 0
+        for g, end in enumerate(np.cumsum(counts).tolist()):
+            if end > start:
+                gl[g] = by_group[start:end].mean()
+            start = end
         present = counts > 0
         q[present] *= np.exp(group_step * gl[present])
         q[:] = q / q.sum()

@@ -79,14 +79,14 @@ def in_constraint_set(params: ModelParams, a: np.ndarray, w_end: np.ndarray, W_a
     A norm that passes its bound is finite, so a constrained block needs no
     separate finiteness pass."""
     if params.tau is None:
-        if not np.isfinite(a).all():
+        if not np.logical_and.reduce(np.isfinite(a)):
             return False
     else:
-        l1 = np.abs(a).sum()
+        l1 = float(np.add.reduce(np.abs(a)))
         slack = L1_FEASIBILITY_TOL * max(1.0, params.tau)
         if not (abs(l1 - params.tau) <= slack if params.l1_boundary else l1 <= params.tau + slack):
             return False
-    if not np.isfinite(w_end).all():
+    if not np.logical_and.reduce(np.isfinite(w_end)):
         return False
     return abs(_fro_norm(W_aux) - params.fro_radius) <= 1e-9 * max(1.0, params.fro_radius)
 
@@ -111,7 +111,7 @@ def project_l1(v: np.ndarray, tau: float) -> np.ndarray:
     if v.ndim != 1:
         raise ShapeError("project_l1 expects a 1-D array")
     av = np.abs(v)
-    if av.sum() <= tau:
+    if np.add.reduce(av) <= tau:
         return v.copy()
     u = np.sort(av)[::-1]
     css = np.cumsum(u)
@@ -119,9 +119,13 @@ def project_l1(v: np.ndarray, tau: float) -> np.ndarray:
     try:
         rho = np.nonzero(u * k > css - tau)[0][-1]
     except IndexError:
-        # k = 1 always qualifies in exact arithmetic; here |v| swamped tau
+        # k = 1 always qualifies in exact arithmetic; here an entry of v is
+        # not finite, or |v| swamped tau
+        bad = np.flatnonzero(~np.isfinite(v))
+        reason = (f"v[{bad[0]}] is {v[bad[0]]}" if bad.size
+                  else "it is below the float64 resolution of v")
         raise DegenerateInputError(f"cannot project onto the L1 ball of radius {tau}: "
-                                   "it is below the float64 resolution of v") from None
+                                   f"{reason}") from None
     theta = (css[rho] - tau) / (rho + 1.0)
     return np.sign(v) * np.maximum(av - theta, 0.0)
 
@@ -130,13 +134,19 @@ def rescale_l1(v: np.ndarray, tau: float) -> np.ndarray:
     """Rescale v onto the L1 sphere ||v||_1 == tau (boundary mode).
 
     The zero vector has no preferred direction and is returned unchanged.
+    A finite v whose L1 norm overflows is first divided by its largest
+    |entry|; a v with a NaN or +-inf entry comes back with NaN in it.
     """
     if tau <= 0:
         raise InvalidSpecError("tau must be positive")
     v = np.asarray(v, dtype=np.float64)
-    l1 = np.abs(v).sum()
+    av = np.abs(v)
+    l1 = np.add.reduce(av)
     if l1 == 0.0:
         return v.copy()
+    if not math.isfinite(l1):
+        v = v / np.maximum.reduce(av)
+        l1 = np.add.reduce(np.abs(v))
     return v * (tau / l1)
 
 
@@ -148,13 +158,20 @@ def _fro_norm(W: np.ndarray) -> float:
 
 
 def normalize_frobenius(W: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    """Rescale W to Frobenius norm `radius`, preserving direction."""
+    """Rescale W to Frobenius norm `radius`, preserving direction.
+
+    A finite W whose norm overflows is first divided by its largest
+    |entry|; a W with a NaN or +-inf entry comes back with NaN in it.
+    """
     if radius <= 0:
         raise InvalidSpecError("radius must be positive")
     W = np.asarray(W, dtype=np.float64)
     norm = _fro_norm(W)
     if norm == 0.0:
         raise DegenerateInputError("cannot normalize the zero matrix: no direction")
+    if not math.isfinite(norm):
+        W = W / np.maximum.reduce(np.abs(W), axis=None)
+        norm = _fro_norm(W)
     return W * (radius / norm)
 
 

@@ -136,7 +136,8 @@ def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=1.0):
     # d nll / d z = sigmoid(z) - t
     r = _sigmoid(z) - t
     g = sample_weights * r / n
-    value = (sample_weights * nll).sum(axis=-1) / n + 0.5 * lambda_l2 * np.vecdot(w_end, w_end)
+    value = (np.add.reduce(sample_weights * nll, axis=-1) / n
+             + 0.5 * lambda_l2 * np.vecdot(w_end, w_end))
     grad_w_end = np.vecmat(g, H) + _scale(lambda_l2, w_end)
     grad_a = np.vecmat(g, featurize(X, w_end))
     return value, grad_a, grad_w_end
@@ -145,7 +146,7 @@ def end_terms(X, H, neg_y, t, w_end, lambda_l2, sample_weights=1.0):
 def recon_value(H, X0, W_aux):
     """Reconstruction term for H = Xt * a, no gradients: (value, residual)."""
     R = H @ W_aux - X0
-    return (R * R).sum(axis=(-2, -1)) / (2.0 * H.shape[-2]), R
+    return np.add.reduce(R * R, axis=(-2, -1)) / (2.0 * H.shape[-2]), R
 
 
 def recon_terms(Xt, H, X0, W_aux):
@@ -153,7 +154,7 @@ def recon_terms(Xt, H, X0, W_aux):
     n = Xt.shape[-2]
     value, R = recon_value(H, X0, W_aux)
     grad_W_aux = H.mT @ R / n
-    grad_a = ((R @ W_aux.mT) * Xt).sum(axis=-2) / n
+    grad_a = np.add.reduce((R @ W_aux.mT) * Xt, axis=-2) / n
     return value, grad_a, grad_W_aux
 
 
@@ -161,8 +162,8 @@ def penalty_terms(X, H):
     """Activation L1 penalty for H = X * a, the batch mean of |H| / d:
     (value, grad_a), whose subgradient is 0 where an entry of H is 0."""
     n, d = X.shape[-2:]
-    value = np.abs(H).sum(axis=(-2, -1)) / (n * d)
-    grad_a = (np.sign(H) * X).sum(axis=-2) / (n * d)
+    value = np.add.reduce(np.abs(H), axis=(-2, -1)) / (n * d)
+    grad_a = np.add.reduce(np.sign(H) * X, axis=-2) / (n * d)
     return value, grad_a
 
 

@@ -3,12 +3,14 @@ epochs, with per-epoch validation tracking and checkpoint selection.
 
 `train` is the one training loop.  It trains the lanes (runs) that can
 share a step (see `_lockstep_key`) as one group, in lockstep: one stacked
-loss-and-gradient call per step (see `objectives`), one `sgd_step` call per
-lane-step and one `heterogeneous_batches` schedule per lane-epoch, both
-looked up on this module.  A group's parameters are three stacks, (R, d)
-`a`, (R, d) `w_end` and (R, d, d) `W_aux`, from entry to exit: a lane's
-`ModelParams` is read when it enters and built again only for its results.
-Every lane's outputs equal its one-lane run's bit for bit.
+loss-and-gradient call (see `objectives`) and one stacked descent update
+per step, then one `sgd_step` call per lane-step, which projects that
+lane's stepped rows into its constraint set and checks them, and one
+`heterogeneous_batches` schedule per lane-epoch, both looked up on this
+module.  A group's parameters are three stacks, (R, d) `a`, (R, d) `w_end`
+and (R, d, d) `W_aux`, from entry to exit: a lane's `ModelParams` is read
+when it enters and built again only for its results.  Every lane's outputs
+equal its one-lane run's bit for bit.
 """
 
 from __future__ import annotations
@@ -63,25 +65,27 @@ class OptimConfig:
             raise InvalidSpecError("seed must be a non-negative integer")
 
 
-def sgd_step(params: ModelParams, arrays: tuple, grads: tuple, lr: float) -> tuple:
-    """One lane's descent step followed by constraint enforcement: fresh
-    (a, w_end, W_aux) from the lane's rows `arrays` and gradient rows
-    `grads`, which are not written.  Of `params` only the constraint set
-    (tau, l1_boundary, fro_radius) is read.
+def sgd_step(params: ModelParams, stepped: tuple) -> tuple:
+    """Constraint enforcement of one lane's step: project its stepped rows
+    `stepped`, (a, w_end, W_aux) after the descent update that `train` makes
+    for every lane of a group at once, into the constraint set of `params`
+    (tau, l1_boundary, fro_radius; its arrays are not read), check them,
+    and return the lane's (a, w_end, W_aux).
 
-    Order: update, project `a` back to its L1 set and renormalize W_aux,
-    check.  Raises DivergedError when the step leaves arrays the projection
-    cannot bring back into the set, which includes any NaN or +-inf gradient
-    entry: `train` names those in its one check per group step, and here
-    `project_l1` finds no threshold, `rescale_l1` and `normalize_frobenius`
-    scale by a NaN or zero factor that leaves NaN, and `in_constraint_set`
-    rejects a non-finite block.
+    `a` goes back to its L1 set (left as stepped without tau), W_aux is
+    renormalized and w_end passes through; the projected blocks are fresh
+    arrays, and `stepped` is not written.  Raises DivergedError when the
+    projection cannot bring the rows back into the set, which includes any
+    NaN or +-inf entry: `train` names those in the gradients in its one
+    check per group step, and here `project_l1` names the entry,
+    `rescale_l1` and `normalize_frobenius` leave NaN, and
+    `in_constraint_set` rejects a non-finite block.
     """
-    (a, w_end, W_aux), (grad_a, grad_w_end, grad_W_aux) = arrays, grads
-    a, w_end, W_aux = a - lr * grad_a, w_end - lr * grad_w_end, W_aux - lr * grad_W_aux
+    a, w_end, W_aux = stepped
+    tau = params.tau
     try:
-        if params.tau is not None:
-            a = rescale_l1(a, params.tau) if params.l1_boundary else project_l1(a, params.tau)
+        if tau is not None:
+            a = rescale_l1(a, tau) if params.l1_boundary else project_l1(a, tau)
         W_aux = normalize_frobenius(W_aux, params.fro_radius)
     except DegenerateInputError as e:
         raise DivergedError(f"projection failed: {e}") from None
@@ -312,11 +316,13 @@ def train(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     or another, is made once and shared read-only), and `_gather` reads
     every column once.  Each step is one `joint_terms` call on the group's
     (R, B, d) batches, one finiteness check of all lanes' loss values and
-    gradients, and one `sgd_step` call per lane, with its learning rate and
-    constraint set, on its rows of the group's (R, d) `a`, (R, d) `w_end`
-    and (R, d, d) `W_aux` stacks, written back in place.  The stacks are the
-    parameters from entry to exit: `ModelParams` are built only for the
-    results.  `_hook_rows` runs the hooks.
+    gradients, one descent update of the group's (R, d) `a`, (R, d) `w_end`
+    and (R, d, d) `W_aux` stacks by an (R, 1) learning-rate column, and one
+    `sgd_step` call per lane, with its constraint set, on its rows of the
+    stepped stacks, which projects and checks them; the projected rows are
+    written back.  The stacks are the parameters from entry to exit:
+    `ModelParams` are built only for the results.  `_hook_rows` runs the
+    hooks.
 
     Each lane checked its inputs when it was built (see `Lane`).  A
     non-finite loss or gradient, or a failed step, raises `DivergedError`
@@ -364,8 +370,13 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     weights = LaneWeights.stack([lane.weights for lane in lanes])
     names = [{} if lane.tag is None else {"tag": lane.tag, "seed": lane.cfg.seed}
              for lane in lanes]
-    learning_rates = [lane.cfg.learning_rate for lane in lanes]
-    # the only parameter state: row r of each stack is lane r's, stepped in place
+    # each lane's constraint set, read by its sgd_step calls, and the (R, 1)
+    # learning-rate column of the group's descent update
+    constraints = [lane.params for lane in lanes]
+    lr = np.array([[lane.cfg.learning_rate] for lane in lanes])
+    lr_W = lr[:, :, None]
+    # the only parameter state: row r of each stack is lane r's; each step
+    # makes fresh stacks and writes its projected rows into them
     a, w_end, W_aux = (np.array([getattr(lane.params, k) for lane in lanes])
                        for k in ("a", "w_end", "W_aux"))
     # every epoch's steps: the slice of each lane's gathered columns that
@@ -406,13 +417,15 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
                 aux = (Xt[rows], X0[rows])
             le = joint_terms(a, w_end, W_aux, weights, end, aux, batch_weights)
             n_finite, failure = _finite_lanes(le, R)
-            # the lanes before the first non-finite one step first, so a lane
-            # among them that fails its step is named
+            # every lane's descent update at once, into fresh stacks; lane r
+            # gets the float ops of its own lr * grad row.  The lanes before
+            # the first non-finite one are then projected and checked first,
+            # in lane order, so a lane among them that fails its step is named
+            a, w_end, W_aux = (a - lr * le.grad_a, w_end - lr * le.grad_w_end,
+                               W_aux - lr_W * le.grad_W_aux)
             for r in range(n_finite):
                 try:
-                    a[r], w_end[r], W_aux[r] = sgd_step(
-                        lanes[r].params, (a[r], w_end[r], W_aux[r]),
-                        (le.grad_a[r], le.grad_w_end[r], le.grad_W_aux[r]), learning_rates[r])
+                    a[r], _, W_aux[r] = sgd_step(constraints[r], (a[r], w_end[r], W_aux[r]))
                 except DivergedError as e:
                     raise DivergedError(str(e), epoch=ep, **names[r]) from None
             if failure:
@@ -437,7 +450,7 @@ def _train_group(lanes: list[Lane]) -> list[tuple[TrainTrace, ModelParams]]:
     selected = metric.argmax(axis=0).tolist()
 
     def lane_params(r, a, w_end, W_aux):
-        return replace(lanes[r].params, a=a[r], w_end=w_end[r], W_aux=W_aux[r])
+        return replace(constraints[r], a=a[r], w_end=w_end[r], W_aux=W_aux[r])
 
     return [(TrainTrace(train_loss[:, r], avg_acc[:, r], wg_acc[:, r], group_acc[:, r],
                         None if recon is None else recon[:, r], ep,

@@ -350,6 +350,41 @@ class TestGroupDro:
             q_prev = q.copy()
         assert not np.allclose(q, 0.25)
 
+    def test_group_means_match_the_mask_form_bit_for_bit(self):
+        """The hook's sort-and-slice group means give the q and weights of
+        the mask form `nll[group_ids == g].mean()`, byte for byte, on
+        seeded batches of every size a recipe uses, absent groups
+        included."""
+
+        def mask_reweighting(group_step):
+            q = np.full(4, 0.25)
+
+            def reweight(nll, group_ids):
+                gl = np.full(4, np.nan)
+                counts = np.bincount(group_ids, minlength=4)
+                for g in range(4):
+                    if counts[g]:
+                        gl[g] = nll[group_ids == g].mean()
+                present = counts > 0
+                q[present] *= np.exp(group_step * gl[present])
+                q[:] = q / q.sum()
+                return q[group_ids] * len(group_ids) / counts[group_ids]
+
+            return reweight, q
+
+        rng = np.random.default_rng(2024)
+        for k in range(2000):
+            if k % 20 == 0:  # a fresh q every 20 steps, as in a short run
+                hook, q = _group_reweighting(self.ETA)
+                want_hook, want_q = mask_reweighting(self.ETA)
+            size = int(rng.choice([1, 2, 7, 16, 32, 64, 100, 256]))
+            groups = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)
+            group_ids = rng.choice(groups, size=size, p=rng.dirichlet(np.ones(len(groups))))
+            nll = rng.exponential(size=size) * 10.0 ** rng.uniform(-3, 1)
+            got, want = hook(nll, group_ids), want_hook(nll, group_ids)
+            assert got.tobytes() == want.tobytes(), k
+            assert q.tobytes() == want_q.tobytes(), k
+
     def test_zero_step_keeps_uniform(self, tiny_task):
         hook, q = _group_reweighting(0.0)
         for nll, group_ids in self._batches():

@@ -1,8 +1,9 @@
 """Lane groups of `optim.train` against the per-run loop they replaced.
 
 `reference_train` is the training loop as it was before lanes: one run, one
-`joint_terms` call on that run alone, a stack of one lane, and one
-`sgd_step` call per step, one schedule per epoch.  It is kept here, the way
+`joint_terms` call on that run alone, a stack of one lane, its own descent
+update `x - lr * grad` of each block and one `sgd_step` call per step to
+project and check it, one schedule per epoch.  It is kept here, the way
 `test_io_equivalence.py` keeps the old row loops, and every lane of a
 `train` call, whether it shares its group with other lanes or trains alone,
 must match its own reference run bit for bit: every per-epoch trace column,
@@ -15,6 +16,7 @@ that `train`'s lanes of one seed and stream lengths share.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -133,9 +135,10 @@ def reference_train(params, end_data, aux_data, weights, cfg, val_data, selector
             if not math.isfinite(value):
                 raise DivergedError("non-finite training loss", epoch=ep)
             loss_sum += value * size
-            a, w_end, W_aux = sgd_step(params, (params.a, params.w_end, params.W_aux),
-                                       (le.grad_a[0], le.grad_w_end[0], le.grad_W_aux[0]),
-                                       cfg.learning_rate)
+            lr = cfg.learning_rate
+            a, w_end, W_aux = sgd_step(params, (params.a - lr * le.grad_a[0],
+                                                params.w_end - lr * le.grad_w_end[0],
+                                                params.W_aux - lr * le.grad_W_aux[0]))
             params = replace(params, a=a, w_end=w_end, W_aux=W_aux)
         vm = evaluate(params, val_data)
         val_recon = (None if val_aux is None
@@ -243,6 +246,39 @@ def test_seven_lanes_over_two_seeds_and_each_alone():
     group = [_erm_lane(seed=SEEDS[r % 2], lr=0.01 * (r + 1), tau=(None, 0.1, 0.5)[r % 3])
              for r in range(7)]
     for lane, result in zip(group, train(group)):
+        assert_same_run(result, train([lane])[0])
+        assert_same_run(result, _reference(lane))
+
+
+def test_mixed_learning_rates_and_constraint_sets_step_as_one_group(group_sizes, monkeypatch):
+    """One group mixes learning rates 0.01 and 0.001, as a pareto sweep's
+    reg_mtl cells do, with the free, ball and sphere constraint sets: the
+    group's one descent update by its learning-rate column is followed by
+    one sgd_step call per lane-step, in lane order, with that lane's
+    constraint set, and every lane equals its one-lane run bit for bit."""
+    group = []
+    for r, (lr, mode) in enumerate(itertools.product((0.01, 0.001), ("free", "ball", "sphere"))):
+        seed = SEEDS[r % 2]
+        train_set, _, aux, _ = seed_data(seed)
+        params = init_params(train_set.d, None if mode == "free" else 0.5, [seed, 101],
+                             l1_boundary=mode == "sphere")
+        group.append(Lane(params, train_set, aux,
+                          LossWeights(alpha_aux=1.0, alpha_reg=0.1, lambda_l2=1.0),
+                          OptimConfig(lr, 8, 3, seed=seed), long_val_data(seed),
+                          SelectionStrategy.NO_GP))
+    calls = []
+
+    def counting_step(params, stepped):
+        calls.append(params)
+        return sgd_step(params, stepped)
+
+    monkeypatch.setattr(grouprobe.optim, "sgd_step", counting_step)
+    results = train(group)
+    assert group_sizes == [len(group)]
+    steps = group[0].cfg.epochs * math.ceil(len(seed_data(4)[0]) / 8)
+    assert len(calls) == steps * len(group)
+    assert all(p is lane.params for p, lane in zip(calls, itertools.cycle(group)))
+    for lane, result in zip(group, results):
         assert_same_run(result, train([lane])[0])
         assert_same_run(result, _reference(lane))
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from grouprobe import (
     rescale_l1,
 )
 from grouprobe.experiments import params_json
+from grouprobe.linmodel import _fro_norm
 
 
 def brute_force_project_2d(v: np.ndarray, tau: float, n_grid: int = 20001) -> np.ndarray:
@@ -85,6 +87,12 @@ class TestProjectL1:
         with pytest.raises(DegenerateInputError, match="float64 resolution"):
             project_l1(np.array([1e16, 0.0]), 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_named(self, bad):
+        # not the float64 resolution: the entry itself
+        with pytest.raises(DegenerateInputError, match=rf"v\[1\] is {bad}$"):
+            project_l1(np.array([0.3, bad, -0.2]), 0.1)
+
     def test_bad_args(self):
         with pytest.raises(InvalidSpecError):
             project_l1(np.ones(3), 0.0)
@@ -117,6 +125,16 @@ class TestRescaleL1:
         z = np.zeros(3)
         assert np.array_equal(rescale_l1(z, 1.0), z)
 
+    # the norm's own overflow still warns; the result is right regardless
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_lands_on_sphere(self):
+        # |v|_1 = 2e308 overflows to inf, and tau / inf would zero v
+        out = rescale_l1(np.array([1e308, 1e308]), 0.1)
+        assert np.array_equal(out, [0.05, 0.05])
+        out = rescale_l1(np.array([1.7e308, -1e308, 3.0]), 2.0)
+        assert abs(np.abs(out).sum() - 2.0) < 1e-12
+        assert np.array_equal(np.sign(out), [1.0, -1.0, 1.0])
+
     def test_bad_tau(self):
         with pytest.raises(InvalidSpecError):
             rescale_l1(np.ones(2), -1.0)
@@ -143,6 +161,39 @@ class TestNormalizeFrobenius:
     def test_already_normalized_unchanged(self):
         W = np.eye(3) / np.sqrt(3.0)
         assert np.allclose(normalize_frobenius(W, 1.0), W, atol=1e-15)
+
+    # the norm's own overflow still warns; the result is right regardless
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_keeps_direction(self):
+        # the squared norm 2e400 overflows to inf, and radius / inf would
+        # zero W
+        out = normalize_frobenius(np.array([[1e200, 1e200], [0.0, 0.0]]), 1.0)
+        assert np.allclose(out, [[2 ** -0.5, 2 ** -0.5], [0.0, 0.0]], rtol=1e-15, atol=0)
+        out = normalize_frobenius(np.array([[1.7e308, -1e308], [0.0, 2.0]]), 3.0)
+        assert abs(np.linalg.norm(out) - 3.0) < 1e-12
+        assert np.array_equal(np.sign(out), [[1.0, -1.0], [0.0, 1.0]])
+
+    def test_finite_norm_keeps_its_bits(self):
+        # the rescue path is taken only for an overflowed norm
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            W = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-100, 100)
+            want = W * (1.5 / math.sqrt(W.ravel() @ W.ravel()))
+            assert normalize_frobenius(W, 1.5).tobytes() == want.tobytes()
+            v = W[0]
+            assert rescale_l1(v, 0.7).tobytes() == (v * (0.7 / np.abs(v).sum())).tobytes()
+
+    def test_vecdot_of_flattened_rows_is_the_fro_norm(self):
+        """np.vecdot over a stack's flattened W_aux rows gives each lane's
+        `_fro_norm` bit for bit, strided stacks included: the per-lane norm
+        a stacked step can use."""
+        rng = np.random.default_rng(17)
+        W = rng.normal(size=(4001, 2, 2)) * 10.0 ** rng.uniform(-3, 3, size=(4001, 1, 1))
+        for stack in (W, W[::3], W[1::2]):
+            flat = stack.reshape(len(stack), -1)
+            got = np.sqrt(np.vecdot(flat, flat))
+            want = np.array([_fro_norm(m) for m in stack])
+            assert got.tobytes() == want.tobytes()
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInputError):

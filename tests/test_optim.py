@@ -148,55 +148,66 @@ def _rows(p):
     return p.a, p.w_end, p.W_aux
 
 
+def _stepped(rows, grads, lr):
+    # the descent update that train makes for every lane of a group at once
+    return tuple(x - lr * g for x, g in zip(rows, grads, strict=True))
+
+
 class TestSgdStep:
+    """sgd_step of one lane's stepped rows: projection into the lane's
+    constraint set and the feasibility check, with no arithmetic of its own
+    on the rows beyond them."""
+
     def _grads(self, d, scale=1.0):
         return np.full(d, scale), np.full(d, -scale), np.full((d, d), scale)
 
     def test_plain_step(self):
-        # of params only the constraint set is read: the step is on `arrays`
-        p, g = init_params(2, None, 0), self._grads(2)
-        arrays = _rows(init_params(2, None, 1, dense_init=True))
-        ins = [x.copy() for x in arrays]
-        q = sgd_step(p, arrays, g, 0.1)
-        # no L1 budget: exactly arrays - lr * grads for a and w_end, and
-        # W_aux's step renormalized to the unit Frobenius sphere
-        want = [x - 0.1 * grad for x, grad in zip(arrays, g, strict=True)]
-        want[2] = normalize_frobenius(want[2])
+        # of params only the constraint set is read: the rows are `stepped`
+        p = init_params(2, None, 0)
+        stepped = _stepped(_rows(init_params(2, None, 1, dense_init=True)), self._grads(2), 0.1)
+        ins = [x.copy() for x in stepped]
+        q = sgd_step(p, stepped)
+        # no L1 budget: a and w_end exactly as stepped, and W_aux
+        # renormalized to the unit Frobenius sphere
+        want = [*ins[:2], normalize_frobenius(ins[2])]
         for got, x in zip(q, want, strict=True):
-            assert np.array_equal(got, x)
-        # the input rows are not written
-        assert all(np.array_equal(x, x0) for x, x0 in zip(arrays, ins))
+            assert got.tobytes() == x.tobytes()
+        # the stepped rows are not written
+        assert all(np.array_equal(x, x0) for x, x0 in zip(stepped, ins))
 
     def test_ball_projection_applied(self):
         p = init_params(2, 1.0, 0)
-        q = sgd_step(p, _rows(p), self._grads(2, scale=-1.0), 5.0)
+        stepped = _stepped(_rows(p), self._grads(2, scale=-1.0), 5.0)
+        q = sgd_step(p, stepped)
+        assert np.abs(stepped[0]).sum() > 1.0  # the step left the ball
         assert np.abs(q[0]).sum() <= 1.0 + 1e-9
+        assert q[1] is stepped[1]
         assert in_constraint_set(p, *q)
         assert replace(p, a=q[0], w_end=q[1], W_aux=q[2]).feasible()
 
     def test_sphere_rescale_applied(self):
         p = init_params(2, 1.0, 0, l1_boundary=True)
-        a, _, _ = sgd_step(p, _rows(p), self._grads(2), 0.3)
+        a, _, _ = sgd_step(p, _stepped(_rows(p), self._grads(2), 0.3))
         assert abs(np.abs(a).sum() - 1.0) < 1e-9
 
     def test_fro_radius_maintained(self):
-        p = init_params(3, 1.0, 1)
-        _, _, W_aux = sgd_step(p, _rows(p), self._grads(3), 0.5)
-        assert abs(np.linalg.norm(W_aux) - 1.0) < 1e-9
+        p = replace(init_params(3, 1.0, 1), fro_radius=2.5)
+        _, _, W_aux = sgd_step(p, _stepped(_rows(p), self._grads(3), 0.5))
+        assert abs(np.linalg.norm(W_aux) - 2.5) < 1e-9
 
     def test_infeasible_projection_raises(self):
         # a step to |a| ~ 1e15 projects to L1 norm 0.125, above tau = 0.1
         p = init_params(2, 0.1, 0)
         g = (np.array([-1.0, 0.0]), np.zeros(2), np.zeros((2, 2)))
         with pytest.raises(DivergedError, match="infeasible"):
-            sgd_step(p, _rows(p), g, 1e15)
+            sgd_step(p, _stepped(_rows(p), g, 1e15))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_gradient_raises(self):
         """sgd_step makes no finiteness check of its own (train makes it once
-        per group step), yet a NaN or +-inf entry in any gradient block
-        raises in every constraint set: the projection or the feasibility
-        check catches it."""
+        per group step), yet a NaN or +-inf gradient entry in any block,
+        carried into the stepped rows by the descent update, raises in every
+        constraint set: the projection or the feasibility check catches it."""
         sets = {"free": dict(tau=None), "ball": dict(tau=1.0),
                 "sphere": dict(tau=1.0, l1_boundary=True)}
         for (name, kw), block, bad in itertools.product(
@@ -205,7 +216,7 @@ class TestSgdStep:
             g = self._grads(3)
             g[block].flat[-1] = bad
             with pytest.raises(DivergedError):
-                sgd_step(p, _rows(p), g, 0.1)
+                sgd_step(p, _stepped(_rows(p), g, 0.1))
                 pytest.fail(f"{name}: {bad} in gradient block {block} stepped")
 
 
